@@ -177,7 +177,7 @@ def cmd_optimize(args) -> int:
         max_iters=args.max_iters,
         objective=args.objective,
     )
-    status = "converged" if result.converged else "not converged (best iterate returned)"
+    status = "converged" if result.converged else "not converged (last iterate returned)"
     print(f"status     = {status}")
     print(f"iterations = {result.iterations}")
     for node_id in sorted(result.policy.betas):

@@ -170,7 +170,7 @@ def fit_interference(
     mean, variance = interference_moments(links, num_channels, quad)
     if mean <= 0.0 or variance <= 0.0:
         return ZERO_INTERFERENCE
-    return GammaFit(shape=mean * mean / variance, scale=variance / mean)
+    return fit_gamma(mean, variance)
 
 
 def interference_pdf(fit: GammaFit | ZeroInterference, x: float) -> float:

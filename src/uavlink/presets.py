@@ -1,4 +1,4 @@
-"""Built-in sweep presets and the generic sweep runner.
+"""Built-in sweep presets and the one sweep runner behind them and ``uavlink sweep``.
 
 Each preset pins a reproducible scenario (sampled quantities resolved by a
 documented placement seed) and emits plot-ready rows:
@@ -11,19 +11,24 @@ documented placement seed) and emits plot-ready rows:
           thresholds, all nodes Rician.
 ``fig5``  queue-drop probability vs slot duration, one curve per source
           threshold; no interferers enter this metric.
+
+A preset is data: the source's power and arrival rate, its interferers,
+and a product of sweep axes.  The runner walks the product with the first
+axis outermost and evaluates the source at every point.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import throughput as tp
 from .errors import DomainError, ScenarioError
 from .scenario_io import Scenario, scenario_from_mapping
-from .throughput import PolicyVector
+from .throughput import LossBreakdown, PolicyVector
 
 __all__ = ["SweepSpec", "run_sweep", "PRESETS", "run_preset", "preset_scenario"]
 
@@ -40,29 +45,34 @@ SWEEP_VARIABLES = (
     "interferer_count",
     "gamma_th",
     "t_slt",
-    "interferer_power_range",
 )
+
+BREAKDOWN_COLUMNS = ("p_delay", "p_overflow", "p_error", "p_loss", "throughput")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep axis plus fixed scenario overrides applied before sweeping."""
+    """One sweep axis: a variable, its values in order, and its output column.
+
+    ``values`` may instead be a function of the source's stability bound
+    ``beta_upper``; the runner resolves it to a tuple before sweeping.
+    ``column`` names the axis in the output (default: the variable).
+    """
 
     variable: str
-    values: tuple
-    fixed: Mapping[str, Any] | None = None
+    values: tuple | Callable[[float], Sequence[float]]
+    column: str | None = None
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise DomainError(
                 f"SweepSpec.variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
+        if callable(self.values):
+            return
         if len(self.values) == 0:
             raise DomainError("SweepSpec.values must be non-empty")
-        scalars = [v for v in self.values]
-        if self.variable != "interferer_power_range" and any(
-            b <= a for a, b in zip(scalars, scalars[1:])
-        ):
+        if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise DomainError("SweepSpec.values must be strictly increasing")
 
 
@@ -74,25 +84,6 @@ def _with_interferer_prefix(scenario: Scenario, count: int) -> Scenario:
         )
     kept = (scenario.source(), *interferers[:count])
     return replace(scenario, nodes=kept)
-
-
-def _with_power_range(scenario: Scenario, value: Any) -> Scenario:
-    try:
-        lo, hi = float(value[0]), float(value[1])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise DomainError(f"interferer_power_range value must be (lo, hi), got {value!r}") from exc
-    if not 0 < lo <= hi:
-        raise DomainError("interferer_power_range: need 0 < lo <= hi")
-    span = 0.5  # documents' sampled powers live in [0.5, 1.0]
-    nodes = []
-    for node in scenario.nodes:
-        if node.role == "source":
-            nodes.append(node)
-            continue
-        frac = (node.transmit_power - 0.5) / span
-        frac = min(1.0, max(0.0, frac))
-        nodes.append(replace(node, transmit_power=lo + (hi - lo) * frac))
-    return replace(scenario, nodes=tuple(nodes))
 
 
 def _apply_point(scenario: Scenario, policy: PolicyVector, variable: str, value: Any):
@@ -108,283 +99,177 @@ def _apply_point(scenario: Scenario, policy: PolicyVector, variable: str, value:
         return replace(scenario, slot_duration=float(value)), policy
     if variable == "interferer_count":
         return _with_interferer_prefix(scenario, int(value)), policy
-    if variable == "interferer_power_range":
-        return _with_power_range(scenario, value), policy
     raise DomainError(f"unknown sweep variable {variable!r}")
+
+
+def _output(breakdown: LossBreakdown, column: str) -> float:
+    if column == "queue_drop":
+        # lost to the queue: the buffer overflows, or an admitted packet misses its deadline
+        return breakdown.p_overflow + (1.0 - breakdown.p_overflow) * breakdown.p_delay
+    return getattr(breakdown, column)
+
+
+def _stability_bound(scenario: Scenario, axes: Sequence[SweepSpec]) -> float:
+    """The source's ``beta_upper`` at the largest slot duration the sweep reaches.
+
+    That bound is the tightest one, so every point of the sweep stays feasible.
+    """
+    slot = max(
+        (v for axis in axes if axis.variable == "t_slt" for v in axis.values),
+        default=scenario.slot_duration,
+    )
+    view = tp.source_view(replace(scenario, slot_duration=float(slot)))
+    return tp.beta_upper(view.model, view.queue, view.num_channels)
+
+
+def _sweep(
+    scenario: Scenario,
+    axes: Sequence[SweepSpec],
+    outputs: Sequence[str],
+    approximate: bool = False,
+) -> tuple[list[str], list[dict]]:
+    """Evaluate the source over the product of ``axes``, first axis outermost."""
+    if any(callable(axis.values) for axis in axes):
+        upper = _stability_bound(scenario, axes)
+        axes = [
+            replace(axis, values=tuple(float(v) for v in axis.values(upper)))
+            if callable(axis.values)
+            else axis
+            for axis in axes
+        ]
+    base_policy = PolicyVector.from_scenario(scenario)
+    columns = [axis.column or axis.variable for axis in axes] + list(outputs)
+    rows = []
+    for point in itertools.product(*(axis.values for axis in axes)):
+        point_scenario, point_policy = scenario, base_policy
+        for axis, value in zip(axes, point):
+            point_scenario, point_policy = _apply_point(
+                point_scenario, point_policy, axis.variable, value
+            )
+        breakdown = tp.evaluate(point_scenario, point_policy, approximate=approximate)
+        row = dict(zip(columns, point))
+        row.update((column, _output(breakdown, column)) for column in outputs)
+        rows.append(row)
+    return columns, rows
 
 
 def run_sweep(
     scenario: Scenario, spec: SweepSpec, approximate: bool = False
 ) -> tuple[list[str], list[dict]]:
     """Evaluate the source's breakdown at every sweep point, in given order."""
-    base_policy = PolicyVector.from_scenario(scenario)
-    if spec.fixed:
-        for key, value in spec.fixed.items():
-            scenario, base_policy = _apply_point(scenario, base_policy, key, value)
-    columns = [spec.variable, "p_delay", "p_overflow", "p_error", "p_loss", "throughput"]
-    rows = []
-    for value in spec.values:
-        point_scenario, point_policy = _apply_point(scenario, base_policy, spec.variable, value)
-        breakdown = tp.evaluate(point_scenario, point_policy, approximate=approximate)
-        rows.append(
-            {
-                spec.variable: value if not isinstance(value, (tuple, list)) else str(value),
-                "p_delay": breakdown.p_delay,
-                "p_overflow": breakdown.p_overflow,
-                "p_error": breakdown.p_error,
-                "p_loss": breakdown.p_loss,
-                "throughput": breakdown.throughput,
-            }
-        )
-    return columns, rows
+    return _sweep(scenario, (spec,), BREAKDOWN_COLUMNS, approximate)
 
 
 # --------------------------------------------------------------------------
-# Preset scenarios
+# Presets
 # --------------------------------------------------------------------------
-
-
-def _interferer_specs(count: int, fading: Sequence[str]) -> list[dict]:
-    return [
-        {
-            "id": f"i{k}",
-            "role": "interferer",
-            "position": "sampled",
-            "transmit_power": "sampled",
-            "fading": fading[k] if k < len(fading) else fading[-1],
-            "queue": {
-                "arrival_rate": "sampled",
-                "delay_threshold": "sampled",
-                "buffer_capacity_normalized": "sampled",
-            },
-        }
-        for k in range(count)
-    ]
-
-
-def _fig2_scenario(seed: int) -> Scenario:
-    # Source pinned near the area corner: its moderate elevation keeps the
-    # feasible threshold range wide enough to show the interior optimum.
-    doc = {
-        "placement_seed": seed,
-        "nodes": [
-            {
-                "id": "src",
-                "role": "source",
-                "position": [1.0, 1.0, 0.0],
-                "transmit_power": 0.75,
-                "fading": "rician",
-                "beta": RICIAN_BETA,
-                "queue": {
-                    "arrival_rate": 120.0,
-                    "delay_threshold": 0.045,
-                    "buffer_capacity_normalized": 100.0,
-                },
-            },
-            *[
-                {**spec, "beta": RICIAN_BETA}
-                for spec in _interferer_specs(9, ["rician"])
-            ],
-        ],
-    }
-    return scenario_from_mapping(doc)
-
-
-def _fig2_rows(scenario: Scenario) -> tuple[list[str], list[dict]]:
-    view = tp.source_view(scenario)
-    upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-    beta_n_grid = np.linspace(0.3, 0.995 * upper, 28)
-    beta_m_grid = (2.5, 3.5, 4.5, 5.1, 5.7, 6.3, 7.0)
-    policy = PolicyVector.from_scenario(scenario)
-    rows = []
-    for beta_n in beta_n_grid:
-        p_n = policy.updated(scenario.source().id, float(beta_n))
-        for beta_m in beta_m_grid:
-            p = p_n
-            for node in scenario.interferers():
-                p = p.updated(node.id, beta_m)
-            breakdown = tp.evaluate(scenario, p)
-            rows.append(
-                {
-                    "beta_n": float(beta_n),
-                    "beta_m": beta_m,
-                    "throughput": breakdown.throughput,
-                }
-            )
-    return ["beta_n", "beta_m", "throughput"], rows
-
-
-def _fig3_scenario(seed: int) -> Scenario:
-    specs = _interferer_specs(8, ["rician", "rician", "rayleigh"])
-    for k, spec in enumerate(specs):
-        spec["beta"] = RICIAN_BETA if k < 2 else RAYLEIGH_BETA
-    doc = {
-        "placement_seed": seed,
-        "nodes": [
-            {
-                "id": "src",
-                "role": "source",
-                "position": [1.0, 1.0, 0.0],
-                "transmit_power": 0.5,
-                "fading": "rician",
-                "beta": RICIAN_BETA,
-                "queue": {
-                    "arrival_rate": 80.0,
-                    "delay_threshold": 0.045,
-                    "buffer_capacity_normalized": 100.0,
-                },
-            },
-            *specs,
-        ],
-    }
-    return scenario_from_mapping(doc)
-
-
-def _fig3_rows(scenario: Scenario) -> tuple[list[str], list[dict]]:
-    rows = []
-    for count in range(0, len(scenario.interferers()) + 1):
-        point = _with_interferer_prefix(scenario, count)
-        breakdown = tp.evaluate(point)
-        rows.append({"num_interferers": count, "throughput": breakdown.throughput})
-    return ["num_interferers", "throughput"], rows
-
-
-def _fig4_scenario(seed: int) -> Scenario:
-    specs = _interferer_specs(8, ["rician"])
-    for spec in specs:
-        spec["beta"] = RICIAN_BETA
-    doc = {
-        "placement_seed": seed,
-        "nodes": [
-            {
-                "id": "src",
-                "role": "source",
-                "position": [1.0, 1.0, 0.0],
-                "transmit_power": 0.5,
-                "fading": "rician",
-                "beta": RICIAN_BETA,
-                "queue": {
-                    "arrival_rate": 80.0,
-                    "delay_threshold": 0.045,
-                    "buffer_capacity_normalized": 100.0,
-                },
-            },
-            *specs,
-        ],
-    }
-    return scenario_from_mapping(doc)
-
-
-def _fig4_rows(scenario: Scenario) -> tuple[list[str], list[dict]]:
-    rows = []
-    for gamma_th in (2.0, 4.0, 8.0):
-        point_base = replace(scenario, sinr_threshold=gamma_th)
-        for count in range(1, len(scenario.interferers()) + 1):
-            point = _with_interferer_prefix(point_base, count)
-            breakdown = tp.evaluate(point)
-            rows.append(
-                {
-                    "gamma_th": gamma_th,
-                    "num_interferers": count,
-                    "p_error": breakdown.p_error,
-                }
-            )
-    return ["gamma_th", "num_interferers", "p_error"], rows
-
-
-def _fig5_scenario(seed: int) -> Scenario:
-    doc = {
-        "placement_seed": seed,
-        "nodes": [
-            {
-                "id": "src",
-                "role": "source",
-                "position": [1.0, 1.0, 0.0],
-                "transmit_power": 0.5,
-                "fading": "rician",
-                "beta": RICIAN_BETA,
-                "queue": {
-                    "arrival_rate": 80.0,
-                    "delay_threshold": 0.045,
-                    "buffer_capacity_normalized": 100.0,
-                },
-            },
-        ],
-    }
-    return scenario_from_mapping(doc)
-
-
-def _fig5_rows(scenario: Scenario) -> tuple[list[str], list[dict]]:
-    slot_grid = np.linspace(0.5e-3, 4.0e-3, 8)
-    # thresholds anchored to the tightest (largest slot) stability bound so
-    # every point of the sweep stays feasible
-    tight = replace(scenario, slot_duration=float(slot_grid[-1]))
-    view = tp.source_view(tight)
-    upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-    beta_fracs = (0.70, 0.85, 0.95, 0.999)
-    rows = []
-    for t_slt in slot_grid:
-        point = replace(scenario, slot_duration=float(t_slt))
-        for frac in beta_fracs:
-            beta_n = frac * upper
-            policy = PolicyVector({scenario.source().id: beta_n})
-            breakdown = tp.evaluate(point, policy)
-            drop = breakdown.p_overflow + (1.0 - breakdown.p_overflow) * breakdown.p_delay
-            rows.append(
-                {
-                    "t_slt": float(t_slt),
-                    "beta_n": float(beta_n),
-                    "queue_drop": drop,
-                }
-            )
-    return ["t_slt", "beta_n", "queue_drop"], rows
 
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
-    description: str
-    build: Callable[[int], Scenario]
-    rows: Callable[[Scenario], tuple[list[str], list[dict]]]
+    """A pinned scenario and the sweep that runs on it.
 
+    The source sits near the area corner: its moderate elevation keeps the
+    feasible threshold range wide enough to show the interior optimum.
+    Interferers take their position, power and queue from the placement seed.
+    """
+
+    description: str
+    source_power: float
+    arrival_rate: float
+    interferers: tuple[tuple[str, float], ...]  # (fading, beta) per interferer
+    axes: tuple[SweepSpec, ...]  # a product, first axis outermost
+    outputs: tuple[str, ...]  # columns after the axes'
+
+    def scenario(self, seed: int) -> Scenario:
+        source = {
+            "id": "src",
+            "role": "source",
+            "position": [1.0, 1.0, 0.0],
+            "transmit_power": self.source_power,
+            "fading": "rician",
+            "beta": RICIAN_BETA,
+            "queue": {
+                "arrival_rate": self.arrival_rate,
+                "delay_threshold": 0.045,
+                "buffer_capacity_normalized": 100.0,
+            },
+        }
+        interferers = [
+            {
+                "id": f"i{k}",
+                "role": "interferer",
+                "position": "sampled",
+                "transmit_power": "sampled",
+                "fading": fading,
+                "beta": beta,
+                "queue": dict.fromkeys(
+                    ("arrival_rate", "delay_threshold", "buffer_capacity_normalized"), "sampled"
+                ),
+            }
+            for k, (fading, beta) in enumerate(self.interferers)
+        ]
+        return scenario_from_mapping({"placement_seed": seed, "nodes": [source, *interferers]})
+
+
+_RICIAN = ("rician", RICIAN_BETA)
+_RAYLEIGH = ("rayleigh", RAYLEIGH_BETA)
 
 PRESETS: dict[str, Preset] = {
     "fig2": Preset(
-        "fig2",
         "throughput vs interferer threshold, curves over source threshold (10 Rician nodes)",
-        _fig2_scenario,
-        _fig2_rows,
+        source_power=0.75,
+        arrival_rate=120.0,
+        interferers=(_RICIAN,) * 9,
+        axes=(
+            SweepSpec("beta_n", lambda upper: np.linspace(0.3, 0.995 * upper, 28)),
+            SweepSpec("beta_m", (2.5, 3.5, 4.5, 5.1, 5.7, 6.3, 7.0)),
+        ),
+        outputs=("throughput",),
     ),
     "fig3": Preset(
-        "fig3",
         "throughput vs interferer count (first two interferers Rician, rest Rayleigh)",
-        _fig3_scenario,
-        _fig3_rows,
+        source_power=0.5,
+        arrival_rate=80.0,
+        interferers=(_RICIAN,) * 2 + (_RAYLEIGH,) * 6,
+        axes=(SweepSpec("interferer_count", tuple(range(9)), "num_interferers"),),
+        outputs=("throughput",),
     ),
     "fig4": Preset(
-        "fig4",
         "error probability vs interferer count for SINR thresholds 2/4/8 (all Rician)",
-        _fig4_scenario,
-        _fig4_rows,
+        source_power=0.5,
+        arrival_rate=80.0,
+        interferers=(_RICIAN,) * 8,
+        axes=(
+            SweepSpec("gamma_th", (2.0, 4.0, 8.0)),
+            SweepSpec("interferer_count", tuple(range(1, 9)), "num_interferers"),
+        ),
+        outputs=("p_error",),
     ),
     "fig5": Preset(
-        "fig5",
         "queue-drop probability vs slot duration, curves over source threshold",
-        _fig5_scenario,
-        _fig5_rows,
+        source_power=0.5,
+        arrival_rate=80.0,
+        interferers=(),
+        axes=(
+            SweepSpec("t_slt", tuple(np.linspace(0.5e-3, 4.0e-3, 8).tolist())),
+            SweepSpec("beta_n", lambda upper: [f * upper for f in (0.70, 0.85, 0.95, 0.999)]),
+        ),
+        outputs=("queue_drop",),
     ),
 }
 
 
-def preset_scenario(name: str, seed: int | None = None) -> Scenario:
+def _preset(name: str) -> Preset:
     if name not in PRESETS:
         raise ScenarioError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return PRESETS[name].build(DEFAULT_PRESET_SEED if seed is None else seed)
+    return PRESETS[name]
+
+
+def preset_scenario(name: str, seed: int | None = None) -> Scenario:
+    return _preset(name).scenario(DEFAULT_PRESET_SEED if seed is None else seed)
 
 
 def run_preset(name: str, seed: int | None = None) -> tuple[list[str], list[dict]]:
-    preset = PRESETS.get(name)
-    if preset is None:
-        raise ScenarioError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    scenario = preset_scenario(name, seed)
-    return preset.rows(scenario)
+    preset = _preset(name)
+    return _sweep(preset_scenario(name, seed), preset.axes, preset.outputs)

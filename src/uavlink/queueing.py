@@ -11,20 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-import scipy.stats
-
 from .errors import DegeneratePolicyError, DomainError, StabilityError
 
 __all__ = [
     "QueueParams",
-    "slots_to_transmit_pmf",
     "service_rate",
     "offered_load",
     "p_delay",
     "p_overflow",
-    "overflow_transition_prob",
-    "state_distribution",
 ]
 
 # Offered loads within this distance of 1 are treated as the stability
@@ -65,14 +59,6 @@ def _check_phi(phi: float) -> float:
     if not 0.0 < phi <= 1.0:
         raise DomainError(f"transmit probability must lie in (0, 1], got {phi}")
     return phi
-
-
-def slots_to_transmit_pmf(phi: float, k: int) -> float:
-    """Geometric probability that the first successful slot is slot ``k``."""
-    phi = _check_phi(phi)
-    if k < 1:
-        raise DomainError(f"slot count must be >= 1, got {k}")
-    return (1.0 - phi) ** (k - 1) * phi
 
 
 def service_rate(phi: float) -> float:
@@ -125,43 +111,3 @@ def p_overflow(mu: float, q: QueueParams) -> float:
     denom = slack - rho * math.expm1(-x)
     return slack * math.exp(-x) / denom
 
-
-def overflow_transition_prob(i: int, q: QueueParams) -> float:
-    """Probability an arrival overflows the buffer when ``i`` packets are stored.
-
-    With i.i.d. unit-mean exponential lengths, the stored total given that
-    ``i`` packets fit is a conditioned Erlang, and the overflow chance is the
-    Poisson point mass at ``i`` over the Poisson tail from ``i``.
-    """
-    if i < 0:
-        raise DomainError(f"state index must be >= 0, got {i}")
-    bn = q.buffer_capacity_normalized
-    tail = scipy.stats.poisson.sf(i - 1, bn)  # P[N >= i]
-    if tail <= 0.0:
-        return 1.0
-    return float(scipy.stats.poisson.pmf(i, bn) / tail)
-
-
-def state_distribution(mu: float, q: QueueParams, max_states: int = 100_000) -> np.ndarray:
-    """Stationary distribution of the buffer occupancy Markov chain.
-
-    Truncated at the first state where the geometric tail bound drops
-    below 1e-12, capped at ``max_states``.
-    """
-    rho = offered_load(mu, q)
-    if rho >= 1.0:
-        raise StabilityError(
-            f"unstable queue: offered load {rho:.6g} >= 1", margin=rho - 1.0
-        )
-    bn = q.buffer_capacity_normalized
-    slack = 1.0 - rho
-    p0 = slack / (slack - rho * math.expm1(-bn * slack))
-    probs = [p0]
-    rho_pow = 1.0
-    for i in range(1, max_states):
-        rho_pow *= rho
-        if p0 * rho_pow / slack < 1e-12:
-            break
-        tail = float(scipy.stats.poisson.sf(i - 1, bn))  # P[N >= i]
-        probs.append(p0 * rho_pow * tail)
-    return np.asarray(probs)

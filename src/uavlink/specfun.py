@@ -20,13 +20,9 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUAD",
     "IntegrationResult",
-    "bessel_i0",
-    "bessel_i1",
     "bessel_i0_scaled",
     "marcum_q1",
-    "lower_incomplete_gamma",
     "regularized_gamma_upper",
-    "erf",
     "erfinv",
     "integrate",
 ]
@@ -62,22 +58,6 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero, for x >= 0."""
-    x = _require_finite("bessel_i0 argument", x)
-    if x < 0:
-        raise DomainError(f"bessel_i0 argument must be >= 0, got {x}")
-    return float(sp.i0(x))
-
-
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function of the first kind, order one, for x >= 0."""
-    x = _require_finite("bessel_i1 argument", x)
-    if x < 0:
-        raise DomainError(f"bessel_i1 argument must be >= 0, got {x}")
-    return float(sp.i1(x))
-
-
 def bessel_i0_scaled(x: float) -> float:
     """exp(-x) * I0(x): the overflow-free form used inside fading densities."""
     x = _require_finite("bessel_i0_scaled argument", x)
@@ -106,17 +86,6 @@ def marcum_q1(a: float, b: float) -> float:
     return min(1.0, max(0.0, q))
 
 
-def lower_incomplete_gamma(k: float, x: float) -> float:
-    """Unnormalized lower incomplete gamma integral of s^(k-1) e^(-s) on [0, x]."""
-    k = _require_finite("lower_incomplete_gamma k", k)
-    x = _require_finite("lower_incomplete_gamma x", x)
-    if k <= 0:
-        raise DomainError(f"lower_incomplete_gamma requires k > 0, got {k}")
-    if x < 0:
-        raise DomainError(f"lower_incomplete_gamma requires x >= 0, got {x}")
-    return float(sp.gammainc(k, x) * sp.gamma(k))
-
-
 def regularized_gamma_upper(k: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(k, x) = 1 - gamma(k, x)/Gamma(k)."""
     if k <= 0:
@@ -124,11 +93,6 @@ def regularized_gamma_upper(k: float, x: float) -> float:
     if x < 0:
         return 1.0
     return float(sp.gammaincc(k, x))
-
-
-def erf(x: float) -> float:
-    x = _require_finite("erf argument", x)
-    return math.erf(x)
 
 
 def erfinv(y: float) -> float:

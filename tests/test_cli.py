@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, determinism, and output schemas."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from uavlink import cli
+from uavlink import presets as ps
 from uavlink import throughput as tp
 from uavlink.scenario_io import load_scenario_file, read_results
 
@@ -23,6 +25,8 @@ nodes:
     fading: rician
     beta: 4.0
 """
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.yaml"
 
 
 @pytest.fixture
@@ -129,6 +133,24 @@ class TestSweep:
         assert code == 1
         assert "preset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("var", ps.SWEEP_VARIABLES)
+    def test_every_listed_variable_runs(self, var, scenario_path, tmp_path):
+        values = {
+            "beta_n": "3.0,4.0",
+            "beta_m": "3.0,4.0",
+            "interferer_count": "0,1",
+            "gamma_th": "4.0,8.0",
+            "t_slt": "0.001,0.002",
+        }[var]
+        out = tmp_path / "sweep.csv"
+        code = cli.main([
+            "sweep", "--scenario", scenario_path, "--var", var,
+            "--values", values, "--out", str(out),
+        ])
+        assert code == 0
+        rows = read_results(out)
+        assert [row[var] for row in rows] == [float(v) for v in values.split(",")]
+
 
 class TestSimulate:
     def test_reports_gap_columns(self, scenario_path, tmp_path, capsys):
@@ -192,6 +214,27 @@ class TestOptimize:
         rows = read_results(trace)
         assert len(rows) == iterations  # one node: rows == iterations
         assert set(rows[0]) == {"iteration", "node", "beta", "throughput"}
+
+    def test_not_converged_reports_the_last_iterate(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = cli.main([
+            "optimize", "--scenario", str(EXAMPLE), "--max-iters", "1", "--grid", "8",
+            "--out", str(trace),
+        ])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert "status     = not converged (last iterate returned)" in printed
+        rows = read_results(trace)
+        last = max(row["iteration"] for row in rows)
+        expected = {row["node"]: row["beta"] for row in rows if row["iteration"] == last}
+        shown = {
+            line.split()[1]: float(line.split("beta =")[1].split()[0])
+            for line in printed.splitlines()
+            if line.startswith("node ")
+        }
+        assert shown.keys() == expected.keys()
+        for node_id, beta in expected.items():
+            assert shown[node_id] == pytest.approx(beta, rel=1e-5)
 
 
 class TestHelp:

