@@ -18,6 +18,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+import scipy.special as sp
+
 from . import specfun
 from .errors import DegenerateGeometryError, DomainError
 from .specfun import DEFAULT_QUAD, QuadratureSpec
@@ -199,19 +202,39 @@ def rician_b(theta: float, env: EnvironmentParams) -> float:
     return math.sqrt(2.0 * k_factor)
 
 
-def fading_pdf(model: FadingModel, x: float) -> float:
-    """Density of the fading amplitude at x >= 0.
+def _pdf(model: FadingModel, x: float | np.ndarray):
+    """Density of the fading amplitude, elementwise over a float or an array of x >= 0.
 
-    The Rician branch is evaluated in the exponentially-scaled form
+    Unchecked: the one density formula behind :func:`fading_pdf` and the
+    error-probability quadrature, whose callers keep x in range.  The
+    Rician branch is the exponentially-scaled form
     x * exp(-(x-b)^2/2) * i0e(xb), which stays finite for all x.
     """
+    # numpy's exp can differ from math.exp in the last bit: floats keep math.exp
+    # so that scalar results (and the quadrature built on them) do not move
+    exp = math.exp if isinstance(x, float) else np.exp
+    if isinstance(model, Rayleigh):
+        return (2.0 * x / model.omega) * exp(-x * x / model.omega)
+    diff = x - model.b
+    return x * exp(-0.5 * diff * diff) * sp.i0e(x * model.b)
+
+
+def _pdf_slope(model: FadingModel, x: float | np.ndarray):
+    """Derivative of :func:`_pdf` in x, elementwise and unchecked like it."""
+    if isinstance(model, Rayleigh):
+        om = model.omega
+        return (2.0 / om) * np.exp(-x * x / om) * (1.0 - 2.0 * x * x / om)
+    diff = x - model.b
+    xb = x * model.b
+    return np.exp(-0.5 * diff * diff) * ((1.0 - x * x) * sp.i0e(xb) + xb * sp.i1e(xb))
+
+
+def fading_pdf(model: FadingModel, x: float) -> float:
+    """Density of the fading amplitude at x >= 0."""
     x = float(x)
     if x < 0:
         raise DomainError(f"fading_pdf: x must be >= 0, got {x}")
-    if isinstance(model, Rayleigh):
-        return (2.0 * x / model.omega) * math.exp(-x * x / model.omega)
-    diff = x - model.b
-    return x * math.exp(-0.5 * diff * diff) * specfun.bessel_i0_scaled(x * model.b)
+    return float(_pdf(model, x))
 
 
 def fading_cdf(model: FadingModel, beta: float) -> float:

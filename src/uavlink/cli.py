@@ -104,8 +104,17 @@ def cmd_sweep(args) -> int:
         if not args.scenario or not args.var or not args.values:
             raise ScenarioError("sweep needs either --preset or --scenario/--var/--values")
         scenario = _load(args.scenario)
-        values = tuple(float(v) for v in args.values.split(","))
+        try:
+            values = tuple(float(v) for v in args.values.split(","))
+        except ValueError:
+            raise ScenarioError(
+                f"--values {args.values!r}: not a comma-separated list of numbers"
+            ) from None
         if args.var == "interferer_count":
+            if not all(v.is_integer() for v in values):
+                raise ScenarioError(
+                    f"--var interferer_count takes whole numbers, got {args.values!r}"
+                )
             values = tuple(int(v) for v in values)
         columns, rows = ps.run_sweep(scenario, ps.SweepSpec(args.var, values))
     if args.out:

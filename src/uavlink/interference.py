@@ -11,8 +11,11 @@ against the Gamma tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
+import scipy.special as sp
 
 from . import channel, specfun
 from .channel import FadingModel, LinkChannel
@@ -173,31 +176,103 @@ def fit_interference(
     return fit_gamma(mean, variance)
 
 
-def interference_pdf(fit: GammaFit | ZeroInterference, x: float) -> float:
-    """Density of the fitted interference law at x (zero for the empty sum)."""
+def interference_pdf(fit: GammaFit | ZeroInterference, x: float | np.ndarray):
+    """Density of the fitted interference law at x, elementwise over an array.
+
+    Zero for the empty sum and for x <= 0.
+    """
+    x = np.asarray(x, dtype=float)
     if isinstance(fit, ZeroInterference):
-        return 0.0
-    if x <= 0.0:
-        return 0.0
+        return np.zeros_like(x)[()]
     k, th = fit.shape, fit.scale
+    positive = x > 0.0
+    safe = np.where(positive, x, 1.0)
     # log form avoids overflow of Gamma(k) and x**(k-1) separately
-    log_pdf = (k - 1.0) * math.log(x) - x / th - math.lgamma(k) - k * math.log(th)
-    return math.exp(log_pdf)
+    log_pdf = (k - 1.0) * np.log(safe) - safe / th - math.lgamma(k) - k * math.log(th)
+    return np.where(positive, np.exp(log_pdf), 0.0)[()]
 
 
-def interference_ccdf(fit: GammaFit | ZeroInterference, x: float) -> float:
-    """P[interference > x]; equals 1 for any x < 0 since interference >= 0."""
+def interference_ccdf(fit: GammaFit | ZeroInterference, x: float | np.ndarray):
+    """P[interference > x], elementwise over an array.
+
+    Equals 1 for any x < 0, since interference >= 0.
+    """
     if isinstance(fit, ZeroInterference):
-        return 1.0 if x < 0.0 else 0.0
-    if x <= 0.0:
-        return 1.0
-    return specfun.regularized_gamma_upper(fit.shape, x / fit.scale)
+        return np.where(np.asarray(x) < 0.0, 1.0, 0.0)[()]
+    return specfun.regularized_gamma_upper(fit.shape, np.asarray(x) / fit.scale)
+
+
+# Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK qk15; Piessens et al., 1983):
+# the 15 Kronrod nodes, their weights, and the weights of the 7-point Gauss
+# rule embedded at every other node (zero elsewhere).
+_GK15_HALF = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_GK15_CENTRE = (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+_GK15 = np.array([*((-x, wk, wg) for x, wk, wg in _GK15_HALF), _GK15_CENTRE,
+                  *reversed(_GK15_HALF)])
+_GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _GK15.T
+
+
+def _error_integrals(
+    model: FadingModel,
+    fit: GammaFit,
+    margin_rate: float,
+    noise_power: float,
+    limits: list[float],
+    quad: QuadratureSpec,
+) -> np.ndarray:
+    """Error integral from each of the sorted, distinct ``limits`` to infinity.
+
+    The integrand is the main link's fading density times the interference
+    tail at the power the packet can afford to lose.  The integral above
+    the largest limit is one adaptive quadrature; each gap between
+    consecutive limits is a Gauss-Kronrod 7-15 panel, evaluated for all
+    panels at once, and a reversed cumulative sum gives every limit's
+    integral.  Every point's integral sums the tail and the panels above
+    it, so these pieces share the absolute tolerance equally; a single
+    limit keeps all of it.  A panel whose Kronrod-Gauss difference exceeds
+    its share is integrated adaptively instead, so an
+    :class:`AccuracyError` is raised rather than an inaccurate value
+    returned.
+    """
+    quad = replace(quad, absolute_tolerance=quad.absolute_tolerance / len(limits))
+    shape, scale = fit.shape, fit.scale
+
+    def integrand(x):  # a float or an array
+        excess = margin_rate * x * x - noise_power
+        # the tail is 1 where excess <= 0; the mask clamps a float or an array alike
+        return channel._pdf(model, x) * sp.gammaincc(shape, excess * (excess > 0.0) / scale)
+
+    tail = specfun.integrate(integrand, limits[-1], math.inf, quad).value
+    if len(limits) == 1:
+        return np.array([tail])
+    lo = np.asarray(limits[:-1])
+    width = np.diff(limits)
+    # lo + width * t with t in [0, 1] never falls below lo
+    x = lo[:, None] + width[:, None] * (0.5 * (1.0 + _GK15_NODES))
+    values = integrand(x)
+    kronrod = 0.5 * width * (values @ _GK15_KRONROD)
+    error = np.abs(kronrod - 0.5 * width * (values @ _GK15_GAUSS))
+    tolerance = np.maximum(quad.absolute_tolerance, quad.relative_tolerance * np.abs(kronrod))
+    for i in np.flatnonzero(~(error <= tolerance)):
+        kronrod[i] = specfun.integrate(integrand, limits[i], limits[i + 1], quad).value
+    return np.append(np.cumsum(kronrod[::-1])[::-1], 0.0) + tail
 
 
 def p_error(
     main: LinkChannel,
     main_power: float,
-    main_beta: float,
+    main_beta: float | np.ndarray,
     links: Sequence[InterfererLink],
     noise: NoiseModel,
     gamma_th: float,
@@ -205,49 +280,59 @@ def p_error(
     conditional: bool = True,
     quad: QuadratureSpec = DEFAULT_QUAD,
     fit: GammaFit | ZeroInterference | None = None,
-) -> float:
-    """Probability a transmitted packet fails the SINR threshold.
+) -> float | np.ndarray:
+    """Probability a transmitted packet fails the SINR threshold, at each threshold.
 
-    Integrates the main link's fading density from ``main_beta`` upward
-    against the interference tail evaluated at the power the packet can
-    afford to lose.  Where the signal cannot clear the threshold even with
-    zero interference the tail is pinned at 1.  With ``conditional`` the
-    integral is normalized by the probability of transmitting at all, so
-    the result composes with the queue-drop probabilities; the raw,
-    unnormalized integral is kept available for comparison.  Passing a
-    precomputed ``fit`` skips re-matching the interferer moments (the fit
-    does not depend on ``main_beta``).
+    ``main_beta`` is one threshold (the result is a float) or an array of
+    them (the result is an array of the same shape).  Integrates the main
+    link's fading density from each threshold upward against the
+    interference tail evaluated at the power the packet can afford to
+    lose.  Where the signal cannot clear the threshold even with zero
+    interference the tail is pinned at 1.  The interference fit does not
+    depend on the threshold, so the whole grid costs one adaptive
+    quadrature plus one vectorized panel rule (see
+    :func:`_error_integrals`).  With ``conditional`` the integral is
+    normalized by the probability of transmitting at all, so the result
+    composes with the queue-drop probabilities; the raw, unnormalized
+    integral is kept available for comparison.  Passing a precomputed
+    ``fit`` skips re-matching the interferer moments.  An infinite
+    threshold (a silenced link) has no transmissions and no errors.
     """
     if main_power <= 0:
         raise DomainError(f"main_power must be > 0, got {main_power}")
     if gamma_th <= 0:
         raise DomainError(f"gamma_th must be > 0, got {gamma_th}")
-    if main_beta < 0:
+    betas = np.asarray(main_beta, dtype=float)
+    if not np.all(betas >= 0.0):
         raise DomainError(f"main_beta must be >= 0, got {main_beta}")
-    if math.isinf(main_beta):
-        return 0.0  # silenced link: no transmissions, no transmission errors
-    if fit is None:
+    points = betas.ravel().tolist()
+    finite = [beta for beta in points if beta != math.inf]
+    if finite and fit is None:
         fit = fit_interference(links, num_channels, quad)
     model = main.fading
     margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
-    noise_power = noise.power
     # below x0 the SINR fails even with zero interference
-    x0 = math.sqrt(noise_power / margin_rate)
+    x0 = math.sqrt(noise.power / margin_rate)
+    limits = sorted({max(beta, x0) for beta in finite})
+    integrals = {}
+    if limits and not isinstance(fit, ZeroInterference):
+        values = _error_integrals(model, fit, margin_rate, noise.power, limits, quad)
+        integrals = dict(zip(limits, values.tolist()))
 
-    lo = max(main_beta, x0)
-    certain_loss = max(0.0, channel.fading_cdf(model, lo) - channel.fading_cdf(model, main_beta))
-    if isinstance(fit, ZeroInterference):
-        raw = certain_loss
-    else:
-
-        def integrand(x: float) -> float:
-            excess = margin_rate * x * x - noise_power
-            return channel.fading_pdf(model, x) * interference_ccdf(fit, excess)
-
-        raw = certain_loss + specfun.integrate(integrand, lo, math.inf, quad).value
-    if not conditional:
-        return min(1.0, max(0.0, raw))
-    transmit_mass = 1.0 - channel.fading_cdf(model, main_beta)
-    if transmit_mass <= 1e-300:
-        return 0.0
-    return min(1.0, max(0.0, raw / transmit_mass))
+    results = []
+    for beta in points:
+        if beta == math.inf:
+            results.append(0.0)  # silenced link: no transmissions, no transmission errors
+            continue
+        lo = max(beta, x0)
+        cdf = channel.fading_cdf(model, beta)
+        certain_loss = max(0.0, channel.fading_cdf(model, lo) - cdf) if lo > beta else 0.0
+        raw = certain_loss + integrals.get(lo, 0.0)
+        if not conditional:
+            results.append(min(1.0, max(0.0, raw)))
+            continue
+        transmit_mass = 1.0 - cdf
+        results.append(0.0 if transmit_mass <= 1e-300 else min(1.0, max(0.0, raw / transmit_mass)))
+    if betas.ndim == 0:
+        return results[0]
+    return np.array(results).reshape(betas.shape)

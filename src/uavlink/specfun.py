@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
 import scipy.integrate
 import scipy.special as sp
 
@@ -86,13 +87,14 @@ def marcum_q1(a: float, b: float) -> float:
     return min(1.0, max(0.0, q))
 
 
-def regularized_gamma_upper(k: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(k, x) = 1 - gamma(k, x)/Gamma(k)."""
+def regularized_gamma_upper(k: float, x: float | np.ndarray) -> float | np.ndarray:
+    """Regularized upper incomplete gamma Q(k, x) = 1 - gamma(k, x)/Gamma(k).
+
+    Elementwise over an array ``x``; any x < 0 gives 1, the value at 0.
+    """
     if k <= 0:
         raise DomainError(f"regularized_gamma_upper requires k > 0, got {k}")
-    if x < 0:
-        return 1.0
-    return float(sp.gammaincc(k, x))
+    return sp.gammaincc(k, np.maximum(x, 0.0))
 
 
 def erfinv(y: float) -> float:

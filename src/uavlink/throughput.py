@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
-import scipy.special as sp
 
 from . import channel as ch
 from . import interference as itf
@@ -197,17 +196,6 @@ def beta_upper_erf(model: Rician, q: QueueParams, num_channels: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def _fading_pdf_derivative(model: FadingModel, x: float) -> float:
-    if isinstance(model, Rayleigh):
-        om = model.omega
-        return (2.0 / om) * math.exp(-x * x / om) * (1.0 - 2.0 * x * x / om)
-    b = model.b
-    diff = x - b
-    envelope = math.exp(-0.5 * diff * diff)
-    xb = x * b
-    return envelope * ((1.0 - x * x) * float(sp.i0e(xb)) + xb * float(sp.i1e(xb)))
-
-
 def _service_and_delay(view: SourceView, beta: float) -> tuple[float, float]:
     """(service rate, P_dly) of the view's queue at beta.
 
@@ -231,15 +219,6 @@ def _service_and_delay(view: SourceView, beta: float) -> tuple[float, float]:
             margin=exc.margin,
             node=view.node_id,
         ) from exc
-
-
-def _delay_factors(view: SourceView, beta: float) -> tuple[float, float, float, float]:
-    """(P_dly, cdf, pdf, pdf') at beta, raising beyond the stability bound."""
-    _, p_dly = _service_and_delay(view, beta)
-    cdf = ch.fading_cdf(view.model, beta)
-    pdf = ch.fading_pdf(view.model, beta)
-    dpdf = _fading_pdf_derivative(view.model, beta)
-    return p_dly, cdf, pdf, dpdf
 
 
 def reduced_loss(
@@ -272,45 +251,63 @@ def reduced_loss(
 
 def loss_derivative(
     view: SourceView,
-    beta: float,
+    beta: float | np.ndarray,
     quad: QuadratureSpec = DEFAULT_QUAD,
     fit: GammaFit | ZeroInterference | None = None,
-) -> tuple[float, float]:
+    upper: float | None = None,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Analytic first and second derivatives of :func:`reduced_loss` in beta.
 
-    The error part differentiates the integral through its lower limit;
-    the interference tail's own derivative enters via the Gamma density
-    chain rule.  The deadline part differentiates the exponential waiting
-    tail through the transmit probability.
+    ``beta`` is one threshold (two floats are returned) or an array of
+    them (two arrays of its shape), all in (0, upper).  The error part
+    differentiates the integral through its lower limit; the interference
+    tail's own derivative enters via the Gamma density chain rule.  The
+    deadline part differentiates the exponential waiting tail through the
+    transmit probability.  Passing the view's stability bound ``upper``
+    skips recomputing it, as passing ``fit`` skips re-matching the
+    interferers.
     """
-    if beta <= 0.0:
+    betas = np.asarray(beta, dtype=float)
+    if not np.all(betas > 0.0):
         raise DomainError(f"loss_derivative: beta must be > 0, got {beta}")
-    upper = beta_upper(view.model, view.queue, view.num_channels)
-    if beta >= upper:
+    if upper is None:
+        upper = beta_upper(view.model, view.queue, view.num_channels)
+    worst = float(np.max(betas, initial=0.0))
+    if worst >= upper:
         raise StabilityError(
-            f"beta {beta:.6g} is at or beyond the stability bound {upper:.6g}",
-            margin=beta - upper,
+            f"beta {worst:.6g} is at or beyond the stability bound {upper:.6g}",
+            margin=worst - upper,
             node=view.node_id,
         )
-    p_dly, cdf, pdf, dpdf = _delay_factors(view, beta)
     if fit is None:
         fit = itf.fit_interference(view.interferers, view.num_channels, quad)
+    n = view.num_channels
+    # the CDF and the deadline drop reuse the scalar closed forms point by point
+    # rather than keep a vectorized copy of them
+    cdf = np.array([ch.fading_cdf(view.model, b) for b in betas.flat]).reshape(betas.shape)
+    p_dly = np.array(
+        [qn.p_delay(qn.service_rate(1.0 - c**n), view.queue) for c in cdf.flat]
+    ).reshape(betas.shape)
+    pdf = ch._pdf(view.model, betas)
+    dpdf = ch._pdf_slope(view.model, betas)
+
     margin_rate = view.power * view.link.path_loss_amplitude**2 / view.sinr_threshold
-    excess = margin_rate * beta * beta - view.noise.power
+    excess = margin_rate * betas * betas - view.noise.power
     tail = itf.interference_ccdf(fit, excess)
-    # d(tail)/d(beta) through the Gamma density; zero where the tail is pinned at 1
-    dtail = -itf.interference_pdf(fit, excess) * 2.0 * margin_rate * beta if excess > 0 else 0.0
+    # d(tail)/d(beta) through the Gamma density, which is zero where the tail is pinned at 1
+    dtail = -itf.interference_pdf(fit, excess) * 2.0 * margin_rate * betas
 
     d_err_1 = -pdf * tail
     d_err_2 = -dpdf * tail - pdf * dtail
 
-    n = view.num_channels
     rate = view.queue.delay_threshold / view.queue.slot_duration
     psi = rate * n * cdf ** (n - 1) * pdf
     dpsi = rate * n * ((n - 1) * cdf ** max(n - 2, 0) * pdf * pdf + cdf ** (n - 1) * dpdf)
-    d_dly_1 = p_dly * psi
-    d_dly_2 = p_dly * (psi * psi + dpsi)
-    return d_err_1 + d_dly_1, d_err_2 + d_dly_2
+    first = d_err_1 + p_dly * psi
+    second = d_err_2 + p_dly * (psi * psi + dpsi)
+    if betas.ndim == 0:
+        return float(first), float(second)
+    return first, second
 
 
 def beta_lower(
@@ -321,8 +318,9 @@ def beta_lower(
 ) -> float:
     """Smallest beta where the reduced-loss curvature turns positive.
 
-    Scans a grid over the feasible range, then bisects the sign change.
-    Returns 0 when the curvature is positive from the start; raises
+    Scans a grid over the feasible range in one array-valued
+    :func:`loss_derivative` call, then bisects the sign change.  Returns 0
+    when the curvature is positive from the start; raises
     :class:`LowerBoundNotFoundError` with the scan attached when it never
     turns positive.
     """
@@ -331,7 +329,7 @@ def beta_lower(
     upper = beta_upper(view.model, view.queue, view.num_channels)
     fit = itf.fit_interference(view.interferers, view.num_channels, quad)
     grid = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), grid_size)
-    curv = np.array([loss_derivative(view, float(b), quad, fit)[1] for b in grid])
+    _, curv = loss_derivative(view, grid, quad, fit, upper)
     if curv[0] > 0.0:
         return 0.0
     positive = np.nonzero(curv > 0.0)[0]
@@ -344,7 +342,7 @@ def beta_lower(
     lo, hi = float(grid[hi_idx - 1]), float(grid[hi_idx])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if loss_derivative(view, mid, quad, fit)[1] > 0.0:
+        if loss_derivative(view, mid, quad, fit, upper)[1] > 0.0:
             hi = mid
         else:
             lo = mid
@@ -405,6 +403,65 @@ def source_view(
     )
 
 
+def _evaluate_grid(
+    view: SourceView,
+    betas: list[float],
+    fit: GammaFit | ZeroInterference | None = None,
+    approximate: bool = False,
+    conditional_error: bool = True,
+    quad: QuadratureSpec = DEFAULT_QUAD,
+) -> list[LossBreakdown | StabilityError]:
+    """Loss breakdown of one node at each threshold of ``betas``, in order.
+
+    The queue terms are closed forms per threshold; the error probability
+    of every stable threshold comes from one :func:`interference.p_error`
+    call.  A threshold beyond the stability bound gets its
+    :class:`StabilityError` in place of a breakdown.
+    """
+    queues = []
+    for beta in betas:
+        try:
+            queues.append(_service_and_delay(view, beta))
+        except StabilityError as exc:
+            queues.append(exc)
+    stable = [beta for beta, q in zip(betas, queues) if not isinstance(q, StabilityError)]
+    p_errs = iter(
+        itf.p_error(
+            view.link,
+            view.power,
+            np.array(stable, dtype=float),
+            view.interferers,
+            view.noise,
+            view.sinr_threshold,
+            view.num_channels,
+            conditional=conditional_error,
+            quad=quad,
+            fit=fit,
+        ).tolist()
+    )
+    results: list[LossBreakdown | StabilityError] = []
+    for q in queues:
+        if isinstance(q, StabilityError):
+            results.append(q)
+            continue
+        mu, p_dly = q
+        p_ov = qn.p_overflow(mu, view.queue)
+        p_err = next(p_errs)
+        p_loss = compose_loss(p_ov, p_dly, p_err)
+        if approximate:
+            rate = expected_throughput(
+                view.queue.arrival_rate, p_ov + p_dly + p_err, approximate=True
+            )
+        else:
+            rate = expected_throughput(view.queue.arrival_rate, p_loss)
+        results.append(
+            LossBreakdown(
+                p_delay=p_dly, p_overflow=p_ov, p_error=p_err, p_loss=p_loss, throughput=rate
+            )
+        )
+    return results
+
+
 def evaluate_view(
     view: SourceView,
     beta: float,
@@ -414,28 +471,10 @@ def evaluate_view(
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> LossBreakdown:
     """Loss breakdown of one node at threshold ``beta`` under fixed opponents."""
-    mu, p_dly = _service_and_delay(view, beta)
-    p_ov = qn.p_overflow(mu, view.queue)
-    p_err = itf.p_error(
-        view.link,
-        view.power,
-        beta,
-        view.interferers,
-        view.noise,
-        view.sinr_threshold,
-        view.num_channels,
-        conditional=conditional_error,
-        quad=quad,
-        fit=fit,
-    )
-    p_loss = compose_loss(p_ov, p_dly, p_err)
-    if approximate:
-        rate = expected_throughput(view.queue.arrival_rate, p_ov + p_dly + p_err, approximate=True)
-    else:
-        rate = expected_throughput(view.queue.arrival_rate, p_loss)
-    return LossBreakdown(
-        p_delay=p_dly, p_overflow=p_ov, p_error=p_err, p_loss=p_loss, throughput=rate
-    )
+    (result,) = _evaluate_grid(view, [beta], fit, approximate, conditional_error, quad)
+    if isinstance(result, StabilityError):
+        raise result
+    return result
 
 
 def evaluate(
@@ -482,10 +521,12 @@ def jacobi_best_response(
 
     Each iteration, every node grid-searches its own throughput (or the
     network sum with ``objective='sum'``) holding the others at the
-    previous iterate; ties break toward the smaller threshold.  Stops when
-    no threshold moves by more than ``tol``.  Best-response dynamics need
-    not converge, so hitting ``max_iters`` returns the last iterate with
-    ``converged=False`` rather than raising.
+    previous iterate; ties break toward the smaller threshold.  With
+    ``objective='own'`` a node's whole grid, and its previous threshold,
+    costs one error-kernel call (:func:`interference.p_error` over the
+    grid).  Stops when no threshold moves by more than ``tol``.
+    Best-response dynamics need not converge, so hitting ``max_iters``
+    returns the last iterate with ``converged=False`` rather than raising.
     """
     if objective not in ("own", "sum"):
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
@@ -493,11 +534,27 @@ def jacobi_best_response(
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     policy = initial if initial is not None else PolicyVector.from_scenario(scenario)
     node_ids = [node.id for node in scenario.nodes]
-    grids: dict[str, np.ndarray] = {}
+    grids: dict[str, list[float]] = {}
     for node in scenario.nodes:
         view = source_view(scenario, policy, node.id)
         upper = beta_upper(view.model, view.queue, view.num_channels)
-        grids[node.id] = np.linspace(0.0, upper, grid_size)
+        grids[node.id] = np.linspace(0.0, upper, grid_size).tolist()
+
+    def own_rates(view: SourceView, betas: list[float], fit) -> list[float]:
+        return [
+            -math.inf if isinstance(r, StabilityError) else r.throughput
+            for r in _evaluate_grid(view, betas, fit, quad=quad)
+        ]
+
+    def network_rate(trial: PolicyVector) -> float:
+        total = 0.0
+        for other_id in node_ids:
+            other_view = source_view(scenario, trial, other_id)
+            try:
+                total += evaluate_view(other_view, trial.get(other_id), quad=quad).throughput
+            except StabilityError:
+                return -math.inf
+        return total
 
     trace: list[dict] = []
     converged = False
@@ -510,35 +567,21 @@ def jacobi_best_response(
         for node_id in node_ids:
             view = source_view(scenario, policy, node_id)
             fit = itf.fit_interference(view.interferers, view.num_channels, quad)
-
-            def own_rate(beta: float) -> float:
-                try:
-                    return evaluate_view(view, beta, fit=fit, quad=quad).throughput
-                except StabilityError:
-                    return -math.inf
-
+            grid = grids[node_id]
+            previous = policy.get(node_id)
             if objective == "own":
-                score = own_rate
+                # the whole grid and the previous threshold in one kernel call
+                rates = own_rates(view, [*grid, previous], fit)
+                best_idx = int(np.argmax(rates[:-1]))  # first max = smallest beta
+                chosen_rate[node_id], previous_rate[node_id] = rates[best_idx], rates[-1]
             else:
-
-                def score(beta: float) -> float:
-                    trial = policy.updated(node_id, beta)
-                    total = 0.0
-                    for other_id in node_ids:
-                        other_view = source_view(scenario, trial, other_id)
-                        try:
-                            total += evaluate_view(
-                                other_view, trial.get(other_id), quad=quad
-                            ).throughput
-                        except StabilityError:
-                            return -math.inf
-                    return total
-
-            values = np.array([score(float(b)) for b in grids[node_id]])
-            best_idx = int(np.argmax(values))  # first max = smallest beta
-            new_betas[node_id] = float(grids[node_id][best_idx])
-            chosen_rate[node_id] = own_rate(new_betas[node_id])
-            previous_rate[node_id] = own_rate(policy.get(node_id))
+                # each trial threshold changes the other nodes' fits: one evaluation per point
+                values = [network_rate(policy.updated(node_id, beta)) for beta in grid]
+                best_idx = int(np.argmax(values))
+                chosen_rate[node_id], previous_rate[node_id] = own_rates(
+                    view, [grid[best_idx], previous], fit
+                )
+            new_betas[node_id] = grid[best_idx]
         delta = max(abs(new_betas[i] - policy.get(i)) for i in node_ids)
         policy = PolicyVector(new_betas)
         trace.append(

@@ -151,6 +151,23 @@ class TestSweep:
         rows = read_results(out)
         assert [row[var] for row in rows] == [float(v) for v in values.split(",")]
 
+    @pytest.mark.parametrize("values", ["0.5,1.7", "1,2.5", "inf", "nan"])
+    def test_fractional_interferer_count_is_usage_error(self, values, scenario_path, capsys):
+        code = cli.main([
+            "sweep", "--scenario", scenario_path, "--var", "interferer_count", "--values", values,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "interferer_count takes whole numbers" in captured.err
+        assert captured.out == ""
+
+    def test_non_numeric_values_are_usage_error(self, scenario_path, capsys):
+        code = cli.main([
+            "sweep", "--scenario", scenario_path, "--var", "beta_m", "--values", "3.0,high",
+        ])
+        assert code == 1
+        assert "comma-separated list of numbers" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_reports_gap_columns(self, scenario_path, tmp_path, capsys):

@@ -1,17 +1,24 @@
 """Interference moments, the Gamma fit, and the SINR error probability."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import p_error_pointwise
 from uavlink import channel as ch
 from uavlink import interference as itf
+from uavlink import specfun
+from uavlink import throughput as tp
 from uavlink.channel import LinkChannel, Rayleigh, Rician
-from uavlink.errors import DegenerateInterferenceError, DomainError
+from uavlink.errors import AccuracyError, DegenerateInterferenceError, DomainError
+from uavlink.scenario_io import scenario_from_mapping
+from uavlink.specfun import QuadratureSpec
 from uavlink.interference import (
     ZERO_INTERFERENCE,
     GammaFit,
@@ -351,3 +358,171 @@ class TestPErrorAgainstBruteForce:
         )
         empirical, se = self.brute_force(links, main_beta, noise_power, 600_000, seed=77)
         assert abs(analytic - empirical) <= 0.03 + 3.0 * se
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.yaml"
+# The per-point oracle at default tolerances can itself be off by ~1e-10 where
+# the transmit mass is small; run it tighter so that it stands for the truth.
+ORACLE_QUAD = QuadratureSpec(
+    absolute_tolerance=1e-14, relative_tolerance=1e-12, max_subdivisions=500
+)
+
+
+def agrees_with_oracle(value, oracle):
+    return abs(value - oracle) <= 1e-10 + 1e-8 * abs(oracle)
+
+
+class TestPErrorGrid:
+    """The grid kernel against the per-point quadrature of ``tests/oracles.py``."""
+
+    NOISE = NoiseModel(boltzmann=1.0, temperature=1.0, bandwidth=1.0)  # unit noise power
+
+    def check(self, link, power, betas, links, noise, gamma_th, conditional=True):
+        grid = itf.p_error(
+            link, power, np.asarray(betas), links, noise, gamma_th, 15, conditional=conditional
+        )
+        assert grid.shape == np.shape(betas)
+        for beta, value in zip(np.ravel(betas), grid.ravel()):
+            oracle = p_error_pointwise(
+                link, power, float(beta), links, noise, gamma_th, 15,
+                conditional=conditional, quad=ORACLE_QUAD,
+            )
+            assert agrees_with_oracle(value, oracle), (beta, value, oracle)
+        return grid
+
+    @pytest.mark.parametrize("placement", [0, 1, 23])
+    def test_example_views_rayleigh_and_rician(self, placement):
+        doc = yaml.safe_load(EXAMPLE.read_text(encoding="utf-8"))
+        scenario = scenario_from_mapping({**doc, "placement_seed": placement})
+        families = set()
+        for node in scenario.nodes:
+            view = tp.source_view(scenario, node_id=node.id)
+            families.add(type(view.model))
+            upper = tp.beta_upper(view.model, view.queue, view.num_channels)
+            betas = np.linspace(0.0, upper, 64)
+            for conditional in (True, False):
+                grid = itf.p_error(
+                    view.link, view.power, betas, view.interferers, view.noise,
+                    view.sinr_threshold, view.num_channels, conditional=conditional,
+                )
+                for beta, value in zip(betas, grid):
+                    oracle = p_error_pointwise(
+                        view.link, view.power, float(beta), view.interferers, view.noise,
+                        view.sinr_threshold, view.num_channels, conditional=conditional,
+                        quad=ORACLE_QUAD,
+                    )
+                    assert agrees_with_oracle(value, oracle), (node.id, beta, value, oracle)
+        assert families == {Rayleigh, Rician}
+
+    @pytest.mark.parametrize("fading", [Rayleigh(2.0), Rician(3.0)])
+    def test_points_below_the_noise_floor(self, fading):
+        # unit noise and gamma_th 2 put the floor x0 at sqrt(2): several points lie below it
+        link = main_link(fading=fading)
+        links = [rayleigh_link(beta=0.5, power=0.6), rayleigh_link(beta=1.5, power=0.9)]
+        x0 = math.sqrt(2.0)
+        betas = np.linspace(0.0, 4.0, 17)
+        assert np.count_nonzero(betas < x0) >= 5
+        self.check(link, 1.0, betas, links, self.NOISE, 2.0)
+        self.check(link, 1.0, betas, links, self.NOISE, 2.0, conditional=False)
+
+    def test_duplicate_and_unsorted_thresholds(self):
+        link = main_link(fading=Rician(2.5))
+        links = [rayleigh_link(beta=0.8, power=0.5)]
+        betas = [2.0, 0.5, 3.1, 2.0, 0.0, 1.0, 0.5, 3.1]
+        grid = self.check(link, 1.0, betas, links, self.NOISE, 0.5)
+        assert grid[0] == grid[3] and grid[1] == grid[6] and grid[2] == grid[7]
+
+    def test_infinite_threshold_is_zero_inside_a_grid(self):
+        link = main_link()
+        links = [rayleigh_link(beta=0.3)]
+        grid = self.check(link, 1.0, [1.0, math.inf, 0.2, math.inf], links, self.NOISE, 2.0)
+        assert grid[1] == 0.0 and grid[3] == 0.0
+        assert itf.p_error(link, 1.0, [math.inf], links, self.NOISE, 2.0, 15).tolist() == [0.0]
+
+    @pytest.mark.parametrize("conditional", [True, False])
+    def test_zero_interference(self, conditional):
+        link = main_link(fading=Rician(2.0))
+        betas = np.linspace(0.0, 3.0, 13)
+        self.check(link, 1.0, betas, [], self.NOISE, 2.0, conditional=conditional)
+        silenced = [rayleigh_link(beta=math.inf)]
+        self.check(link, 1.0, betas, silenced, self.NOISE, 2.0, conditional=conditional)
+
+    def test_scalar_is_a_grid_of_one(self):
+        link = main_link(fading=Rician(2.0))
+        links = [rayleigh_link(beta=0.4, power=0.7)]
+        scalar = itf.p_error(link, 1.0, 1.3, links, self.NOISE, 0.5, 15)
+        assert isinstance(scalar, float)
+        assert scalar == itf.p_error(link, 1.0, [1.3], links, self.NOISE, 0.5, 15)[0]
+        assert scalar == p_error_pointwise(link, 1.0, 1.3, links, self.NOISE, 0.5, 15)
+
+    def test_keeps_the_shape_of_its_thresholds(self):
+        link = main_link()
+        links = [rayleigh_link(beta=0.4)]
+        betas = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
+        grid = self.check(link, 1.0, betas, links, self.NOISE, 0.5)
+        assert grid.shape == (2, 3)
+        assert itf.p_error(link, 1.0, np.empty(0), links, self.NOISE, 0.5, 15).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[1.0, -0.1], [math.nan], -1.0])
+    def test_rejects_negative_or_nan_thresholds(self, bad):
+        with pytest.raises(DomainError):
+            itf.p_error(main_link(), 1.0, bad, [], self.NOISE, 2.0, 15)
+
+
+class TestPErrorPanels:
+    NOISE = NoiseModel(boltzmann=1.0, temperature=1.0, bandwidth=1.0)
+
+    def test_gauss_kronrod_rule_is_exact_on_polynomials(self):
+        nodes = itf._GK15_NODES
+        for degree in range(23):
+            exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+            assert itf._GK15_KRONROD @ nodes**degree == pytest.approx(exact, abs=1e-15)
+            if degree <= 13:
+                assert itf._GK15_GAUSS @ nodes**degree == pytest.approx(exact, abs=1e-15)
+        assert np.count_nonzero(itf._GK15_GAUSS) == 7
+
+    def spy(self, monkeypatch):
+        calls = []
+        integrate = specfun.integrate
+
+        def recording(f, lo, hi, spec=specfun.DEFAULT_QUAD):
+            calls.append((lo, hi))
+            return integrate(f, lo, hi, spec)
+
+        monkeypatch.setattr(itf.specfun, "integrate", recording)
+        return calls
+
+    def test_smooth_panels_need_one_adaptive_quadrature(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        link = main_link(fading=Rician(3.0))
+        betas = np.linspace(1.5, 4.0, 32)
+        itf.p_error(link, 1.0, betas, [rayleigh_link(beta=0.5)], self.NOISE, 0.5, 15)
+        assert calls == [(4.0, math.inf)]
+
+    def test_panel_over_tolerance_falls_back_to_adaptive(self, monkeypatch):
+        # one panel spans the whole density bump: the 7-point Gauss rule misses it
+        calls = self.spy(monkeypatch)
+        link = main_link(fading=Rayleigh(2.0))
+        links = [rayleigh_link(beta=0.5, power=0.6)]
+        betas = [0.0, 6.0]
+        x0 = math.sqrt(0.5)
+        grid = itf.p_error(link, 1.0, betas, links, self.NOISE, 0.5, 15)
+        assert calls == [(6.0, math.inf), (x0, 6.0)]
+        for beta, value in zip(betas, grid):
+            oracle = p_error_pointwise(
+                link, 1.0, beta, links, self.NOISE, 0.5, 15, quad=ORACLE_QUAD
+            )
+            assert agrees_with_oracle(value, oracle)
+
+    def test_failed_fallback_raises_with_best_estimate(self):
+        # two subdivisions suffice for the vanishing tail above 8 but not for the panel below
+        link = main_link(fading=Rayleigh(2.0))
+        links = [rayleigh_link(beta=0.5, power=0.6)]
+        quad = QuadratureSpec(max_subdivisions=2)
+        assert itf.p_error(link, 1.0, 8.0, links, self.NOISE, 0.5, 15, quad=quad) == 0.0
+        with pytest.raises(AccuracyError) as excinfo:
+            itf.p_error(link, 1.0, [0.0, 8.0], links, self.NOISE, 0.5, 15, quad=quad)
+        assert f"[{math.sqrt(0.5)}, 8.0]" in str(excinfo.value)
+        assert math.isfinite(excinfo.value.best_estimate)
+        assert excinfo.value.best_estimate > 0.0
+        assert excinfo.value.error_estimate > 0.0

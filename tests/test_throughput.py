@@ -14,6 +14,7 @@ from uavlink.channel import Rayleigh, Rician, transmit_prob
 from uavlink.errors import (
     DomainError,
     InfeasibleLoadError,
+    LowerBoundNotFoundError,
     StabilityError,
 )
 from uavlink.queueing import QueueParams, p_delay, service_rate
@@ -243,7 +244,71 @@ class TestLossDerivative:
             tp.loss_derivative(view, 0.0)
 
 
+    @pytest.mark.parametrize("family", ["rician", "rayleigh"])
+    def test_array_matches_scalar_calls(self, family):
+        view = _view(family)
+        upper = tp.beta_upper(view.model, view.queue, view.num_channels)
+        fit = itf.fit_interference(view.interferers, view.num_channels)
+        betas = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), 97)
+        first, second = tp.loss_derivative(view, betas, fit=fit)
+        assert first.shape == second.shape == betas.shape
+        for beta, d1, d2 in zip(betas, first, second):
+            s1, s2 = tp.loss_derivative(view, float(beta), fit=fit)
+            assert isinstance(s1, float) and isinstance(s2, float)
+            assert d1 == pytest.approx(s1, rel=1e-12, abs=1e-300)
+            assert d2 == pytest.approx(s2, rel=1e-12, abs=1e-300)
+
+    def test_array_rejects_any_point_out_of_range(self):
+        view = _view("rayleigh")
+        upper = tp.beta_upper(view.model, view.queue, view.num_channels)
+        with pytest.raises(StabilityError) as excinfo:
+            tp.loss_derivative(view, np.array([0.5 * upper, 1.01 * upper, 0.2 * upper]))
+        assert excinfo.value.node == "src"
+        assert excinfo.value.margin == pytest.approx(0.01 * upper)
+        with pytest.raises(DomainError):
+            tp.loss_derivative(view, np.array([0.5 * upper, 0.0]))
+        with pytest.raises(StabilityError):
+            tp.loss_derivative(view, 0.5 * upper, upper=0.4 * upper)
+
+
 class TestBetaLower:
+    def test_scans_with_one_bound_and_one_array_call(self, monkeypatch):
+        view = _view("rician")
+        bounds, scans = [], []
+        beta_upper, loss_derivative = tp.beta_upper, tp.loss_derivative
+
+        def counting_upper(*args):
+            bounds.append(args)
+            return beta_upper(*args)
+
+        def recording_derivative(view, beta, *args):
+            scans.append(np.size(beta))
+            return loss_derivative(view, beta, *args)
+
+        monkeypatch.setattr(tp, "beta_upper", counting_upper)
+        monkeypatch.setattr(tp, "loss_derivative", recording_derivative)
+        lower = tp.beta_lower(view, grid_size=512)
+        assert len(bounds) == 1
+        assert scans[0] == 512 and set(scans[1:]) == {1}
+        assert 0.0 < lower
+
+    def test_missing_sign_change_carries_the_scan(self, monkeypatch):
+        view = _view("rayleigh")
+        loss_derivative = tp.loss_derivative
+
+        def concave(view, beta, *args):
+            first, second = loss_derivative(view, beta, *args)
+            return first, -np.abs(second) - 1.0
+
+        monkeypatch.setattr(tp, "loss_derivative", concave)
+        with pytest.raises(LowerBoundNotFoundError) as excinfo:
+            tp.beta_lower(view, grid_size=64)
+        diagnostics = excinfo.value.diagnostics
+        upper = tp.beta_upper(view.model, view.queue, view.num_channels)
+        assert diagnostics["grid"] == np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), 64).tolist()
+        assert len(diagnostics["curvature"]) == 64
+        assert all(c < 0.0 for c in diagnostics["curvature"])
+
     def test_positive_curvature_from_start_gives_zero(self):
         # no interferers and an overwhelming signal: the error term is flat
         # and the deadline curvature is positive from the start
@@ -472,6 +537,46 @@ class TestJacobi:
         for entry in result.trace:
             for node_id, rate in entry["throughput"].items():
                 assert rate >= entry["previous_throughput"][node_id] - 1e-9
+
+    def test_own_objective_scores_each_grid_in_one_kernel_call(self, monkeypatch):
+        scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.0, seed=9)
+        calls = []
+        p_error = itf.p_error
+
+        def recording(main, power, betas, *args, **kwargs):
+            calls.append(np.size(betas))
+            return p_error(main, power, betas, *args, **kwargs)
+
+        monkeypatch.setattr(itf, "p_error", recording)
+        result = tp.jacobi_best_response(scenario, grid_size=24, tol=1e-6, max_iters=3)
+        assert len(calls) == len(scenario.nodes) * result.iterations
+        assert all(size >= 24 for size in calls)
+
+    def test_previous_threshold_beyond_the_bound_scores_minus_infinity(self):
+        scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
+        view = tp.source_view(scenario)
+        upper = tp.beta_upper(view.model, view.queue, view.num_channels)
+        initial = PolicyVector.from_scenario(scenario).updated("src", upper + 1.0)
+        result = tp.jacobi_best_response(scenario, initial=initial, grid_size=16, max_iters=1)
+        first = result.trace[0]
+        assert first["previous_throughput"]["src"] == -math.inf
+        assert first["betas"]["src"] <= upper
+        assert math.isfinite(first["throughput"]["src"])
+
+    def test_trace_rates_match_pointwise_evaluation(self):
+        scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.5, seed=9)
+        result = tp.jacobi_best_response(scenario, grid_size=24, tol=1e-6, max_iters=3)
+        policy = PolicyVector.from_scenario(scenario)
+        for entry in result.trace:
+            for node_id, beta in entry["betas"].items():
+                view = tp.source_view(scenario, policy, node_id)
+                chosen = tp.evaluate_view(view, beta).throughput
+                previous = tp.evaluate_view(view, policy.get(node_id)).throughput
+                assert entry["throughput"][node_id] == pytest.approx(chosen, rel=1e-9, abs=1e-9)
+                assert entry["previous_throughput"][node_id] == pytest.approx(
+                    previous, rel=1e-9, abs=1e-9
+                )
+            policy = PolicyVector(entry["betas"])
 
     def test_sum_objective_converges_symmetrically(self):
         doc = {
