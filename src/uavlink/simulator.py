@@ -11,6 +11,7 @@ the quality of the closed-form approximations, not bugs.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -48,6 +49,10 @@ class SimConfig:
     always_collide: bool = False
 
     def __post_init__(self):
+        for name in ("num_slots", "seed", "warmup_slots", "replication_count"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"SimConfig: {name} must be an integer, got {value!r}")
         if not 0 <= self.warmup_slots < self.num_slots:
             raise DomainError("SimConfig: need num_slots > warmup_slots >= 0")
         if self.replication_count < 1:
@@ -136,6 +141,109 @@ def _draw_fading(rng: np.random.Generator, model: ch.FadingModel, nb: int, f: in
     return np.hypot(model.b + g[..., 0], g[..., 1])
 
 
+class _Queue:
+    """One node's FIFO buffer, advanced only at the slots where it can change.
+
+    A visit does what a slot does: deadline expiry, then at most one
+    transmission, then the slot's arrivals in offset order.  The queue is
+    visited at its arrival slots, at its transmit slots while it holds
+    packets, and at the bookkeeping slots it is given.  Between two visits
+    nothing enters or leaves it, and the expired packets form a prefix
+    that only grows with time, so expiring them at the next visit pops the
+    same packets in the same order, and ``stored`` sees the same float
+    sequence, as expiring them in every slot.  Tallies count events in
+    slots at or after ``warmup``; a bookkeeping visit at ``warmup - 1``
+    keeps packets that expired before the warmup out of them.
+    """
+
+    def __init__(self, node: _SimNode, warmup: int):
+        self.packets: deque = deque()
+        self.stored = 0.0
+        self.delay_threshold = node.delay_threshold
+        self.buffer_capacity = node.buffer_capacity
+        self.warmup = warmup
+        self.arrivals = self.overflow_drops = self.delay_drops = 0
+        self.queued_at_warmup = 0
+
+    def walk(self, start, t_slt, can_tx, slot_of, times, lengths, bookkeeping) -> list[int]:
+        """Advance through one block; return the block slots it transmitted in.
+
+        ``can_tx`` marks the block slots whose best channel clears the
+        threshold.  Packet ``j`` arrives in block slot ``slot_of[j]`` at
+        time ``times[j]`` with length ``lengths[j]``, in admission order.
+        ``bookkeeping`` are further block slots to visit.
+        """
+        nb = can_tx.size
+        mark = np.zeros(nb + 1, dtype=bool)
+        mark[slot_of] = True
+        mark[bookkeeping] = True
+        mark[nb] = True  # sentinel: drain the block's last transmit slots
+        visits = np.flatnonzero(mark)
+        tx_slots = np.flatnonzero(can_tx)
+        first_tx = np.searchsorted(tx_slots, visits)  # first transmit slot >= visit
+        tx_here = np.append(can_tx, False)[visits]
+
+        q = self.packets
+        stored = self.stored
+        deadline = self.delay_threshold
+        capacity = self.buffer_capacity
+        warmup = self.warmup
+        arrivals = overflow_drops = delay_drops = 0
+        times = times.tolist()
+        lengths = lengths.tolist()
+        tx_list = tx_slots.tolist()
+        sent = []
+        k = lo = 0
+        for v, hi, first, here in zip(
+            visits.tolist(),
+            np.searchsorted(slot_of, visits, side="right").tolist(),
+            first_tx.tolist(),
+            tx_here.tolist(),
+        ):
+            while q and k < first:
+                s = tx_list[k]
+                k += 1
+                slot = start + s
+                now = slot * t_slt
+                while q and now - q[0][0] > deadline:
+                    stored -= q.popleft()[1]
+                    if slot >= warmup:
+                        delay_drops += 1
+                if q:
+                    stored -= q.popleft()[1]
+                    sent.append(s)
+            if v == nb:
+                break
+            k = first + here
+            slot = start + v
+            now = slot * t_slt
+            measured = slot >= warmup
+            while q and now - q[0][0] > deadline:
+                stored -= q.popleft()[1]
+                if measured:
+                    delay_drops += 1
+            if here and q:
+                stored -= q.popleft()[1]
+                sent.append(v)
+            for j in range(lo, hi):
+                length = lengths[j]
+                if stored + length <= capacity:
+                    q.append((times[j], length))
+                    stored += length
+                elif measured:
+                    overflow_drops += 1
+            if measured:
+                arrivals += hi - lo
+            lo = hi
+            if slot == warmup - 1:
+                self.queued_at_warmup = len(q)
+        self.stored = stored
+        self.arrivals += arrivals
+        self.overflow_drops += overflow_drops
+        self.delay_drops += delay_drops
+        return sent
+
+
 def _run_replication(
     scenario: Scenario,
     nodes: list[_SimNode],
@@ -143,7 +251,6 @@ def _run_replication(
     cfg: SimConfig,
     replication: int,
 ) -> ReplicationCounts:
-    n_nodes = len(nodes)
     f = scenario.num_channels
     t_slt = scenario.slot_duration
     gamma_th = scenario.sinr_threshold
@@ -152,104 +259,65 @@ def _run_replication(
         np.random.default_rng(derive_seed(cfg.seed, replication, node.index))
         for node in nodes
     ]
-
-    queues: list[deque] = [deque() for _ in range(n_nodes)]
-    stored: list[float] = [0.0] * n_nodes
-
-    arrivals = overflow_drops = delay_drops = error_drops = 0
+    queues = [_Queue(node, cfg.warmup_slots) for node in nodes]
+    bookkeeping = np.array([cfg.warmup_slots - 1, cfg.num_slots - 1])
     delivered = transmissions = 0
-    queued_at_warmup = 0
 
     done = 0
     while done < cfg.num_slots:
         nb = min(_BLOCK, cfg.num_slots - done)
+        local = bookkeeping - done
+        local = local[(local >= 0) & (local < nb)]
         best_val = []
         best_ch = []
-        can_tx = []
-        counts = []
-        offsets = []
-        lengths = []
-        for node, rng in zip(nodes, rngs):
+        sent = []
+        for node, rng, queue in zip(nodes, rngs, queues):
             fades = _draw_fading(rng, node.fading, nb, f)
-            best = fades.max(axis=1)
-            best_val.append(best)
-            best_ch.append(fades.argmax(axis=1))
-            can_tx.append(best >= node.beta)
+            channel = fades.argmax(axis=1)
+            value = np.take_along_axis(fades, channel[:, None], axis=1)[:, 0]
+            best_ch.append(channel)
+            best_val.append(value)
             cnt = rng.poisson(node.arrivals_per_slot, nb)
-            counts.append(cnt)
             total = int(cnt.sum())
-            offsets.append(rng.random(total))
-            lengths.append(rng.exponential(1.0, total))
-        ptr = [0] * n_nodes
+            offsets = rng.random(total)
+            lengths = rng.exponential(1.0, total)
+            slot_of = np.repeat(np.arange(nb), cnt)
+            order = np.lexsort((lengths, offsets, slot_of))  # FIFO follows arrival times
+            times = ((slot_of + done) + offsets[order]) * t_slt
+            sent.append(
+                queue.walk(done, t_slt, value >= node.beta, slot_of, times, lengths[order], local)
+            )
 
-        for t in range(nb):
-            slot = done + t
-            now = slot * t_slt
-            measured = slot >= cfg.warmup_slots
-            if slot == cfg.warmup_slots:
-                queued_at_warmup = len(queues[source_idx])
-
-            tx_channel = [-1] * n_nodes
-            tx_value = [0.0] * n_nodes
-            for i in range(n_nodes):
-                q = queues[i]
-                node = nodes[i]
-                while q and now - q[0][0] > node.delay_threshold:
-                    _, length = q.popleft()
-                    stored[i] -= length
-                    if i == source_idx and measured:
-                        delay_drops += 1
-                if q and can_tx[i][t]:
-                    tx_channel[i] = best_ch[i][t]
-                    tx_value[i] = best_val[i][t]
-                    _, length = q.popleft()
-                    stored[i] -= length
-
-            if tx_channel[source_idx] >= 0:
-                my_ch = tx_channel[source_idx]
-                interference = 0.0
-                for i in range(n_nodes):
-                    if i != source_idx and tx_channel[i] >= 0 and (
-                        cfg.always_collide or tx_channel[i] == my_ch
-                    ):
-                        interference += nodes[i].received_power * tx_value[i] ** 2
-                signal = nodes[source_idx].received_power * tx_value[source_idx] ** 2
-                ok = signal >= gamma_th * (noise_power + interference)
-                if measured:
-                    transmissions += 1
-                    if ok:
-                        delivered += 1
-                    else:
-                        error_drops += 1
-
-            for i in range(n_nodes):
-                node = nodes[i]
-                count = int(counts[i][t])
-                if count == 0:
+        tx = np.asarray(sent[source_idx], dtype=np.intp)
+        if tx.size:
+            my_ch = best_ch[source_idx][tx]
+            interference = np.zeros(tx.size)
+            for i, node in enumerate(nodes):
+                if i == source_idx:
                     continue
-                batch = sorted(
-                    zip(offsets[i][ptr[i] : ptr[i] + count], lengths[i][ptr[i] : ptr[i] + count])
-                )  # FIFO admission follows the within-slot arrival times
-                ptr[i] += count
-                for offset, length in batch:
-                    if i == source_idx and measured:
-                        arrivals += 1
-                    if stored[i] + length <= node.buffer_capacity:
-                        queues[i].append(((slot + offset) * t_slt, length))
-                        stored[i] += length
-                    elif i == source_idx and measured:
-                        overflow_drops += 1
+                on = np.zeros(nb, dtype=bool)
+                on[sent[i]] = True
+                hit = on[tx]
+                if not cfg.always_collide:
+                    hit &= best_ch[i][tx] == my_ch
+                interference += np.where(hit, node.received_power * best_val[i][tx] ** 2, 0.0)
+            signal = nodes[source_idx].received_power * best_val[source_idx][tx] ** 2
+            ok = signal >= gamma_th * (noise_power + interference)
+            measured = tx + done >= cfg.warmup_slots
+            transmissions += int(np.count_nonzero(measured))
+            delivered += int(np.count_nonzero(ok & measured))
         done += nb
 
+    source = queues[source_idx]
     return ReplicationCounts(
-        arrivals=arrivals,
-        overflow_drops=overflow_drops,
-        delay_drops=delay_drops,
-        error_drops=error_drops,
+        arrivals=source.arrivals,
+        overflow_drops=source.overflow_drops,
+        delay_drops=source.delay_drops,
+        error_drops=transmissions - delivered,
         delivered=delivered,
         transmissions=transmissions,
-        queued_at_warmup=queued_at_warmup,
-        queued_at_end=len(queues[source_idx]),
+        queued_at_warmup=source.queued_at_warmup,
+        queued_at_end=len(source.packets),
     )
 
 
@@ -262,17 +330,14 @@ def _estimate(values: list[float]) -> MetricEstimate:
     return MetricEstimate(mean, half)
 
 
-def run(scenario: Scenario, policy=None, cfg: SimConfig = SimConfig(100_000)) -> SimResult:
-    """Simulate the scenario and collect the source node's empirical losses.
-
-    ``policy`` maps node ids to thresholds (defaults to the scenario's);
-    a threshold of ``inf`` silences a node entirely.  Replications use
-    independently derived streams and are reduced in replication order, so
-    identical inputs give bit-identical results.
-    """
+def _sim_nodes(scenario: Scenario, policy=None) -> tuple[list[_SimNode], int]:
+    """The scenario's nodes under ``policy``, and the index of the source."""
     betas = {node.id: node.beta for node in scenario.nodes}
     if policy is not None:
-        betas.update(getattr(policy, "betas", policy))
+        overrides = getattr(policy, "betas", policy)
+        for node_id in overrides:
+            scenario.node(node_id)  # raises ScenarioError for an unknown id
+        betas.update(overrides)
     nodes = []
     source_idx = None
     for index, node in enumerate(scenario.nodes):
@@ -292,6 +357,19 @@ def run(scenario: Scenario, policy=None, cfg: SimConfig = SimConfig(100_000)) ->
                 buffer_capacity=node.queue.buffer_capacity_normalized,
             )
         )
+    return nodes, source_idx
+
+
+def run(scenario: Scenario, policy=None, cfg: SimConfig = SimConfig(100_000)) -> SimResult:
+    """Simulate the scenario and collect the source node's empirical losses.
+
+    ``policy`` maps node ids to thresholds (defaults to the scenario's);
+    a threshold of ``inf`` silences a node entirely, and an unknown node id
+    raises ``ScenarioError``.  Replications use independently derived
+    streams and are reduced in replication order, so identical inputs give
+    bit-identical results.
+    """
+    nodes, source_idx = _sim_nodes(scenario, policy)
     counts = tuple(
         _run_replication(scenario, nodes, source_idx, cfg, rep)
         for rep in range(cfg.replication_count)

@@ -56,8 +56,10 @@ class PolicyVector:
 
     def __post_init__(self):
         for node_id, beta in self.betas.items():
-            if beta < 0:
-                raise DomainError(f"PolicyVector: beta for node {node_id!r} must be >= 0")
+            if not beta >= 0:  # also rejects NaN; inf silences the node
+                raise DomainError(
+                    f"PolicyVector: beta for node {node_id!r} must be >= 0, got {beta!r}"
+                )
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "PolicyVector":

@@ -1,15 +1,18 @@
 """Test-side oracles: the buffer-occupancy Markov chain behind the queue
-formulas, and the per-point SINR error integral.
+formulas, the per-point SINR error integral, and the slot-by-slot
+simulator loop.
 
-These reproduce ``queueing.p_overflow``, the geometric service law and
-``interference.p_error`` the hard way, so the package's closed forms and
-grid kernel can be checked against them.  They live with the tests
-because the package itself never calls them.
+These reproduce ``queueing.p_overflow``, the geometric service law,
+``interference.p_error`` and ``simulator.run`` the hard way, so the
+package's closed forms, grid kernel and per-node queue walk can be checked
+against them.  They live with the tests because the package itself never
+calls them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import scipy.stats
@@ -17,6 +20,7 @@ import scipy.stats
 from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import queueing as qn
+from uavlink import simulator as sim
 from uavlink import specfun
 from uavlink.errors import DomainError, StabilityError
 from uavlink.queueing import QueueParams
@@ -122,3 +126,144 @@ def p_error_pointwise(
     if transmit_mass <= 1e-300:
         return 0.0
     return min(1.0, max(0.0, raw / transmit_mass))
+
+
+def _draw_fading_slot_loop(
+    rng: np.random.Generator, model: ch.FadingModel, nb: int, f: int
+) -> np.ndarray:
+    if isinstance(model, ch.Rayleigh):
+        return np.sqrt(model.omega * rng.exponential(size=(nb, f)))
+    g = rng.standard_normal(size=(nb, f, 2))
+    return np.hypot(model.b + g[..., 0], g[..., 1])
+
+
+def _slot_loop_replication(
+    scenario,
+    nodes,
+    source_idx: int,
+    cfg,
+    replication: int,
+) -> sim.ReplicationCounts:
+    n_nodes = len(nodes)
+    f = scenario.num_channels
+    t_slt = scenario.slot_duration
+    gamma_th = scenario.sinr_threshold
+    noise_power = scenario.noise.power
+    rngs = [
+        np.random.default_rng(sim.derive_seed(cfg.seed, replication, node.index))
+        for node in nodes
+    ]
+
+    queues: list[deque] = [deque() for _ in range(n_nodes)]
+    stored: list[float] = [0.0] * n_nodes
+
+    arrivals = overflow_drops = delay_drops = error_drops = 0
+    delivered = transmissions = 0
+    queued_at_warmup = 0
+
+    done = 0
+    while done < cfg.num_slots:
+        nb = min(sim._BLOCK, cfg.num_slots - done)
+        best_val = []
+        best_ch = []
+        can_tx = []
+        counts = []
+        offsets = []
+        lengths = []
+        for node, rng in zip(nodes, rngs):
+            fades = _draw_fading_slot_loop(rng, node.fading, nb, f)
+            best = fades.max(axis=1)
+            best_val.append(best)
+            best_ch.append(fades.argmax(axis=1))
+            can_tx.append(best >= node.beta)
+            cnt = rng.poisson(node.arrivals_per_slot, nb)
+            counts.append(cnt)
+            total = int(cnt.sum())
+            offsets.append(rng.random(total))
+            lengths.append(rng.exponential(1.0, total))
+        ptr = [0] * n_nodes
+
+        for t in range(nb):
+            slot = done + t
+            now = slot * t_slt
+            measured = slot >= cfg.warmup_slots
+            if slot == cfg.warmup_slots:
+                queued_at_warmup = len(queues[source_idx])
+
+            tx_channel = [-1] * n_nodes
+            tx_value = [0.0] * n_nodes
+            for i in range(n_nodes):
+                q = queues[i]
+                node = nodes[i]
+                while q and now - q[0][0] > node.delay_threshold:
+                    _, length = q.popleft()
+                    stored[i] -= length
+                    if i == source_idx and measured:
+                        delay_drops += 1
+                if q and can_tx[i][t]:
+                    tx_channel[i] = best_ch[i][t]
+                    tx_value[i] = best_val[i][t]
+                    _, length = q.popleft()
+                    stored[i] -= length
+
+            if tx_channel[source_idx] >= 0:
+                my_ch = tx_channel[source_idx]
+                interference = 0.0
+                for i in range(n_nodes):
+                    if i != source_idx and tx_channel[i] >= 0 and (
+                        cfg.always_collide or tx_channel[i] == my_ch
+                    ):
+                        interference += nodes[i].received_power * tx_value[i] ** 2
+                signal = nodes[source_idx].received_power * tx_value[source_idx] ** 2
+                ok = signal >= gamma_th * (noise_power + interference)
+                if measured:
+                    transmissions += 1
+                    if ok:
+                        delivered += 1
+                    else:
+                        error_drops += 1
+
+            for i in range(n_nodes):
+                node = nodes[i]
+                count = int(counts[i][t])
+                if count == 0:
+                    continue
+                batch = sorted(
+                    zip(offsets[i][ptr[i] : ptr[i] + count], lengths[i][ptr[i] : ptr[i] + count])
+                )  # FIFO admission follows the within-slot arrival times
+                ptr[i] += count
+                for offset, length in batch:
+                    if i == source_idx and measured:
+                        arrivals += 1
+                    if stored[i] + length <= node.buffer_capacity:
+                        queues[i].append(((slot + offset) * t_slt, length))
+                        stored[i] += length
+                    elif i == source_idx and measured:
+                        overflow_drops += 1
+        done += nb
+
+    return sim.ReplicationCounts(
+        arrivals=arrivals,
+        overflow_drops=overflow_drops,
+        delay_drops=delay_drops,
+        error_drops=error_drops,
+        delivered=delivered,
+        transmissions=transmissions,
+        queued_at_warmup=queued_at_warmup,
+        queued_at_end=len(queues[source_idx]),
+    )
+
+
+def slot_loop_counts(scenario, policy=None, cfg=None) -> tuple:
+    """``simulator.run(...).counts`` from the slot-by-slot loop.
+
+    Every slot visits every node: deadline expiry, then one transmission,
+    then the SINR test of the source, then arrivals in offset order.  The
+    per-node streams are drawn exactly as ``simulator.run`` draws them.
+    """
+    cfg = cfg or sim.SimConfig(100_000)
+    nodes, source_idx = sim._sim_nodes(scenario, policy)
+    return tuple(
+        _slot_loop_replication(scenario, nodes, source_idx, cfg, rep)
+        for rep in range(cfg.replication_count)
+    )

@@ -209,6 +209,13 @@ class TestSimulate:
         rows = read_results(out)
         assert all(math.isnan(row["analytic"]) for row in rows)
 
+    def test_nan_threshold_rejected_before_simulating(self, capsys):
+        code = cli.main(["simulate", "--scenario", str(EXAMPLE), "--beta", "src=nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "'src'" in captured.err
+
 
 class TestOptimize:
     def test_single_node_converges_quickly(self, tmp_path, capsys):

@@ -1,16 +1,22 @@
 """Monte Carlo oracle: determinism, conservation, and analytic agreement."""
 
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import slot_loop_counts
 
+from uavlink import presets
 from uavlink import simulator as sim
 from uavlink import throughput as tp
 from uavlink.channel import build_link
-from uavlink.errors import DomainError
-from uavlink.scenario_io import scenario_from_mapping
+from uavlink.errors import DomainError, ScenarioError
+from uavlink.scenario_io import load_scenario_file, scenario_from_mapping
 from uavlink.simulator import SimConfig, derive_seed
 from uavlink.throughput import PolicyVector
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.yaml"
 
 
 def single_channel_scenario(noise_floor_fading=0.9):
@@ -57,7 +63,7 @@ def single_channel_scenario(noise_floor_fading=0.9):
     return scenario_from_mapping(doc)
 
 
-def small_scenario(num_interferers=2, beta=1.0, interferer_beta=1.0):
+def small_scenario(num_interferers=2, beta=1.0, interferer_beta=1.0, queue=None):
     doc = {
         "placement_seed": 17,
         "nodes": [
@@ -68,7 +74,8 @@ def small_scenario(num_interferers=2, beta=1.0, interferer_beta=1.0):
                 "transmit_power": 0.5,
                 "fading": "rayleigh",
                 "beta": beta,
-                "queue": {
+                "queue": queue
+                or {
                     "arrival_rate": 80.0,
                     "delay_threshold": 0.045,
                     "buffer_capacity_normalized": 20.0,
@@ -121,6 +128,88 @@ class TestDeterminism:
         a = sim.run(scenario, cfg=SimConfig(5000, seed=1, replication_count=2))
         b = sim.run(scenario, cfg=SimConfig(5000, seed=2, replication_count=2))
         assert a.counts != b.counts
+
+
+# name: (scenario, policy, config); each case runs in well under 2 s
+SLOT_LOOP_CASES = {
+    "example_mixed_fading": (
+        lambda: load_scenario_file(EXAMPLE),
+        None,
+        SimConfig(4000, seed=2, warmup_slots=400, replication_count=2),
+    ),
+    "fig2_rician_interferers": (
+        lambda: presets.preset_scenario("fig2", 3),
+        None,
+        SimConfig(4000, seed=7, warmup_slots=400, replication_count=2),
+    ),
+    "always_collide": (
+        lambda: small_scenario(beta=1.8, interferer_beta=0.0),
+        None,
+        SimConfig(8000, seed=12, warmup_slots=500, always_collide=True),
+    ),
+    "silenced_interferer": (
+        lambda: small_scenario(beta=1.8, interferer_beta=0.5),
+        {"i1": math.inf},
+        SimConfig(8000, seed=4, warmup_slots=500, replication_count=2),
+    ),
+    "silenced_source": (
+        lambda: small_scenario(beta=1.8, interferer_beta=0.5),
+        {"src": math.inf},
+        SimConfig(8000, seed=4, warmup_slots=500, replication_count=2),
+    ),
+    "warmup_zero": (
+        lambda: small_scenario(beta=2.2, interferer_beta=0.5),
+        None,
+        SimConfig(8000, seed=5, warmup_slots=0, replication_count=2),
+    ),
+    "warmup_inside_second_block": (
+        lambda: small_scenario(
+            num_interferers=1,
+            beta=2.6,
+            interferer_beta=0.5,
+            queue={
+                "arrival_rate": 160.0,
+                "delay_threshold": 0.02,
+                "buffer_capacity_normalized": 20.0,
+            },
+        ),
+        None,
+        SimConfig(70_000, seed=7, warmup_slots=66_000),
+    ),
+    "buffer_full_bursts": (
+        lambda: small_scenario(
+            beta=2.6,
+            interferer_beta=0.5,
+            queue={
+                "arrival_rate": 300.0,
+                "delay_threshold": 0.045,
+                "buffer_capacity_normalized": 1.5,
+            },
+        ),
+        None,
+        SimConfig(8000, seed=9, warmup_slots=500, replication_count=2),
+    ),
+    "expiry_on_the_last_slot": (
+        lambda: small_scenario(
+            num_interferers=1,
+            queue={
+                "arrival_rate": 450.0,
+                "delay_threshold": 0.01,
+                "buffer_capacity_normalized": 50.0,
+            },
+        ),
+        {"src": math.inf},
+        SimConfig(300, seed=3, warmup_slots=20, replication_count=16),
+    ),
+}
+
+
+class TestSlotLoopOracle:
+    @pytest.mark.parametrize("case", list(SLOT_LOOP_CASES))
+    def test_counts_bit_identical_to_the_slot_loop(self, case):
+        make_scenario, policy, cfg = SLOT_LOOP_CASES[case]
+        scenario = make_scenario()
+        assert sim.run(scenario, policy, cfg).counts == slot_loop_counts(scenario, policy, cfg)
 
 
 class TestConservation:
@@ -245,6 +334,31 @@ class TestConfigValidation:
     def test_replications(self):
         with pytest.raises(DomainError):
             SimConfig(100, replication_count=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"num_slots": 2000.5},
+            {"num_slots": 2000.0},
+            {"num_slots": True},
+            {"num_slots": 2000, "warmup_slots": 1.5},
+            {"num_slots": 2000, "warmup_slots": True},
+            {"num_slots": 2000, "replication_count": 2.0},
+            {"num_slots": 2000, "replication_count": True},
+            {"num_slots": 2000, "seed": 1.5},
+        ],
+    )
+    def test_counts_must_be_integers(self, kwargs):
+        with pytest.raises(DomainError):
+            SimConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(np.int64(2000), warmup_slots=np.int32(10))
+        assert cfg.num_slots == 2000
+
+    def test_unknown_policy_node_named(self):
+        with pytest.raises(ScenarioError, match="typo"):
+            sim.run(small_scenario(), policy={"typo": 3.0}, cfg=SimConfig(100))
 
     def test_single_replication_has_zero_halfwidth(self):
         scenario = small_scenario()

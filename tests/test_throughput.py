@@ -634,6 +634,9 @@ class TestJacobi:
 def test_policy_vector_validation():
     with pytest.raises(DomainError):
         PolicyVector({"a": -0.5})
+    with pytest.raises(DomainError, match="'a'"):
+        PolicyVector({"a": math.nan})
+    assert PolicyVector({"a": math.inf}).get("a") == math.inf  # inf silences a node
     policy = PolicyVector({"a": 1.0}).updated("a", 2.0)
     assert policy.get("a") == 2.0
 
