@@ -17,7 +17,6 @@ from .errors import (
     AccuracyError,
     DegenerateInterferenceError,
     DomainError,
-    InfeasibleLoadError,
     LowerBoundNotFoundError,
     ScenarioError,
     StabilityError,
@@ -46,7 +45,6 @@ __all__ = [
     "EnvironmentParams",
     "FadingKind",
     "GammaFit",
-    "InfeasibleLoadError",
     "InterfererLink",
     "JacobiResult",
     "LinkChannel",

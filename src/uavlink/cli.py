@@ -61,32 +61,15 @@ def _policy(scenario: Scenario, overrides: dict[str, float]) -> PolicyVector:
     return policy
 
 
-def _print_breakdown(breakdown: tp.LossBreakdown) -> None:
-    print(f"p_delay    = {breakdown.p_delay:.12g}")
-    print(f"p_overflow = {breakdown.p_overflow:.12g}")
-    print(f"p_error    = {breakdown.p_error:.12g}")
-    print(f"p_loss     = {breakdown.p_loss:.12g}")
-    print(f"throughput = {breakdown.throughput:.12g}")
-
-
 def cmd_evaluate(args) -> int:
     scenario = _load(args.scenario)
     policy = _policy(scenario, _parse_beta_overrides(args.beta))
     breakdown = tp.evaluate(scenario, policy, approximate=args.approx)
-    _print_breakdown(breakdown)
+    row = {name: getattr(breakdown, name) for name in ps.BREAKDOWN_COLUMNS}
+    for name, value in row.items():
+        print(f"{name:<10} = {value:.12g}")
     if args.out:
-        write_results(
-            [
-                {
-                    "p_delay": breakdown.p_delay,
-                    "p_overflow": breakdown.p_overflow,
-                    "p_error": breakdown.p_error,
-                    "p_loss": breakdown.p_loss,
-                    "throughput": breakdown.throughput,
-                }
-            ],
-            args.out,
-        )
+        write_results([row], args.out)
     if breakdown.p_delay >= 1.0 - 1e-12:
         print(
             "infeasible: the threshold sits on the stability boundary "
@@ -137,36 +120,28 @@ def cmd_simulate(args) -> int:
     result = sim.run(scenario, policy, cfg)
     try:
         analytic = tp.evaluate(scenario, policy)
-        analytic_row = {
-            "p_delay": analytic.p_delay,
-            "p_overflow": analytic.p_overflow,
-            "p_error": analytic.p_error,
-            "throughput": analytic.throughput,
-        }
     except StabilityError:
-        analytic_row = None
-    empirical = {
-        "p_delay": result.p_delay,
-        "p_overflow": result.p_overflow,
-        "p_error": result.p_error,
-        "throughput": result.throughput,
-    }
+        analytic = None
     print(f"{'metric':<12}{'analytic':>16}{'empirical':>16}{'halfwidth':>14}{'gap':>14}")
     rows = []
-    for name, estimate in empirical.items():
-        if analytic_row is not None:
-            gap = abs(analytic_row[name] - estimate.value)
+    for name in ps.BREAKDOWN_COLUMNS:
+        if not hasattr(result, name):
+            continue  # the simulation estimates every component but the composed p_loss
+        estimate = getattr(result, name)
+        if analytic is not None:
+            value = getattr(analytic, name)
+            gap = abs(value - estimate.value)
             print(
-                f"{name:<12}{analytic_row[name]:>16.6g}{estimate.value:>16.6g}"
+                f"{name:<12}{value:>16.6g}{estimate.value:>16.6g}"
                 f"{estimate.halfwidth:>14.3g}{gap:>14.3g}"
             )
         else:
-            gap = math.nan
+            value = gap = math.nan
             print(f"{name:<12}{'n/a':>16}{estimate.value:>16.6g}{estimate.halfwidth:>14.3g}{'n/a':>14}")
         rows.append(
             {
                 "metric": name,
-                "analytic": analytic_row[name] if analytic_row else math.nan,
+                "analytic": value,
                 "empirical": estimate.value,
                 "halfwidth": estimate.halfwidth,
                 "gap": gap,

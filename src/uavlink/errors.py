@@ -30,10 +30,6 @@ class StabilityError(UavLinkError):
         self.node = node
 
 
-class InfeasibleLoadError(StabilityError):
-    """No threshold admits a stable queue (arrival rate times slot >= 1)."""
-
-
 class AccuracyError(UavLinkError):
     """A numerical routine failed to reach the requested tolerance.
 

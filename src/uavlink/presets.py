@@ -20,7 +20,7 @@ axis outermost and evaluates the source at every point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ SWEEP_VARIABLES = (
     "t_slt",
 )
 
-BREAKDOWN_COLUMNS = ("p_delay", "p_overflow", "p_error", "p_loss", "throughput")
+BREAKDOWN_COLUMNS = tuple(f.name for f in fields(LossBreakdown))
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,18 @@ def _with_interferer_prefix(scenario: Scenario, count: int) -> Scenario:
     return replace(scenario, nodes=kept)
 
 
+def _with_slot_duration(scenario: Scenario, slot: float) -> Scenario:
+    """The scenario with every node's queue on slot duration ``slot``."""
+    nodes = []
+    for node in scenario.nodes:
+        try:
+            queue = replace(node.queue, slot_duration=slot)
+        except DomainError as exc:
+            raise ScenarioError(f"node {node.id!r}: {exc}") from exc
+        nodes.append(replace(node, queue=queue))
+    return replace(scenario, nodes=tuple(nodes))
+
+
 def _apply_point(scenario: Scenario, policy: PolicyVector, variable: str, value: Any):
     if variable == "beta_n":
         return scenario, policy.updated(scenario.source().id, float(value))
@@ -96,7 +108,7 @@ def _apply_point(scenario: Scenario, policy: PolicyVector, variable: str, value:
     if variable == "gamma_th":
         return replace(scenario, sinr_threshold=float(value)), policy
     if variable == "t_slt":
-        return replace(scenario, slot_duration=float(value)), policy
+        return _with_slot_duration(scenario, float(value)), policy
     if variable == "interferer_count":
         return _with_interferer_prefix(scenario, int(value)), policy
     raise DomainError(f"unknown sweep variable {variable!r}")
@@ -118,7 +130,7 @@ def _stability_bound(scenario: Scenario, axes: Sequence[SweepSpec]) -> float:
         (v for axis in axes if axis.variable == "t_slt" for v in axis.values),
         default=scenario.slot_duration,
     )
-    view = tp.source_view(replace(scenario, slot_duration=float(slot)))
+    view = tp.source_view(_with_slot_duration(scenario, float(slot)))
     return tp.beta_upper(view.model, view.queue, view.num_channels)
 
 
@@ -126,7 +138,6 @@ def _sweep(
     scenario: Scenario,
     axes: Sequence[SweepSpec],
     outputs: Sequence[str],
-    approximate: bool = False,
 ) -> tuple[list[str], list[dict]]:
     """Evaluate the source over the product of ``axes``, first axis outermost."""
     if any(callable(axis.values) for axis in axes):
@@ -146,18 +157,16 @@ def _sweep(
             point_scenario, point_policy = _apply_point(
                 point_scenario, point_policy, axis.variable, value
             )
-        breakdown = tp.evaluate(point_scenario, point_policy, approximate=approximate)
+        breakdown = tp.evaluate(point_scenario, point_policy)
         row = dict(zip(columns, point))
         row.update((column, _output(breakdown, column)) for column in outputs)
         rows.append(row)
     return columns, rows
 
 
-def run_sweep(
-    scenario: Scenario, spec: SweepSpec, approximate: bool = False
-) -> tuple[list[str], list[dict]]:
+def run_sweep(scenario: Scenario, spec: SweepSpec) -> tuple[list[str], list[dict]]:
     """Evaluate the source's breakdown at every sweep point, in given order."""
-    return _sweep(scenario, (spec,), BREAKDOWN_COLUMNS, approximate)
+    return _sweep(scenario, (spec,), BREAKDOWN_COLUMNS)
 
 
 # --------------------------------------------------------------------------

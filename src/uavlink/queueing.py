@@ -41,7 +41,7 @@ class QueueParams:
 
     def __post_init__(self):
         for name in ("arrival_rate", "slot_duration", "delay_threshold"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise DomainError(f"QueueParams.{name} must be > 0")
         if self.buffer_capacity_normalized < 0:
             raise DomainError("QueueParams.buffer_capacity_normalized must be >= 0")

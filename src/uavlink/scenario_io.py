@@ -32,7 +32,6 @@ __all__ = [
     "load_scenario_file",
     "scenario_from_mapping",
     "write_results",
-    "read_results",
 ]
 
 SCHEMA_VERSION = 1
@@ -69,15 +68,15 @@ class Node:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A full experiment description."""
+    """A full experiment description.
+
+    The slot duration lives in the nodes' queues, which must all agree on it.
+    """
 
     environment: EnvironmentParams = field(default_factory=EnvironmentParams)
     noise: NoiseModel = field(default_factory=NoiseModel)
     num_channels: int = 15
     sinr_threshold: float = 8.0
-    slot_duration: float = 0.002
-    area: tuple[float, float] = (40.0, 40.0)
-    uav_altitude: float = 50.0
     destination: Position = Position(20.0, 20.0, 50.0)
     nodes: tuple[Node, ...] = ()
     placement_seed: int | None = None
@@ -87,13 +86,12 @@ class Scenario:
             raise ScenarioError("num_channels: must be >= 1")
         if self.sinr_threshold <= 0:
             raise ScenarioError("sinr_threshold: must be > 0")
-        if self.slot_duration <= 0:
-            raise ScenarioError("slot_duration: must be > 0")
         sources = [n for n in self.nodes if n.role == "source"]
         if len(sources) != 1:
             raise ScenarioError(
                 f"nodes: exactly one node must have role 'source' (got {len(sources)})"
             )
+        slot = sources[0].queue.slot_duration
         seen: set[str] = set()
         for node in self.nodes:
             if node.id in seen:
@@ -108,10 +106,16 @@ class Scenario:
                     f"node {node.id!r}: distance {d:.3g} m to the destination is below "
                     f"the reference distance d0 = {self.environment.d0:.3g} m"
                 )
-            if node.queue.arrival_rate * self.slot_duration >= 1.0:
+            if node.queue.slot_duration != slot:
                 raise ScenarioError(
-                    f"node {node.id!r}: arrival_rate * slot_duration must be < 1"
+                    f"node {node.id!r}: queue slot_duration {node.queue.slot_duration} "
+                    f"differs from the source's {slot}"
                 )
+
+    @property
+    def slot_duration(self) -> float:
+        """Slot length shared by every node's queue [s]."""
+        return self.source().queue.slot_duration
 
     def source(self) -> Node:
         return next(n for n in self.nodes if n.role == "source")
@@ -353,9 +357,6 @@ def scenario_from_mapping(doc: Mapping) -> Scenario:
         noise=noise,
         num_channels=num_channels,
         sinr_threshold=sinr_threshold,
-        slot_duration=slot_duration,
-        area=area,
-        uav_altitude=uav_altitude,
         destination=destination,
         nodes=nodes,
         placement_seed=placement_seed,
@@ -406,25 +407,3 @@ def write_results(
         Path(destination).write_text(text, encoding="utf-8", newline="\n")
     else:
         destination.write(text)
-
-
-def read_results(source: str | Path | io.TextIOBase) -> list[dict[str, Any]]:
-    """Parse a results file back into rows, mapping numeric cells to floats."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    lines = [line for line in text.split("\n") if line != ""]
-    if not lines:
-        return []
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        cells: list[Any] = []
-        for cell in line.split(","):
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                cells.append(cell)
-        rows.append(dict(zip(header, cells)))
-    return rows

@@ -20,6 +20,7 @@ import numpy as np
 from . import channel as ch
 from .errors import DomainError
 from .scenario_io import Scenario
+from .throughput import PolicyVector
 
 __all__ = [
     "SimConfig",
@@ -36,17 +37,12 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Horizon, seeding, warmup, and replication count of one simulation.
-
-    ``always_collide`` is a sensitivity knob: every transmitting interferer
-    hits the main link's channel instead of only on argmax collisions.
-    """
+    """Horizon, seeding, warmup, and replication count of one simulation."""
 
     num_slots: int
     seed: int = 0
     warmup_slots: int = 0
     replication_count: int = 1
-    always_collide: bool = False
 
     def __post_init__(self):
         for name in ("num_slots", "seed", "warmup_slots", "replication_count"):
@@ -297,9 +293,7 @@ def _run_replication(
                     continue
                 on = np.zeros(nb, dtype=bool)
                 on[sent[i]] = True
-                hit = on[tx]
-                if not cfg.always_collide:
-                    hit &= best_ch[i][tx] == my_ch
+                hit = on[tx] & (best_ch[i][tx] == my_ch)
                 interference += np.where(hit, node.received_power * best_val[i][tx] ** 2, 0.0)
             signal = nodes[source_idx].received_power * best_val[source_idx][tx] ** 2
             ok = signal >= gamma_th * (noise_power + interference)
@@ -338,6 +332,7 @@ def _sim_nodes(scenario: Scenario, policy=None) -> tuple[list[_SimNode], int]:
         for node_id in overrides:
             scenario.node(node_id)  # raises ScenarioError for an unknown id
         betas.update(overrides)
+    PolicyVector(betas)  # raises DomainError naming a NaN or negative threshold
     nodes = []
     source_idx = None
     for index, node in enumerate(scenario.nodes):
@@ -364,8 +359,9 @@ def run(scenario: Scenario, policy=None, cfg: SimConfig = SimConfig(100_000)) ->
     """Simulate the scenario and collect the source node's empirical losses.
 
     ``policy`` maps node ids to thresholds (defaults to the scenario's);
-    a threshold of ``inf`` silences a node entirely, and an unknown node id
-    raises ``ScenarioError``.  Replications use independently derived
+    a threshold of ``inf`` silences a node entirely, an unknown node id
+    raises ``ScenarioError``, and a NaN or negative threshold raises
+    ``DomainError``.  Replications use independently derived
     streams and are reduced in replication order, so identical inputs give
     bit-identical results.
     """

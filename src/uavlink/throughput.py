@@ -11,7 +11,7 @@ iteration lets every node tune its own threshold against the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -21,7 +21,7 @@ from . import interference as itf
 from . import queueing as qn
 from . import specfun
 from .channel import FadingModel, LinkChannel, Rayleigh, Rician
-from .errors import DomainError, InfeasibleLoadError, LowerBoundNotFoundError, StabilityError
+from .errors import DomainError, LowerBoundNotFoundError, StabilityError
 from .interference import GammaFit, InterfererLink, NoiseModel, ZeroInterference
 from .queueing import QueueParams
 from .scenario_io import Scenario
@@ -145,23 +145,13 @@ def expected_throughput(arrival_rate: float, p_loss: float, approximate: bool = 
 # --------------------------------------------------------------------------
 
 
-def _load(q: QueueParams) -> float:
-    load = q.arrival_rate * q.slot_duration
-    if not 0.0 < load < 1.0:
-        raise InfeasibleLoadError(
-            f"arrival_rate * slot_duration = {load:.6g} leaves no stable threshold",
-            margin=load - 1.0,
-        )
-    return load
-
-
 def beta_upper(model: FadingModel, q: QueueParams, num_channels: int) -> float:
     """Largest threshold keeping the queue stable: transmit prob equals load.
 
     Closed form for Rayleigh; for Rician the (monotone) CDF is inverted by
     bracketed root-finding to 1e-12.
     """
-    load = _load(q)
+    load = q.arrival_rate * q.slot_duration  # in (0, 1), as QueueParams requires
     target_cdf = (1.0 - load) ** (1.0 / num_channels)
     if isinstance(model, Rayleigh):
         return math.sqrt(-model.omega * math.log1p(-target_cdf))
@@ -188,7 +178,7 @@ def beta_upper_erf(model: Rician, q: QueueParams, num_channels: int) -> float:
     """
     if not isinstance(model, Rician):
         raise DomainError("beta_upper_erf applies to Rician fading only")
-    load = _load(q)
+    load = q.arrival_rate * q.slot_duration  # in (0, 1), as QueueParams requires
     rhs = 1.0 - 2.0 * (1.0 - load) ** (1.0 / num_channels)
     return math.hypot(model.b, 1.0) - math.sqrt(2.0) * specfun.erfinv(rhs)
 
@@ -312,12 +302,7 @@ def loss_derivative(
     return first, second
 
 
-def beta_lower(
-    view: SourceView,
-    grid_size: int = 512,
-    tol: float = 1e-6,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def beta_lower(view: SourceView, grid_size: int = 512, tol: float = 1e-6) -> float:
     """Smallest beta where the reduced-loss curvature turns positive.
 
     Scans a grid over the feasible range in one array-valued
@@ -329,9 +314,9 @@ def beta_lower(
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     upper = beta_upper(view.model, view.queue, view.num_channels)
-    fit = itf.fit_interference(view.interferers, view.num_channels, quad)
+    fit = itf.fit_interference(view.interferers, view.num_channels)
     grid = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), grid_size)
-    _, curv = loss_derivative(view, grid, quad, fit, upper)
+    _, curv = loss_derivative(view, grid, DEFAULT_QUAD, fit, upper)
     if curv[0] > 0.0:
         return 0.0
     positive = np.nonzero(curv > 0.0)[0]
@@ -344,18 +329,16 @@ def beta_lower(
     lo, hi = float(grid[hi_idx - 1]), float(grid[hi_idx])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if loss_derivative(view, mid, quad, fit, upper)[1] > 0.0:
+        if loss_derivative(view, mid, DEFAULT_QUAD, fit, upper)[1] > 0.0:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def beta_bounds(
-    view: SourceView, grid_size: int = 512, tol: float = 1e-6
-) -> BetaBounds:
+def beta_bounds(view: SourceView) -> BetaBounds:
     return BetaBounds(
-        lower=beta_lower(view, grid_size=grid_size, tol=tol),
+        lower=beta_lower(view),
         upper=beta_upper(view.model, view.queue, view.num_channels),
     )
 
@@ -392,12 +375,11 @@ def source_view(
                 beta=policy.get(other.id),
             )
         )
-    queue = replace(me.queue, slot_duration=scenario.slot_duration)
     return SourceView(
         node_id=node_id,
         link=link,
         power=me.transmit_power,
-        queue=queue,
+        queue=me.queue,
         noise=scenario.noise,
         sinr_threshold=scenario.sinr_threshold,
         num_channels=scenario.num_channels,
@@ -410,8 +392,6 @@ def _evaluate_grid(
     betas: list[float],
     fit: GammaFit | ZeroInterference | None = None,
     approximate: bool = False,
-    conditional_error: bool = True,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> list[LossBreakdown | StabilityError]:
     """Loss breakdown of one node at each threshold of ``betas``, in order.
 
@@ -436,8 +416,6 @@ def _evaluate_grid(
             view.noise,
             view.sinr_threshold,
             view.num_channels,
-            conditional=conditional_error,
-            quad=quad,
             fit=fit,
         ).tolist()
     )
@@ -469,11 +447,9 @@ def evaluate_view(
     beta: float,
     fit: GammaFit | ZeroInterference | None = None,
     approximate: bool = False,
-    conditional_error: bool = True,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> LossBreakdown:
     """Loss breakdown of one node at threshold ``beta`` under fixed opponents."""
-    (result,) = _evaluate_grid(view, [beta], fit, approximate, conditional_error, quad)
+    (result,) = _evaluate_grid(view, [beta], fit, approximate)
     if isinstance(result, StabilityError):
         raise result
     return result
@@ -484,17 +460,13 @@ def evaluate(
     policy: PolicyVector | None = None,
     node_id: str | None = None,
     approximate: bool = False,
-    conditional_error: bool = True,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> LossBreakdown:
     """Evaluate the loss breakdown of the scenario's source (or ``node_id``)."""
     if policy is None:
         policy = PolicyVector.from_scenario(scenario)
     view = source_view(scenario, policy, node_id)
     beta = policy.get(view.node_id)
-    return evaluate_view(
-        view, beta, approximate=approximate, conditional_error=conditional_error, quad=quad
-    )
+    return evaluate_view(view, beta, approximate=approximate)
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +489,6 @@ def jacobi_best_response(
     tol: float = 1e-3,
     max_iters: int = 50,
     objective: str = "own",
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> JacobiResult:
     """Simultaneous best-response iteration on every node's own threshold.
 
@@ -545,7 +516,7 @@ def jacobi_best_response(
     def own_rates(view: SourceView, betas: list[float], fit) -> list[float]:
         return [
             -math.inf if isinstance(r, StabilityError) else r.throughput
-            for r in _evaluate_grid(view, betas, fit, quad=quad)
+            for r in _evaluate_grid(view, betas, fit)
         ]
 
     def network_rate(trial: PolicyVector) -> float:
@@ -553,7 +524,7 @@ def jacobi_best_response(
         for other_id in node_ids:
             other_view = source_view(scenario, trial, other_id)
             try:
-                total += evaluate_view(other_view, trial.get(other_id), quad=quad).throughput
+                total += evaluate_view(other_view, trial.get(other_id)).throughput
             except StabilityError:
                 return -math.inf
         return total
@@ -568,7 +539,7 @@ def jacobi_best_response(
         previous_rate: dict[str, float] = {}
         for node_id in node_ids:
             view = source_view(scenario, policy, node_id)
-            fit = itf.fit_interference(view.interferers, view.num_channels, quad)
+            fit = itf.fit_interference(view.interferers, view.num_channels)
             grid = grids[node_id]
             previous = policy.get(node_id)
             if objective == "own":

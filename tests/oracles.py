@@ -1,6 +1,6 @@
 """Test-side oracles: the buffer-occupancy Markov chain behind the queue
-formulas, the per-point SINR error integral, and the slot-by-slot
-simulator loop.
+formulas, the per-point SINR error integral, the slot-by-slot simulator
+loop, and a reader for results files.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
 ``interference.p_error`` and ``simulator.run`` the hard way, so the
@@ -11,8 +11,11 @@ calls them.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import deque
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 import scipy.stats
@@ -210,9 +213,7 @@ def _slot_loop_replication(
                 my_ch = tx_channel[source_idx]
                 interference = 0.0
                 for i in range(n_nodes):
-                    if i != source_idx and tx_channel[i] >= 0 and (
-                        cfg.always_collide or tx_channel[i] == my_ch
-                    ):
+                    if i != source_idx and tx_channel[i] >= 0 and tx_channel[i] == my_ch:
                         interference += nodes[i].received_power * tx_value[i] ** 2
                 signal = nodes[source_idx].received_power * tx_value[source_idx] ** 2
                 ok = signal >= gamma_th * (noise_power + interference)
@@ -267,3 +268,25 @@ def slot_loop_counts(scenario, policy=None, cfg=None) -> tuple:
         _slot_loop_replication(scenario, nodes, source_idx, cfg, rep)
         for rep in range(cfg.replication_count)
     )
+
+
+def read_results(source: str | Path | io.TextIOBase) -> list[dict[str, Any]]:
+    """Parse a results file back into rows, mapping numeric cells to floats."""
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8")
+    else:
+        text = source.read()
+    lines = [line for line in text.split("\n") if line != ""]
+    if not lines:
+        return []
+    header = lines[0].split(",")
+    rows = []
+    for line in lines[1:]:
+        cells: list[Any] = []
+        for cell in line.split(","):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                cells.append(cell)
+        rows.append(dict(zip(header, cells)))
+    return rows

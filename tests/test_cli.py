@@ -4,11 +4,12 @@ import math
 from pathlib import Path
 
 import pytest
+from oracles import read_results
 
 from uavlink import cli
 from uavlink import presets as ps
 from uavlink import throughput as tp
-from uavlink.scenario_io import load_scenario_file, read_results
+from uavlink.scenario_io import load_scenario_file
 
 BASIC = """
 nodes:
@@ -159,6 +160,15 @@ class TestSweep:
         assert code == 1
         captured = capsys.readouterr()
         assert "interferer_count takes whole numbers" in captured.err
+        assert captured.out == ""
+
+    def test_overloading_slot_names_the_node(self, capsys):
+        code = cli.main([
+            "sweep", "--scenario", str(EXAMPLE), "--var", "t_slt", "--values", "0.02",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "node 'src'" in captured.err
         assert captured.out == ""
 
     def test_non_numeric_values_are_usage_error(self, scenario_path, capsys):

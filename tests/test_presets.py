@@ -3,11 +3,12 @@
 from pathlib import Path
 
 import pytest
+from oracles import read_results
 
 from uavlink import presets as ps
 from uavlink import throughput as tp
 from uavlink.errors import DomainError
-from uavlink.scenario_io import read_results, scenario_from_mapping
+from uavlink.scenario_io import scenario_from_mapping
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -199,5 +199,7 @@ def test_queue_params_validation():
         make_queue(arrival_rate=0.0)
     with pytest.raises(DomainError):
         make_queue(arrival_rate=600.0)  # arrival * slot >= 1
+    with pytest.raises(DomainError, match="arrival_rate"):
+        make_queue(arrival_rate=math.nan)
     with pytest.raises(DomainError):
         QueueParams(80.0, 0.002, 0.045, -1.0)

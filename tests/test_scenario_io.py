@@ -6,13 +6,15 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import read_results
 
-from uavlink.channel import FadingKind
+from uavlink.channel import FadingKind, Position
 from uavlink.errors import ScenarioError
+from uavlink.queueing import QueueParams
 from uavlink.scenario_io import (
+    Node,
     Scenario,
     load_scenario,
-    read_results,
     scenario_from_mapping,
     write_results,
 )
@@ -24,9 +26,7 @@ class TestDefaults:
         assert scenario.num_channels == 15
         assert scenario.sinr_threshold == 8.0
         assert scenario.slot_duration == 0.002
-        assert scenario.area == (40.0, 40.0)
-        assert scenario.uav_altitude == 50.0
-        assert scenario.destination.z == 50.0
+        assert scenario.destination == Position(20.0, 20.0, 50.0)
         assert scenario.environment.omega == 2.0
         assert scenario.environment.d0 == 20.0
         assert scenario.environment.carrier_frequency == 900e6
@@ -148,6 +148,19 @@ class TestValidationErrors:
         }
         with pytest.raises(ScenarioError, match="arrival_rate"):
             scenario_from_mapping(doc)
+
+    def test_queues_must_share_the_slot(self):
+        def node(node_id, role, slot):
+            return Node(
+                id=node_id,
+                role=role,
+                position=Position(0.0, 0.0, 0.0),
+                transmit_power=0.5,
+                queue=QueueParams(80.0, slot, 0.045, 100.0),
+            )
+
+        with pytest.raises(ScenarioError, match="'i0'.*slot_duration"):
+            Scenario(nodes=(node("src", "source", 0.002), node("i0", "interferer", 0.001)))
 
     def test_bad_schema_version(self):
         with pytest.raises(ScenarioError, match="schema_version"):

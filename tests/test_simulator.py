@@ -142,11 +142,6 @@ SLOT_LOOP_CASES = {
         None,
         SimConfig(4000, seed=7, warmup_slots=400, replication_count=2),
     ),
-    "always_collide": (
-        lambda: small_scenario(beta=1.8, interferer_beta=0.0),
-        None,
-        SimConfig(8000, seed=12, warmup_slots=500, always_collide=True),
-    ),
     "silenced_interferer": (
         lambda: small_scenario(beta=1.8, interferer_beta=0.5),
         {"i1": math.inf},
@@ -305,15 +300,6 @@ class TestBoundaryBehavior:
         assert drop_beyond > 0.8
         assert drop_beyond > drop_at_bound
 
-    def test_always_collide_increases_errors(self):
-        scenario = small_scenario(num_interferers=2, beta=1.8, interferer_beta=0.0)
-        policy = PolicyVector({"src": 1.8, "i0": 0.0, "i1": 0.0})
-        base = sim.run(scenario, policy, SimConfig(20_000, seed=12, warmup_slots=500))
-        pessimistic = sim.run(
-            scenario, policy, SimConfig(20_000, seed=12, warmup_slots=500, always_collide=True)
-        )
-        assert pessimistic.p_error.value > base.p_error.value
-
     def test_empirical_throughput_rises_with_interferer_thresholds(self):
         scenario = small_scenario(num_interferers=2, beta=1.8, interferer_beta=0.0)
         cfg = SimConfig(30_000, seed=21, warmup_slots=1000, replication_count=4)
@@ -359,6 +345,11 @@ class TestConfigValidation:
     def test_unknown_policy_node_named(self):
         with pytest.raises(ScenarioError, match="typo"):
             sim.run(small_scenario(), policy={"typo": 3.0}, cfg=SimConfig(100))
+
+    @pytest.mark.parametrize("beta", [math.nan, -1.0])
+    def test_invalid_policy_threshold_named(self, beta):
+        with pytest.raises(DomainError, match="'src'"):
+            sim.run(load_scenario_file(EXAMPLE), {"src": beta}, SimConfig(1000))
 
     def test_single_replication_has_zero_halfwidth(self):
         scenario = small_scenario()

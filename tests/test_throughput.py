@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from uavlink import interference as itf
 from uavlink import throughput as tp
 from uavlink.channel import Rayleigh, Rician, transmit_prob
-from uavlink.errors import (
-    DomainError,
-    InfeasibleLoadError,
-    LowerBoundNotFoundError,
-    StabilityError,
-)
+from uavlink.errors import DomainError, LowerBoundNotFoundError, StabilityError
 from uavlink.queueing import QueueParams, p_delay, service_rate
 from uavlink.scenario_io import scenario_from_mapping
 from uavlink.specfun import QuadratureSpec
@@ -172,7 +167,7 @@ class TestBetaUpper:
         assert p_delay(service_rate(phi), q) == pytest.approx(1.0, abs=1e-9)
 
     def test_infeasible_load(self):
-        with pytest.raises((InfeasibleLoadError, DomainError)):
+        with pytest.raises(DomainError):
             tp.beta_upper(Rayleigh(2.0), queue(arrival_rate=500.1), 15)
 
     def test_erf_surrogate_at_high_los_strength(self):
