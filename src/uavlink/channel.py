@@ -53,13 +53,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Position:
-    """Cartesian position in meters; altitude z must be non-negative."""
+    """Cartesian position in meters; finite, with altitude z non-negative."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.z))):
+            raise DomainError(f"Position coordinates must be finite, got {self.x, self.y, self.z}")
         if self.z < 0:
             raise DomainError(f"Position.z must be >= 0, got {self.z}")
 
@@ -92,12 +94,9 @@ class EnvironmentParams:
             raise DomainError("EnvironmentParams: need k_pi2 >= k0 > 0")
         if not (self.alpha0 >= self.alpha_pi2 >= 2.0):
             raise DomainError("EnvironmentParams: need alpha0 >= alpha_pi2 >= 2")
-        if self.omega <= 0:
-            raise DomainError("EnvironmentParams: omega must be > 0")
-        if self.d0 <= 0:
-            raise DomainError("EnvironmentParams: d0 must be > 0")
-        if self.carrier_frequency <= 0:
-            raise DomainError("EnvironmentParams: carrier_frequency must be > 0")
+        for name in ("omega", "d0", "carrier_frequency"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise DomainError(f"EnvironmentParams: {name} must be > 0")
 
 
 class FadingKind(enum.Enum):

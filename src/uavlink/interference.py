@@ -98,26 +98,13 @@ class NoiseModel:
     bandwidth: float = 1e6
 
     def __post_init__(self):
-        if self.boltzmann <= 0 or self.temperature <= 0 or self.bandwidth <= 0:
-            raise DomainError("NoiseModel fields must all be > 0")
+        for name in ("boltzmann", "temperature", "bandwidth"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise DomainError(f"NoiseModel.{name} must be > 0, got {getattr(self, name)!r}")
 
     @property
     def power(self) -> float:
         return self.boltzmann * self.temperature * self.bandwidth
-
-
-def _term_mean(link: InterfererLink, num_channels: int, quad: QuadratureSpec) -> float:
-    t2 = channel.truncated_power_moment(link.fading, link.beta, 2, quad)
-    phi = channel.transmit_prob(link.fading, link.beta, num_channels)
-    gain = link.path_loss_amplitude**2
-    return link.transmit_power * gain * t2 * phi / num_channels
-
-
-def _term_second_moment(link: InterfererLink, num_channels: int, quad: QuadratureSpec) -> float:
-    t4 = channel.truncated_power_moment(link.fading, link.beta, 4, quad)
-    phi = channel.transmit_prob(link.fading, link.beta, num_channels)
-    gain = link.path_loss_amplitude**4
-    return (link.transmit_power**2) * gain * t4 * (phi / num_channels) ** 2
 
 
 def interference_moments(
@@ -139,8 +126,12 @@ def interference_moments(
     variance = 0.0
     second_sum = 0.0
     for link in links:
-        e = _term_mean(link, num_channels, quad)
-        s = _term_second_moment(link, num_channels, quad)
+        t2 = channel.truncated_power_moment(link.fading, link.beta, 2, quad)
+        t4 = channel.truncated_power_moment(link.fading, link.beta, 4, quad)
+        phi = channel.transmit_prob(link.fading, link.beta, num_channels)
+        power, gain = link.transmit_power, link.path_loss_amplitude
+        e = power * gain**2 * t2 * phi / num_channels
+        s = (power**2) * gain**4 * t4 * (phi / num_channels) ** 2
         mean += e
         variance += s - e * e
         second_sum += s

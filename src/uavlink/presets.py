@@ -28,7 +28,7 @@ import numpy as np
 from . import throughput as tp
 from .errors import DomainError, ScenarioError
 from .scenario_io import Scenario, scenario_from_mapping
-from .throughput import LossBreakdown, PolicyVector
+from .throughput import LossBreakdown
 
 __all__ = ["SweepSpec", "run_sweep", "PRESETS", "run_preset", "preset_scenario"]
 
@@ -98,19 +98,23 @@ def _with_slot_duration(scenario: Scenario, slot: float) -> Scenario:
     return replace(scenario, nodes=tuple(nodes))
 
 
-def _apply_point(scenario: Scenario, policy: PolicyVector, variable: str, value: Any):
+def _apply_point(scenario: Scenario, betas: dict[str, float], variable: str, value: Any):
+    """The scenario and the thresholds it overrides after setting ``variable``.
+
+    ``betas`` only ever names nodes of the returned scenario.
+    """
     if variable == "beta_n":
-        return scenario, policy.updated(scenario.source().id, float(value))
+        return scenario, {**betas, scenario.source().id: float(value)}
     if variable == "beta_m":
-        for node in scenario.interferers():
-            policy = policy.updated(node.id, float(value))
-        return scenario, policy
+        interferers = dict.fromkeys((n.id for n in scenario.interferers()), float(value))
+        return scenario, {**betas, **interferers}
     if variable == "gamma_th":
-        return replace(scenario, sinr_threshold=float(value)), policy
+        return replace(scenario, sinr_threshold=float(value)), betas
     if variable == "t_slt":
-        return _with_slot_duration(scenario, float(value)), policy
+        return _with_slot_duration(scenario, float(value)), betas
     if variable == "interferer_count":
-        return _with_interferer_prefix(scenario, int(value)), policy
+        scenario = _with_interferer_prefix(scenario, int(value))
+        return scenario, {n.id: betas[n.id] for n in scenario.nodes if n.id in betas}
     raise DomainError(f"unknown sweep variable {variable!r}")
 
 
@@ -148,16 +152,13 @@ def _sweep(
             else axis
             for axis in axes
         ]
-    base_policy = PolicyVector.from_scenario(scenario)
     columns = [axis.column or axis.variable for axis in axes] + list(outputs)
     rows = []
     for point in itertools.product(*(axis.values for axis in axes)):
-        point_scenario, point_policy = scenario, base_policy
+        point_scenario, betas = scenario, {}
         for axis, value in zip(axes, point):
-            point_scenario, point_policy = _apply_point(
-                point_scenario, point_policy, axis.variable, value
-            )
-        breakdown = tp.evaluate(point_scenario, point_policy)
+            point_scenario, betas = _apply_point(point_scenario, betas, axis.variable, value)
+        breakdown = tp.evaluate(point_scenario, betas)
         row = dict(zip(columns, point))
         row.update((column, _output(breakdown, column)) for column in outputs)
         rows.append(row)

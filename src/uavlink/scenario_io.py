@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
 
 from .channel import EnvironmentParams, FadingKind, Position
-from .errors import ScenarioError
+from .errors import DomainError, ScenarioError
 from .interference import NoiseModel
 from .queueing import QueueParams
 
@@ -60,10 +61,12 @@ class Node:
     def __post_init__(self):
         if self.role not in ("source", "interferer"):
             raise ScenarioError(f"node {self.id!r}: role must be 'source' or 'interferer'")
-        if self.transmit_power <= 0:
-            raise ScenarioError(f"node {self.id!r}: transmit_power must be > 0")
-        if self.beta < 0:
-            raise ScenarioError(f"node {self.id!r}: beta must be >= 0")
+        if not self.transmit_power > 0:  # also rejects NaN
+            raise ScenarioError(
+                f"node {self.id!r}: transmit_power must be > 0, got {self.transmit_power!r}"
+            )
+        if not self.beta >= 0:  # also rejects NaN; inf silences the node
+            raise ScenarioError(f"node {self.id!r}: beta must be >= 0, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,10 @@ class Scenario:
     placement_seed: int | None = None
 
     def __post_init__(self):
-        if self.num_channels < 1:
-            raise ScenarioError("num_channels: must be >= 1")
-        if self.sinr_threshold <= 0:
-            raise ScenarioError("sinr_threshold: must be > 0")
+        if not self.num_channels >= 1:
+            raise ScenarioError(f"num_channels: must be >= 1, got {self.num_channels!r}")
+        if not self.sinr_threshold > 0:  # also rejects NaN
+            raise ScenarioError(f"sinr_threshold: must be > 0, got {self.sinr_threshold!r}")
         sources = [n for n in self.nodes if n.role == "source"]
         if len(sources) != 1:
             raise ScenarioError(
@@ -136,13 +139,48 @@ def _require_keys(mapping: Mapping, allowed: Iterable[str], context: str) -> Non
         raise ScenarioError(f"{context}: unknown field(s) {sorted(unknown)}")
 
 
-def _number(doc: Mapping, key: str, default: float, context: str, positive: bool = True) -> float:
-    value = doc.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{context}.{key}: expected a number, got {value!r}")
-    if positive and value <= 0:
-        raise ScenarioError(f"{context}.{key}: must be > 0, got {value}")
-    return float(value)
+def _number(
+    spec: Mapping,
+    key: str,
+    default: Any,
+    context: str,
+    sample: Callable[[str], float] | None = None,
+    positive: bool = True,
+    integer: bool = False,
+) -> Any:
+    """The number at ``spec[key]``, or ``default`` when the key is absent.
+
+    ``"sampled"`` is drawn by ``sample`` where the key allows it.  A
+    ``positive`` key must be finite and > 0; the bounds of the others
+    are checked by the type that holds the value.
+    """
+    value = spec.get(key, default)
+    where = f"{context}.{key}"
+    if sample is not None and value == "sampled":
+        return sample(where)
+    if not isinstance(value, int if integer else (int, float)) or isinstance(value, bool):
+        kind = "an integer" if integer else "a number or 'sampled'" if sample else "a number"
+        raise ScenarioError(f"{where}: expected {kind}, got {value!r}")
+    try:
+        number = value if integer else float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(f"{where}: the integer lies beyond the float range") from None
+    if positive and not 0 < number < math.inf:  # also rejects NaN
+        raise ScenarioError(f"{where}: must be finite and > 0, got {number}")
+    return number
+
+
+def _params(doc: Mapping, key: str, cls: type):
+    """The parameter dataclass ``cls`` read from the mapping at ``doc[key]``."""
+    spec = doc.get(key, {})
+    if not isinstance(spec, Mapping):
+        raise ScenarioError(f"{key}: expected a mapping")
+    names = [f.name for f in fields(cls)]
+    _require_keys(spec, names, key)
+    try:
+        return cls(**{name: _number(spec, name, getattr(cls, name), key) for name in names})
+    except DomainError as exc:
+        raise ScenarioError(f"{key}: {exc}") from exc
 
 
 class _Sampler:
@@ -165,40 +203,20 @@ class _Sampler:
         return float(self._generator(context).choice(np.asarray(options)))
 
 
-def _node_number(
-    spec: Mapping,
-    key: str,
-    default: float,
-    context: str,
-    sampler: _Sampler,
-    sampled_range: tuple[float, float] | None = None,
-    sampled_choices: Sequence[float] | None = None,
-) -> float:
-    value = spec.get(key, default)
+def _parse_position(
+    value: Any, where: str, sampler: _Sampler, area: tuple[float, float]
+) -> Position:
     if value == "sampled":
-        if sampled_choices is not None:
-            return sampler.choice(sampled_choices, f"{context}.{key}")
-        if sampled_range is not None:
-            return sampler.uniform(*sampled_range, f"{context}.{key}")
-        raise ScenarioError(f"{context}.{key}: cannot be sampled")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{context}.{key}: expected a number or 'sampled', got {value!r}")
-    if value <= 0:
-        raise ScenarioError(f"{context}.{key}: must be > 0, got {value}")
-    return float(value)
-
-
-def _parse_position(value: Any, context: str, sampler: _Sampler, area: tuple[float, float]) -> Position:
-    if value == "sampled":
-        x = sampler.uniform(0.0, area[0], f"{context}.position")
-        y = sampler.uniform(0.0, area[1], f"{context}.position")
+        x = sampler.uniform(0.0, area[0], where)
+        y = sampler.uniform(0.0, area[1], where)
         return Position(x, y, 0.0)
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ScenarioError(f"{context}.position: expected [x, y, z] or 'sampled', got {value!r}")
+        raise ScenarioError(f"{where}: expected [x, y, z] or 'sampled', got {value!r}")
+    coords = dict(zip("xyz", value))
     try:
-        return Position(float(value[0]), float(value[1]), float(value[2]))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{context}.position: {exc}") from exc
+        return Position(*(_number(coords, k, None, where, positive=False) for k in "xyz"))
+    except DomainError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _parse_node(
@@ -220,34 +238,25 @@ def _parse_node(
     )
     role = spec.get("role", "interferer")
     queue_spec = spec.get("queue", {})
+    queue_context = f"{context}.queue"
     if not isinstance(queue_spec, Mapping):
-        raise ScenarioError(f"{context}.queue: expected a mapping")
-    _require_keys(
-        queue_spec,
-        ("arrival_rate", "delay_threshold", "buffer_capacity_normalized"),
-        f"{context}.queue",
-    )
-    try:
+        raise ScenarioError(f"{queue_context}: expected a mapping")
+    _require_keys(queue_spec, _DEFAULT_QUEUE, queue_context)
+    draws = {
+        "arrival_rate": partial(sampler.choice, ARRIVAL_RATE_CHOICES),
+        "delay_threshold": partial(sampler.uniform, *DELAY_THRESHOLD_RANGE),
+        "buffer_capacity_normalized": partial(sampler.choice, BUFFER_CHOICES),
+    }
+    try:  # in _DEFAULT_QUEUE's order, which fixes the order of the draws
         queue = QueueParams(
-            arrival_rate=_node_number(
-                queue_spec, "arrival_rate", _DEFAULT_QUEUE["arrival_rate"],
-                f"{context}.queue", sampler, sampled_choices=ARRIVAL_RATE_CHOICES,
-            ),
             slot_duration=slot_duration,
-            delay_threshold=_node_number(
-                queue_spec, "delay_threshold", _DEFAULT_QUEUE["delay_threshold"],
-                f"{context}.queue", sampler, sampled_range=DELAY_THRESHOLD_RANGE,
-            ),
-            buffer_capacity_normalized=_node_number(
-                queue_spec, "buffer_capacity_normalized",
-                _DEFAULT_QUEUE["buffer_capacity_normalized"],
-                f"{context}.queue", sampler, sampled_choices=BUFFER_CHOICES,
-            ),
+            **{
+                key: _number(queue_spec, key, default, queue_context, draws[key])
+                for key, default in _DEFAULT_QUEUE.items()
+            },
         )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{context}.queue: {exc}") from exc
+    except DomainError as exc:
+        raise ScenarioError(f"{queue_context}: {exc}") from exc
     fading = spec.get("fading")
     override = None
     if fading is not None:
@@ -257,19 +266,16 @@ def _parse_node(
             raise ScenarioError(
                 f"{context}.fading: must be 'rayleigh' or 'rician', got {fading!r}"
             ) from None
-    beta = spec.get("beta", 0.0)
-    if not isinstance(beta, (int, float)) or isinstance(beta, bool) or beta < 0:
-        raise ScenarioError(f"{context}.beta: must be a number >= 0, got {beta!r}")
-    return Node(
+    return Node(  # the position is drawn after the queue and before the power
         id=str(node_id),
         role=role,
         position=_parse_position(spec.get("position", list(default_position.__dict__.values())),
-                                 context, sampler, area),
-        transmit_power=_node_number(
-            spec, "transmit_power", 0.5, context, sampler, sampled_range=POWER_RANGE
+                                 f"{context}.position", sampler, area),
+        transmit_power=_number(
+            spec, "transmit_power", 0.5, context, partial(sampler.uniform, *POWER_RANGE)
         ),
         queue=queue,
-        beta=float(beta),
+        beta=_number(spec, "beta", Node.beta, context, positive=False),
         fading_override=override,
     )
 
@@ -291,50 +297,26 @@ def scenario_from_mapping(doc: Mapping) -> Scenario:
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"schema_version: unsupported version {version!r}")
 
-    env_spec = doc.get("environment", {})
-    if not isinstance(env_spec, Mapping):
-        raise ScenarioError("environment: expected a mapping")
-    env_fields = ("a1", "b1", "k0", "k_pi2", "alpha0", "alpha_pi2", "omega", "d0",
-                  "carrier_frequency")
-    _require_keys(env_spec, env_fields, "environment")
-    defaults = EnvironmentParams()
-    try:
-        environment = EnvironmentParams(
-            **{f: _number(env_spec, f, getattr(defaults, f), "environment") for f in env_fields}
-        )
-    except Exception as exc:
-        raise ScenarioError(f"environment: {exc}") from exc
-
-    noise_spec = doc.get("noise", {})
-    if not isinstance(noise_spec, Mapping):
-        raise ScenarioError("noise: expected a mapping")
-    _require_keys(noise_spec, ("boltzmann", "temperature", "bandwidth"), "noise")
-    noise_defaults = NoiseModel()
-    noise = NoiseModel(
-        boltzmann=_number(noise_spec, "boltzmann", noise_defaults.boltzmann, "noise"),
-        temperature=_number(noise_spec, "temperature", noise_defaults.temperature, "noise"),
-        bandwidth=_number(noise_spec, "bandwidth", noise_defaults.bandwidth, "noise"),
-    )
-
-    num_channels = doc.get("num_channels", 15)
-    if not isinstance(num_channels, int) or isinstance(num_channels, bool) or num_channels < 1:
-        raise ScenarioError(f"num_channels: must be an integer >= 1, got {num_channels!r}")
-    sinr_threshold = _number(doc, "sinr_threshold", 8.0, "document")
+    environment = _params(doc, "environment", EnvironmentParams)
+    noise = _params(doc, "noise", NoiseModel)
+    num_channels = _number(doc, "num_channels", Scenario.num_channels, "document", integer=True)
+    sinr_threshold = _number(doc, "sinr_threshold", Scenario.sinr_threshold, "document")
     slot_duration = _number(doc, "slot_duration", 0.002, "document")
     uav_altitude = _number(doc, "uav_altitude", 50.0, "document")
 
     area_spec = doc.get("area", [40.0, 40.0])
     if not isinstance(area_spec, (list, tuple)) or len(area_spec) != 2:
         raise ScenarioError(f"area: expected [width, height], got {area_spec!r}")
-    area = (float(area_spec[0]), float(area_spec[1]))
-    if area[0] <= 0 or area[1] <= 0:
-        raise ScenarioError("area: both extents must be > 0")
+    extents = dict(zip(("width", "height"), area_spec))
+    area = (_number(extents, "width", None, "area"), _number(extents, "height", None, "area"))
 
     placement_seed = doc.get("placement_seed")
     if placement_seed is not None and (
-        not isinstance(placement_seed, int) or isinstance(placement_seed, bool)
+        not isinstance(placement_seed, int)
+        or isinstance(placement_seed, bool)
+        or placement_seed < 0
     ):
-        raise ScenarioError(f"placement_seed: must be an integer, got {placement_seed!r}")
+        raise ScenarioError(f"placement_seed: must be an integer >= 0, got {placement_seed!r}")
     sampler = _Sampler(placement_seed)
 
     default_destination = Position(area[0] / 2.0, area[1] / 2.0, uav_altitude)
@@ -342,7 +324,7 @@ def scenario_from_mapping(doc: Mapping) -> Scenario:
     if dest_spec is None:
         destination = default_destination
     else:
-        destination = _parse_position(dest_spec, "document", sampler, area)
+        destination = _parse_position(dest_spec, "destination", sampler, area)
 
     ground_center = Position(area[0] / 2.0, area[1] / 2.0, 0.0)
     node_specs = doc.get("nodes", [{"id": "src", "role": "source"}])

@@ -20,7 +20,7 @@ import numpy as np
 from . import channel as ch
 from .errors import DomainError
 from .scenario_io import Scenario
-from .throughput import PolicyVector
+from .throughput import _resolve_policy
 
 __all__ = [
     "SimConfig",
@@ -326,13 +326,7 @@ def _estimate(values: list[float]) -> MetricEstimate:
 
 def _sim_nodes(scenario: Scenario, policy=None) -> tuple[list[_SimNode], int]:
     """The scenario's nodes under ``policy``, and the index of the source."""
-    betas = {node.id: node.beta for node in scenario.nodes}
-    if policy is not None:
-        overrides = getattr(policy, "betas", policy)
-        for node_id in overrides:
-            scenario.node(node_id)  # raises ScenarioError for an unknown id
-        betas.update(overrides)
-    PolicyVector(betas)  # raises DomainError naming a NaN or negative threshold
+    betas = _resolve_policy(scenario, policy).betas
     nodes = []
     source_idx = None
     for index, node in enumerate(scenario.nodes):
@@ -358,8 +352,9 @@ def _sim_nodes(scenario: Scenario, policy=None) -> tuple[list[_SimNode], int]:
 def run(scenario: Scenario, policy=None, cfg: SimConfig = SimConfig(100_000)) -> SimResult:
     """Simulate the scenario and collect the source node's empirical losses.
 
-    ``policy`` maps node ids to thresholds (defaults to the scenario's);
-    a threshold of ``inf`` silences a node entirely, an unknown node id
+    ``policy`` (a ``PolicyVector`` or a mapping of node ids to thresholds)
+    overrides the scenario's thresholds for the nodes it names; a
+    threshold of ``inf`` silences a node entirely, an unknown node id
     raises ``ScenarioError``, and a NaN or negative threshold raises
     ``DomainError``.  Replications use independently derived
     streams and are reduced in replication order, so identical inputs give

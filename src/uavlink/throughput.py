@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 import scipy.optimize
@@ -21,7 +22,7 @@ from . import interference as itf
 from . import queueing as qn
 from . import specfun
 from .channel import FadingModel, LinkChannel, Rayleigh, Rician
-from .errors import DomainError, LowerBoundNotFoundError, StabilityError
+from .errors import DomainError, LowerBoundNotFoundError, ScenarioError, StabilityError
 from .interference import GammaFit, InterfererLink, NoiseModel, ZeroInterference
 from .queueing import QueueParams
 from .scenario_io import Scenario
@@ -348,14 +349,34 @@ def beta_bounds(view: SourceView) -> BetaBounds:
 # --------------------------------------------------------------------------
 
 
+def _resolve_policy(
+    scenario: Scenario, policy: PolicyVector | Mapping[str, float] | None
+) -> PolicyVector:
+    """The scenario's thresholds with ``policy``'s applied on top.
+
+    ``policy`` may cover any subset of the nodes; an id that names no node
+    raises :class:`ScenarioError`, and :class:`PolicyVector` checks every value.
+    """
+    betas = {node.id: node.beta for node in scenario.nodes}
+    if policy is not None:
+        overrides = policy.betas if isinstance(policy, PolicyVector) else policy
+        for node_id in overrides:
+            if node_id not in betas:
+                raise ScenarioError(f"policy: unknown node id {node_id!r}")
+        betas.update(overrides)
+    return PolicyVector(betas)
+
+
 def source_view(
     scenario: Scenario,
-    policy: PolicyVector | None = None,
+    policy: PolicyVector | Mapping[str, float] | None = None,
     node_id: str | None = None,
 ) -> SourceView:
-    """Assemble the evaluation context for one node against all the others."""
-    if policy is None:
-        policy = PolicyVector.from_scenario(scenario)
+    """Assemble the evaluation context for one node against all the others.
+
+    ``policy`` overrides the scenario's thresholds for the nodes it names.
+    """
+    policy = _resolve_policy(scenario, policy)
     if node_id is None:
         node_id = scenario.source().id
     me = scenario.node(node_id)
@@ -391,7 +412,6 @@ def _evaluate_grid(
     view: SourceView,
     betas: list[float],
     fit: GammaFit | ZeroInterference | None = None,
-    approximate: bool = False,
 ) -> list[LossBreakdown | StabilityError]:
     """Loss breakdown of one node at each threshold of ``betas``, in order.
 
@@ -428,12 +448,7 @@ def _evaluate_grid(
         p_ov = qn.p_overflow(mu, view.queue)
         p_err = next(p_errs)
         p_loss = compose_loss(p_ov, p_dly, p_err)
-        if approximate:
-            rate = expected_throughput(
-                view.queue.arrival_rate, p_ov + p_dly + p_err, approximate=True
-            )
-        else:
-            rate = expected_throughput(view.queue.arrival_rate, p_loss)
+        rate = expected_throughput(view.queue.arrival_rate, p_loss)
         results.append(
             LossBreakdown(
                 p_delay=p_dly, p_overflow=p_ov, p_error=p_err, p_loss=p_loss, throughput=rate
@@ -443,13 +458,10 @@ def _evaluate_grid(
 
 
 def evaluate_view(
-    view: SourceView,
-    beta: float,
-    fit: GammaFit | ZeroInterference | None = None,
-    approximate: bool = False,
+    view: SourceView, beta: float, fit: GammaFit | ZeroInterference | None = None
 ) -> LossBreakdown:
     """Loss breakdown of one node at threshold ``beta`` under fixed opponents."""
-    (result,) = _evaluate_grid(view, [beta], fit, approximate)
+    (result,) = _evaluate_grid(view, [beta], fit)
     if isinstance(result, StabilityError):
         raise result
     return result
@@ -457,16 +469,16 @@ def evaluate_view(
 
 def evaluate(
     scenario: Scenario,
-    policy: PolicyVector | None = None,
+    policy: PolicyVector | Mapping[str, float] | None = None,
     node_id: str | None = None,
-    approximate: bool = False,
 ) -> LossBreakdown:
-    """Evaluate the loss breakdown of the scenario's source (or ``node_id``)."""
-    if policy is None:
-        policy = PolicyVector.from_scenario(scenario)
+    """Evaluate the loss breakdown of the scenario's source (or ``node_id``).
+
+    ``policy`` overrides the scenario's thresholds for the nodes it names.
+    """
+    policy = _resolve_policy(scenario, policy)
     view = source_view(scenario, policy, node_id)
-    beta = policy.get(view.node_id)
-    return evaluate_view(view, beta, approximate=approximate)
+    return evaluate_view(view, policy.get(view.node_id))
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +496,7 @@ class JacobiResult:
 
 def jacobi_best_response(
     scenario: Scenario,
-    initial: PolicyVector | None = None,
+    initial: PolicyVector | Mapping[str, float] | None = None,
     grid_size: int = 64,
     tol: float = 1e-3,
     max_iters: int = 50,
@@ -492,7 +504,8 @@ def jacobi_best_response(
 ) -> JacobiResult:
     """Simultaneous best-response iteration on every node's own threshold.
 
-    Each iteration, every node grid-searches its own throughput (or the
+    The first iterate is the scenario's thresholds with ``initial``'s on
+    top.  Each iteration, every node grid-searches its own throughput (or the
     network sum with ``objective='sum'``) holding the others at the
     previous iterate; ties break toward the smaller threshold.  With
     ``objective='own'`` a node's whole grid, and its previous threshold,
@@ -505,7 +518,7 @@ def jacobi_best_response(
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
-    policy = initial if initial is not None else PolicyVector.from_scenario(scenario)
+    policy = _resolve_policy(scenario, initial)
     node_ids = [node.id for node in scenario.nodes]
     grids: dict[str, list[float]] = {}
     for node in scenario.nodes:

@@ -4,12 +4,16 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import read_results
 
 from uavlink import cli
 from uavlink import presets as ps
 from uavlink import throughput as tp
-from uavlink.scenario_io import load_scenario_file
+from uavlink.errors import UavLinkError
+from uavlink.scenario_io import load_scenario_file, scenario_from_mapping
 
 BASIC = """
 nodes:
@@ -225,6 +229,66 @@ class TestSimulate:
         assert code == 1
         assert captured.out == ""
         assert "'src'" in captured.err
+
+
+# documents whose NaN used to pass validation and evaluate to a plausible result
+NAN_DOCUMENTS = {
+    "sinr_threshold": "sinr_threshold: .nan\n",
+    "uav_altitude": "uav_altitude: .nan\n",
+    "transmit_power": "nodes: [{id: src, role: source, transmit_power: .nan}]\n",
+}
+
+
+@st.composite
+def example_perturbations(draw):
+    """scenarios/example.yaml with its numbers redrawn inside their valid ranges."""
+    doc = yaml.safe_load(EXAMPLE.read_text())
+    doc["num_channels"] = draw(st.integers(1, 30))
+    doc["sinr_threshold"] = draw(st.floats(0.5, 40.0))
+    doc["slot_duration"] = draw(st.floats(5e-4, 5e-3))
+    doc["uav_altitude"] = draw(st.floats(30.0, 200.0))
+    doc["placement_seed"] = draw(st.integers(0, 2**32))
+    doc["environment"]["omega"] = draw(st.floats(0.5, 4.0))
+    for node in doc["nodes"]:
+        node["beta"] = draw(st.floats(0.0, 12.0))
+    source = doc["nodes"][0]
+    source["position"] = [draw(st.floats(0.0, 40.0)), draw(st.floats(0.0, 40.0)), 0.0]
+    source["transmit_power"] = draw(st.floats(0.05, 2.0))
+    source["queue"] = {
+        "arrival_rate": draw(st.floats(10.0, 150.0)),
+        "delay_threshold": draw(st.floats(0.005, 0.1)),
+        "buffer_capacity_normalized": draw(st.floats(1.0, 500.0)),
+    }
+    return doc
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    @pytest.mark.parametrize("key", sorted(NAN_DOCUMENTS))
+    def test_nan_document_exits_one_naming_the_key(self, key, command, tmp_path, capsys):
+        path = tmp_path / "nan.yaml"
+        path.write_text(NAN_DOCUMENTS[key])
+        extra = ["--slots", "2000", "--replications", "1"] if command == "simulate" else []
+        code = cli.main([command, "--scenario", str(path), *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert key in captured.err
+
+    @given(doc=example_perturbations())
+    @settings(max_examples=30, deadline=None)
+    def test_valid_perturbations_evaluate_or_fail_by_name(self, doc, tmp_path_factory):
+        try:
+            breakdown = tp.evaluate(scenario_from_mapping(doc))
+        except UavLinkError:
+            pass
+        else:
+            for name in ("p_delay", "p_overflow", "p_error", "p_loss"):
+                assert 0.0 <= getattr(breakdown, name) <= 1.0
+            assert 0.0 <= breakdown.throughput <= doc["nodes"][0]["queue"]["arrival_rate"]
+        path = tmp_path_factory.getbasetemp() / "perturbed.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert cli.main(["evaluate", "--scenario", str(path)]) in (0, 1, 2)
 
 
 class TestOptimize:

@@ -2,14 +2,16 @@
 
 import io
 import math
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import read_results
 
-from uavlink.channel import FadingKind, Position
+from uavlink.channel import EnvironmentParams, FadingKind, Position
 from uavlink.errors import ScenarioError
+from uavlink.interference import NoiseModel
 from uavlink.queueing import QueueParams
 from uavlink.scenario_io import (
     Node,
@@ -18,6 +20,39 @@ from uavlink.scenario_io import (
     scenario_from_mapping,
     write_results,
 )
+
+
+# every numeric key of a document, as its path from the document root
+NUMERIC_KEYS = [
+    *(("environment", f.name) for f in fields(EnvironmentParams)),
+    *(("noise", f.name) for f in fields(NoiseModel)),
+    ("num_channels",),
+    ("sinr_threshold",),
+    ("slot_duration",),
+    ("area",),
+    ("uav_altitude",),
+    ("destination",),
+    ("placement_seed",),
+    ("nodes", "position"),
+    ("nodes", "transmit_power"),
+    ("nodes", "beta"),
+    ("nodes", "queue", "arrival_rate"),
+    ("nodes", "queue", "delay_threshold"),
+    ("nodes", "queue", "buffer_capacity_normalized"),
+]
+DOCUMENT_KEYS = sorted({name for path in NUMERIC_KEYS for name in path} | {"id", "role"})
+
+
+def _floats(value):
+    """Every float held by a scenario, its nested parameter types included."""
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from _floats(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _floats(item)
+    elif isinstance(value, float):
+        yield value
 
 
 class TestDefaults:
@@ -175,32 +210,63 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError, match="fading"):
             scenario_from_mapping(doc)
 
+    @pytest.mark.parametrize("path", NUMERIC_KEYS, ids=".".join)
+    def test_nan_is_rejected_naming_the_key(self, path):
+        doc = {"nodes": [{"id": "src", "role": "source", "position": [1.0, 1.0, 0.0]}]}
+        *parents, key = path
+        target = doc
+        for name in parents:
+            target = target[name][0] if name == "nodes" else target.setdefault(name, {})
+        if key in ("area", "destination", "position"):
+            target[key] = [math.nan, 1.0, 50.0][: 2 if key == "area" else 3]
+        else:
+            target[key] = math.nan
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_mapping(doc)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"sinr_threshold": 10**400}, "sinr_threshold"),
+            ({"nodes": [{"id": "s", "role": "source", "beta": 10**400}]}, "beta"),
+            ({"placement_seed": -1}, "placement_seed"),
+        ],
+    )
+    def test_out_of_range_integer_is_named(self, doc, key):
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_mapping(doc)
+
     @given(
         doc=st.recursive(
             st.one_of(
                 st.none(),
                 st.booleans(),
-                st.floats(allow_nan=False),
+                st.floats(),
                 st.integers(min_value=-(10**9), max_value=10**9),
                 st.text(max_size=8),
             ),
             lambda children: st.one_of(
                 st.lists(children, max_size=4),
-                st.dictionaries(st.text(max_size=8), children, max_size=4),
+                st.dictionaries(
+                    st.one_of(st.text(max_size=8), st.sampled_from(DOCUMENT_KEYS)),
+                    children,
+                    max_size=4,
+                ),
             ),
             max_leaves=12,
         )
     )
     @settings(max_examples=120, deadline=None)
     def test_arbitrary_documents_load_or_fail_cleanly(self, doc):
-        # anything that loads satisfies the invariants; anything else raises
-        # the validation error, never some other exception
+        # anything that loads satisfies the invariants and holds no NaN;
+        # anything else raises the validation error, never another exception
         try:
             scenario = scenario_from_mapping(doc)
         except ScenarioError:
             return
         assert isinstance(scenario, Scenario)
         assert sum(1 for n in scenario.nodes if n.role == "source") == 1
+        assert not any(math.isnan(v) for v in _floats(scenario))
 
 
 class TestResultsFiles:

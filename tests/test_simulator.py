@@ -346,6 +346,13 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match="typo"):
             sim.run(small_scenario(), policy={"typo": 3.0}, cfg=SimConfig(100))
 
+    def test_partial_policy_gives_the_completed_counts(self):
+        scenario = load_scenario_file(EXAMPLE)
+        full = PolicyVector.from_scenario(scenario).updated("src", 4.5)
+        cfg = SimConfig(3000, seed=4, warmup_slots=100, replication_count=2)
+        partial = sim.run(scenario, PolicyVector({"src": 4.5}), cfg).counts
+        assert partial == sim.run(scenario, full, cfg).counts
+
     @pytest.mark.parametrize("beta", [math.nan, -1.0])
     def test_invalid_policy_threshold_named(self, beta):
         with pytest.raises(DomainError, match="'src'"):

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavlink import interference as itf
+from uavlink import simulator as sim
 from uavlink import throughput as tp
 from uavlink.channel import Rayleigh, Rician, transmit_prob
-from uavlink.errors import DomainError, LowerBoundNotFoundError, StabilityError
+from uavlink.errors import DomainError, LowerBoundNotFoundError, ScenarioError, StabilityError
 from uavlink.queueing import QueueParams, p_delay, service_rate
 from uavlink.scenario_io import scenario_from_mapping
 from uavlink.specfun import QuadratureSpec
@@ -455,9 +456,13 @@ class TestEvaluate:
 
     def test_approximate_mode_is_lower(self):
         scenario = rician_scenario(beta=4.5)
-        exact = tp.evaluate(scenario).throughput
-        approx = tp.evaluate(scenario, approximate=True).throughput
-        assert approx <= exact + 1e-12
+        result = tp.evaluate(scenario)
+        approx = tp.expected_throughput(
+            scenario.source().queue.arrival_rate,
+            result.p_overflow + result.p_delay + result.p_error,
+            approximate=True,
+        )
+        assert approx <= result.throughput + 1e-12
 
 
 class TestJacobi:
@@ -624,6 +629,41 @@ class TestJacobi:
             tp.jacobi_best_response(scenario, objective="mean")
         with pytest.raises(DomainError):
             tp.jacobi_best_response(scenario, grid_size=1)
+
+
+class TestPolicyResolution:
+    """A policy overrides the scenario's thresholds for the nodes it names."""
+
+    def test_partial_policy_in_evaluate(self):
+        scenario = rician_scenario(beta=4.0)
+        full = PolicyVector.from_scenario(scenario).updated("i1", 3.0)
+        assert tp.evaluate(scenario, PolicyVector({"i1": 3.0})) == tp.evaluate(scenario, full)
+        assert tp.evaluate(scenario, {"i1": 3.0}) == tp.evaluate(scenario, full)
+
+    def test_partial_initial_policy_in_jacobi(self):
+        scenario = rician_scenario(beta=4.0)
+        full = PolicyVector.from_scenario(scenario).updated("src", 3.0)
+
+        def run(initial):
+            return tp.jacobi_best_response(scenario, initial, grid_size=8, max_iters=2)
+
+        partial_run, full_run = run(PolicyVector({"src": 3.0})), run(full)
+        assert partial_run.policy == full_run.policy
+        assert partial_run.trace == full_run.trace
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            tp.evaluate,
+            tp.source_view,
+            lambda scenario, policy: tp.jacobi_best_response(scenario, policy, max_iters=1),
+            lambda scenario, policy: sim.run(scenario, policy, sim.SimConfig(100)),
+        ],
+        ids=["evaluate", "source_view", "jacobi_best_response", "simulator.run"],
+    )
+    def test_unknown_id_is_named(self, entry):
+        with pytest.raises(ScenarioError, match="'typo'"):
+            entry(rician_scenario(), PolicyVector({"src": 2.0, "typo": 3.0}))
 
 
 def test_policy_vector_validation():
