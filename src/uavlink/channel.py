@@ -111,7 +111,7 @@ class Rayleigh:
     omega: float
 
     def __post_init__(self):
-        if self.omega <= 0:
+        if not self.omega > 0:  # also rejects NaN
             raise DomainError(f"Rayleigh.omega must be > 0, got {self.omega}")
 
 
@@ -122,7 +122,7 @@ class Rician:
     b: float
 
     def __post_init__(self):
-        if self.b < 0:
+        if not self.b >= 0:  # also rejects NaN
             raise DomainError(f"Rician.b must be >= 0, got {self.b}")
 
 
@@ -139,7 +139,7 @@ class LinkChannel:
     elevation: float
 
     def __post_init__(self):
-        if self.path_loss_amplitude <= 0:
+        if not self.path_loss_amplitude > 0:  # also rejects NaN
             raise DomainError("LinkChannel.path_loss_amplitude must be > 0")
         if not 0.0 <= self.elevation <= math.pi / 2:
             raise DomainError("LinkChannel.elevation must lie in [0, pi/2]")
@@ -236,20 +236,19 @@ def fading_pdf(model: FadingModel, x: float) -> float:
     return float(_pdf(model, x))
 
 
-def fading_cdf(model: FadingModel, beta: float) -> float:
-    """Probability that the fading amplitude falls below ``beta``."""
-    beta = float(beta)
-    if beta < 0:
-        raise DomainError(f"fading_cdf: beta must be >= 0, got {beta}")
-    if math.isinf(beta):
-        return 1.0
+def fading_cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
+    """Probability that the fading amplitude falls below each ``beta`` >= 0 (1 at +inf)."""
+    beta = specfun._nonnegative("fading_cdf: beta", beta)
     if isinstance(model, Rayleigh):
-        return -math.expm1(-beta * beta / model.omega)
+        expm1 = math.expm1 if isinstance(beta, float) else np.expm1
+        return -expm1(-beta * beta / model.omega)
     return 1.0 - specfun.marcum_q1(model.b, beta)
 
 
-def transmit_prob(model: FadingModel, beta: float, num_channels: int) -> float:
-    """Probability the best of ``num_channels`` i.i.d. draws clears ``beta``."""
+def transmit_prob(
+    model: FadingModel, beta: float | np.ndarray, num_channels: int
+) -> float | np.ndarray:
+    """Probability the best of ``num_channels`` i.i.d. draws clears ``beta``, elementwise."""
     if num_channels < 1:
         raise DomainError(f"transmit_prob: num_channels must be >= 1, got {num_channels}")
     return 1.0 - fading_cdf(model, beta) ** num_channels

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.special as sp
 
 from . import channel, specfun
 from .channel import FadingModel, LinkChannel
@@ -37,6 +36,7 @@ __all__ = [
     "fit_interference",
     "interference_pdf",
     "interference_ccdf",
+    "noise_floor",
     "p_error",
 ]
 
@@ -51,12 +51,11 @@ class InterfererLink:
     beta: float
 
     def __post_init__(self):
-        if self.transmit_power <= 0:
-            raise DomainError("InterfererLink.transmit_power must be > 0")
-        if self.path_loss_amplitude <= 0:
-            raise DomainError("InterfererLink.path_loss_amplitude must be > 0")
-        if self.beta < 0:
-            raise DomainError("InterfererLink.beta must be >= 0")
+        for name in ("transmit_power", "path_loss_amplitude"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise DomainError(f"InterfererLink.{name} must be > 0, got {getattr(self, name)!r}")
+        if not self.beta >= 0:  # also rejects NaN; inf silences the interferer
+            raise DomainError(f"InterfererLink.beta must be >= 0, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class GammaFit:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
+        if not (self.shape > 0 and self.scale > 0):  # also rejects NaN
             raise DomainError("GammaFit: shape and scale must be > 0")
 
     @property
@@ -214,12 +213,21 @@ _GK15 = np.array([*((-x, wk, wg) for x, wk, wg in _GK15_HALF), _GK15_CENTRE,
 _GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _GK15.T
 
 
+# A first panel of width w from the noise floor x0 is cut at x0 + w 2^-j,
+# j = 1..20: there the tail Q(k, c (x^2 - x0^2)) with shape k < 1 has an
+# unbounded slope that one 15-point panel cannot resolve.  On example.yaml
+# placements 10 cuts already pass every such panel; a panel that still fails
+# falls back to the adaptive quadrature like any other.
+_FLOOR_GRADING = 0.5 ** np.arange(20.0, 0.0, -1.0)
+
+
 def _error_integrals(
     model: FadingModel,
     fit: GammaFit,
     margin_rate: float,
     noise_power: float,
-    limits: list[float],
+    floor: float,
+    limits: np.ndarray,
     quad: QuadratureSpec,
 ) -> np.ndarray:
     """Error integral from each of the sorted, distinct ``limits`` to infinity.
@@ -229,31 +237,39 @@ def _error_integrals(
     the largest limit is one adaptive quadrature; each gap between
     consecutive limits is a Gauss-Kronrod 7-15 panel, evaluated for all
     panels at once, and a reversed cumulative sum gives every limit's
-    integral.  Every point's integral sums the tail and the panels above
-    it, so these pieces share the absolute tolerance equally; a single
-    limit keeps all of it.  A panel whose Kronrod-Gauss difference exceeds
-    its share is integrated adaptively instead, so an
-    :class:`AccuracyError` is raised rather than an inaccurate value
-    returned.
+    integral; a first panel from the noise ``floor`` sums graded sub-panels
+    (``_FLOOR_GRADING``).  Every point's integral sums the tail and the
+    panels above it, so these pieces share the absolute tolerance equally;
+    a single limit keeps all of it.  A panel whose Kronrod-Gauss difference
+    exceeds its share is integrated adaptively instead, so an
+    :class:`AccuracyError` is raised rather than an inaccurate value returned.
     """
     quad = replace(quad, absolute_tolerance=quad.absolute_tolerance / len(limits))
-    shape, scale = fit.shape, fit.scale
+    scale = fit.scale
+    tail_of = specfun.gamma_tail(fit.shape)
 
     def integrand(x):  # a float or an array
         excess = margin_rate * x * x - noise_power
         # the tail is 1 where excess <= 0; the mask clamps a float or an array alike
-        return channel._pdf(model, x) * sp.gammaincc(shape, excess * (excess > 0.0) / scale)
+        return channel._pdf(model, x) * tail_of(excess * (excess > 0.0) / scale)
 
     tail = specfun.integrate(integrand, limits[-1], math.inf, quad).value
     if len(limits) == 1:
         return np.array([tail])
-    lo = np.asarray(limits[:-1])
-    width = np.diff(limits)
+    lo, hi = limits[:-1], limits[1:]
+    panel = np.arange(len(lo))
+    if lo[0] == floor:
+        cuts = lo[0] + (hi[0] - lo[0]) * _FLOOR_GRADING
+        lo = np.concatenate(([lo[0]], cuts, lo[1:]))
+        hi = np.concatenate((cuts, hi))
+        panel = np.concatenate((np.zeros(len(cuts), int), panel))
+    width = hi - lo
     # lo + width * t with t in [0, 1] never falls below lo
     x = lo[:, None] + width[:, None] * (0.5 * (1.0 + _GK15_NODES))
     values = integrand(x)
     kronrod = 0.5 * width * (values @ _GK15_KRONROD)
-    error = np.abs(kronrod - 0.5 * width * (values @ _GK15_GAUSS))
+    error = np.bincount(panel, np.abs(kronrod - 0.5 * width * (values @ _GK15_GAUSS)))
+    kronrod = np.bincount(panel, kronrod)
     tolerance = np.maximum(quad.absolute_tolerance, quad.relative_tolerance * np.abs(kronrod))
     for i in np.flatnonzero(~(error <= tolerance)):
         kronrod[i] = specfun.integrate(integrand, limits[i], limits[i + 1], quad).value
@@ -271,6 +287,7 @@ def p_error(
     conditional: bool = True,
     quad: QuadratureSpec = DEFAULT_QUAD,
     fit: GammaFit | ZeroInterference | None = None,
+    cdf: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Probability a transmitted packet fails the SINR threshold, at each threshold.
 
@@ -278,52 +295,45 @@ def p_error(
     them (the result is an array of the same shape).  Integrates the main
     link's fading density from each threshold upward against the
     interference tail evaluated at the power the packet can afford to
-    lose.  Where the signal cannot clear the threshold even with zero
-    interference the tail is pinned at 1.  The interference fit does not
-    depend on the threshold, so the whole grid costs one adaptive
-    quadrature plus one vectorized panel rule (see
+    lose.  Below the noise floor x0 (:func:`noise_floor`) the tail is
+    pinned at 1, a certain loss F(x0) - F(beta) in the fading CDF F.  The
+    fit does not depend on the threshold, so the whole grid costs one
+    adaptive quadrature plus one vectorized panel rule (see
     :func:`_error_integrals`).  With ``conditional`` the integral is
-    normalized by the probability of transmitting at all, so the result
-    composes with the queue-drop probabilities; the raw, unnormalized
-    integral is kept available for comparison.  Passing a precomputed
-    ``fit`` skips re-matching the interferer moments.  An infinite
-    threshold (a silenced link) has no transmissions and no errors.
+    normalized by the transmit mass 1 - F(beta), so the result composes
+    with the queue-drop probabilities.  Passing ``fit`` skips re-matching
+    the interferers, and passing ``cdf`` (F at the flattened thresholds,
+    then at x0) skips evaluating F.  An infinite threshold (a silenced
+    link) has no transmissions and no errors.
     """
-    if main_power <= 0:
+    if not main_power > 0:
         raise DomainError(f"main_power must be > 0, got {main_power}")
-    if gamma_th <= 0:
+    if not gamma_th > 0:
         raise DomainError(f"gamma_th must be > 0, got {gamma_th}")
     betas = np.asarray(main_beta, dtype=float)
-    if not np.all(betas >= 0.0):
-        raise DomainError(f"main_beta must be >= 0, got {main_beta}")
-    points = betas.ravel().tolist()
-    finite = [beta for beta in points if beta != math.inf]
-    if finite and fit is None:
+    flat = specfun._nonnegative("main_beta", betas.ravel())
+    x0 = noise_floor(main, main_power, noise, gamma_th)
+    if cdf is None:
+        cdf = channel.fading_cdf(main.fading, np.append(flat, x0))
+    cdf, cdf_floor = cdf[:-1], cdf[-1]
+    lo = np.maximum(flat, x0)
+    # a silenced threshold integrates nothing
+    limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
+    integrals = 0.0
+    if limits.size and fit is None:
         fit = fit_interference(links, num_channels, quad)
-    model = main.fading
-    margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
-    # below x0 the SINR fails even with zero interference
-    x0 = math.sqrt(noise.power / margin_rate)
-    limits = sorted({max(beta, x0) for beta in finite})
-    integrals = {}
-    if limits and not isinstance(fit, ZeroInterference):
-        values = _error_integrals(model, fit, margin_rate, noise.power, limits, quad)
-        integrals = dict(zip(limits, values.tolist()))
+    if limits.size and isinstance(fit, GammaFit):
+        margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
+        values = _error_integrals(main.fading, fit, margin_rate, noise.power, x0, limits, quad)
+        integrals = np.append(values, 0.0)[np.searchsorted(limits, lo)]
+    raw = np.maximum(0.0, cdf_floor - cdf) * (flat < x0) + integrals
+    if conditional:
+        # normalise by the transmit mass; a silenced link has no transmission errors
+        mass = 1.0 - cdf
+        raw = np.divide(raw, mass, out=np.zeros(raw.shape), where=mass > 1e-300)
+    return np.clip(raw, 0.0, 1.0).reshape(betas.shape)[()]
 
-    results = []
-    for beta in points:
-        if beta == math.inf:
-            results.append(0.0)  # silenced link: no transmissions, no transmission errors
-            continue
-        lo = max(beta, x0)
-        cdf = channel.fading_cdf(model, beta)
-        certain_loss = max(0.0, channel.fading_cdf(model, lo) - cdf) if lo > beta else 0.0
-        raw = certain_loss + integrals.get(lo, 0.0)
-        if not conditional:
-            results.append(min(1.0, max(0.0, raw)))
-            continue
-        transmit_mass = 1.0 - cdf
-        results.append(0.0 if transmit_mass <= 1e-300 else min(1.0, max(0.0, raw / transmit_mass)))
-    if betas.ndim == 0:
-        return results[0]
-    return np.array(results).reshape(betas.shape)
+
+def noise_floor(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_th: float) -> float:
+    """The amplitude x0 below which the main link fails its SINR threshold without interference."""
+    return math.sqrt(noise.power / (main_power * main.path_loss_amplitude**2 / gamma_th))

@@ -25,6 +25,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from . import interference as itf
 from . import throughput as tp
 from .errors import DomainError, ScenarioError
 from .scenario_io import Scenario, scenario_from_mapping
@@ -143,7 +144,11 @@ def _sweep(
     axes: Sequence[SweepSpec],
     outputs: Sequence[str],
 ) -> tuple[list[str], list[dict]]:
-    """Evaluate the source over the product of ``axes``, first axis outermost."""
+    """Evaluate the source over the product of ``axes``, first axis outermost.
+
+    Points that differ only in ``beta_n`` share one source view and one
+    interference fit; each point still gets its own error quadrature.
+    """
     if any(callable(axis.values) for axis in axes):
         upper = _stability_bound(scenario, axes)
         axes = [
@@ -153,12 +158,19 @@ def _sweep(
             for axis in axes
         ]
     columns = [axis.column or axis.variable for axis in axes] + list(outputs)
+    groups: dict[tuple, tuple] = {}
     rows = []
     for point in itertools.product(*(axis.values for axis in axes)):
         point_scenario, betas = scenario, {}
         for axis, value in zip(axes, point):
             point_scenario, betas = _apply_point(point_scenario, betas, axis.variable, value)
-        breakdown = tp.evaluate(point_scenario, betas)
+        policy = tp._resolve_policy(point_scenario, betas)
+        group = tuple(v for axis, v in zip(axes, point) if axis.variable != "beta_n")
+        if group not in groups:
+            view = tp.source_view(point_scenario, policy)
+            groups[group] = view, itf.fit_interference(view.interferers, view.num_channels)
+        view, fit = groups[group]
+        breakdown = tp.evaluate_view(view, policy.get(view.node_id), fit)
         row = dict(zip(columns, point))
         row.update((column, _output(breakdown, column)) for column in outputs)
         rows.append(row)

@@ -3,13 +3,16 @@
 The service process is the per-slot transmit probability of the threshold
 policy, approximated by an exponential law with the same mean so the queue
 admits closed forms: a waiting-time tail (delay drop) and a buffer-overflow
-probability driven by exponentially distributed packet lengths.
+probability driven by exponentially distributed packet lengths.  Each
+closed form takes one per-slot service rate or an array of them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
+import scipy.special as sp
 
 from .errors import DegeneratePolicyError, DomainError, StabilityError
 
@@ -17,6 +20,7 @@ __all__ = [
     "QueueParams",
     "service_rate",
     "offered_load",
+    "is_stable",
     "p_delay",
     "p_overflow",
 ]
@@ -43,7 +47,7 @@ class QueueParams:
         for name in ("arrival_rate", "slot_duration", "delay_threshold"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise DomainError(f"QueueParams.{name} must be > 0")
-        if self.buffer_capacity_normalized < 0:
+        if not self.buffer_capacity_normalized >= 0:  # also rejects NaN
             raise DomainError("QueueParams.buffer_capacity_normalized must be >= 0")
         if self.arrival_rate * self.slot_duration >= 1.0:
             raise DomainError(
@@ -52,16 +56,18 @@ class QueueParams:
             )
 
 
-def _check_phi(phi: float) -> float:
-    phi = float(phi)
-    if phi == 0.0:
-        raise DegeneratePolicyError("transmit probability is 0: node never transmits")
-    if not 0.0 < phi <= 1.0:
-        raise DomainError(f"transmit probability must lie in (0, 1], got {phi}")
+def _check_phi(phi) -> np.ndarray:
+    """``phi`` as a float array once every element lies in (0, 1]."""
+    phi = np.asarray(phi, dtype=float)
+    valid = (0.0 < phi) & (phi <= 1.0)
+    if not valid.all():
+        if (phi == 0.0).any():
+            raise DegeneratePolicyError("transmit probability is 0: node never transmits")
+        raise DomainError(f"transmit probability must lie in (0, 1], got {phi[~valid].flat[0]}")
     return phi
 
 
-def service_rate(phi: float) -> float:
+def service_rate(phi: float | np.ndarray) -> float | np.ndarray:
     """Rate of the exponential service approximation; equals ``phi`` per slot.
 
     The exponential law is the unique one sharing the geometric
@@ -71,43 +77,47 @@ def service_rate(phi: float) -> float:
     return _check_phi(phi)
 
 
-def offered_load(mu: float, q: QueueParams) -> float:
+def offered_load(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
     """Utilization: arrivals per slot divided by the per-slot service rate."""
     mu = _check_phi(mu)
     return q.arrival_rate * q.slot_duration / mu
 
 
-def p_delay(mu: float, q: QueueParams) -> float:
-    """Probability a packet's queueing delay exceeds the deadline.
+def is_stable(mu: float | np.ndarray, q: QueueParams) -> bool | np.ndarray:
+    """Whether each per-slot service rate ``mu`` (unchecked) keeps the queue stable,
+    within the boundary tolerance; a zero rate never does."""
+    return q.arrival_rate - mu / q.slot_duration <= _BOUNDARY_TOL * q.arrival_rate
+
+
+def p_delay(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
+    """Probability a packet's queueing delay exceeds the deadline, elementwise.
 
     Exactly 1 on the stability boundary (service rate equals arrival
-    rate); raises :class:`StabilityError` with the rate deficit beyond it.
+    rate); raises :class:`StabilityError` with the largest rate deficit
+    when any rate lies beyond it.
     """
     mu = _check_phi(mu)
-    deficit = q.arrival_rate - mu / q.slot_duration
-    if deficit > _BOUNDARY_TOL * q.arrival_rate:
+    stable = is_stable(mu, q)
+    if not stable.all():
+        slowest = mu[~stable].min() / q.slot_duration
         raise StabilityError(
-            f"unstable queue: service rate {mu / q.slot_duration:.6g}/s is below "
+            f"unstable queue: service rate {slowest:.6g}/s is below "
             f"arrival rate {q.arrival_rate:.6g}/s",
-            margin=deficit,
+            margin=q.arrival_rate - slowest,
         )
-    return math.exp(-max(-deficit, 0.0) * q.delay_threshold)
+    return np.exp(np.minimum(q.arrival_rate - mu / q.slot_duration, 0.0) * q.delay_threshold)
 
 
-def p_overflow(mu: float, q: QueueParams) -> float:
-    """Stationary probability an arriving packet finds no buffer space."""
+def p_overflow(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
+    """Stationary probability an arriving packet finds no buffer space, elementwise.
+
+    (1 - rho) e^-x / (1 - rho - rho expm1(-x)) with x = bn (1 - rho), written
+    with exprel(z) = expm1(z) / z to pass smoothly through full load, 1 / (1 + bn).
+    """
     rho = offered_load(mu, q)
-    slack = 1.0 - rho
-    if slack < -_BOUNDARY_TOL:
-        raise StabilityError(
-            f"unstable queue: offered load {rho:.6g} >= 1", margin=rho - 1.0
-        )
+    if not (rho <= 1.0 + _BOUNDARY_TOL).all():
+        worst = float(rho.max())
+        raise StabilityError(f"unstable queue: offered load {worst:.6g} >= 1", margin=worst - 1.0)
     bn = q.buffer_capacity_normalized
-    if slack <= 1e-12:
-        # removable singularity at full load
-        return 1.0 / (1.0 + bn)
-    x = bn * slack
-    # denominator written via expm1 to survive slack -> 0
-    denom = slack - rho * math.expm1(-x)
-    return slack * math.exp(-x) / denom
-
+    x = bn * (1.0 - rho)
+    return np.exp(-x) / (1.0 + rho * bn * sp.exprel(-x))

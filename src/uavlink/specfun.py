@@ -7,6 +7,7 @@ so repeated calls are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -23,6 +24,7 @@ __all__ = [
     "IntegrationResult",
     "bessel_i0_scaled",
     "marcum_q1",
+    "gamma_tail",
     "regularized_gamma_upper",
     "erfinv",
     "integrate",
@@ -52,39 +54,75 @@ class IntegrationResult(NamedTuple):
     error: float
 
 
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
+def _nonnegative(name: str, x, finite: bool = False):
+    """``x``, a float or else as a float array, once every element is >= 0.
+
+    NaN fails, and with ``finite`` so does +inf; the :class:`DomainError`
+    names ``name``.  A float is checked without numpy dispatch.
+    """
+    if isinstance(x, float):
+        if x >= 0.0 and not (finite and x == math.inf):
+            return x
+    else:
+        x = np.asarray(x, dtype=float)
+        valid = (x >= 0.0) & (x < math.inf) if finite else x >= 0.0
+        if valid.all():
+            return x
+    raise DomainError(f"{name} must be {'finite and ' if finite else ''}>= 0, got {x!r}")
 
 
 def bessel_i0_scaled(x: float) -> float:
     """exp(-x) * I0(x): the overflow-free form used inside fading densities."""
-    x = _require_finite("bessel_i0_scaled argument", x)
-    if x < 0:
-        raise DomainError(f"bessel_i0_scaled argument must be >= 0, got {x}")
-    return float(sp.i0e(x))
+    return float(sp.i0e(_nonnegative("bessel_i0_scaled argument", float(x), finite=True)))
 
 
-def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q-function Q1(a, b).
+def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+    """First-order Marcum Q-function Q1(a, b), elementwise over arrays.
 
     Evaluated through the noncentral chi-square survival function with two
     degrees of freedom and noncentrality a**2, which scipy computes to well
-    below 1e-10 absolute error over the range used here.
+    below 1e-10 absolute error over the range used here.  ``a`` must be
+    finite; ``b`` may be +inf, where Q1 is 0.
     """
-    a = _require_finite("marcum_q1 a", a)
-    b = _require_finite("marcum_q1 b", b)
-    if a < 0 or b < 0:
-        raise DomainError(f"marcum_q1 arguments must be >= 0, got a={a}, b={b}")
-    if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return math.exp(-0.5 * b * b)
-    q = 1.0 - float(sp.chndtr(b * b, 2.0, a * a))
-    # clip roundoff excursions outside [0, 1]
-    return min(1.0, max(0.0, q))
+    a = _nonnegative("marcum_q1 a", a, finite=True)
+    b = _nonnegative("marcum_q1 b", b)
+    # exactly 1 at b = 0, where the chi-square CDF is 0; clip roundoff below 0
+    return np.maximum(1.0 - sp.chndtr(b * b, 2.0, a * a), 0.0)[()]
+
+
+# Below shape 1, scipy's gammaincc is slow for x in roughly (0.1, 1.1): up to
+# 7 us per element against under 0.3 us elsewhere.  In this band the tail is
+# taken one shape up instead, by Q(k, x) = Q(k+1, x) - x^k e^-x / Gamma(k+1)
+# (DLMF 8.8.6), within 4e-15 absolute and 8e-13 relative of mpmath.
+_RECURRENCE_BAND = (0.1, 2.0)
+
+
+def gamma_tail(k: float) -> Callable:
+    """Q(k, .) bound to one shape, for a float or an array x >= 0 (unchecked).
+
+    An integrand binds it once per fit; a float node pays no numpy dispatch.
+    """
+    if not k > 0:
+        raise DomainError(f"regularized_gamma_upper requires k > 0, got {k}")
+    if k >= 1.0:
+        return functools.partial(sp.gammaincc, k)
+    lo, hi = _RECURRENCE_BAND
+    log_norm = math.lgamma(k + 1.0)
+
+    def tail(x):
+        if isinstance(x, float):
+            if lo < x < hi:
+                return sp.gammaincc(k + 1.0, x) - math.exp(k * math.log(x) - x - log_norm)
+            return sp.gammaincc(k, x)
+        x = np.asarray(x, dtype=float)
+        band = (lo < x) & (x < hi)
+        q = np.empty(x.shape)
+        q[~band] = sp.gammaincc(k, x[~band])
+        xb = x[band]
+        q[band] = sp.gammaincc(k + 1.0, xb) - np.exp(k * np.log(xb) - xb - log_norm)
+        return q
+
+    return tail
 
 
 def regularized_gamma_upper(k: float, x: float | np.ndarray) -> float | np.ndarray:
@@ -92,14 +130,12 @@ def regularized_gamma_upper(k: float, x: float | np.ndarray) -> float | np.ndarr
 
     Elementwise over an array ``x``; any x < 0 gives 1, the value at 0.
     """
-    if k <= 0:
-        raise DomainError(f"regularized_gamma_upper requires k > 0, got {k}")
-    return sp.gammaincc(k, np.maximum(x, 0.0))
+    return gamma_tail(k)(np.maximum(x, 0.0))[()]
 
 
 def erfinv(y: float) -> float:
-    y = _require_finite("erfinv argument", y)
-    if not -1.0 < y < 1.0:
+    y = float(y)
+    if not -1.0 < y < 1.0:  # also rejects NaN
         raise DomainError(f"erfinv argument must lie in (-1, 1), got {y}")
     return float(sp.erfinv(y))
 

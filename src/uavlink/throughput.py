@@ -62,10 +62,6 @@ class PolicyVector:
                     f"PolicyVector: beta for node {node_id!r} must be >= 0, got {beta!r}"
                 )
 
-    @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "PolicyVector":
-        return cls({node.id: node.beta for node in scenario.nodes})
-
     def get(self, node_id: str) -> float:
         return self.betas[node_id]
 
@@ -114,29 +110,34 @@ class SourceView:
         return self.link.fading
 
 
-def compose_loss(p_ov: float, p_dly: float, p_err: float) -> float:
-    """Overall loss: overflow, then deadline drop, then SINR error.
+def _probabilities(p) -> bool:
+    """Whether every element of the float or array ``p`` lies in [0, 1] (NaN does not)."""
+    return all(0.0 <= v <= 1.0 for v in np.asarray(p).ravel().tolist())
+
+
+def compose_loss(p_ov, p_dly, p_err):
+    """Overall loss: overflow, then deadline drop, then SINR error, elementwise.
 
     Algebraically 1 - (1-p_ov)(1-p_dly)(1-p_err).
     """
     for name, p in (("p_ov", p_ov), ("p_dly", p_dly), ("p_err", p_err)):
-        if not 0.0 <= p <= 1.0:
+        if not _probabilities(p):
             raise DomainError(f"compose_loss: {name} must lie in [0, 1], got {p}")
     return 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err)
 
 
-def expected_throughput(arrival_rate: float, p_loss: float, approximate: bool = False) -> float:
-    """Delivered packet rate given the loss probability.
+def expected_throughput(arrival_rate: float, p_loss, approximate: bool = False):
+    """Delivered packet rate given the loss probability, elementwise.
 
     In approximate mode ``p_loss`` is the plain sum of the three loss
     components (which may exceed 1, dropping the cross terms), and the
     result clamps at zero; the sum-form never exceeds the exact form.
     """
-    if arrival_rate <= 0:
+    if not arrival_rate > 0:
         raise DomainError(f"arrival_rate must be > 0, got {arrival_rate}")
     if approximate:
-        return max(0.0, arrival_rate * (1.0 - p_loss))
-    if not 0.0 <= p_loss <= 1.0:
+        return np.maximum(0.0, arrival_rate * (1.0 - p_loss))
+    if not _probabilities(p_loss):
         raise DomainError(f"p_loss must lie in [0, 1], got {p_loss}")
     return arrival_rate * (1.0 - p_loss)
 
@@ -189,31 +190,6 @@ def beta_upper_erf(model: Rician, q: QueueParams, num_channels: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def _service_and_delay(view: SourceView, beta: float) -> tuple[float, float]:
-    """(service rate, P_dly) of the view's queue at beta.
-
-    Raises :class:`StabilityError` naming the node beyond the stability
-    bound.  That includes thresholds where the transmit probability rounds
-    to 0: a node that never transmits while packets keep arriving is
-    unstable by the whole arrival rate, whatever the underflow.
-    """
-    phi = ch.transmit_prob(view.model, beta, view.num_channels)
-    try:
-        if phi == 0.0:
-            raise StabilityError(
-                "transmit probability is 0: node never transmits",
-                margin=view.queue.arrival_rate,
-            )
-        mu = qn.service_rate(phi)
-        return mu, qn.p_delay(mu, view.queue)
-    except StabilityError as exc:
-        raise StabilityError(
-            f"node {view.node_id!r}: beta {beta:.6g} exceeds the stability bound ({exc})",
-            margin=exc.margin,
-            node=view.node_id,
-        ) from exc
-
-
 def reduced_loss(
     view: SourceView,
     beta: float,
@@ -226,19 +202,12 @@ def reduced_loss(
     bound; buffer overflow is omitted because its contribution is
     negligible over the feasible range.
     """
-    _, p_dly = _service_and_delay(view, beta)
-    p_err_raw = itf.p_error(
-        view.link,
-        view.power,
-        beta,
-        view.interferers,
-        view.noise,
-        view.sinr_threshold,
-        view.num_channels,
-        conditional=False,
-        quad=quad,
-        fit=fit,
-    )
+    phi = ch.transmit_prob(view.model, beta, view.num_channels)
+    if not qn.is_stable(phi, view.queue):
+        raise _instability(view, beta, phi)
+    p_dly = qn.p_delay(phi, view.queue)
+    p_err_raw = itf.p_error(view.link, view.power, beta, view.interferers, view.noise,
+                            view.sinr_threshold, view.num_channels, False, quad, fit)
     return p_dly + p_err_raw
 
 
@@ -275,12 +244,8 @@ def loss_derivative(
     if fit is None:
         fit = itf.fit_interference(view.interferers, view.num_channels, quad)
     n = view.num_channels
-    # the CDF and the deadline drop reuse the scalar closed forms point by point
-    # rather than keep a vectorized copy of them
-    cdf = np.array([ch.fading_cdf(view.model, b) for b in betas.flat]).reshape(betas.shape)
-    p_dly = np.array(
-        [qn.p_delay(qn.service_rate(1.0 - c**n), view.queue) for c in cdf.flat]
-    ).reshape(betas.shape)
+    cdf = ch.fading_cdf(view.model, betas)
+    p_dly = qn.p_delay(1.0 - cdf**n, view.queue)
     pdf = ch._pdf(view.model, betas)
     dpdf = ch._pdf_slope(view.model, betas)
 
@@ -410,51 +375,46 @@ def source_view(
 
 def _evaluate_grid(
     view: SourceView,
-    betas: list[float],
+    betas: list[float] | np.ndarray,
     fit: GammaFit | ZeroInterference | None = None,
 ) -> list[LossBreakdown | StabilityError]:
     """Loss breakdown of one node at each threshold of ``betas``, in order.
 
-    The queue terms are closed forms per threshold; the error probability
-    of every stable threshold comes from one :func:`interference.p_error`
-    call.  A threshold beyond the stability bound gets its
+    One fading-CDF evaluation (at the thresholds and the noise floor)
+    feeds the queue terms and one :func:`interference.p_error` call over
+    the stable thresholds.  A threshold beyond the stability bound,
+    including one whose transmit probability rounds to 0, gets its
     :class:`StabilityError` in place of a breakdown.
     """
-    queues = []
-    for beta in betas:
-        try:
-            queues.append(_service_and_delay(view, beta))
-        except StabilityError as exc:
-            queues.append(exc)
-    stable = [beta for beta, q in zip(betas, queues) if not isinstance(q, StabilityError)]
-    p_errs = iter(
-        itf.p_error(
-            view.link,
-            view.power,
-            np.array(stable, dtype=float),
-            view.interferers,
-            view.noise,
-            view.sinr_threshold,
-            view.num_channels,
-            fit=fit,
-        ).tolist()
+    betas = np.asarray(betas, dtype=float)
+    x0 = itf.noise_floor(view.link, view.power, view.noise, view.sinr_threshold)
+    cdf = ch.fading_cdf(view.model, np.append(betas, x0))
+    phi = 1.0 - cdf[:-1] ** view.num_channels
+    stable = qn.is_stable(phi, view.queue)
+    mu = phi[stable]
+    p_dly = qn.p_delay(mu, view.queue)
+    p_ov = qn.p_overflow(mu, view.queue)
+    p_err = itf.p_error(view.link, view.power, betas[stable], view.interferers, view.noise,
+                        view.sinr_threshold, view.num_channels, fit=fit,
+                        cdf=cdf[np.append(stable, True)])
+    p_loss = compose_loss(p_ov, p_dly, p_err)
+    rate = expected_throughput(view.queue.arrival_rate, p_loss)
+    rows = zip(*(a.tolist() for a in (p_dly, p_ov, p_err, p_loss, rate)))
+    return [
+        LossBreakdown(*next(rows)) if ok else _instability(view, beta, p)
+        for beta, p, ok in zip(betas.tolist(), phi.tolist(), stable.tolist())
+    ]
+
+
+def _instability(view: SourceView, beta: float, phi: float) -> StabilityError:
+    """The error, naming the node, of ``beta`` whose transmit probability ``phi`` is unstable."""
+    rate, arrivals = phi / view.queue.slot_duration, view.queue.arrival_rate
+    return StabilityError(
+        f"node {view.node_id!r}: beta {beta:.6g} exceeds the stability bound (unstable "
+        f"queue: service rate {rate:.6g}/s is below arrival rate {arrivals:.6g}/s)",
+        margin=arrivals - rate,
+        node=view.node_id,
     )
-    results: list[LossBreakdown | StabilityError] = []
-    for q in queues:
-        if isinstance(q, StabilityError):
-            results.append(q)
-            continue
-        mu, p_dly = q
-        p_ov = qn.p_overflow(mu, view.queue)
-        p_err = next(p_errs)
-        p_loss = compose_loss(p_ov, p_dly, p_err)
-        rate = expected_throughput(view.queue.arrival_rate, p_loss)
-        results.append(
-            LossBreakdown(
-                p_delay=p_dly, p_overflow=p_ov, p_error=p_err, p_loss=p_loss, throughput=rate
-            )
-        )
-    return results
 
 
 def evaluate_view(

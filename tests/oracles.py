@@ -1,6 +1,6 @@
 """Test-side oracles: the buffer-occupancy Markov chain behind the queue
 formulas, the per-point SINR error integral, the slot-by-slot simulator
-loop, and a reader for results files.
+loop, a reader for results files, and a scenario's own policy.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
 ``interference.p_error`` and ``simulator.run`` the hard way, so the
@@ -28,6 +28,7 @@ from uavlink import specfun
 from uavlink.errors import DomainError, StabilityError
 from uavlink.queueing import QueueParams
 from uavlink.specfun import DEFAULT_QUAD
+from uavlink.throughput import PolicyVector
 
 
 def slots_to_transmit_pmf(phi: float, k: int) -> float:
@@ -290,3 +291,8 @@ def read_results(source: str | Path | io.TextIOBase) -> list[dict[str, Any]]:
                 cells.append(cell)
         rows.append(dict(zip(header, cells)))
     return rows
+
+
+def scenario_policy(scenario) -> PolicyVector:
+    """Every node's threshold as the scenario sets it."""
+    return PolicyVector({node.id: node.beta for node in scenario.nodes})

@@ -342,3 +342,30 @@ class TestValidation:
             Rayleigh(omega=0.0)
         with pytest.raises(DomainError):
             Rician(b=-0.5)
+
+    def test_fading_rejects_nan_naming_the_field(self):
+        with pytest.raises(DomainError, match="Rayleigh.omega"):
+            Rayleigh(omega=math.nan)
+        with pytest.raises(DomainError, match="Rician.b"):
+            Rician(b=math.nan)
+
+
+class TestElementwise:
+    @pytest.mark.parametrize("model", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
+    def test_arrays_match_floats(self, model):
+        betas = np.array([0.0, 0.5, 2.0, 4.5, math.inf])
+        cdf = ch.fading_cdf(model, betas)
+        phi = ch.transmit_prob(model, betas, 15)
+        for beta, c, p in zip(betas.tolist(), cdf.tolist(), phi.tolist()):
+            assert c == ch.fading_cdf(model, beta)
+            assert p == ch.transmit_prob(model, beta, 15)
+        assert cdf[-1] == 1.0 and phi[-1] == 0.0
+
+    @pytest.mark.parametrize("model", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_bad_element_in_an_array_raises(self, model, bad):
+        betas = np.array([1.0, bad, 2.0])
+        with pytest.raises(DomainError, match="fading_cdf"):
+            ch.fading_cdf(model, betas)
+        with pytest.raises(DomainError, match="fading_cdf"):
+            ch.transmit_prob(model, betas, 15)

@@ -206,6 +206,17 @@ class TestInterferenceCcdf:
             assert -slope == pytest.approx(itf.interference_pdf(fit, x), rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "field, args",
+    [("transmit_power", (math.nan, 1.0, 0.5)), ("path_loss_amplitude", (1.0, math.nan, 0.5)),
+     ("beta", (1.0, 1.0, math.nan))],
+)
+def test_interferer_link_rejects_nan_naming_the_field(field, args):
+    power, amplitude, beta = args
+    with pytest.raises(DomainError, match=f"InterfererLink.{field}"):
+        InterfererLink(power, amplitude, Rayleigh(2.0), beta)
+
+
 class TestNoiseModel:
     def test_power_product(self):
         noise = NoiseModel(boltzmann=1.38e-23, temperature=290.0, bandwidth=1e6)
@@ -501,18 +512,47 @@ class TestPErrorPanels:
 
     def test_panel_over_tolerance_falls_back_to_adaptive(self, monkeypatch):
         # one panel spans the whole density bump: the 7-point Gauss rule misses it
+        # (it starts above the noise floor sqrt(0.5), so it is not graded)
         calls = self.spy(monkeypatch)
         link = main_link(fading=Rayleigh(2.0))
         links = [rayleigh_link(beta=0.5, power=0.6)]
-        betas = [0.0, 6.0]
-        x0 = math.sqrt(0.5)
+        betas = [1.0, 6.0]
         grid = itf.p_error(link, 1.0, betas, links, self.NOISE, 0.5, 15)
-        assert calls == [(6.0, math.inf), (x0, 6.0)]
+        assert calls == [(6.0, math.inf), (1.0, 6.0)]
         for beta, value in zip(betas, grid):
             oracle = p_error_pointwise(
                 link, 1.0, beta, links, self.NOISE, 0.5, 15, quad=ORACLE_QUAD
             )
             assert agrees_with_oracle(value, oracle)
+
+    def test_floor_panel_is_graded_not_re_integrated(self, monkeypatch):
+        # the panel from the noise floor sqrt(0.5) to 6 starts where the Gamma
+        # tail (shape 0.97 < 1) has an unbounded slope; its graded sub-panels
+        # meet the tolerance share without an adaptive quadrature
+        calls = self.spy(monkeypatch)
+        link = main_link(fading=Rayleigh(2.0))
+        links = [rayleigh_link(beta=0.5, power=0.6)]
+        assert itf.fit_interference(links, 15).shape < 1.0
+        betas = [0.0, 6.0]
+        grid = itf.p_error(link, 1.0, betas, links, self.NOISE, 0.5, 15)
+        assert calls == [(6.0, math.inf)]
+        for beta, value in zip(betas, grid):
+            oracle = p_error_pointwise(
+                link, 1.0, beta, links, self.NOISE, 0.5, 15, quad=ORACLE_QUAD
+            )
+            assert abs(value - oracle) <= 1e-12
+
+    def test_given_cdf_is_used_in_place_of_evaluating_it(self, monkeypatch):
+        link = main_link(fading=Rician(2.0))
+        links = [rayleigh_link(beta=0.4, power=0.7)]
+        betas = np.array([0.0, 0.9, 1.7, math.inf])
+        x0 = itf.noise_floor(link, 1.0, self.NOISE, 0.5)
+        cdf = ch.fading_cdf(link.fading, np.append(betas, x0))
+        fit = itf.fit_interference(links, 15)
+        expected = itf.p_error(link, 1.0, betas, links, self.NOISE, 0.5, 15, fit=fit)
+        monkeypatch.setattr(itf.channel, "fading_cdf", None)
+        given = itf.p_error(link, 1.0, betas, links, self.NOISE, 0.5, 15, fit=fit, cdf=cdf)
+        assert given.tolist() == expected.tolist()
 
     def test_failed_fallback_raises_with_best_estimate(self):
         # two subdivisions suffice for the vanishing tail above 8 but not for the panel below
@@ -521,8 +561,8 @@ class TestPErrorPanels:
         quad = QuadratureSpec(max_subdivisions=2)
         assert itf.p_error(link, 1.0, 8.0, links, self.NOISE, 0.5, 15, quad=quad) == 0.0
         with pytest.raises(AccuracyError) as excinfo:
-            itf.p_error(link, 1.0, [0.0, 8.0], links, self.NOISE, 0.5, 15, quad=quad)
-        assert f"[{math.sqrt(0.5)}, 8.0]" in str(excinfo.value)
+            itf.p_error(link, 1.0, [1.0, 8.0], links, self.NOISE, 0.5, 15, quad=quad)
+        assert "[1.0, 8.0]" in str(excinfo.value)
         assert math.isfinite(excinfo.value.best_estimate)
         assert excinfo.value.best_estimate > 0.0
         assert excinfo.value.error_estimate > 0.0

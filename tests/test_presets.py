@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from oracles import read_results
 
+from uavlink import interference as itf
 from uavlink import presets as ps
 from uavlink import throughput as tp
 from uavlink.errors import DomainError
@@ -147,6 +148,25 @@ class TestPresets:
         assert all(k is FadingKind.RAYLEIGH for k in kinds[2:])
         assert scenario.source().transmit_power == 0.5
         assert scenario.source().queue.arrival_rate == 80.0
+
+    def test_fig2_fits_once_per_interferer_threshold(self, monkeypatch):
+        # points that differ only in beta_n share a view and a fit, yet every
+        # row equals the per-point evaluation bit for bit
+        fits = []
+        fit_interference = itf.fit_interference
+
+        def counting(*args, **kwargs):
+            fits.append(args)
+            return fit_interference(*args, **kwargs)
+
+        monkeypatch.setattr(itf, "fit_interference", counting)
+        _, rows = ps.run_preset("fig2")
+        assert len(fits) == 7
+        monkeypatch.undo()
+        scenario = ps.preset_scenario("fig2")
+        for row in rows:
+            policy = {"src": row["beta_n"], **{n.id: row["beta_m"] for n in scenario.interferers()}}
+            assert row["throughput"] == tp.evaluate(scenario, policy).throughput
 
     @pytest.mark.parametrize("name", sorted(ps.PRESETS))
     def test_matches_golden(self, name):

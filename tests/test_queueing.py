@@ -203,3 +203,39 @@ def test_queue_params_validation():
         make_queue(arrival_rate=math.nan)
     with pytest.raises(DomainError):
         QueueParams(80.0, 0.002, 0.045, -1.0)
+    with pytest.raises(DomainError, match="buffer_capacity_normalized"):
+        QueueParams(80.0, 1e-3, 0.045, math.nan)
+
+
+class TestElementwise:
+    def test_arrays_match_floats(self):
+        q = make_queue()
+        mus = np.array([0.16, 0.2, 0.5, 1.0])
+        delays, overflows = qn.p_delay(mus, q), qn.p_overflow(mus, q)
+        for mu, d, o in zip(mus.tolist(), delays.tolist(), overflows.tolist()):
+            assert d == qn.p_delay(mu, q)
+            assert o == qn.p_overflow(mu, q)
+
+    def test_full_load_limit_is_continuous(self):
+        q = make_queue(buffer_norm=20.0)
+        load = q.arrival_rate * q.slot_duration
+        near = qn.p_overflow(np.array([load, load * (1.0 + 1e-13), load * (1.0 + 1e-7)]), q)
+        assert near[0] == pytest.approx(1.0 / 21.0, rel=1e-15)
+        assert near[1] == pytest.approx(1.0 / 21.0, rel=1e-11)
+        assert near[2] < near[1]
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+    def test_bad_element_in_an_array_raises(self, bad):
+        mus = np.array([0.5, bad])
+        for closed_form in (qn.p_delay, qn.p_overflow):
+            with pytest.raises(DomainError, match="transmit probability"):
+                closed_form(mus, make_queue())
+
+    def test_unstable_element_raises_with_the_largest_deficit(self):
+        q = make_queue()
+        with pytest.raises(StabilityError) as excinfo:
+            qn.p_delay(np.array([0.5, 0.1, 0.15]), q)
+        assert excinfo.value.margin == pytest.approx(q.arrival_rate - 0.1 / q.slot_duration)
+        with pytest.raises(StabilityError):
+            qn.p_overflow(np.array([0.5, 0.1]), q)
+        assert qn.is_stable(np.array([0.5, 0.16, 0.1, 0.0]), q).tolist() == [True, True, False, False]

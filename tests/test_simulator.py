@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import slot_loop_counts
+from oracles import scenario_policy, slot_loop_counts
 
 from uavlink import presets
 from uavlink import simulator as sim
@@ -348,7 +348,7 @@ class TestConfigValidation:
 
     def test_partial_policy_gives_the_completed_counts(self):
         scenario = load_scenario_file(EXAMPLE)
-        full = PolicyVector.from_scenario(scenario).updated("src", 4.5)
+        full = scenario_policy(scenario).updated("src", 4.5)
         cfg = SimConfig(3000, seed=4, warmup_slots=100, replication_count=2)
         partial = sim.run(scenario, PolicyVector({"src": 4.5}), cfg).counts
         assert partial == sim.run(scenario, full, cfg).counts

@@ -129,6 +129,57 @@ class TestIncompleteGamma:
             specfun.regularized_gamma_upper(-2.0, 1.0)
 
 
+class TestGammaTailAgainstMpmath:
+    """Q(k, x) on both sides of the recurrence band (0.1, 2) and out to 50."""
+
+    XS = (0.0, 0.01, 0.05, 0.0999, 0.1, 0.1001, 0.3, 0.7, 1.0, 1.5, 1.999, 2.0, 2.001,
+          3.0, 7.0, 15.0, 30.0, 50.0)
+
+    @pytest.mark.parametrize("k", [0.02, 0.1, 0.5, 0.9, 0.999, 1.0, 1.5])
+    def test_matches_40_digit_reference(self, k):
+        with mpmath.workdps(40):
+            refs = [float(mpmath.gammainc(k, x, mpmath.inf, regularized=True)) for x in self.XS]
+        for x, ref in zip(self.XS, refs):
+            value = specfun.regularized_gamma_upper(k, x)
+            assert abs(value - ref) <= 1e-14
+            assert abs(value - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("k", [0.02, 0.5, 0.999, 1.5])
+    def test_float_and_one_element_array_agree(self, k):
+        tail = specfun.gamma_tail(k)
+        for x in self.XS:
+            assert abs(tail(x) - tail(np.array([x]))[0]) <= 1e-15
+            assert abs(
+                specfun.regularized_gamma_upper(k, x)
+                - specfun.regularized_gamma_upper(k, np.array([x]))[0]
+            ) <= 1e-15
+
+    def test_array_keeps_shape_and_clamps_negative_x(self):
+        x = np.array([[-1.0, 0.05, 0.5], [1.5, 3.0, 50.0]])
+        values = specfun.regularized_gamma_upper(0.6, x)
+        assert values.shape == (2, 3)
+        assert values[0, 0] == 1.0
+        for got, xi in zip(values.ravel(), x.ravel()):
+            assert abs(got - specfun.regularized_gamma_upper(0.6, float(xi))) <= 1e-15
+
+
+class TestElementwiseDomain:
+    def test_marcum_q1_over_arrays(self):
+        b = np.array([0.0, 1.0, 3.0, math.inf])
+        q = specfun.marcum_q1(2.0, b)
+        assert q.tolist() == [1.0, specfun.marcum_q1(2.0, 1.0), specfun.marcum_q1(2.0, 3.0), 0.0]
+        assert specfun.marcum_q1(np.array([0.5, 2.0]), 1.0).shape == (2,)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(2.0, np.array([1.0, math.nan])), (np.array([1.0, math.nan]), 2.0),
+         (np.array([1.0, math.inf]), 2.0), (2.0, np.array([1.0, -0.5]))],
+    )
+    def test_marcum_q1_rejects_bad_elements(self, a, b):
+        with pytest.raises(DomainError, match="marcum_q1"):
+            specfun.marcum_q1(a, b)
+
+
 class TestErf:
     def test_odd_at_zero(self):
         assert specfun.erfinv(0.0) == 0.0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import scenario_policy
 from uavlink import interference as itf
 from uavlink import simulator as sim
 from uavlink import throughput as tp
@@ -400,7 +401,7 @@ class TestEvaluate:
         scenario = rician_scenario()
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        policy = PolicyVector.from_scenario(scenario).updated("src", upper)
+        policy = scenario_policy(scenario).updated("src", upper)
         breakdown = tp.evaluate(scenario, policy)
         assert breakdown.p_delay == pytest.approx(1.0, abs=1e-9)
         assert breakdown.throughput == pytest.approx(0.0, abs=1e-6)
@@ -409,7 +410,7 @@ class TestEvaluate:
         scenario = rician_scenario()
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        policy = PolicyVector.from_scenario(scenario).updated("src", upper + 0.2)
+        policy = scenario_policy(scenario).updated("src", upper + 0.2)
         with pytest.raises(StabilityError) as excinfo:
             tp.evaluate(scenario, policy)
         assert excinfo.value.node == "src"
@@ -446,7 +447,7 @@ class TestEvaluate:
 
     def test_raising_interferer_threshold_never_hurts(self):
         scenario = rician_scenario(num_interferers=4, beta=4.0, interferer_beta=2.0, seed=11)
-        policy = PolicyVector.from_scenario(scenario)
+        policy = scenario_policy(scenario)
         previous = tp.evaluate(scenario, policy).throughput
         for value in (3.0, 4.5, 6.0, 8.0):
             policy = policy.updated("i2", value)
@@ -463,6 +464,61 @@ class TestEvaluate:
             approximate=True,
         )
         assert approx <= result.throughput + 1e-12
+
+
+class TestEvaluateGrid:
+    # slack beyond 1e-12 relative: where the grid's adaptive tail starts, the
+    # per-threshold quadrature (asked for 1e-10 absolute) lands up to 1e-13
+    # absolute off a 1e-15 oracle, while the grid's lands within 1e-17
+    SLACK = {"p_delay": 0.0, "p_overflow": 0.0, "p_error": 2e-13, "p_loss": 2e-13, "throughput": 0.0}
+
+    @pytest.mark.parametrize("family", ["rayleigh", "rician"])
+    def test_matches_per_threshold_evaluation(self, family):
+        view = _view(family)
+        upper = tp.beta_upper(view.model, view.queue, view.num_channels)
+        grid = [*np.linspace(0.0, 1.4 * upper, 62).tolist(), upper, math.inf]
+        results = tp._evaluate_grid(view, grid)
+        assert len(results) == 64
+        unstable = 0
+        for beta, result in zip(grid, results):
+            try:
+                single = tp.evaluate_view(view, beta)
+            except StabilityError as exc:
+                unstable += 1
+                assert isinstance(result, StabilityError)
+                assert result.node == exc.node == "src"
+                assert result.margin == exc.margin
+                assert str(result) == str(exc)
+                continue
+            assert isinstance(result, tp.LossBreakdown)
+            for field, slack in self.SLACK.items():
+                got, want = getattr(result, field), getattr(single, field)
+                assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)) + slack
+        assert 1 < unstable < 64
+
+    def spy(self, monkeypatch):
+        calls = []
+        fading_cdf = tp.ch.fading_cdf
+
+        def counting(model, beta):
+            calls.append(np.size(beta))
+            return fading_cdf(model, beta)
+
+        monkeypatch.setattr(tp.ch, "fading_cdf", counting)
+        return calls
+
+    @pytest.mark.parametrize("family", ["rayleigh", "rician"])
+    def test_one_fading_cdf_per_grid_and_per_derivative_scan(self, family, monkeypatch):
+        view = _view(family)
+        upper = tp.beta_upper(view.model, view.queue, view.num_channels)
+        fit = itf.fit_interference(view.interferers, view.num_channels)
+        grid = np.linspace(0.0, upper, 64)
+        calls = self.spy(monkeypatch)
+        tp._evaluate_grid(view, grid, fit)
+        assert calls == [65]  # the grid and the noise floor
+        calls.clear()
+        tp.loss_derivative(view, grid[1:-1], fit=fit, upper=upper)
+        assert calls == [62]
 
 
 class TestJacobi:
@@ -556,7 +612,7 @@ class TestJacobi:
         scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        initial = PolicyVector.from_scenario(scenario).updated("src", upper + 1.0)
+        initial = scenario_policy(scenario).updated("src", upper + 1.0)
         result = tp.jacobi_best_response(scenario, initial=initial, grid_size=16, max_iters=1)
         first = result.trace[0]
         assert first["previous_throughput"]["src"] == -math.inf
@@ -566,7 +622,7 @@ class TestJacobi:
     def test_trace_rates_match_pointwise_evaluation(self):
         scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.5, seed=9)
         result = tp.jacobi_best_response(scenario, grid_size=24, tol=1e-6, max_iters=3)
-        policy = PolicyVector.from_scenario(scenario)
+        policy = scenario_policy(scenario)
         for entry in result.trace:
             for node_id, beta in entry["betas"].items():
                 view = tp.source_view(scenario, policy, node_id)
@@ -636,13 +692,13 @@ class TestPolicyResolution:
 
     def test_partial_policy_in_evaluate(self):
         scenario = rician_scenario(beta=4.0)
-        full = PolicyVector.from_scenario(scenario).updated("i1", 3.0)
+        full = scenario_policy(scenario).updated("i1", 3.0)
         assert tp.evaluate(scenario, PolicyVector({"i1": 3.0})) == tp.evaluate(scenario, full)
         assert tp.evaluate(scenario, {"i1": 3.0}) == tp.evaluate(scenario, full)
 
     def test_partial_initial_policy_in_jacobi(self):
         scenario = rician_scenario(beta=4.0)
-        full = PolicyVector.from_scenario(scenario).updated("src", 3.0)
+        full = scenario_policy(scenario).updated("src", 3.0)
 
         def run(initial):
             return tp.jacobi_best_response(scenario, initial, grid_size=8, max_iters=2)
