@@ -20,10 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.special as sp
+import scipy.special.cython_special as cs
 
 from . import specfun
 from .errors import DegenerateGeometryError, DomainError
-from .specfun import DEFAULT_QUAD, QuadratureSpec
 
 # Propagation constant used by the path-loss amplitude (m/s).
 SPEED_OF_LIGHT = 3.0e8
@@ -111,8 +111,8 @@ class Rayleigh:
     omega: float
 
     def __post_init__(self):
-        if not self.omega > 0:  # also rejects NaN
-            raise DomainError(f"Rayleigh.omega must be > 0, got {self.omega}")
+        if not 0 < self.omega < math.inf:  # also rejects NaN
+            raise DomainError(f"Rayleigh.omega must be finite and > 0, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ class Rician:
     b: float
 
     def __post_init__(self):
-        if not self.b >= 0:  # also rejects NaN
-            raise DomainError(f"Rician.b must be >= 0, got {self.b}")
+        if not 0 <= self.b < math.inf:  # also rejects NaN
+            raise DomainError(f"Rician.b must be finite and >= 0, got {self.b}")
 
 
 FadingModel = Rayleigh | Rician
@@ -201,21 +201,27 @@ def rician_b(theta: float, env: EnvironmentParams) -> float:
     return math.sqrt(2.0 * k_factor)
 
 
-def _pdf(model: FadingModel, x: float | np.ndarray):
-    """Density of the fading amplitude, elementwise over a float or an array of x >= 0.
+def _pdf(model: FadingModel, x: np.ndarray) -> np.ndarray:
+    """Density of the fading amplitude, elementwise over an array of x >= 0.
 
-    Unchecked: the one density formula behind :func:`fading_pdf` and the
-    error-probability quadrature, whose callers keep x in range.  The
-    Rician branch is the exponentially-scaled form
+    Unchecked, like :func:`_float_pdf`, its float twin; the callers keep x
+    in range.  The Rician branch is the exponentially-scaled form
     x * exp(-(x-b)^2/2) * i0e(xb), which stays finite for all x.
     """
-    # numpy's exp can differ from math.exp in the last bit: floats keep math.exp
-    # so that scalar results (and the quadrature built on them) do not move
-    exp = math.exp if isinstance(x, float) else np.exp
     if isinstance(model, Rayleigh):
-        return (2.0 * x / model.omega) * exp(-x * x / model.omega)
+        return (2.0 * x / model.omega) * np.exp(-x * x / model.omega)
     diff = x - model.b
-    return x * exp(-0.5 * diff * diff) * sp.i0e(x * model.b)
+    return x * np.exp(-0.5 * diff * diff) * sp.i0e(x * model.b)
+
+
+def _float_pdf(model: FadingModel):
+    """:func:`_pdf` as a float function for one-node quadrature calls: the C ``i0e``,
+    and math.exp, as numpy's exp can differ in the last bit."""
+    if isinstance(model, Rayleigh):
+        om = model.omega
+        return lambda x: (2.0 * x / om) * math.exp(-x * x / om)
+    b = model.b
+    return lambda x: x * math.exp(-0.5 * (x - b) * (x - b)) * cs.i0e(x * b)
 
 
 def _pdf_slope(model: FadingModel, x: float | np.ndarray):
@@ -233,7 +239,7 @@ def fading_pdf(model: FadingModel, x: float) -> float:
     x = float(x)
     if x < 0:
         raise DomainError(f"fading_pdf: x must be >= 0, got {x}")
-    return float(_pdf(model, x))
+    return _float_pdf(model)(x)
 
 
 def fading_cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
@@ -254,15 +260,11 @@ def transmit_prob(
     return 1.0 - fading_cdf(model, beta) ** num_channels
 
 
-def truncated_power_moment(
-    model: FadingModel,
-    beta: float,
-    power: int,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def truncated_power_moment(model: FadingModel, beta: float, power: int) -> float:
     """E[amplitude^power on the event amplitude >= beta] for power in {2, 4}.
 
-    Rayleigh has closed forms; Rician is integrated numerically.
+    Rayleigh has closed forms, and so does Rician(0), which is Rayleigh(2);
+    any other Rician sums a Poisson mixture of Gamma tails.
     """
     beta = float(beta)
     if beta < 0:
@@ -271,23 +273,31 @@ def truncated_power_moment(
         raise DomainError(f"truncated_power_moment: power must be 2 or 4, got {power}")
     if math.isinf(beta):
         return 0.0
-    if isinstance(model, Rayleigh):
-        om = model.omega
-        u = beta * beta / om
-        if power == 2:
-            return (beta * beta + om) * math.exp(-u)
-        return (beta**4 + 2.0 * om * beta * beta + 2.0 * om * om) * math.exp(-u)
-    return _rician_truncated_moment(model.b, beta, power, quad)
+    if isinstance(model, Rician) and model.b > 0.0:
+        return _rician_truncated_moment(model.b, beta, power)
+    om = model.omega if isinstance(model, Rayleigh) else 2.0
+    u = beta * beta / om
+    if power == 2:
+        return (beta * beta + om) * math.exp(-u)
+    return (beta**4 + 2.0 * om * beta * beta + 2.0 * om * om) * math.exp(-u)
 
 
 @lru_cache(maxsize=16384)
-def _rician_truncated_moment(b: float, beta: float, power: int, quad: QuadratureSpec) -> float:
-    # cached: sweeps and the optimizer revisit the same (b, beta) pairs heavily
-    def integrand(x: float) -> float:
-        diff = x - b
-        return x ** (power + 1) * math.exp(-0.5 * diff * diff) * specfun.bessel_i0_scaled(x * b)
+def _rician_truncated_moment(b: float, beta: float, power: int) -> float:
+    """E[X^2m; X >= beta] = 2^m sum_j w_j (j+1)...(j+m) Q(j+1+m, t), m = power/2.
 
-    return specfun.integrate(integrand, beta, math.inf, quad).value
+    X^2 is noncentral chi-square (2 degrees of freedom, noncentrality b^2): a
+    mixture of central ones with 2 + 2j, by Poisson(lam = b^2/2) weights w_j
+    (Johnson, Kotz & Balakrishnan, vol. 2, ch. 29), with t = beta^2/2.  As
+    Gamma(a+1, t) <= (a+t) Gamma(a, t), term j+1 is at most lam (j+1+m+t)/(j+1)^2
+    times term j; 53 terms past the first j where that is 1/2, the positive terms
+    left out sum to under 2^-53 of the total.  Cached: sweeps revisit (b, beta).
+    """
+    m, lam, t = power // 2, 0.5 * b * b, 0.5 * beta * beta
+    j = np.arange(math.ceil(lam + math.sqrt(lam * lam + 2.0 * lam * (m + t))) + 53.0)
+    weights = np.exp(sp.xlogy(j, lam) - lam - sp.gammaln(j + 1.0))
+    rising = (j + 1.0) * (j + 2.0) if m == 2 else j + 1.0
+    return float(2**m * np.sum(weights * rising * sp.gammaincc(j + 1.0 + m, t)))
 
 
 def classify_link(

@@ -107,9 +107,7 @@ class NoiseModel:
 
 
 def interference_moments(
-    links: Sequence[InterfererLink],
-    num_channels: int,
-    quad: QuadratureSpec = DEFAULT_QUAD,
+    links: Sequence[InterfererLink], num_channels: int
 ) -> tuple[float, float]:
     """Mean and variance of the aggregate interference on the observed channel.
 
@@ -125,8 +123,8 @@ def interference_moments(
     variance = 0.0
     second_sum = 0.0
     for link in links:
-        t2 = channel.truncated_power_moment(link.fading, link.beta, 2, quad)
-        t4 = channel.truncated_power_moment(link.fading, link.beta, 4, quad)
+        t2 = channel.truncated_power_moment(link.fading, link.beta, 2)
+        t4 = channel.truncated_power_moment(link.fading, link.beta, 4)
         phi = channel.transmit_prob(link.fading, link.beta, num_channels)
         power, gain = link.transmit_power, link.path_loss_amplitude
         e = power * gain**2 * t2 * phi / num_channels
@@ -155,12 +153,10 @@ def fit_gamma(mean: float, variance: float) -> GammaFit:
 
 
 def fit_interference(
-    links: Sequence[InterfererLink],
-    num_channels: int,
-    quad: QuadratureSpec = DEFAULT_QUAD,
+    links: Sequence[InterfererLink], num_channels: int
 ) -> GammaFit | ZeroInterference:
     """Moment-match the interferer set, falling back to the zero distribution."""
-    mean, variance = interference_moments(links, num_channels, quad)
+    mean, variance = interference_moments(links, num_channels)
     if mean <= 0.0 or variance <= 0.0:
         return ZERO_INTERFERENCE
     return fit_gamma(mean, variance)
@@ -221,6 +217,21 @@ _GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _GK15.T
 _FLOOR_GRADING = 0.5 ** np.arange(20.0, 0.0, -1.0)
 
 
+def _tail_integrand(model: FadingModel, fit: GammaFit, margin_rate: float, noise_power: float):
+    """The error integrand at one float x, bound to the fading family and the Gamma shape.
+
+    Float kernels throughout: a quadrature node pays no numpy dispatch or type test.
+    """
+    pdf, tail = channel._float_pdf(model), specfun.gamma_tail(fit.shape, scalar=True)
+    scale = fit.scale
+
+    def integrand(x: float) -> float:
+        excess = margin_rate * x * x - noise_power  # the tail is 1 where this is <= 0
+        return pdf(x) * tail(excess / scale) if excess > 0.0 else pdf(x)
+
+    return integrand
+
+
 def _error_integrals(
     model: FadingModel,
     fit: GammaFit,
@@ -233,29 +244,23 @@ def _error_integrals(
     """Error integral from each of the sorted, distinct ``limits`` to infinity.
 
     The integrand is the main link's fading density times the interference
-    tail at the power the packet can afford to lose.  The integral above
-    the largest limit is one adaptive quadrature; each gap between
-    consecutive limits is a Gauss-Kronrod 7-15 panel, evaluated for all
-    panels at once, and a reversed cumulative sum gives every limit's
-    integral; a first panel from the noise ``floor`` sums graded sub-panels
-    (``_FLOOR_GRADING``).  Every point's integral sums the tail and the
-    panels above it, so these pieces share the absolute tolerance equally;
-    a single limit keeps all of it.  A panel whose Kronrod-Gauss difference
-    exceeds its share is integrated adaptively instead, so an
-    :class:`AccuracyError` is raised rather than an inaccurate value returned.
+    tail at the power the packet can afford to lose.  The integral above the
+    largest limit is one adaptive quadrature of :func:`_tail_integrand`;
+    each gap between consecutive limits is a Gauss-Kronrod 7-15 panel,
+    evaluated for all panels at once, and a reversed cumulative sum gives
+    every limit's integral; a first panel from the noise ``floor`` sums
+    graded sub-panels (``_FLOOR_GRADING``).  Every point's integral sums the
+    tail and the panels above it, so these pieces share the absolute
+    tolerance equally; a single limit keeps all of it.  A panel whose
+    Kronrod-Gauss difference exceeds its share is integrated adaptively
+    instead, so an :class:`AccuracyError` is raised rather than an
+    inaccurate value returned.
     """
-    quad = replace(quad, absolute_tolerance=quad.absolute_tolerance / len(limits))
-    scale = fit.scale
-    tail_of = specfun.gamma_tail(fit.shape)
-
-    def integrand(x):  # a float or an array
-        excess = margin_rate * x * x - noise_power
-        # the tail is 1 where excess <= 0; the mask clamps a float or an array alike
-        return channel._pdf(model, x) * tail_of(excess * (excess > 0.0) / scale)
-
-    tail = specfun.integrate(integrand, limits[-1], math.inf, quad).value
+    integrand = _tail_integrand(model, fit, margin_rate, noise_power)
     if len(limits) == 1:
-        return np.array([tail])
+        return np.array([specfun.integrate(integrand, limits[0], math.inf, quad).value])
+    quad = replace(quad, absolute_tolerance=quad.absolute_tolerance / len(limits))
+    tail = specfun.integrate(integrand, limits[-1], math.inf, quad).value
     lo, hi = limits[:-1], limits[1:]
     panel = np.arange(len(lo))
     if lo[0] == floor:
@@ -266,7 +271,9 @@ def _error_integrals(
     width = hi - lo
     # lo + width * t with t in [0, 1] never falls below lo
     x = lo[:, None] + width[:, None] * (0.5 * (1.0 + _GK15_NODES))
-    values = integrand(x)
+    # the tail is 1 where the affordable power is not positive
+    excess = np.maximum(margin_rate * x * x - noise_power, 0.0)
+    values = channel._pdf(model, x) * specfun.gamma_tail(fit.shape)(excess / fit.scale)
     kronrod = 0.5 * width * (values @ _GK15_KRONROD)
     error = np.bincount(panel, np.abs(kronrod - 0.5 * width * (values @ _GK15_GAUSS)))
     kronrod = np.bincount(panel, kronrod)
@@ -303,17 +310,18 @@ def p_error(
     normalized by the transmit mass 1 - F(beta), so the result composes
     with the queue-drop probabilities.  Passing ``fit`` skips re-matching
     the interferers, and passing ``cdf`` (F at the flattened thresholds,
-    then at x0) skips evaluating F.  An infinite threshold (a silenced
-    link) has no transmissions and no errors.
+    then at x0, which checked them) skips evaluating F.  An infinite
+    threshold (a silenced link) has no transmissions and no errors.
     """
     if not main_power > 0:
         raise DomainError(f"main_power must be > 0, got {main_power}")
     if not gamma_th > 0:
         raise DomainError(f"gamma_th must be > 0, got {gamma_th}")
     betas = np.asarray(main_beta, dtype=float)
-    flat = specfun._nonnegative("main_beta", betas.ravel())
+    flat = betas.ravel()
     x0 = noise_floor(main, main_power, noise, gamma_th)
     if cdf is None:
+        flat = specfun._nonnegative("main_beta", flat)
         cdf = channel.fading_cdf(main.fading, np.append(flat, x0))
     cdf, cdf_floor = cdf[:-1], cdf[-1]
     lo = np.maximum(flat, x0)
@@ -321,17 +329,17 @@ def p_error(
     limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
     integrals = 0.0
     if limits.size and fit is None:
-        fit = fit_interference(links, num_channels, quad)
+        fit = fit_interference(links, num_channels)
     if limits.size and isinstance(fit, GammaFit):
         margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
         values = _error_integrals(main.fading, fit, margin_rate, noise.power, x0, limits, quad)
-        integrals = np.append(values, 0.0)[np.searchsorted(limits, lo)]
+        integrals = np.concatenate((values, [0.0]))[np.searchsorted(limits, lo)]
     raw = np.maximum(0.0, cdf_floor - cdf) * (flat < x0) + integrals
     if conditional:
         # normalise by the transmit mass; a silenced link has no transmission errors
         mass = 1.0 - cdf
         raw = np.divide(raw, mass, out=np.zeros(raw.shape), where=mass > 1e-300)
-    return np.clip(raw, 0.0, 1.0).reshape(betas.shape)[()]
+    return np.minimum(np.maximum(raw, 0.0), 1.0).reshape(betas.shape)[()]
 
 
 def noise_floor(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_th: float) -> float:

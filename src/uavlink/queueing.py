@@ -59,11 +59,11 @@ class QueueParams:
 def _check_phi(phi) -> np.ndarray:
     """``phi`` as a float array once every element lies in (0, 1]."""
     phi = np.asarray(phi, dtype=float)
-    valid = (0.0 < phi) & (phi <= 1.0)
-    if not valid.all():
+    if not (0.0 < phi.min(initial=1.0) and phi.max(initial=1.0) <= 1.0):  # NaN fails
         if (phi == 0.0).any():
             raise DegeneratePolicyError("transmit probability is 0: node never transmits")
-        raise DomainError(f"transmit probability must lie in (0, 1], got {phi[~valid].flat[0]}")
+        bad = phi[~((0.0 < phi) & (phi <= 1.0))].flat[0]
+        raise DomainError(f"transmit probability must lie in (0, 1], got {bad}")
     return phi
 
 
@@ -97,9 +97,8 @@ def p_delay(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
     when any rate lies beyond it.
     """
     mu = _check_phi(mu)
-    stable = is_stable(mu, q)
-    if not stable.all():
-        slowest = mu[~stable].min() / q.slot_duration
+    if not is_stable(mu.min(initial=1.0), q):  # the slowest rate decides
+        slowest = mu.min() / q.slot_duration
         raise StabilityError(
             f"unstable queue: service rate {slowest:.6g}/s is below "
             f"arrival rate {q.arrival_rate:.6g}/s",
@@ -115,9 +114,9 @@ def p_overflow(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
     with exprel(z) = expm1(z) / z to pass smoothly through full load, 1 / (1 + bn).
     """
     rho = offered_load(mu, q)
-    if not (rho <= 1.0 + _BOUNDARY_TOL).all():
-        worst = float(rho.max())
+    worst = float(rho.max(initial=0.0))
+    if not worst <= 1.0 + _BOUNDARY_TOL:
         raise StabilityError(f"unstable queue: offered load {worst:.6g} >= 1", margin=worst - 1.0)
     bn = q.buffer_capacity_normalized
-    x = bn * (1.0 - rho)
-    return np.exp(-x) / (1.0 + rho * bn * sp.exprel(-x))
+    neg_x = bn * (rho - 1.0)  # -x, exactly
+    return np.exp(neg_x) / (1.0 + rho * bn * sp.exprel(neg_x))

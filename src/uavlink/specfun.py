@@ -2,7 +2,8 @@
 
 Thin, contract-enforcing wrappers around scipy's well-tested kernels.
 Every function is pure and thread-safe; no table interpolation anywhere,
-so repeated calls are bit-reproducible.
+so repeated calls are bit-reproducible.  Float kernels call scipy's C kernels
+(``scipy.special.cython_special``): floats out, bit-equal to the ufuncs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.integrate
 import scipy.special as sp
+import scipy.special.cython_special as cs
 
 from .errors import AccuracyError, DomainError
 
@@ -22,7 +24,6 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUAD",
     "IntegrationResult",
-    "bessel_i0_scaled",
     "marcum_q1",
     "gamma_tail",
     "regularized_gamma_upper",
@@ -65,15 +66,9 @@ def _nonnegative(name: str, x, finite: bool = False):
             return x
     else:
         x = np.asarray(x, dtype=float)
-        valid = (x >= 0.0) & (x < math.inf) if finite else x >= 0.0
-        if valid.all():
+        if x.min(initial=0.0) >= 0.0 and not (finite and x.max(initial=0.0) == math.inf):
             return x
     raise DomainError(f"{name} must be {'finite and ' if finite else ''}>= 0, got {x!r}")
-
-
-def bessel_i0_scaled(x: float) -> float:
-    """exp(-x) * I0(x): the overflow-free form used inside fading densities."""
-    return float(sp.i0e(_nonnegative("bessel_i0_scaled argument", float(x), finite=True)))
 
 
 def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
@@ -97,32 +92,32 @@ def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarra
 _RECURRENCE_BAND = (0.1, 2.0)
 
 
-def gamma_tail(k: float) -> Callable:
-    """Q(k, .) bound to one shape, for a float or an array x >= 0 (unchecked).
-
-    An integrand binds it once per fit; a float node pays no numpy dispatch.
-    """
+def gamma_tail(k: float, scalar: bool = False) -> Callable:
+    """Q(k, .) bound to one shape, elementwise over an array x >= 0 (unchecked);
+    with ``scalar``, float to float in the C kernels, for one-node quadrature calls."""
     if not k > 0:
         raise DomainError(f"regularized_gamma_upper requires k > 0, got {k}")
+    gammaincc = cs.gammaincc if scalar else sp.gammaincc
     if k >= 1.0:
-        return functools.partial(sp.gammaincc, k)
+        return functools.partial(gammaincc, k)
     lo, hi = _RECURRENCE_BAND
-    log_norm = math.lgamma(k + 1.0)
+    k1, log_norm = k + 1.0, math.lgamma(k + 1.0)
+
+    def float_tail(x: float) -> float:
+        if lo < x < hi:
+            return gammaincc(k1, x) - math.exp(k * math.log(x) - x - log_norm)
+        return gammaincc(k, x)
 
     def tail(x):
-        if isinstance(x, float):
-            if lo < x < hi:
-                return sp.gammaincc(k + 1.0, x) - math.exp(k * math.log(x) - x - log_norm)
-            return sp.gammaincc(k, x)
         x = np.asarray(x, dtype=float)
         band = (lo < x) & (x < hi)
         q = np.empty(x.shape)
-        q[~band] = sp.gammaincc(k, x[~band])
+        q[~band] = gammaincc(k, x[~band])
         xb = x[band]
-        q[band] = sp.gammaincc(k + 1.0, xb) - np.exp(k * np.log(xb) - xb - log_norm)
+        q[band] = gammaincc(k1, xb) - np.exp(k * np.log(xb) - xb - log_norm)
         return q
 
-    return tail
+    return float_tail if scalar else tail
 
 
 def regularized_gamma_upper(k: float, x: float | np.ndarray) -> float | np.ndarray:
@@ -130,6 +125,8 @@ def regularized_gamma_upper(k: float, x: float | np.ndarray) -> float | np.ndarr
 
     Elementwise over an array ``x``; any x < 0 gives 1, the value at 0.
     """
+    if isinstance(x, float):
+        return gamma_tail(k, scalar=True)(max(x, 0.0))
     return gamma_tail(k)(np.maximum(x, 0.0))[()]
 
 

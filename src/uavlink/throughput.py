@@ -242,7 +242,7 @@ def loss_derivative(
             node=view.node_id,
         )
     if fit is None:
-        fit = itf.fit_interference(view.interferers, view.num_channels, quad)
+        fit = itf.fit_interference(view.interferers, view.num_channels)
     n = view.num_channels
     cdf = ch.fading_cdf(view.model, betas)
     p_dly = qn.p_delay(1.0 - cdf**n, view.queue)
@@ -272,10 +272,11 @@ def beta_lower(view: SourceView, grid_size: int = 512, tol: float = 1e-6) -> flo
     """Smallest beta where the reduced-loss curvature turns positive.
 
     Scans a grid over the feasible range in one array-valued
-    :func:`loss_derivative` call, then bisects the sign change.  Returns 0
-    when the curvature is positive from the start; raises
-    :class:`LowerBoundNotFoundError` with the scan attached when it never
-    turns positive.
+    :func:`loss_derivative` call, then rescans the cell of the first sign
+    change (at most 32 points a call) until it is no wider than ``tol``, and
+    returns its upper end.  Returns 0 when the curvature is positive from
+    the start; raises :class:`LowerBoundNotFoundError` with the scan
+    attached when it never turns positive.
     """
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
@@ -291,15 +292,13 @@ def beta_lower(view: SourceView, grid_size: int = 512, tol: float = 1e-6) -> flo
             "reduced-loss curvature never turns positive on the feasible range",
             diagnostics={"grid": grid.tolist(), "curvature": curv.tolist()},
         )
-    hi_idx = int(positive[0])
-    lo, hi = float(grid[hi_idx - 1]), float(grid[hi_idx])
+    lo, hi = grid[positive[0] - 1], grid[positive[0]]
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if loss_derivative(view, mid, DEFAULT_QUAD, fit, upper)[1] > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        cell = np.linspace(lo, hi, min(34, math.ceil((hi - lo) / tol) + 1))
+        _, curv = loss_derivative(view, cell[1:-1], DEFAULT_QUAD, fit, upper)
+        first = int(np.argmax(np.append(curv, 1.0) > 0.0)) + 1  # hi when none is positive
+        lo, hi = cell[first - 1], cell[first]
+    return float(hi)
 
 
 def beta_bounds(view: SourceView) -> BetaBounds:
@@ -388,21 +387,22 @@ def _evaluate_grid(
     """
     betas = np.asarray(betas, dtype=float)
     x0 = itf.noise_floor(view.link, view.power, view.noise, view.sinr_threshold)
-    cdf = ch.fading_cdf(view.model, np.append(betas, x0))
-    phi = 1.0 - cdf[:-1] ** view.num_channels
-    stable = qn.is_stable(phi, view.queue)
-    mu = phi[stable]
+    cdf = ch.fading_cdf(view.model, np.concatenate((betas, [x0])))
+    mu = 1.0 - cdf[:-1] ** view.num_channels
+    stable = qn.is_stable(mu, view.queue)
+    cases = list(zip(betas.tolist(), mu.tolist(), stable.tolist()))
+    if not all(ok for *_, ok in cases):  # keep the stable thresholds only
+        betas, mu, cdf = betas[stable], mu[stable], cdf[np.append(stable, True)]
     p_dly = qn.p_delay(mu, view.queue)
     p_ov = qn.p_overflow(mu, view.queue)
-    p_err = itf.p_error(view.link, view.power, betas[stable], view.interferers, view.noise,
-                        view.sinr_threshold, view.num_channels, fit=fit,
-                        cdf=cdf[np.append(stable, True)])
+    p_err = itf.p_error(view.link, view.power, betas, view.interferers, view.noise,
+                        view.sinr_threshold, view.num_channels, fit=fit, cdf=cdf)
     p_loss = compose_loss(p_ov, p_dly, p_err)
     rate = expected_throughput(view.queue.arrival_rate, p_loss)
     rows = zip(*(a.tolist() for a in (p_dly, p_ov, p_err, p_loss, rate)))
     return [
-        LossBreakdown(*next(rows)) if ok else _instability(view, beta, p)
-        for beta, p, ok in zip(betas.tolist(), phi.tolist(), stable.tolist())
+        LossBreakdown(*next(rows)) if ok else _instability(view, beta, phi)
+        for beta, phi, ok in cases
     ]
 
 

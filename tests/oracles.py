@@ -1,12 +1,13 @@
 """Test-side oracles: the buffer-occupancy Markov chain behind the queue
-formulas, the per-point SINR error integral, the slot-by-slot simulator
-loop, a reader for results files, and a scenario's own policy.
+formulas, the per-point SINR error integral, the error integrand in
+scipy's ufuncs, the scaled Bessel I0, the slot-by-slot simulator loop, a
+reader for results files, and a scenario's own policy.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
-``interference.p_error`` and ``simulator.run`` the hard way, so the
-package's closed forms, grid kernel and per-node queue walk can be checked
-against them.  They live with the tests because the package itself never
-calls them.
+``interference.p_error``, the quadrature's float integrand and
+``simulator.run`` the hard way, so the package's closed forms, grid kernel,
+float kernels and per-node queue walk can be checked against them.  They
+live with the tests because the package itself never calls them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+import scipy.special as sp
 import scipy.stats
 
 from uavlink import channel as ch
@@ -107,7 +109,7 @@ def p_error_pointwise(
     if math.isinf(main_beta):
         return 0.0
     if fit is None:
-        fit = itf.fit_interference(links, num_channels, quad)
+        fit = itf.fit_interference(links, num_channels)
     model = main.fading
     margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
     noise_power = noise.power
@@ -130,6 +132,42 @@ def p_error_pointwise(
     if transmit_mass <= 1e-300:
         return 0.0
     return min(1.0, max(0.0, raw / transmit_mass))
+
+
+def bessel_i0_scaled(x: float) -> float:
+    """exp(-x) * I0(x): the overflow-free form used inside fading densities."""
+    return float(sp.i0e(specfun._nonnegative("bessel_i0_scaled argument", float(x), finite=True)))
+
+
+def ufunc_error_integrand(model, fit, margin_rate: float, noise_power: float):
+    """The error quadrature's integrand at one float x, in scipy's ufuncs.
+
+    A frozen copy of ``channel._pdf(model, x) * gamma_tail(k)(z)`` as the
+    package evaluated it at a float node before its float kernels: the
+    density in ``math.exp`` and ``sp.i0e``, the Gamma tail in
+    ``sp.gammaincc`` with the recurrence band (0.1, 2) below shape 1, and
+    the affordable power clamped by the mask ``excess * (excess > 0)``.
+    ``interference._tail_integrand`` must equal it bit for bit.
+    """
+    k, scale = fit.shape, fit.scale
+    log_norm = math.lgamma(k + 1.0)
+
+    def tail_of(x: float):
+        if k < 1.0 and 0.1 < x < 2.0:
+            return sp.gammaincc(k + 1.0, x) - math.exp(k * math.log(x) - x - log_norm)
+        return sp.gammaincc(k, x)
+
+    def pdf(x: float):
+        if isinstance(model, ch.Rayleigh):
+            return (2.0 * x / model.omega) * math.exp(-x * x / model.omega)
+        diff = x - model.b
+        return x * math.exp(-0.5 * diff * diff) * sp.i0e(x * model.b)
+
+    def integrand(x: float) -> float:
+        excess = margin_rate * x * x - noise_power
+        return float(pdf(x) * tail_of(excess * (excess > 0.0) / scale))
+
+    return integrand
 
 
 def _draw_fading_slot_loop(

@@ -303,7 +303,7 @@ def test_criterion_08_derivative_validation():
         scenario = _derivative_scenario(family)
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        fit = itf.fit_interference(view.interferers, view.num_channels, tight)
+        fit = itf.fit_interference(view.interferers, view.num_channels)
         objective = lambda b: tp.reduced_loss(view, b, tight, fit)
         for beta in np.linspace(0.05 * upper, 0.97 * upper, 32):
             first, second = tp.loss_derivative(view, float(beta), tight, fit)

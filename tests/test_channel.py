@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavlink import channel as ch
+from uavlink import specfun
 from uavlink.channel import (
     SPEED_OF_LIGHT,
     EnvironmentParams,
@@ -296,6 +298,74 @@ class TestTruncatedPowerMoment:
             ch.truncated_power_moment(Rayleigh(2.0), 1.0, 3)
 
 
+def mixture_moment(b: float, beta: float, power: int) -> mpmath.mpf:
+    """E[X^power; X >= beta] as the Poisson mixture of Gamma tails, at 40 digits.
+
+    Summed term by term until, past the Poisson mode and beta^2/2, a term
+    falls below 1e-45 of the sum.
+    """
+    with mpmath.workdps(40):
+        lam, t, m = mpmath.mpf(b) ** 2 / 2, mpmath.mpf(beta) ** 2 / 2, power // 2
+        total, j, weight = mpmath.mpf(0), 0, mpmath.exp(-lam)
+        while True:
+            term = weight * mpmath.rf(j + 1, m) * mpmath.gammainc(j + 1 + m, t, regularized=True)
+            total += term
+            if j > lam + t and term < total * mpmath.mpf(10) ** -45:
+                return 2**m * total
+            j += 1
+            weight = weight * lam / j
+
+
+def density_moment(b: float, beta: float, power: int) -> mpmath.mpf:
+    """E[X^power; X >= beta] by 40-digit quadrature of the Rician density.
+
+    Unit panels from beta out to beta + 40, on an integrand rescaled to be
+    of order one at its largest, so that a tiny tail still converges relatively.
+    """
+    with mpmath.workdps(40):
+        b, beta = mpmath.mpf(b), mpmath.mpf(beta)
+        shift = max(beta - b, 0) ** 2 / 2
+
+        def f(x):
+            return x ** (power + 1) * mpmath.exp(shift - (x * x + b * b) / 2) * mpmath.besseli(0, x * b)
+
+        return mpmath.quad(f, [beta + k for k in range(41)]) * mpmath.exp(-shift)
+
+
+class TestRicianMomentSeries:
+    BETAS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.5, 10.0, 12.0, 14.0)
+
+    @pytest.mark.parametrize("b", [0.0, 1e-4, 0.5, 1.0, 3.0, math.sqrt(30.0), 10.0, 20.0])
+    def test_matches_40_digit_mixture(self, b):
+        for beta in self.BETAS:
+            for power in (2, 4):
+                reference = mixture_moment(b, beta, power)
+                if reference < 1e-40:
+                    continue
+                value = ch.truncated_power_moment(Rician(b), beta, power)
+                assert abs(value - reference) <= 1e-12 * reference, (beta, power)
+
+    @pytest.mark.parametrize("b, beta, power", [(1.0, 7.0, 2), (math.sqrt(30.0), 4.0, 4)])
+    def test_mixture_is_the_density_moment(self, b, beta, power):
+        value = ch.truncated_power_moment(Rician(b), beta, power)
+        assert value == pytest.approx(float(density_moment(b, beta, power)), rel=1e-12)
+
+    def test_b_zero_is_rayleigh_two(self):
+        for beta in self.BETAS:
+            for power in (2, 4):
+                assert ch.truncated_power_moment(Rician(0.0), beta, power) == (
+                    ch.truncated_power_moment(Rayleigh(2.0), beta, power)
+                )
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(specfun, "integrate", lambda *args, **kwargs: calls.append(args))
+        ch._rician_truncated_moment.cache_clear()
+        for power in (2, 4):
+            assert ch.truncated_power_moment(Rician(3.0), 2.5, power) > 0.0
+        assert calls == []
+
+
 class TestClassifyLink:
     def test_high_elevation_is_rician(self):
         ground = Position(0, 0, 0)
@@ -342,6 +412,12 @@ class TestValidation:
             Rayleigh(omega=0.0)
         with pytest.raises(DomainError):
             Rician(b=-0.5)
+
+    def test_fading_rejects_infinity_naming_the_field(self):
+        with pytest.raises(DomainError, match="Rayleigh.omega"):
+            Rayleigh(omega=math.inf)
+        with pytest.raises(DomainError, match="Rician.b"):
+            Rician(b=math.inf)
 
     def test_fading_rejects_nan_naming_the_field(self):
         with pytest.raises(DomainError, match="Rayleigh.omega"):

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import p_error_pointwise
+from oracles import p_error_pointwise, ufunc_error_integrand
 from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import specfun
@@ -542,6 +542,13 @@ class TestPErrorPanels:
             )
             assert abs(value - oracle) <= 1e-12
 
+    @pytest.mark.parametrize("fading", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
+    def test_grid_of_one_is_one_adaptive_quadrature(self, monkeypatch, fading):
+        calls = self.spy(monkeypatch)
+        links = [rayleigh_link(beta=0.5, power=0.6)]
+        itf.p_error(main_link(fading=fading), 1.0, 1.3, links, self.NOISE, 0.5, 15)
+        assert calls == [(1.3, math.inf)]
+
     def test_given_cdf_is_used_in_place_of_evaluating_it(self, monkeypatch):
         link = main_link(fading=Rician(2.0))
         links = [rayleigh_link(beta=0.4, power=0.7)]
@@ -566,3 +573,28 @@ class TestPErrorPanels:
         assert math.isfinite(excinfo.value.best_estimate)
         assert excinfo.value.best_estimate > 0.0
         assert excinfo.value.error_estimate > 0.0
+
+
+class TestTailIntegrand:
+    """The float integrand of the adaptive quadrature against its ufunc form."""
+
+    @pytest.mark.parametrize(
+        "fading", [Rayleigh(2.0), Rayleigh(0.7), Rician(0.0), Rician(1.3), Rician(5.4)], ids=repr
+    )
+    def test_bit_equal_to_the_ufunc_integrand(self, fading):
+        # margin 1.7 and noise 0.9 put x0 near 0.73; the scales carry z = excess/scale
+        # through the recurrence band (0.1, 2) of the shapes below 1
+        rng = np.random.default_rng(5)
+        nodes = np.concatenate([np.linspace(0.0, 12.0, 2001), rng.uniform(0.6, 1.6, 2000)])
+        in_band = 0
+        for shape, scale in ((0.46, 0.8), (0.82, 2.0), (0.999, 0.3), (1.0, 1.0), (3.7, 0.5)):
+            fit = GammaFit(shape, scale)
+            got = itf._tail_integrand(fading, fit, 1.7, 0.9)
+            want = ufunc_error_integrand(fading, fit, 1.7, 0.9)
+            for x in nodes.tolist():
+                value = got(x)
+                assert isinstance(value, float)
+                assert np.float64(value).view(np.int64) == np.float64(want(x)).view(np.int64), x
+            z = (1.7 * nodes**2 - 0.9) / scale
+            in_band += int(np.count_nonzero((0.1 < z) & (z < 2.0))) if shape < 1.0 else 0
+        assert len(nodes) * 5 >= 10_000 and in_band >= 1_000

@@ -214,7 +214,7 @@ class TestLossDerivative:
         scenario = rician_scenario() if family == "rician" else rayleigh_scenario()
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        fit = itf.fit_interference(view.interferers, view.num_channels, TIGHT)
+        fit = itf.fit_interference(view.interferers, view.num_channels)
         f = lambda b: tp.reduced_loss(view, b, TIGHT, fit)
         for beta in np.linspace(0.15 * upper, 0.97 * upper, 8):
             first, second = tp.loss_derivative(view, float(beta), TIGHT, fit)
@@ -286,7 +286,9 @@ class TestBetaLower:
         monkeypatch.setattr(tp, "loss_derivative", recording_derivative)
         lower = tp.beta_lower(view, grid_size=512)
         assert len(bounds) == 1
-        assert scans[0] == 512 and set(scans[1:]) == {1}
+        # the grid, then at most three array scans of the bracketing cell
+        assert scans[0] == 512 and 2 <= len(scans) <= 4
+        assert all(1 < n <= 32 for n in scans[1:])
         assert 0.0 < lower
 
     def test_missing_sign_change_carries_the_scan(self, monkeypatch):
