@@ -19,9 +19,7 @@ from uavlink.interference import (
 )
 
 noise = NoiseModel()  # thermal floor, negligible next to interference here
-main = LinkChannel(
-    fading=Rayleigh(2.0), path_loss_amplitude=5e-4, distance=56.0, elevation=1.1
-)
+main = LinkChannel(fading=Rayleigh(2.0), path_loss_amplitude=5e-4)
 
 interferers = [
     InterfererLink(
@@ -42,12 +40,11 @@ for x in np.linspace(0.0, 6.0 * mean, 7):
 print()
 print("error probability vs the number of interferers (threshold policy beta=1.0):")
 for count in range(0, 6):
-    value = p_error(
-        main, 0.5, 1.0, interferers[:count], noise, gamma_th=8.0, num_channels=15
-    )
+    law = fit_interference(interferers[:count], num_channels=15)
+    value = p_error(main, 0.5, 1.0, noise, gamma_th=8.0, fit=law)
     print(f"  {count} interferer(s): P(error | transmitted) = {value:.5f}")
 
 print()
 print("raw (unconditioned) variant of the same integral, for comparison:")
-value = p_error(main, 0.5, 1.0, interferers, noise, 8.0, 15, conditional=False)
+value = p_error(main, 0.5, 1.0, noise, 8.0, fit=fit, conditional=False)
 print(f"  unnormalized integral with 5 interferers: {value:.5f}")

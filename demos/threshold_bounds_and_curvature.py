@@ -45,7 +45,7 @@ scenario = scenario_from_mapping(
 )
 
 view = tp.source_view(scenario)
-upper = tp.beta_upper(view.model, view.queue, view.num_channels)
+upper = view.upper  # the view computes its stability bound once and keeps it
 lower = tp.beta_lower(view)
 print(f"feasible threshold range: [{lower:.4f}, {upper:.4f}]")
 print()

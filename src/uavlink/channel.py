@@ -135,14 +135,10 @@ class LinkChannel:
 
     fading: FadingModel
     path_loss_amplitude: float
-    distance: float
-    elevation: float
 
     def __post_init__(self):
         if not self.path_loss_amplitude > 0:  # also rejects NaN
             raise DomainError("LinkChannel.path_loss_amplitude must be > 0")
-        if not 0.0 <= self.elevation <= math.pi / 2:
-            raise DomainError("LinkChannel.elevation must lie in [0, pi/2]")
 
 
 def elevation_angle(a: Position, b: Position) -> float:
@@ -328,11 +324,8 @@ def build_link(
     override: FadingKind | None = None,
 ) -> LinkChannel:
     """Resolve the full channel (fading + path loss) between two positions."""
-    theta = elevation_angle(a, b)
     dist = math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
     return LinkChannel(
         fading=classify_link(a, b, env, override),
-        path_loss_amplitude=path_loss_amplitude(dist, theta, env),
-        distance=dist,
-        elevation=theta,
+        path_loss_amplitude=path_loss_amplitude(dist, elevation_angle(a, b), env),
     )

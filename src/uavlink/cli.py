@@ -160,8 +160,8 @@ def cmd_optimize(args) -> int:
     status = "converged" if result.converged else "not converged (last iterate returned)"
     print(f"status     = {status}")
     print(f"iterations = {result.iterations}")
+    last = result.trace[-1]
     for node_id in sorted(result.policy.betas):
-        last = result.trace[-1]
         print(
             f"node {node_id:<8} beta = {result.policy.get(node_id):<10.6g} "
             f"throughput = {last['throughput'][node_id]:.6g}"
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_opt)
     p_opt.add_argument("--grid", type=int, default=64, help="candidate thresholds per node")
     p_opt.add_argument("--tol", type=float, default=1e-3, help="convergence tolerance on beta")
-    p_opt.add_argument("--max-iters", type=int, default=50)
+    p_opt.add_argument("--max-iters", type=int, default=50,
+                       help="iteration cap of the best response, at least 1")
     p_opt.add_argument("--objective", choices=("own", "sum"), default="own",
                        help="best response on own throughput or the network sum")
     p_opt.set_defaults(func=cmd_optimize)

@@ -69,14 +69,6 @@ class GammaFit:
         if not (self.shape > 0 and self.scale > 0):  # also rejects NaN
             raise DomainError("GammaFit: shape and scale must be > 0")
 
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    @property
-    def variance(self) -> float:
-        return self.shape * self.scale * self.scale
-
 
 class ZeroInterference:
     """Marker distribution for an identically-zero interference sum."""
@@ -287,31 +279,30 @@ def p_error(
     main: LinkChannel,
     main_power: float,
     main_beta: float | np.ndarray,
-    links: Sequence[InterfererLink],
     noise: NoiseModel,
     gamma_th: float,
-    num_channels: int,
+    *,
+    fit: GammaFit | ZeroInterference,
     conditional: bool = True,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    fit: GammaFit | ZeroInterference | None = None,
     cdf: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Probability a transmitted packet fails the SINR threshold, at each threshold.
 
     ``main_beta`` is one threshold (the result is a float) or an array of
     them (the result is an array of the same shape).  Integrates the main
-    link's fading density from each threshold upward against the
-    interference tail evaluated at the power the packet can afford to
-    lose.  Below the noise floor x0 (:func:`noise_floor`) the tail is
-    pinned at 1, a certain loss F(x0) - F(beta) in the fading CDF F.  The
-    fit does not depend on the threshold, so the whole grid costs one
-    adaptive quadrature plus one vectorized panel rule (see
-    :func:`_error_integrals`).  With ``conditional`` the integral is
-    normalized by the transmit mass 1 - F(beta), so the result composes
-    with the queue-drop probabilities.  Passing ``fit`` skips re-matching
-    the interferers, and passing ``cdf`` (F at the flattened thresholds,
-    then at x0, which checked them) skips evaluating F.  An infinite
-    threshold (a silenced link) has no transmissions and no errors.
+    link's fading density from each threshold upward against the tail of
+    the interference law ``fit`` (:func:`fit_interference`) at the power
+    the packet can afford to lose.  Below the noise floor x0
+    (:func:`noise_floor`) the tail is pinned at 1, a certain loss
+    F(x0) - F(beta) in the fading CDF F.  The fit does not depend on the
+    threshold, so the whole grid costs one adaptive quadrature plus one
+    vectorized panel rule (see :func:`_error_integrals`).  With
+    ``conditional`` the integral is normalized by the transmit mass
+    1 - F(beta), so the result composes with the queue-drop probabilities.
+    Passing ``cdf`` (F at the flattened thresholds, then at x0, which
+    checked them) skips evaluating F.  An infinite threshold (a silenced
+    link) has no transmissions and no errors.
     """
     if not main_power > 0:
         raise DomainError(f"main_power must be > 0, got {main_power}")
@@ -328,8 +319,6 @@ def p_error(
     # a silenced threshold integrates nothing
     limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
     integrals = 0.0
-    if limits.size and fit is None:
-        fit = fit_interference(links, num_channels)
     if limits.size and isinstance(fit, GammaFit):
         margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
         values = _error_integrals(main.fading, fit, margin_rate, noise.power, x0, limits, quad)

@@ -25,7 +25,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import interference as itf
 from . import throughput as tp
 from .errors import DomainError, ScenarioError
 from .scenario_io import Scenario, scenario_from_mapping
@@ -135,8 +134,7 @@ def _stability_bound(scenario: Scenario, axes: Sequence[SweepSpec]) -> float:
         (v for axis in axes if axis.variable == "t_slt" for v in axis.values),
         default=scenario.slot_duration,
     )
-    view = tp.source_view(_with_slot_duration(scenario, float(slot)))
-    return tp.beta_upper(view.model, view.queue, view.num_channels)
+    return tp.source_view(_with_slot_duration(scenario, float(slot))).upper
 
 
 def _sweep(
@@ -146,8 +144,8 @@ def _sweep(
 ) -> tuple[list[str], list[dict]]:
     """Evaluate the source over the product of ``axes``, first axis outermost.
 
-    Points that differ only in ``beta_n`` share one source view and one
-    interference fit; each point still gets its own error quadrature.
+    Points that differ only in ``beta_n`` share one source view, and with it
+    one interference fit; each point still gets its own error quadrature.
     """
     if any(callable(axis.values) for axis in axes):
         upper = _stability_bound(scenario, axes)
@@ -158,7 +156,7 @@ def _sweep(
             for axis in axes
         ]
     columns = [axis.column or axis.variable for axis in axes] + list(outputs)
-    groups: dict[tuple, tuple] = {}
+    groups: dict[tuple, tp.SourceView] = {}
     rows = []
     for point in itertools.product(*(axis.values for axis in axes)):
         point_scenario, betas = scenario, {}
@@ -167,10 +165,9 @@ def _sweep(
         policy = tp._resolve_policy(point_scenario, betas)
         group = tuple(v for axis, v in zip(axes, point) if axis.variable != "beta_n")
         if group not in groups:
-            view = tp.source_view(point_scenario, policy)
-            groups[group] = view, itf.fit_interference(view.interferers, view.num_channels)
-        view, fit = groups[group]
-        breakdown = tp.evaluate_view(view, policy.get(view.node_id), fit)
+            groups[group] = tp.source_view(point_scenario, policy)
+        view = groups[group]
+        breakdown = tp.evaluate_view(view, policy.get(view.node_id))
         row = dict(zip(columns, point))
         row.update((column, _output(breakdown, column)) for column in outputs)
         rows.append(row)

@@ -82,7 +82,6 @@ class Scenario:
     sinr_threshold: float = 8.0
     destination: Position = Position(20.0, 20.0, 50.0)
     nodes: tuple[Node, ...] = ()
-    placement_seed: int | None = None
 
     def __post_init__(self):
         if not self.num_channels >= 1:
@@ -341,7 +340,6 @@ def scenario_from_mapping(doc: Mapping) -> Scenario:
         sinr_threshold=sinr_threshold,
         destination=destination,
         nodes=nodes,
-        placement_seed=placement_seed,
     )
 
 

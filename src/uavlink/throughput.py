@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -94,7 +95,11 @@ class BetaBounds:
 
 @dataclass(frozen=True)
 class SourceView:
-    """Everything needed to evaluate one node's losses against fixed opponents."""
+    """Everything needed to evaluate one node's losses against fixed opponents.
+
+    The view's interference law and stability bound depend on nothing else,
+    so each is computed at its first use and kept.
+    """
 
     node_id: str
     link: LinkChannel
@@ -108,6 +113,16 @@ class SourceView:
     @property
     def model(self) -> FadingModel:
         return self.link.fading
+
+    @cached_property
+    def fit(self) -> GammaFit | ZeroInterference:
+        """The interference law on the observed channel (:func:`interference.fit_interference`)."""
+        return itf.fit_interference(self.interferers, self.num_channels)
+
+    @cached_property
+    def upper(self) -> float:
+        """The largest threshold keeping this node's queue stable (:func:`beta_upper`)."""
+        return beta_upper(self.model, self.queue, self.num_channels)
 
 
 def _probabilities(p) -> bool:
@@ -190,12 +205,7 @@ def beta_upper_erf(model: Rician, q: QueueParams, num_channels: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def reduced_loss(
-    view: SourceView,
-    beta: float,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    fit: GammaFit | ZeroInterference | None = None,
-) -> float:
+def reduced_loss(view: SourceView, beta: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Deadline-drop probability plus the raw (unconditioned) error integral.
 
     This is the objective whose curvature defines the lower threshold
@@ -206,43 +216,33 @@ def reduced_loss(
     if not qn.is_stable(phi, view.queue):
         raise _instability(view, beta, phi)
     p_dly = qn.p_delay(phi, view.queue)
-    p_err_raw = itf.p_error(view.link, view.power, beta, view.interferers, view.noise,
-                            view.sinr_threshold, view.num_channels, False, quad, fit)
+    p_err_raw = itf.p_error(view.link, view.power, beta, view.noise, view.sinr_threshold,
+                            fit=view.fit, conditional=False, quad=quad)
     return p_dly + p_err_raw
 
 
 def loss_derivative(
-    view: SourceView,
-    beta: float | np.ndarray,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    fit: GammaFit | ZeroInterference | None = None,
-    upper: float | None = None,
+    view: SourceView, beta: float | np.ndarray
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Analytic first and second derivatives of :func:`reduced_loss` in beta.
 
     ``beta`` is one threshold (two floats are returned) or an array of
-    them (two arrays of its shape), all in (0, upper).  The error part
-    differentiates the integral through its lower limit; the interference
-    tail's own derivative enters via the Gamma density chain rule.  The
-    deadline part differentiates the exponential waiting tail through the
-    transmit probability.  Passing the view's stability bound ``upper``
-    skips recomputing it, as passing ``fit`` skips re-matching the
-    interferers.
+    them (two arrays of its shape), all in (0, ``view.upper``).  The error
+    part differentiates the integral through its lower limit; the
+    interference tail's own derivative enters via the Gamma density chain
+    rule.  The deadline part differentiates the exponential waiting tail
+    through the transmit probability.
     """
     betas = np.asarray(beta, dtype=float)
     if not np.all(betas > 0.0):
         raise DomainError(f"loss_derivative: beta must be > 0, got {beta}")
-    if upper is None:
-        upper = beta_upper(view.model, view.queue, view.num_channels)
-    worst = float(np.max(betas, initial=0.0))
+    upper, worst = view.upper, float(np.max(betas, initial=0.0))
     if worst >= upper:
         raise StabilityError(
             f"beta {worst:.6g} is at or beyond the stability bound {upper:.6g}",
             margin=worst - upper,
             node=view.node_id,
         )
-    if fit is None:
-        fit = itf.fit_interference(view.interferers, view.num_channels)
     n = view.num_channels
     cdf = ch.fading_cdf(view.model, betas)
     p_dly = qn.p_delay(1.0 - cdf**n, view.queue)
@@ -251,9 +251,9 @@ def loss_derivative(
 
     margin_rate = view.power * view.link.path_loss_amplitude**2 / view.sinr_threshold
     excess = margin_rate * betas * betas - view.noise.power
-    tail = itf.interference_ccdf(fit, excess)
+    tail = itf.interference_ccdf(view.fit, excess)
     # d(tail)/d(beta) through the Gamma density, which is zero where the tail is pinned at 1
-    dtail = -itf.interference_pdf(fit, excess) * 2.0 * margin_rate * betas
+    dtail = -itf.interference_pdf(view.fit, excess) * 2.0 * margin_rate * betas
 
     d_err_1 = -pdf * tail
     d_err_2 = -dpdf * tail - pdf * dtail
@@ -268,22 +268,25 @@ def loss_derivative(
     return first, second
 
 
-def beta_lower(view: SourceView, grid_size: int = 512, tol: float = 1e-6) -> float:
+# The curvature scan of beta_lower: its points over the feasible range, and the
+# width of the bracketing cell whose upper end it returns.
+LOWER_GRID_SIZE = 512
+LOWER_TOL = 1e-6
+
+
+def beta_lower(view: SourceView) -> float:
     """Smallest beta where the reduced-loss curvature turns positive.
 
-    Scans a grid over the feasible range in one array-valued
-    :func:`loss_derivative` call, then rescans the cell of the first sign
-    change (at most 32 points a call) until it is no wider than ``tol``, and
-    returns its upper end.  Returns 0 when the curvature is positive from
-    the start; raises :class:`LowerBoundNotFoundError` with the scan
-    attached when it never turns positive.
+    Scans ``LOWER_GRID_SIZE`` points over the feasible range in one
+    array-valued :func:`loss_derivative` call, then rescans the cell of the
+    first sign change (at most 32 points a call) until it is no wider than
+    ``LOWER_TOL``, and returns its upper end.  Returns 0 when the curvature
+    is positive from the start; raises :class:`LowerBoundNotFoundError` with
+    the scan attached when it never turns positive.
     """
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
-    upper = beta_upper(view.model, view.queue, view.num_channels)
-    fit = itf.fit_interference(view.interferers, view.num_channels)
-    grid = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), grid_size)
-    _, curv = loss_derivative(view, grid, DEFAULT_QUAD, fit, upper)
+    upper = view.upper
+    grid = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), LOWER_GRID_SIZE)
+    _, curv = loss_derivative(view, grid)
     if curv[0] > 0.0:
         return 0.0
     positive = np.nonzero(curv > 0.0)[0]
@@ -293,19 +296,16 @@ def beta_lower(view: SourceView, grid_size: int = 512, tol: float = 1e-6) -> flo
             diagnostics={"grid": grid.tolist(), "curvature": curv.tolist()},
         )
     lo, hi = grid[positive[0] - 1], grid[positive[0]]
-    while hi - lo > tol:
-        cell = np.linspace(lo, hi, min(34, math.ceil((hi - lo) / tol) + 1))
-        _, curv = loss_derivative(view, cell[1:-1], DEFAULT_QUAD, fit, upper)
+    while hi - lo > LOWER_TOL:
+        cell = np.linspace(lo, hi, min(34, math.ceil((hi - lo) / LOWER_TOL) + 1))
+        _, curv = loss_derivative(view, cell[1:-1])
         first = int(np.argmax(np.append(curv, 1.0) > 0.0)) + 1  # hi when none is positive
         lo, hi = cell[first - 1], cell[first]
     return float(hi)
 
 
 def beta_bounds(view: SourceView) -> BetaBounds:
-    return BetaBounds(
-        lower=beta_lower(view),
-        upper=beta_upper(view.model, view.queue, view.num_channels),
-    )
+    return BetaBounds(lower=beta_lower(view), upper=view.upper)
 
 
 # --------------------------------------------------------------------------
@@ -373,9 +373,7 @@ def source_view(
 
 
 def _evaluate_grid(
-    view: SourceView,
-    betas: list[float] | np.ndarray,
-    fit: GammaFit | ZeroInterference | None = None,
+    view: SourceView, betas: list[float] | np.ndarray
 ) -> list[LossBreakdown | StabilityError]:
     """Loss breakdown of one node at each threshold of ``betas``, in order.
 
@@ -395,8 +393,8 @@ def _evaluate_grid(
         betas, mu, cdf = betas[stable], mu[stable], cdf[np.append(stable, True)]
     p_dly = qn.p_delay(mu, view.queue)
     p_ov = qn.p_overflow(mu, view.queue)
-    p_err = itf.p_error(view.link, view.power, betas, view.interferers, view.noise,
-                        view.sinr_threshold, view.num_channels, fit=fit, cdf=cdf)
+    p_err = itf.p_error(view.link, view.power, betas, view.noise, view.sinr_threshold,
+                        fit=view.fit, cdf=cdf)
     p_loss = compose_loss(p_ov, p_dly, p_err)
     rate = expected_throughput(view.queue.arrival_rate, p_loss)
     rows = zip(*(a.tolist() for a in (p_dly, p_ov, p_err, p_loss, rate)))
@@ -417,11 +415,9 @@ def _instability(view: SourceView, beta: float, phi: float) -> StabilityError:
     )
 
 
-def evaluate_view(
-    view: SourceView, beta: float, fit: GammaFit | ZeroInterference | None = None
-) -> LossBreakdown:
+def evaluate_view(view: SourceView, beta: float) -> LossBreakdown:
     """Loss breakdown of one node at threshold ``beta`` under fixed opponents."""
-    (result,) = _evaluate_grid(view, [beta], fit)
+    (result,) = _evaluate_grid(view, [beta])
     if isinstance(result, StabilityError):
         raise result
     return result
@@ -448,10 +444,19 @@ def evaluate(
 
 @dataclass
 class JacobiResult:
-    policy: PolicyVector
+    """The best-response trace, one entry per iteration, never empty."""
+
     trace: list[dict]
     converged: bool
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def policy(self) -> PolicyVector:
+        """The last iterate."""
+        return PolicyVector(self.trace[-1]["betas"])
 
 
 def jacobi_best_response(
@@ -472,24 +477,26 @@ def jacobi_best_response(
     costs one error-kernel call (:func:`interference.p_error` over the
     grid).  Stops when no threshold moves by more than ``tol``.
     Best-response dynamics need not converge, so hitting ``max_iters``
-    returns the last iterate with ``converged=False`` rather than raising.
+    (at least 1) returns the last iterate with ``converged=False`` rather
+    than raising.
     """
     if objective not in ("own", "sum"):
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     policy = _resolve_policy(scenario, initial)
     node_ids = [node.id for node in scenario.nodes]
-    grids: dict[str, list[float]] = {}
-    for node in scenario.nodes:
-        view = source_view(scenario, policy, node.id)
-        upper = beta_upper(view.model, view.queue, view.num_channels)
-        grids[node.id] = np.linspace(0.0, upper, grid_size).tolist()
+    grids = {
+        node_id: np.linspace(0.0, source_view(scenario, policy, node_id).upper, grid_size).tolist()
+        for node_id in node_ids
+    }
 
-    def own_rates(view: SourceView, betas: list[float], fit) -> list[float]:
+    def own_rates(view: SourceView, betas: list[float]) -> list[float]:
         return [
             -math.inf if isinstance(r, StabilityError) else r.throughput
-            for r in _evaluate_grid(view, betas, fit)
+            for r in _evaluate_grid(view, betas)
         ]
 
     def network_rate(trial: PolicyVector) -> float:
@@ -504,20 +511,17 @@ def jacobi_best_response(
 
     trace: list[dict] = []
     converged = False
-    iterations = 0
     for iteration in range(max_iters):
-        iterations = iteration + 1
         new_betas: dict[str, float] = {}
         chosen_rate: dict[str, float] = {}
         previous_rate: dict[str, float] = {}
         for node_id in node_ids:
             view = source_view(scenario, policy, node_id)
-            fit = itf.fit_interference(view.interferers, view.num_channels)
             grid = grids[node_id]
             previous = policy.get(node_id)
             if objective == "own":
                 # the whole grid and the previous threshold in one kernel call
-                rates = own_rates(view, [*grid, previous], fit)
+                rates = own_rates(view, [*grid, previous])
                 best_idx = int(np.argmax(rates[:-1]))  # first max = smallest beta
                 chosen_rate[node_id], previous_rate[node_id] = rates[best_idx], rates[-1]
             else:
@@ -525,7 +529,7 @@ def jacobi_best_response(
                 values = [network_rate(policy.updated(node_id, beta)) for beta in grid]
                 best_idx = int(np.argmax(values))
                 chosen_rate[node_id], previous_rate[node_id] = own_rates(
-                    view, [grid[best_idx], previous], fit
+                    view, [grid[best_idx], previous]
                 )
             new_betas[node_id] = grid[best_idx]
         delta = max(abs(new_betas[i] - policy.get(i)) for i in node_ids)
@@ -542,4 +546,4 @@ def jacobi_best_response(
         if delta < tol:
             converged = True
             break
-    return JacobiResult(policy=policy, trace=trace, converged=converged, iterations=iterations)
+    return JacobiResult(trace=trace, converged=converged)

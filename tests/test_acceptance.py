@@ -218,8 +218,8 @@ def test_criterion_07_formula_self_consistency():
     # Gamma moment identities
     for mean, variance in [(1e-9, 2.5e-17), (0.3, 0.04), (7.0, 49.0), (1e4, 3e5)]:
         fit = itf.fit_gamma(mean, variance)
-        assert abs(fit.mean - mean) <= 1e-12 * mean
-        assert abs(fit.variance - variance) <= 1e-12 * variance
+        assert abs(fit.shape * fit.scale - mean) <= 1e-12 * mean
+        assert abs(fit.shape * fit.scale * fit.scale - variance) <= 1e-12 * variance
 
     # truncated Rayleigh moments: closed forms vs quadrature
     model = Rayleigh(2.0)
@@ -303,10 +303,9 @@ def test_criterion_08_derivative_validation():
         scenario = _derivative_scenario(family)
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        fit = itf.fit_interference(view.interferers, view.num_channels)
-        objective = lambda b: tp.reduced_loss(view, b, tight, fit)
+        objective = lambda b: tp.reduced_loss(view, b, tight)
         for beta in np.linspace(0.05 * upper, 0.97 * upper, 32):
-            first, second = tp.loss_derivative(view, float(beta), tight, fit)
+            first, second = tp.loss_derivative(view, float(beta))
             fd_first = richardson_first(objective, float(beta), 1e-5)
             fd_second = richardson_second(objective, float(beta), 1e-3)
             assert first == pytest.approx(fd_first, rel=1e-4, abs=1e-12)

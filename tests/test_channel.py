@@ -387,8 +387,6 @@ class TestClassifyLink:
 
     def test_build_link_fields(self):
         link = ch.build_link(Position(0, 0, 0), Position(30, 40, 0), ENV)
-        assert link.distance == pytest.approx(50.0)
-        assert link.elevation == 0.0
         assert link.path_loss_amplitude == pytest.approx(
             ch.path_loss_amplitude(50.0, 0.0, ENV), rel=1e-12
         )

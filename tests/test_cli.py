@@ -313,6 +313,13 @@ class TestOptimize:
         assert len(rows) == iterations  # one node: rows == iterations
         assert set(rows[0]) == {"iteration", "node", "beta", "throughput"}
 
+    def test_zero_iterations_is_a_usage_error(self, capsys):
+        code = cli.main(["optimize", "--scenario", str(EXAMPLE), "--max-iters", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["error: max_iters must be >= 1, got 0"]
+        assert "Traceback" not in err
+
     def test_not_converged_reports_the_last_iterate(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         code = cli.main([

@@ -38,9 +38,12 @@ def rayleigh_link(beta=0.0, power=1.0, amplitude=1.0, omega=2.0):
 
 
 def main_link(amplitude=1.0, fading=Rayleigh(2.0)):
-    return LinkChannel(
-        fading=fading, path_loss_amplitude=amplitude, distance=50.0, elevation=0.5
-    )
+    return LinkChannel(fading=fading, path_loss_amplitude=amplitude)
+
+
+def law(links, num_channels=15):
+    """The interference law of ``links`` that ``p_error`` integrates against."""
+    return itf.fit_interference(links, num_channels)
 
 
 class TestInterferenceMoments:
@@ -136,8 +139,8 @@ class TestGammaFit:
     @settings(max_examples=100, deadline=None)
     def test_moment_identities(self, mean, variance):
         fit = itf.fit_gamma(mean, variance)
-        assert fit.mean == pytest.approx(mean, rel=1e-12)
-        assert fit.variance == pytest.approx(variance, rel=1e-12)
+        assert fit.shape * fit.scale == pytest.approx(mean, rel=1e-12)
+        assert fit.shape * fit.scale * fit.scale == pytest.approx(variance, rel=1e-12)
 
     def test_composition_with_moments_preserves_them(self):
         links = [
@@ -146,8 +149,8 @@ class TestGammaFit:
         ]
         mean, variance = itf.interference_moments(links, 15)
         fit = itf.fit_gamma(mean, variance)
-        assert fit.mean == pytest.approx(mean, rel=1e-12)
-        assert fit.variance == pytest.approx(variance, rel=1e-12)
+        assert fit.shape * fit.scale == pytest.approx(mean, rel=1e-12)
+        assert fit.shape * fit.scale * fit.scale == pytest.approx(variance, rel=1e-12)
 
     def test_degenerate_signals(self):
         with pytest.raises(DegenerateInterferenceError):
@@ -233,7 +236,7 @@ class TestPError:
     def test_zero_when_signal_clears_threshold_at_floor(self):
         # even the worst admitted fading beats the threshold: no interference, no error
         link = main_link(amplitude=10.0)
-        p = itf.p_error(link, 1.0, 2.0, [], self.NOISE, 1.0, 15)
+        p = itf.p_error(link, 1.0, 2.0, self.NOISE, 1.0, fit=ZERO_INTERFERENCE)
         assert p == 0.0
 
     def test_no_interference_closed_form(self):
@@ -243,7 +246,7 @@ class TestPError:
         gamma_th, power, beta = 1.0, 1.0, 0.5
         x0 = math.sqrt(gamma_th * self.NOISE.power / (power * 1.0**2))
         assert x0 > beta
-        p = itf.p_error(link, power, beta, [], self.NOISE, gamma_th, 15)
+        p = itf.p_error(link, power, beta, self.NOISE, gamma_th, fit=ZERO_INTERFERENCE)
         oracle, _ = scipy.integrate.quad(
             lambda x: ch.fading_pdf(link.fading, x), beta, x0, epsabs=1e-13, epsrel=1e-12
         )
@@ -254,8 +257,8 @@ class TestPError:
         link = main_link()
         links = [rayleigh_link(beta=0.3, power=0.4)]
         beta = 1.2
-        cond = itf.p_error(link, 1.0, beta, links, self.NOISE, 1.0, 15)
-        raw = itf.p_error(link, 1.0, beta, links, self.NOISE, 1.0, 15, conditional=False)
+        cond = itf.p_error(link, 1.0, beta, self.NOISE, 1.0, fit=law(links))
+        raw = itf.p_error(link, 1.0, beta, self.NOISE, 1.0, fit=law(links), conditional=False)
         mass = 1.0 - ch.fading_cdf(link.fading, beta)
         assert raw == pytest.approx(cond * mass, rel=1e-9)
 
@@ -265,7 +268,7 @@ class TestPError:
             link = main_link(amplitude=rng.uniform(0.5, 2.0))
             beta = rng.uniform(0.0, 2.0)
             links = []
-            previous = itf.p_error(link, 1.0, beta, links, self.NOISE, 2.0, 15)
+            previous = itf.p_error(link, 1.0, beta, self.NOISE, 2.0, fit=law(links))
             for _ in range(4):
                 links.append(
                     rayleigh_link(
@@ -274,7 +277,7 @@ class TestPError:
                         amplitude=rng.uniform(0.5, 1.5),
                     )
                 )
-                current = itf.p_error(link, 1.0, beta, links, self.NOISE, 2.0, 15)
+                current = itf.p_error(link, 1.0, beta, self.NOISE, 2.0, fit=law(links))
                 assert current >= previous - 1e-12
                 previous = current
 
@@ -282,31 +285,35 @@ class TestPError:
         link = main_link()
         links = [rayleigh_link(beta=0.5, power=0.8)]
         powers = np.linspace(0.2, 3.0, 12)
-        values = [itf.p_error(link, p, 1.0, links, self.NOISE, 2.0, 15) for p in powers]
+        values = [itf.p_error(link, p, 1.0, self.NOISE, 2.0, fit=law(links)) for p in powers]
         assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(values, values[1:]))
         thresholds = np.linspace(0.5, 8.0, 12)
-        values = [itf.p_error(link, 1.0, 1.0, links, self.NOISE, g, 15) for g in thresholds]
+        values = [itf.p_error(link, 1.0, 1.0, self.NOISE, g, fit=law(links)) for g in thresholds]
         assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
-
-    def test_precomputed_fit_matches(self):
-        link = main_link()
-        links = [rayleigh_link(beta=0.5), rayleigh_link(beta=1.0, power=0.6)]
-        fit = itf.fit_interference(links, 15)
-        direct = itf.p_error(link, 1.0, 0.8, links, self.NOISE, 2.0, 15)
-        with_fit = itf.p_error(link, 1.0, 0.8, links, self.NOISE, 2.0, 15, fit=fit)
-        assert direct == with_fit
 
     def test_silenced_main_link_never_errors(self):
         link = main_link()
         links = [rayleigh_link(beta=0.3)]
-        assert itf.p_error(link, 1.0, math.inf, links, self.NOISE, 2.0, 15) == 0.0
+        assert itf.p_error(link, 1.0, math.inf, self.NOISE, 2.0, fit=law(links)) == 0.0
 
     def test_validation(self):
         link = main_link()
         with pytest.raises(DomainError):
-            itf.p_error(link, 0.0, 1.0, [], self.NOISE, 2.0, 15)
+            itf.p_error(link, 0.0, 1.0, self.NOISE, 2.0, fit=ZERO_INTERFERENCE)
         with pytest.raises(DomainError):
-            itf.p_error(link, 1.0, 1.0, [], self.NOISE, 0.0, 15)
+            itf.p_error(link, 1.0, 1.0, self.NOISE, 0.0, fit=ZERO_INTERFERENCE)
+
+    def test_takes_the_law_not_the_interferers(self):
+        # a call in the form that took the interferer list and the channel count
+        # must fail, not read the list as a fit and integrate no interference
+        link = main_link()
+        links = [rayleigh_link(beta=0.5)]
+        with pytest.raises(TypeError):
+            itf.p_error(link, 1.0, 1.3, links, self.NOISE, 0.5, 15)
+        with pytest.raises(TypeError):
+            itf.p_error(link, 1.0, 1.3, self.NOISE, 0.5, law(links))
+        with pytest.raises(TypeError):
+            itf.p_error(link, 1.0, 1.3, self.NOISE, 0.5)
 
 
 class TestPErrorAgainstBruteForce:
@@ -365,7 +372,7 @@ class TestPErrorAgainstBruteForce:
         ]
         link = main_link(amplitude=self.MAIN_AMP)
         analytic = itf.p_error(
-            link, self.MAIN_POWER, main_beta, links, noise, self.GAMMA, self.F
+            link, self.MAIN_POWER, main_beta, noise, self.GAMMA, fit=law(links, self.F)
         )
         empirical, se = self.brute_force(links, main_beta, noise_power, 600_000, seed=77)
         assert abs(analytic - empirical) <= 0.03 + 3.0 * se
@@ -390,7 +397,7 @@ class TestPErrorGrid:
 
     def check(self, link, power, betas, links, noise, gamma_th, conditional=True):
         grid = itf.p_error(
-            link, power, np.asarray(betas), links, noise, gamma_th, 15, conditional=conditional
+            link, power, np.asarray(betas), noise, gamma_th, fit=law(links), conditional=conditional
         )
         assert grid.shape == np.shape(betas)
         for beta, value in zip(np.ravel(betas), grid.ravel()):
@@ -413,8 +420,8 @@ class TestPErrorGrid:
             betas = np.linspace(0.0, upper, 64)
             for conditional in (True, False):
                 grid = itf.p_error(
-                    view.link, view.power, betas, view.interferers, view.noise,
-                    view.sinr_threshold, view.num_channels, conditional=conditional,
+                    view.link, view.power, betas, view.noise, view.sinr_threshold,
+                    fit=view.fit, conditional=conditional,
                 )
                 for beta, value in zip(betas, grid):
                     oracle = p_error_pointwise(
@@ -448,7 +455,7 @@ class TestPErrorGrid:
         links = [rayleigh_link(beta=0.3)]
         grid = self.check(link, 1.0, [1.0, math.inf, 0.2, math.inf], links, self.NOISE, 2.0)
         assert grid[1] == 0.0 and grid[3] == 0.0
-        assert itf.p_error(link, 1.0, [math.inf], links, self.NOISE, 2.0, 15).tolist() == [0.0]
+        assert itf.p_error(link, 1.0, [math.inf], self.NOISE, 2.0, fit=law(links)).tolist() == [0.0]
 
     @pytest.mark.parametrize("conditional", [True, False])
     def test_zero_interference(self, conditional):
@@ -461,9 +468,9 @@ class TestPErrorGrid:
     def test_scalar_is_a_grid_of_one(self):
         link = main_link(fading=Rician(2.0))
         links = [rayleigh_link(beta=0.4, power=0.7)]
-        scalar = itf.p_error(link, 1.0, 1.3, links, self.NOISE, 0.5, 15)
+        scalar = itf.p_error(link, 1.0, 1.3, self.NOISE, 0.5, fit=law(links))
         assert isinstance(scalar, float)
-        assert scalar == itf.p_error(link, 1.0, [1.3], links, self.NOISE, 0.5, 15)[0]
+        assert scalar == itf.p_error(link, 1.0, [1.3], self.NOISE, 0.5, fit=law(links))[0]
         assert scalar == p_error_pointwise(link, 1.0, 1.3, links, self.NOISE, 0.5, 15)
 
     def test_keeps_the_shape_of_its_thresholds(self):
@@ -472,12 +479,12 @@ class TestPErrorGrid:
         betas = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
         grid = self.check(link, 1.0, betas, links, self.NOISE, 0.5)
         assert grid.shape == (2, 3)
-        assert itf.p_error(link, 1.0, np.empty(0), links, self.NOISE, 0.5, 15).shape == (0,)
+        assert itf.p_error(link, 1.0, np.empty(0), self.NOISE, 0.5, fit=law(links)).shape == (0,)
 
     @pytest.mark.parametrize("bad", [[1.0, -0.1], [math.nan], -1.0])
     def test_rejects_negative_or_nan_thresholds(self, bad):
         with pytest.raises(DomainError):
-            itf.p_error(main_link(), 1.0, bad, [], self.NOISE, 2.0, 15)
+            itf.p_error(main_link(), 1.0, bad, self.NOISE, 2.0, fit=ZERO_INTERFERENCE)
 
 
 class TestPErrorPanels:
@@ -507,7 +514,7 @@ class TestPErrorPanels:
         calls = self.spy(monkeypatch)
         link = main_link(fading=Rician(3.0))
         betas = np.linspace(1.5, 4.0, 32)
-        itf.p_error(link, 1.0, betas, [rayleigh_link(beta=0.5)], self.NOISE, 0.5, 15)
+        itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=law([rayleigh_link(beta=0.5)]))
         assert calls == [(4.0, math.inf)]
 
     def test_panel_over_tolerance_falls_back_to_adaptive(self, monkeypatch):
@@ -517,7 +524,7 @@ class TestPErrorPanels:
         link = main_link(fading=Rayleigh(2.0))
         links = [rayleigh_link(beta=0.5, power=0.6)]
         betas = [1.0, 6.0]
-        grid = itf.p_error(link, 1.0, betas, links, self.NOISE, 0.5, 15)
+        grid = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=law(links))
         assert calls == [(6.0, math.inf), (1.0, 6.0)]
         for beta, value in zip(betas, grid):
             oracle = p_error_pointwise(
@@ -534,7 +541,7 @@ class TestPErrorPanels:
         links = [rayleigh_link(beta=0.5, power=0.6)]
         assert itf.fit_interference(links, 15).shape < 1.0
         betas = [0.0, 6.0]
-        grid = itf.p_error(link, 1.0, betas, links, self.NOISE, 0.5, 15)
+        grid = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=law(links))
         assert calls == [(6.0, math.inf)]
         for beta, value in zip(betas, grid):
             oracle = p_error_pointwise(
@@ -546,7 +553,7 @@ class TestPErrorPanels:
     def test_grid_of_one_is_one_adaptive_quadrature(self, monkeypatch, fading):
         calls = self.spy(monkeypatch)
         links = [rayleigh_link(beta=0.5, power=0.6)]
-        itf.p_error(main_link(fading=fading), 1.0, 1.3, links, self.NOISE, 0.5, 15)
+        itf.p_error(main_link(fading=fading), 1.0, 1.3, self.NOISE, 0.5, fit=law(links))
         assert calls == [(1.3, math.inf)]
 
     def test_given_cdf_is_used_in_place_of_evaluating_it(self, monkeypatch):
@@ -556,9 +563,9 @@ class TestPErrorPanels:
         x0 = itf.noise_floor(link, 1.0, self.NOISE, 0.5)
         cdf = ch.fading_cdf(link.fading, np.append(betas, x0))
         fit = itf.fit_interference(links, 15)
-        expected = itf.p_error(link, 1.0, betas, links, self.NOISE, 0.5, 15, fit=fit)
+        expected = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=fit)
         monkeypatch.setattr(itf.channel, "fading_cdf", None)
-        given = itf.p_error(link, 1.0, betas, links, self.NOISE, 0.5, 15, fit=fit, cdf=cdf)
+        given = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=fit, cdf=cdf)
         assert given.tolist() == expected.tolist()
 
     def test_failed_fallback_raises_with_best_estimate(self):
@@ -566,9 +573,9 @@ class TestPErrorPanels:
         link = main_link(fading=Rayleigh(2.0))
         links = [rayleigh_link(beta=0.5, power=0.6)]
         quad = QuadratureSpec(max_subdivisions=2)
-        assert itf.p_error(link, 1.0, 8.0, links, self.NOISE, 0.5, 15, quad=quad) == 0.0
+        assert itf.p_error(link, 1.0, 8.0, self.NOISE, 0.5, fit=law(links), quad=quad) == 0.0
         with pytest.raises(AccuracyError) as excinfo:
-            itf.p_error(link, 1.0, [1.0, 8.0], links, self.NOISE, 0.5, 15, quad=quad)
+            itf.p_error(link, 1.0, [1.0, 8.0], self.NOISE, 0.5, fit=law(links), quad=quad)
         assert "[1.0, 8.0]" in str(excinfo.value)
         assert math.isfinite(excinfo.value.best_estimate)
         assert excinfo.value.best_estimate > 0.0

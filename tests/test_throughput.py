@@ -98,6 +98,16 @@ def _view(family):
     return tp.source_view(scenario)
 
 
+def recording(calls, function):
+    """``function``, appending the arguments of each call to ``calls``."""
+
+    def wrapper(*args):
+        calls.append(args)
+        return function(*args)
+
+    return wrapper
+
+
 class TestComposeLoss:
     def test_trivials(self):
         assert tp.compose_loss(0.0, 0.0, 0.0) == 0.0
@@ -214,10 +224,9 @@ class TestLossDerivative:
         scenario = rician_scenario() if family == "rician" else rayleigh_scenario()
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        fit = itf.fit_interference(view.interferers, view.num_channels)
-        f = lambda b: tp.reduced_loss(view, b, TIGHT, fit)
+        f = lambda b: tp.reduced_loss(view, b, TIGHT)
         for beta in np.linspace(0.15 * upper, 0.97 * upper, 8):
-            first, second = tp.loss_derivative(view, float(beta), TIGHT, fit)
+            first, second = tp.loss_derivative(view, float(beta))
             fd1 = richardson_first(f, float(beta), 1e-5)
             fd2 = richardson_second(f, float(beta), 1e-3)
             assert first == pytest.approx(fd1, rel=1e-4)
@@ -228,7 +237,7 @@ class TestLossDerivative:
         # slope near zero is the negative error term alone
         scenario = rayleigh_scenario()
         view = tp.source_view(scenario)
-        first, _ = tp.loss_derivative(view, 1e-6, TIGHT)
+        first, _ = tp.loss_derivative(view, 1e-6)
         assert first < 0.0
 
     def test_rejects_infeasible_beta(self):
@@ -245,12 +254,11 @@ class TestLossDerivative:
     def test_array_matches_scalar_calls(self, family):
         view = _view(family)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        fit = itf.fit_interference(view.interferers, view.num_channels)
         betas = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), 97)
-        first, second = tp.loss_derivative(view, betas, fit=fit)
+        first, second = tp.loss_derivative(view, betas)
         assert first.shape == second.shape == betas.shape
         for beta, d1, d2 in zip(betas, first, second):
-            s1, s2 = tp.loss_derivative(view, float(beta), fit=fit)
+            s1, s2 = tp.loss_derivative(view, float(beta))
             assert isinstance(s1, float) and isinstance(s2, float)
             assert d1 == pytest.approx(s1, rel=1e-12, abs=1e-300)
             assert d2 == pytest.approx(s2, rel=1e-12, abs=1e-300)
@@ -264,13 +272,11 @@ class TestLossDerivative:
         assert excinfo.value.margin == pytest.approx(0.01 * upper)
         with pytest.raises(DomainError):
             tp.loss_derivative(view, np.array([0.5 * upper, 0.0]))
-        with pytest.raises(StabilityError):
-            tp.loss_derivative(view, 0.5 * upper, upper=0.4 * upper)
 
 
 class TestBetaLower:
     def test_scans_with_one_bound_and_one_array_call(self, monkeypatch):
-        view = _view("rician")
+        view = tp.source_view(rician_scenario())  # not the shared view, whose bound is kept
         bounds, scans = [], []
         beta_upper, loss_derivative = tp.beta_upper, tp.loss_derivative
 
@@ -284,7 +290,7 @@ class TestBetaLower:
 
         monkeypatch.setattr(tp, "beta_upper", counting_upper)
         monkeypatch.setattr(tp, "loss_derivative", recording_derivative)
-        lower = tp.beta_lower(view, grid_size=512)
+        lower = tp.beta_lower(view)
         assert len(bounds) == 1
         # the grid, then at most three array scans of the bracketing cell
         assert scans[0] == 512 and 2 <= len(scans) <= 4
@@ -301,11 +307,11 @@ class TestBetaLower:
 
         monkeypatch.setattr(tp, "loss_derivative", concave)
         with pytest.raises(LowerBoundNotFoundError) as excinfo:
-            tp.beta_lower(view, grid_size=64)
+            tp.beta_lower(view)
         diagnostics = excinfo.value.diagnostics
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        assert diagnostics["grid"] == np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), 64).tolist()
-        assert len(diagnostics["curvature"]) == 64
+        assert diagnostics["grid"] == np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), 512).tolist()
+        assert len(diagnostics["curvature"]) == 512
         assert all(c < 0.0 for c in diagnostics["curvature"])
 
     def test_positive_curvature_from_start_gives_zero(self):
@@ -340,11 +346,10 @@ class TestBetaLower:
     def test_agrees_with_dense_scan(self):
         scenario = rayleigh_scenario()
         view = tp.source_view(scenario)
-        refined = tp.beta_lower(view, grid_size=512, tol=1e-6)
+        refined = tp.beta_lower(view)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        fit = itf.fit_interference(view.interferers, view.num_channels)
         dense = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), 100_000)
-        curv = np.array([tp.loss_derivative(view, float(b), fit=fit)[1] for b in dense])
+        curv = np.array([tp.loss_derivative(view, float(b))[1] for b in dense])
         first_positive = dense[int(np.nonzero(curv > 0)[0][0])]
         assert refined == pytest.approx(first_positive, abs=1e-4)
 
@@ -512,14 +517,14 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("family", ["rayleigh", "rician"])
     def test_one_fading_cdf_per_grid_and_per_derivative_scan(self, family, monkeypatch):
         view = _view(family)
-        upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        fit = itf.fit_interference(view.interferers, view.num_channels)
+        upper = view.upper
+        view.fit  # the view's bound and fit evaluate F themselves, so they come first
         grid = np.linspace(0.0, upper, 64)
         calls = self.spy(monkeypatch)
-        tp._evaluate_grid(view, grid, fit)
+        tp._evaluate_grid(view, grid)
         assert calls == [65]  # the grid and the noise floor
         calls.clear()
-        tp.loss_derivative(view, grid[1:-1], fit=fit, upper=upper)
+        tp.loss_derivative(view, grid[1:-1])
         assert calls == [62]
 
 
@@ -681,12 +686,33 @@ class TestJacobi:
         assert result.iterations == 1
         assert not result.converged
 
+    def test_iterations_and_policy_read_the_trace(self):
+        scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.0, seed=9)
+        result = tp.jacobi_best_response(scenario, grid_size=24, tol=1e-12, max_iters=3)
+        assert result.iterations == len(result.trace) == 3
+        assert result.policy == PolicyVector(result.trace[-1]["betas"])
+
+    def test_grid_set_up_bounds_every_node_and_fits_none(self, monkeypatch):
+        # one bound per node for the grids, then one fit per node and iteration
+        scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.0, seed=9)
+        fits, bounds = [], []
+        monkeypatch.setattr(itf, "fit_interference", recording(fits, itf.fit_interference))
+        monkeypatch.setattr(tp, "beta_upper", recording(bounds, tp.beta_upper))
+        result = tp.jacobi_best_response(scenario, grid_size=8, tol=1e-12, max_iters=2)
+        assert len(bounds) == len(scenario.nodes)
+        assert len(fits) == len(scenario.nodes) * result.iterations
+
     def test_validation(self):
         scenario = rician_scenario()
         with pytest.raises(DomainError):
             tp.jacobi_best_response(scenario, objective="mean")
         with pytest.raises(DomainError):
             tp.jacobi_best_response(scenario, grid_size=1)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_fewer_than_one_iteration_is_rejected(self, max_iters):
+        with pytest.raises(DomainError, match="max_iters"):
+            tp.jacobi_best_response(rician_scenario(), max_iters=max_iters)
 
 
 class TestPolicyResolution:
@@ -744,3 +770,16 @@ def test_beta_bounds_composition():
     )
     with pytest.raises(DomainError):
         tp.BetaBounds(lower=2.0, upper=1.0)
+
+
+@pytest.mark.parametrize("family", ["rician", "rayleigh"])
+def test_beta_bounds_fits_and_bounds_the_view_once(family, monkeypatch):
+    view = tp.source_view(rayleigh_scenario() if family == "rayleigh" else rician_scenario())
+    fits, bounds = [], []
+    monkeypatch.setattr(itf, "fit_interference", recording(fits, itf.fit_interference))
+    monkeypatch.setattr(tp, "beta_upper", recording(bounds, tp.beta_upper))
+    result = tp.beta_bounds(view)
+    assert fits == [(view.interferers, view.num_channels)]
+    assert bounds == [(view.model, view.queue, view.num_channels)]
+    assert result.upper == view.upper and view.fit is view.fit  # kept, not recomputed
+    assert len(fits) == len(bounds) == 1  # reading them again computes nothing
