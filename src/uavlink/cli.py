@@ -237,7 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("UAVLINK_LOG", "WARNING").upper())
+    level = os.environ.get("UAVLINK_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # a name maps to its number
+        print(f"error: UAVLINK_LOG must name a log level, got {level!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper())
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -224,55 +224,77 @@ def _tail_integrand(model: FadingModel, fit: GammaFit, margin_rate: float, noise
     return integrand
 
 
-def _error_integrals(
-    model: FadingModel,
-    fit: GammaFit,
-    margin_rate: float,
-    noise_power: float,
-    floor: float,
-    limits: np.ndarray,
-    quad: QuadratureSpec,
-) -> np.ndarray:
-    """Error integral from each of the sorted, distinct ``limits`` to infinity.
+def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: NoiseModel,
+                gamma_th: float, conditional: bool = True, quad: QuadratureSpec = DEFAULT_QUAD,
+                cdf: np.ndarray | None = None) -> Callable:
+    """:func:`p_error` at the flat thresholds ``flat``, as a function of the interference law.
 
-    The integrand is the main link's fading density times the interference
-    tail at the power the packet can afford to lose.  The integral above the
-    largest limit is one adaptive quadrature of :func:`_tail_integrand`;
-    each gap between consecutive limits is a Gauss-Kronrod 7-15 panel,
-    evaluated for all panels at once, and a reversed cumulative sum gives
-    every limit's integral; a first panel from the noise ``floor`` sums
-    graded sub-panels (``_FLOOR_GRADING``).  Every point's integral sums the
-    tail and the panels above it, so these pieces share the absolute
-    tolerance equally; a single limit keeps all of it.  A panel whose
-    Kronrod-Gauss difference exceeds its share is integrated adaptively
-    instead, so an :class:`AccuracyError` is raised rather than an
-    inaccurate value returned.
+    The main link alone fixes the fading CDF, the noise floor x0 with the
+    certain loss below it, the transmit mass, and the quadrature layout, so
+    they are computed once.  The error integral above the largest limit
+    max(beta, x0) is one adaptive quadrature of :func:`_tail_integrand`;
+    each gap between consecutive limits is a Gauss-Kronrod 7-15 panel (the
+    one from x0 graded by ``_FLOOR_GRADING``), all evaluated at once, and a
+    reversed cumulative sum gives every limit's integral.  The tail and the
+    panels share the absolute tolerance equally; a single limit keeps all of
+    it and lays out no panels.  A panel whose Kronrod-Gauss difference
+    exceeds its share is integrated adaptively instead, so an
+    :class:`AccuracyError` is raised rather than an inaccurate value returned.
     """
-    integrand = _tail_integrand(model, fit, margin_rate, noise_power)
-    if len(limits) == 1:
-        return np.array([specfun.integrate(integrand, limits[0], math.inf, quad).value])
-    quad = replace(quad, absolute_tolerance=quad.absolute_tolerance / len(limits))
-    tail = specfun.integrate(integrand, limits[-1], math.inf, quad).value
-    lo, hi = limits[:-1], limits[1:]
-    panel = np.arange(len(lo))
-    if lo[0] == floor:
-        cuts = lo[0] + (hi[0] - lo[0]) * _FLOOR_GRADING
-        lo = np.concatenate(([lo[0]], cuts, lo[1:]))
-        hi = np.concatenate((cuts, hi))
-        panel = np.concatenate((np.zeros(len(cuts), int), panel))
-    width = hi - lo
-    # lo + width * t with t in [0, 1] never falls below lo
-    x = lo[:, None] + width[:, None] * (0.5 * (1.0 + _GK15_NODES))
-    # the tail is 1 where the affordable power is not positive
-    excess = np.maximum(margin_rate * x * x - noise_power, 0.0)
-    values = channel._pdf(model, x) * specfun.gamma_tail(fit.shape)(excess / fit.scale)
-    kronrod = 0.5 * width * (values @ _GK15_KRONROD)
-    error = np.bincount(panel, np.abs(kronrod - 0.5 * width * (values @ _GK15_GAUSS)))
-    kronrod = np.bincount(panel, kronrod)
-    tolerance = np.maximum(quad.absolute_tolerance, quad.relative_tolerance * np.abs(kronrod))
-    for i in np.flatnonzero(~(error <= tolerance)):
-        kronrod[i] = specfun.integrate(integrand, limits[i], limits[i + 1], quad).value
-    return np.append(np.cumsum(kronrod[::-1])[::-1], 0.0) + tail
+    if not main_power > 0:
+        raise DomainError(f"main_power must be > 0, got {main_power}")
+    if not gamma_th > 0:
+        raise DomainError(f"gamma_th must be > 0, got {gamma_th}")
+    x0 = noise_floor(main, main_power, noise, gamma_th)
+    if cdf is None:
+        flat = specfun._nonnegative("main_beta", flat)
+        cdf = channel.fading_cdf(main.fading, np.append(flat, x0))
+    cdf, cdf_floor = cdf[:-1], cdf[-1]
+    lo = np.maximum(flat, x0)
+    # a silenced threshold integrates nothing
+    limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
+    index = np.searchsorted(limits, lo)
+    certain, mass = np.maximum(0.0, cdf_floor - cdf) * (flat < x0), 1.0 - cdf
+    margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
+    if len(limits) > 1:
+        quad = replace(quad, absolute_tolerance=quad.absolute_tolerance / len(limits))
+        start, stop = limits[:-1], limits[1:]
+        panel = np.arange(len(start))
+        if start[0] == x0:
+            cuts = start[0] + (stop[0] - start[0]) * _FLOOR_GRADING
+            start = np.concatenate(([start[0]], cuts, start[1:]))
+            stop = np.concatenate((cuts, stop))
+            panel = np.concatenate((np.zeros(len(cuts), int), panel))
+        width = stop - start
+        # start + width * t with t in [0, 1] never falls below start
+        x = start[:, None] + width[:, None] * (0.5 * (1.0 + _GK15_NODES))
+        # the tail is 1 where the affordable power is not positive
+        excess = np.maximum(margin_rate * x * x - noise.power, 0.0)
+        pdf, half = channel._pdf(main.fading, x), 0.5 * width
+
+    def price(fit: GammaFit | ZeroInterference) -> np.ndarray:
+        raw = certain
+        if limits.size and isinstance(fit, GammaFit):
+            integrand = _tail_integrand(main.fading, fit, margin_rate, noise.power)
+            # the integral above the largest limit, then the panels below it
+            integrals = specfun.integrate(integrand, limits[-1], math.inf, quad).value
+            if len(limits) > 1:
+                values = pdf * specfun.gamma_tail(fit.shape)(excess / fit.scale)
+                kronrod = half * (values @ _GK15_KRONROD)
+                error = np.bincount(panel, np.abs(kronrod - half * (values @ _GK15_GAUSS)))
+                kronrod = np.bincount(panel, kronrod)
+                tolerance = np.maximum(quad.absolute_tolerance,
+                                       quad.relative_tolerance * np.abs(kronrod))
+                for i in np.flatnonzero(~(error <= tolerance)):
+                    kronrod[i] = specfun.integrate(integrand, limits[i], limits[i + 1], quad).value
+                integrals = np.append(np.cumsum(kronrod[::-1])[::-1], 0.0) + integrals
+            raw = certain + np.append(integrals, 0.0)[index]
+        if conditional:
+            # normalise by the transmit mass; a silenced link has no transmission errors
+            raw = np.divide(raw, mass, out=np.zeros(raw.shape), where=mass > 1e-300)
+        return np.minimum(np.maximum(raw, 0.0), 1.0)
+
+    return price
 
 
 def p_error(
@@ -297,38 +319,16 @@ def p_error(
     (:func:`noise_floor`) the tail is pinned at 1, a certain loss
     F(x0) - F(beta) in the fading CDF F.  The fit does not depend on the
     threshold, so the whole grid costs one adaptive quadrature plus one
-    vectorized panel rule (see :func:`_error_integrals`).  With
+    vectorized panel rule (see :func:`_error_grid`).  With
     ``conditional`` the integral is normalized by the transmit mass
     1 - F(beta), so the result composes with the queue-drop probabilities.
     Passing ``cdf`` (F at the flattened thresholds, then at x0, which
     checked them) skips evaluating F.  An infinite threshold (a silenced
     link) has no transmissions and no errors.
     """
-    if not main_power > 0:
-        raise DomainError(f"main_power must be > 0, got {main_power}")
-    if not gamma_th > 0:
-        raise DomainError(f"gamma_th must be > 0, got {gamma_th}")
     betas = np.asarray(main_beta, dtype=float)
-    flat = betas.ravel()
-    x0 = noise_floor(main, main_power, noise, gamma_th)
-    if cdf is None:
-        flat = specfun._nonnegative("main_beta", flat)
-        cdf = channel.fading_cdf(main.fading, np.append(flat, x0))
-    cdf, cdf_floor = cdf[:-1], cdf[-1]
-    lo = np.maximum(flat, x0)
-    # a silenced threshold integrates nothing
-    limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
-    integrals = 0.0
-    if limits.size and isinstance(fit, GammaFit):
-        margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
-        values = _error_integrals(main.fading, fit, margin_rate, noise.power, x0, limits, quad)
-        integrals = np.concatenate((values, [0.0]))[np.searchsorted(limits, lo)]
-    raw = np.maximum(0.0, cdf_floor - cdf) * (flat < x0) + integrals
-    if conditional:
-        # normalise by the transmit mass; a silenced link has no transmission errors
-        mass = 1.0 - cdf
-        raw = np.divide(raw, mass, out=np.zeros(raw.shape), where=mass > 1e-300)
-    return np.minimum(np.maximum(raw, 0.0), 1.0).reshape(betas.shape)[()]
+    price = _error_grid(main, main_power, betas.ravel(), noise, gamma_th, conditional, quad, cdf)
+    return price(fit).reshape(betas.shape)[()]
 
 
 def noise_floor(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_th: float) -> float:

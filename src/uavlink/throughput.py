@@ -11,9 +11,9 @@ iteration lets every node tune its own threshold against the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy.optimize
@@ -372,16 +372,12 @@ def source_view(
     )
 
 
-def _evaluate_grid(
-    view: SourceView, betas: list[float] | np.ndarray
-) -> list[LossBreakdown | StabilityError]:
-    """Loss breakdown of one node at each threshold of ``betas``, in order.
+def _prepare_grid(view: SourceView, betas: list[float] | np.ndarray) -> tuple[list, Callable]:
+    """:func:`_evaluate_grid` up to the interference law, which the returned function takes.
 
-    One fading-CDF evaluation (at the thresholds and the noise floor)
-    feeds the queue terms and one :func:`interference.p_error` call over
-    the stable thresholds.  A threshold beyond the stability bound,
-    including one whose transmit probability rounds to 0, gets its
-    :class:`StabilityError` in place of a breakdown.
+    Returns each threshold's ``(beta, phi, stable)`` and a function of the law giving the
+    arrays ``p_delay, p_overflow, p_error, p_loss, throughput`` at the stable thresholds.  One
+    fading-CDF evaluation (thresholds and noise floor) feeds the queue terms and the error grid.
     """
     betas = np.asarray(betas, dtype=float)
     x0 = itf.noise_floor(view.link, view.power, view.noise, view.sinr_threshold)
@@ -393,15 +389,35 @@ def _evaluate_grid(
         betas, mu, cdf = betas[stable], mu[stable], cdf[np.append(stable, True)]
     p_dly = qn.p_delay(mu, view.queue)
     p_ov = qn.p_overflow(mu, view.queue)
-    p_err = itf.p_error(view.link, view.power, betas, view.noise, view.sinr_threshold,
-                        fit=view.fit, cdf=cdf)
-    p_loss = compose_loss(p_ov, p_dly, p_err)
-    rate = expected_throughput(view.queue.arrival_rate, p_loss)
-    rows = zip(*(a.tolist() for a in (p_dly, p_ov, p_err, p_loss, rate)))
+    p_err = itf._error_grid(view.link, view.power, betas, view.noise, view.sinr_threshold, cdf=cdf)
+
+    def price(fit: GammaFit | ZeroInterference) -> tuple[np.ndarray, ...]:
+        p_loss = compose_loss(p_ov, p_dly, errors := p_err(fit))
+        return p_dly, p_ov, errors, p_loss, expected_throughput(view.queue.arrival_rate, p_loss)
+
+    return cases, price
+
+
+def _evaluate_grid(view: SourceView, betas) -> list[LossBreakdown | StabilityError]:
+    """Loss breakdown of one node at each threshold of ``betas``, in order.
+
+    The grid is prepared (:func:`_prepare_grid`), then priced against the
+    view's fit.  A threshold beyond the stability bound, including one
+    whose transmit probability rounds to 0, gets its
+    :class:`StabilityError` in place of a breakdown.
+    """
+    cases, price = _prepare_grid(view, betas)
+    rows = zip(*(a.tolist() for a in price(view.fit)))
     return [
         LossBreakdown(*next(rows)) if ok else _instability(view, beta, phi)
         for beta, phi, ok in cases
     ]
+
+
+def _rates(cases: list, price: Callable, fit: GammaFit | ZeroInterference) -> list[float]:
+    """A prepared grid's throughput at each threshold against ``fit``; -inf where unstable."""
+    rates = iter(price(fit)[-1].tolist())
+    return [next(rates) if ok else -math.inf for *_, ok in cases]
 
 
 def _instability(view: SourceView, beta: float, phi: float) -> StabilityError:
@@ -472,13 +488,14 @@ def jacobi_best_response(
     The first iterate is the scenario's thresholds with ``initial``'s on
     top.  Each iteration, every node grid-searches its own throughput (or the
     network sum with ``objective='sum'``) holding the others at the
-    previous iterate; ties break toward the smaller threshold.  With
-    ``objective='own'`` a node's whole grid, and its previous threshold,
-    costs one error-kernel call (:func:`interference.p_error` over the
-    grid).  Stops when no threshold moves by more than ``tol``.
-    Best-response dynamics need not converge, so hitting ``max_iters``
-    (at least 1) returns the last iterate with ``converged=False`` rather
-    than raising.
+    previous iterate; ties break toward the smaller threshold.  Views and
+    links are built once, and each iteration re-thresholds the interferers.
+    With ``objective='own'`` each node's grid is prepared once
+    (:func:`_prepare_grid`; at iteration 0 with an off-grid threshold too)
+    and priced against the node's new fit each iteration.  Stops when no
+    threshold moves by more than ``tol`` (> 0).  Best-response dynamics need
+    not converge, so hitting ``max_iters`` (at least 1) returns the last
+    iterate with ``converged=False`` rather than raising.
     """
     if objective not in ("own", "sum"):
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
@@ -486,25 +503,25 @@ def jacobi_best_response(
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
+    if not tol > 0:  # also rejects NaN, which no change is ever below
+        raise DomainError(f"tol must be > 0, got {tol}")
     policy = _resolve_policy(scenario, initial)
     node_ids = [node.id for node in scenario.nodes]
-    grids = {
-        node_id: np.linspace(0.0, source_view(scenario, policy, node_id).upper, grid_size).tolist()
-        for node_id in node_ids
-    }
+    views = {node_id: source_view(scenario, policy, node_id) for node_id in node_ids}
+    grids = {i: np.linspace(0.0, view.upper, grid_size).tolist() for i, view in views.items()}
+    prepared = {i: _prepare_grid(views[i], grids[i]) for i in node_ids if objective == "own"}
 
-    def own_rates(view: SourceView, betas: list[float]) -> list[float]:
-        return [
-            -math.inf if isinstance(r, StabilityError) else r.throughput
-            for r in _evaluate_grid(view, betas)
-        ]
+    def facing(node_id: str, trial: PolicyVector) -> SourceView:
+        """The node's view, links kept, with its interferers at ``trial``'s thresholds."""
+        view, others = views[node_id], [i for i in node_ids if i != node_id]
+        links = (replace(link, beta=trial.get(i)) for link, i in zip(view.interferers, others))
+        return replace(view, interferers=tuple(links))
 
     def network_rate(trial: PolicyVector) -> float:
         total = 0.0
         for other_id in node_ids:
-            other_view = source_view(scenario, trial, other_id)
             try:
-                total += evaluate_view(other_view, trial.get(other_id)).throughput
+                total += evaluate_view(facing(other_id, trial), trial.get(other_id)).throughput
             except StabilityError:
                 return -math.inf
         return total
@@ -516,20 +533,24 @@ def jacobi_best_response(
         chosen_rate: dict[str, float] = {}
         previous_rate: dict[str, float] = {}
         for node_id in node_ids:
-            view = source_view(scenario, policy, node_id)
+            view = facing(node_id, policy)
             grid = grids[node_id]
             previous = policy.get(node_id)
             if objective == "own":
-                # the whole grid and the previous threshold in one kernel call
-                rates = own_rates(view, [*grid, previous])
+                # the kept grid; an off-grid threshold (iteration 0 only) needs a grid holding it
+                if previous in grid:
+                    rates = _rates(*prepared[node_id], view.fit)
+                    rates.append(rates[grid.index(previous)])
+                else:
+                    rates = _rates(*_prepare_grid(view, [*grid, previous]), view.fit)
                 best_idx = int(np.argmax(rates[:-1]))  # first max = smallest beta
                 chosen_rate[node_id], previous_rate[node_id] = rates[best_idx], rates[-1]
             else:
                 # each trial threshold changes the other nodes' fits: one evaluation per point
                 values = [network_rate(policy.updated(node_id, beta)) for beta in grid]
                 best_idx = int(np.argmax(values))
-                chosen_rate[node_id], previous_rate[node_id] = own_rates(
-                    view, [grid[best_idx], previous]
+                chosen_rate[node_id], previous_rate[node_id] = _rates(
+                    *_prepare_grid(view, [grid[best_idx], previous]), view.fit
                 )
             new_betas[node_id] = grid[best_idx]
         delta = max(abs(new_betas[i] - policy.get(i)) for i in node_ids)

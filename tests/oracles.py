@@ -1,12 +1,14 @@
 """Test-side oracles: the buffer-occupancy Markov chain behind the queue
 formulas, the per-point SINR error integral, the error integrand in
 scipy's ufuncs, the scaled Bessel I0, the slot-by-slot simulator loop, a
-reader for results files, and a scenario's own policy.
+reader for results files, a scenario's own policy, and the best-response
+loop that rebuilds and re-evaluates every node's view each iteration.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
-``interference.p_error``, the quadrature's float integrand and
-``simulator.run`` the hard way, so the package's closed forms, grid kernel,
-float kernels and per-node queue walk can be checked against them.  They
+``interference.p_error``, the quadrature's float integrand,
+``simulator.run`` and ``throughput.jacobi_best_response`` the hard way, so
+the package's closed forms, grid kernel, float kernels, per-node queue walk
+and prepared best-response grids can be checked against them.  They
 live with the tests because the package itself never calls them.
 """
 
@@ -30,6 +32,7 @@ from uavlink import specfun
 from uavlink.errors import DomainError, StabilityError
 from uavlink.queueing import QueueParams
 from uavlink.specfun import DEFAULT_QUAD
+from uavlink import throughput as tp
 from uavlink.throughput import PolicyVector
 
 
@@ -334,3 +337,71 @@ def read_results(source: str | Path | io.TextIOBase) -> list[dict[str, Any]]:
 def scenario_policy(scenario) -> PolicyVector:
     """Every node's threshold as the scenario sets it."""
     return PolicyVector({node.id: node.beta for node in scenario.nodes})
+
+
+def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=50,
+                      objective="own") -> tp.JacobiResult:
+    """``jacobi_best_response`` with every view rebuilt and every grid evaluated afresh.
+
+    Each iteration calls ``source_view`` for every node and scores its grid
+    and previous threshold in one ``_evaluate_grid(view, [*grid, previous])``
+    call, building a breakdown per point; the package's loop must give the
+    same trace, bit for bit.
+    """
+    policy = tp._resolve_policy(scenario, initial)
+    node_ids = [node.id for node in scenario.nodes]
+    grids = {
+        node_id: np.linspace(
+            0.0, tp.source_view(scenario, policy, node_id).upper, grid_size
+        ).tolist()
+        for node_id in node_ids
+    }
+
+    def own_rates(view, betas):
+        return [
+            -math.inf if isinstance(r, StabilityError) else r.throughput
+            for r in tp._evaluate_grid(view, betas)
+        ]
+
+    def network_rate(trial):
+        total = 0.0
+        for other_id in node_ids:
+            other_view = tp.source_view(scenario, trial, other_id)
+            try:
+                total += tp.evaluate_view(other_view, trial.get(other_id)).throughput
+            except StabilityError:
+                return -math.inf
+        return total
+
+    trace = []
+    converged = False
+    for iteration in range(max_iters):
+        new_betas, chosen_rate, previous_rate = {}, {}, {}
+        for node_id in node_ids:
+            view = tp.source_view(scenario, policy, node_id)
+            grid = grids[node_id]
+            previous = policy.get(node_id)
+            if objective == "own":
+                rates = own_rates(view, [*grid, previous])
+                best_idx = int(np.argmax(rates[:-1]))
+                chosen_rate[node_id], previous_rate[node_id] = rates[best_idx], rates[-1]
+            else:
+                values = [network_rate(policy.updated(node_id, beta)) for beta in grid]
+                best_idx = int(np.argmax(values))
+                chosen_rate[node_id], previous_rate[node_id] = own_rates(
+                    view, [grid[best_idx], previous]
+                )
+            new_betas[node_id] = grid[best_idx]
+        delta = max(abs(new_betas[i] - policy.get(i)) for i in node_ids)
+        policy = PolicyVector(new_betas)
+        trace.append({
+            "iteration": iteration,
+            "betas": dict(new_betas),
+            "throughput": dict(chosen_rate),
+            "previous_throughput": dict(previous_rate),
+            "max_change": delta,
+        })
+        if delta < tol:
+            converged = True
+            break
+    return tp.JacobiResult(trace=trace, converged=converged)

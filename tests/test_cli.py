@@ -320,6 +320,17 @@ class TestOptimize:
         assert err.splitlines() == ["error: max_iters must be >= 1, got 0"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tolerance_no_change_can_meet_is_a_usage_error(self, tol, capsys):
+        code = cli.main([
+            "optimize", "--scenario", str(EXAMPLE), "--tol", tol,
+            "--max-iters", "2", "--grid", "8",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [f"error: tol must be > 0, got {float(tol)}"]
+        assert "Traceback" not in err
+
     def test_not_converged_reports_the_last_iterate(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         code = cli.main([
@@ -340,6 +351,21 @@ class TestOptimize:
         assert shown.keys() == expected.keys()
         for node_id, beta in expected.items():
             assert shown[node_id] == pytest.approx(beta, rel=1e-5)
+
+
+class TestLogLevel:
+    def test_unknown_level_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("UAVLINK_LOG", "bogus")
+        code = cli.main(["evaluate", "--scenario", str(EXAMPLE)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        message = "error: UAVLINK_LOG must name a log level, got 'bogus'"
+        assert captured.err.splitlines() == [message]
+
+    def test_level_names_any_case(self, monkeypatch, capsys):
+        monkeypatch.setenv("UAVLINK_LOG", "error")
+        assert cli.main(["evaluate", "--scenario", str(EXAMPLE)]) == 0
 
 
 class TestHelp:

@@ -2,13 +2,15 @@
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import scenario_policy
+from oracles import jacobi_rebuilding, scenario_policy
 from uavlink import interference as itf
 from uavlink import simulator as sim
 from uavlink import throughput as tp
@@ -20,6 +22,8 @@ from uavlink.specfun import QuadratureSpec
 from uavlink.throughput import PolicyVector
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.yaml"
 
 
 def queue(arrival_rate=80.0, slot=0.002, deadline=0.045, buffer_norm=100.0):
@@ -601,19 +605,38 @@ class TestJacobi:
             for node_id, rate in entry["throughput"].items():
                 assert rate >= entry["previous_throughput"][node_id] - 1e-9
 
-    def test_own_objective_scores_each_grid_in_one_kernel_call(self, monkeypatch):
+    @pytest.mark.parametrize("on_grid", [False, True], ids=["off-grid-start", "on-grid-start"])
+    def test_own_objective_prepares_each_grid_once_and_prices_it_every_sweep(
+        self, on_grid, monkeypatch
+    ):
+        # preparing a grid evaluates F once at all its thresholds and the noise floor, and
+        # pricing it composes its losses once; the bounds and the fits evaluate F pointwise
         scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.0, seed=9)
-        calls = []
-        p_error = itf.p_error
+        grids = {
+            node.id: np.linspace(0.0, tp.source_view(scenario, node_id=node.id).upper, 24)
+            for node in scenario.nodes
+        }
+        assert not any(np.any(grid == 2.0) for grid in grids.values())
+        initial = {node_id: float(grid[10]) for node_id, grid in grids.items()}
+        cdf_sizes, priced = [], []
+        fading_cdf = tp.ch.fading_cdf
 
-        def recording(main, power, betas, *args, **kwargs):
-            calls.append(np.size(betas))
-            return p_error(main, power, betas, *args, **kwargs)
+        def counting(model, beta):
+            cdf_sizes.append(np.size(beta))
+            return fading_cdf(model, beta)
 
-        monkeypatch.setattr(itf, "p_error", recording)
-        result = tp.jacobi_best_response(scenario, grid_size=24, tol=1e-6, max_iters=3)
-        assert len(calls) == len(scenario.nodes) * result.iterations
-        assert all(size >= 24 for size in calls)
+        monkeypatch.setattr(tp.ch, "fading_cdf", counting)
+        monkeypatch.setattr(tp, "compose_loss", recording(priced, tp.compose_loss))
+        result = tp.jacobi_best_response(
+            scenario, initial if on_grid else None, grid_size=24, tol=1e-12, max_iters=3
+        )
+        nodes = len(scenario.nodes)
+        assert result.iterations == 3
+        # one 24-point grid per node, and at iteration 0 one holding the off-grid start
+        grid_calls = [size for size in cdf_sizes if size > 1]
+        assert sorted(grid_calls) == [25] * nodes + ([] if on_grid else [26] * nodes)
+        assert len(priced) == nodes * result.iterations
+        assert all(np.size(p_err) <= 25 for *_, p_err in priced)
 
     def test_previous_threshold_beyond_the_bound_scores_minus_infinity(self):
         scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
@@ -713,6 +736,65 @@ class TestJacobi:
     def test_fewer_than_one_iteration_is_rejected(self, max_iters):
         with pytest.raises(DomainError, match="max_iters"):
             tp.jacobi_best_response(rician_scenario(), max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_tolerance_must_be_positive(self, tol):
+        # no change is ever below a NaN or non-positive tolerance, so every iteration would run
+        with pytest.raises(DomainError, match="tol"):
+            tp.jacobi_best_response(rician_scenario(), tol=tol)
+
+
+class TestJacobiMatchesRebuildingLoop:
+    """Prepared grids and kept views give the rebuilding loop's result, bit for bit."""
+
+    @staticmethod
+    def assert_same(scenario, **kwargs):
+        got = tp.jacobi_best_response(scenario, **kwargs)
+        want = jacobi_rebuilding(scenario, **kwargs)
+        assert repr(got.trace) == repr(want.trace)
+        assert got.converged == want.converged
+        return got
+
+    @pytest.mark.parametrize("placement", range(8))
+    def test_example_placements(self, placement):
+        document = yaml.safe_load(EXAMPLE.read_text())
+        scenario = scenario_from_mapping({**document, "placement_seed": placement})
+        self.assert_same(scenario, grid_size=64, max_iters=4)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.37], ids=["on-grid", "off-grid"])
+    def test_initial_threshold_on_and_off_the_grid(self, offset):
+        scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.5, seed=9)
+        upper = tp.source_view(scenario).upper
+        start = float(np.linspace(0.0, upper, 24)[9]) + offset * upper / 23
+        self.assert_same(scenario, initial={"src": start}, grid_size=24, tol=1e-6, max_iters=5)
+
+    def test_initial_threshold_beyond_the_bound(self):
+        scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
+        initial = {"src": tp.source_view(scenario).upper + 1.0}
+        result = self.assert_same(scenario, initial=initial, grid_size=16, max_iters=3)
+        assert result.trace[0]["previous_throughput"]["src"] == -math.inf
+
+    def test_sum_objective(self):
+        doc = {
+            "nodes": [
+                {
+                    "id": node_id,
+                    "role": role,
+                    "position": [x, 20.0, 0.0],
+                    "transmit_power": 0.8,
+                    "fading": "rician",
+                    "beta": 2.0,
+                    "queue": {
+                        "arrival_rate": 80.0,
+                        "delay_threshold": 0.045,
+                        "buffer_capacity_normalized": 100.0,
+                    },
+                }
+                for node_id, role, x in (("a", "source", 10.0), ("b", "interferer", 30.0))
+            ]
+        }
+        scenario = scenario_from_mapping(doc)
+        self.assert_same(scenario, grid_size=48, tol=1e-9, max_iters=25, objective="sum")
 
 
 class TestPolicyResolution:
