@@ -89,12 +89,6 @@ def cmd_sweep(args) -> int:
             raise ScenarioError(
                 f"--values {args.values!r}: not a comma-separated list of numbers"
             ) from None
-        if args.var == "interferer_count":
-            if not all(v.is_integer() for v in values):
-                raise ScenarioError(
-                    f"--var interferer_count takes whole numbers, got {args.values!r}"
-                )
-            values = tuple(int(v) for v in values)
         columns, rows = ps.run_sweep(scenario, ps.SweepSpec(args.var, values))
     if args.out:
         write_results(rows, args.out, columns)

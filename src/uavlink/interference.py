@@ -240,6 +240,8 @@ def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: N
     it and lays out no panels.  A panel whose Kronrod-Gauss difference
     exceeds its share is integrated adaptively instead, so an
     :class:`AccuracyError` is raised rather than an inaccurate value returned.
+    Passing ``cdf`` (F at ``flat``, then at x0, from a caller that checked
+    the thresholds) skips evaluating F.
     """
     if not main_power > 0:
         raise DomainError(f"main_power must be > 0, got {main_power}")
@@ -307,7 +309,6 @@ def p_error(
     fit: GammaFit | ZeroInterference,
     conditional: bool = True,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    cdf: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Probability a transmitted packet fails the SINR threshold, at each threshold.
 
@@ -322,12 +323,11 @@ def p_error(
     vectorized panel rule (see :func:`_error_grid`).  With
     ``conditional`` the integral is normalized by the transmit mass
     1 - F(beta), so the result composes with the queue-drop probabilities.
-    Passing ``cdf`` (F at the flattened thresholds, then at x0, which
-    checked them) skips evaluating F.  An infinite threshold (a silenced
-    link) has no transmissions and no errors.
+    An infinite threshold (a silenced link) has no transmissions and no
+    errors.
     """
     betas = np.asarray(main_beta, dtype=float)
-    price = _error_grid(main, main_power, betas.ravel(), noise, gamma_th, conditional, quad, cdf)
+    price = _error_grid(main, main_power, betas.ravel(), noise, gamma_th, conditional, quad)
     return price(fit).reshape(betas.shape)[()]
 
 

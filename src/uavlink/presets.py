@@ -74,6 +74,12 @@ class SweepSpec:
             raise DomainError("SweepSpec.values must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise DomainError("SweepSpec.values must be strictly increasing")
+        if self.variable == "interferer_count":
+            for count in self.values:
+                if not (count >= 0 and float(count).is_integer()):  # NaN fails the comparison
+                    raise DomainError(
+                        f"SweepSpec: interferer_count takes whole numbers >= 0, got {count!r}"
+                    )
 
 
 def _with_interferer_prefix(scenario: Scenario, count: int) -> Scenario:

@@ -11,9 +11,10 @@ iteration lets every node tune its own threshold against the others.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, Mapping
+from functools import cache, cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.optimize
@@ -58,9 +59,10 @@ class PolicyVector:
 
     def __post_init__(self):
         for node_id, beta in self.betas.items():
-            if not beta >= 0:  # also rejects NaN; inf silences the node
+            # NaN fails the comparison; inf silences the node
+            if isinstance(beta, bool) or not (isinstance(beta, numbers.Real) and beta >= 0):
                 raise DomainError(
-                    f"PolicyVector: beta for node {node_id!r} must be >= 0, got {beta!r}"
+                    f"PolicyVector: beta for node {node_id!r} must be a number >= 0, got {beta!r}"
                 )
 
     def get(self, node_id: str) -> float:
@@ -372,7 +374,7 @@ def source_view(
     )
 
 
-def _prepare_grid(view: SourceView, betas: list[float] | np.ndarray) -> tuple[list, Callable]:
+def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray) -> tuple[list, Callable]:
     """:func:`_evaluate_grid` up to the interference law, which the returned function takes.
 
     Returns each threshold's ``(beta, phi, stable)`` and a function of the law giving the
@@ -412,12 +414,6 @@ def _evaluate_grid(view: SourceView, betas) -> list[LossBreakdown | StabilityErr
         LossBreakdown(*next(rows)) if ok else _instability(view, beta, phi)
         for beta, phi, ok in cases
     ]
-
-
-def _rates(cases: list, price: Callable, fit: GammaFit | ZeroInterference) -> list[float]:
-    """A prepared grid's throughput at each threshold against ``fit``; -inf where unstable."""
-    rates = iter(price(fit)[-1].tolist())
-    return [next(rates) if ok else -math.inf for *_, ok in cases]
 
 
 def _instability(view: SourceView, beta: float, phi: float) -> StabilityError:
@@ -486,45 +482,41 @@ def jacobi_best_response(
     """Simultaneous best-response iteration on every node's own threshold.
 
     The first iterate is the scenario's thresholds with ``initial``'s on
-    top.  Each iteration, every node grid-searches its own throughput (or the
-    network sum with ``objective='sum'``) holding the others at the
-    previous iterate; ties break toward the smaller threshold.  Views and
-    links are built once, and each iteration re-thresholds the interferers.
-    With ``objective='own'`` each node's grid is prepared once
-    (:func:`_prepare_grid`; at iteration 0 with an off-grid threshold too)
-    and priced against the node's new fit each iteration.  Stops when no
+    top.  Each iteration, every node grid-searches ``grid_size`` thresholds
+    from 0 to its stability bound for its own throughput (or the network
+    sum with ``objective='sum'``), holding the others at the previous
+    iterate; ties break toward the smaller threshold.  Every score prices a
+    grid prepared once per call (:func:`_prepare_grid`) against the
+    interference law of the trial thresholds, with -inf for an unstable
+    queue: under ``'own'`` the node's grid, holding its previous threshold
+    too when that lies off the grid (iteration 0 only); under ``'sum'``
+    each node's grid of one at its trial threshold.  Stops when no
     threshold moves by more than ``tol`` (> 0).  Best-response dynamics need
     not converge, so hitting ``max_iters`` (at least 1) returns the last
     iterate with ``converged=False`` rather than raising.
     """
     if objective not in ("own", "sum"):
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
-    if not tol > 0:  # also rejects NaN, which no change is ever below
+    for name, value, least in (("grid_size", grid_size, 2), ("max_iters", max_iters, 1)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise DomainError(f"{name} must be >= {least}, got {value}")
+    if not (isinstance(tol, numbers.Real) and tol > 0):  # NaN too: no change is ever below it
         raise DomainError(f"tol must be > 0, got {tol}")
     policy = _resolve_policy(scenario, initial)
     node_ids = [node.id for node in scenario.nodes]
     views = {node_id: source_view(scenario, policy, node_id) for node_id in node_ids}
-    grids = {i: np.linspace(0.0, view.upper, grid_size).tolist() for i, view in views.items()}
-    prepared = {i: _prepare_grid(views[i], grids[i]) for i in node_ids if objective == "own"}
+    grids = {i: tuple(np.linspace(0.0, v.upper, grid_size).tolist()) for i, v in views.items()}
+    prepared = cache(lambda node_id, betas: _prepare_grid(views[node_id], betas))
 
-    def facing(node_id: str, trial: PolicyVector) -> SourceView:
-        """The node's view, links kept, with its interferers at ``trial``'s thresholds."""
-        view, others = views[node_id], [i for i in node_ids if i != node_id]
-        links = (replace(link, beta=trial.get(i)) for link, i in zip(view.interferers, others))
-        return replace(view, interferers=tuple(links))
-
-    def network_rate(trial: PolicyVector) -> float:
-        total = 0.0
-        for other_id in node_ids:
-            try:
-                total += evaluate_view(facing(other_id, trial), trial.get(other_id)).throughput
-            except StabilityError:
-                return -math.inf
-        return total
+    def rates(node_id: str, betas: tuple[float, ...], trial: PolicyVector) -> list[float]:
+        """The node's throughput at each of ``betas`` facing ``trial``; -inf where unstable."""
+        view, others = views[node_id], (i for i in node_ids if i != node_id)
+        links = [replace(link, beta=trial.get(i)) for link, i in zip(view.interferers, others)]
+        cases, price = prepared(node_id, betas)
+        throughputs = iter(price(itf.fit_interference(links, view.num_channels))[-1].tolist())
+        return [next(throughputs) if ok else -math.inf for *_, ok in cases]
 
     trace: list[dict] = []
     converged = False
@@ -533,24 +525,20 @@ def jacobi_best_response(
         chosen_rate: dict[str, float] = {}
         previous_rate: dict[str, float] = {}
         for node_id in node_ids:
-            view = facing(node_id, policy)
-            grid = grids[node_id]
-            previous = policy.get(node_id)
+            grid, previous = grids[node_id], policy.get(node_id)
             if objective == "own":
-                # the kept grid; an off-grid threshold (iteration 0 only) needs a grid holding it
-                if previous in grid:
-                    rates = _rates(*prepared[node_id], view.fit)
-                    rates.append(rates[grid.index(previous)])
-                else:
-                    rates = _rates(*_prepare_grid(view, [*grid, previous]), view.fit)
-                best_idx = int(np.argmax(rates[:-1]))  # first max = smallest beta
-                chosen_rate[node_id], previous_rate[node_id] = rates[best_idx], rates[-1]
+                scored = grid if previous in grid else (*grid, previous)
+                values = rates(node_id, scored, policy)
+                best_idx = int(np.argmax(values[:grid_size]))  # first max = smallest beta
+                chosen_rate[node_id] = values[best_idx]
+                previous_rate[node_id] = values[scored.index(previous)]
             else:
-                # each trial threshold changes the other nodes' fits: one evaluation per point
-                values = [network_rate(policy.updated(node_id, beta)) for beta in grid]
-                best_idx = int(np.argmax(values))
-                chosen_rate[node_id], previous_rate[node_id] = _rates(
-                    *_prepare_grid(view, [grid[best_idx], previous]), view.fit
+                trials = (policy.updated(node_id, beta) for beta in grid)
+                best_idx = int(np.argmax([
+                    sum(rates(i, (trial.get(i),), trial)[0] for i in node_ids) for trial in trials
+                ]))
+                chosen_rate[node_id], previous_rate[node_id] = rates(
+                    node_id, (grid[best_idx], previous), policy
                 )
             new_betas[node_id] = grid[best_idx]
         delta = max(abs(new_betas[i] - policy.get(i)) for i in node_ids)

@@ -166,6 +166,17 @@ class TestSweep:
         assert "interferer_count takes whole numbers" in captured.err
         assert captured.out == ""
 
+    def test_negative_interferer_count_is_usage_error(self, scenario_path, capsys):
+        code = cli.main([
+            "sweep", "--scenario", scenario_path, "--var", "interferer_count", "--values=-1,0",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: SweepSpec: interferer_count takes whole numbers >= 0, got -1.0"
+        ]
+        assert captured.out == ""
+
     def test_overloading_slot_names_the_node(self, capsys):
         code = cli.main([
             "sweep", "--scenario", str(EXAMPLE), "--var", "t_slt", "--values", "0.02",

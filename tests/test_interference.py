@@ -565,7 +565,7 @@ class TestPErrorPanels:
         fit = itf.fit_interference(links, 15)
         expected = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=fit)
         monkeypatch.setattr(itf.channel, "fading_cdf", None)
-        given = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=fit, cdf=cdf)
+        given = itf._error_grid(link, 1.0, betas, self.NOISE, 0.5, cdf=cdf)(fit)
         assert given.tolist() == expected.tolist()
 
     def test_failed_fallback_raises_with_best_estimate(self):

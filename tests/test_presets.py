@@ -1,5 +1,6 @@
 """Sweep machinery: axis application, presets, and reproducibility."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,14 @@ class TestSweepSpec:
             ps.SweepSpec("beta_m", (2.0, 1.0))
         with pytest.raises(DomainError):
             ps.SweepSpec("beta_m", (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "values, bad",
+        [((-1, 0), "-1"), ((1.5,), "1.5"), ((0, math.nan), "nan"), ((math.inf,), "inf")],
+    )
+    def test_interferer_count_takes_whole_numbers(self, values, bad):
+        with pytest.raises(DomainError, match=f"whole numbers >= 0, got {bad}$"):
+            ps.SweepSpec("interferer_count", values)
 
 
 class TestRunSweep:

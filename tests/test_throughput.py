@@ -737,11 +737,34 @@ class TestJacobi:
         with pytest.raises(DomainError, match="max_iters"):
             tp.jacobi_best_response(rician_scenario(), max_iters=max_iters)
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize(
+        "argument, value", [("grid_size", 2.5), ("max_iters", 2.5), ("max_iters", True)]
+    )
+    def test_counts_must_be_integers(self, argument, value):
+        with pytest.raises(DomainError, match=f"{argument} must be an integer, got {value!r}"):
+            tp.jacobi_best_response(rician_scenario(), **{argument: value})
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, None])
     def test_tolerance_must_be_positive(self, tol):
         # no change is ever below a NaN or non-positive tolerance, so every iteration would run
         with pytest.raises(DomainError, match="tol"):
             tp.jacobi_best_response(rician_scenario(), tol=tol)
+
+    def test_sum_objective_prepares_each_grid_of_one_once(self, monkeypatch):
+        # a grid of one evaluates F at its threshold and the noise floor; every node's trial
+        # threshold is a point of its grid or its initial one
+        document = yaml.safe_load(EXAMPLE.read_text())
+        scenario = scenario_from_mapping({**document, "placement_seed": 0})
+        cdf_sizes = []
+        fading_cdf = tp.ch.fading_cdf
+
+        def counting(model, beta):
+            cdf_sizes.append(np.size(beta))
+            return fading_cdf(model, beta)
+
+        monkeypatch.setattr(tp.ch, "fading_cdf", counting)
+        tp.jacobi_best_response(scenario, grid_size=8, max_iters=2, objective="sum")
+        assert 0 < cdf_sizes.count(2) <= len(scenario.nodes) * (8 + 1)
 
 
 class TestJacobiMatchesRebuildingLoop:
@@ -796,6 +819,22 @@ class TestJacobiMatchesRebuildingLoop:
         scenario = scenario_from_mapping(doc)
         self.assert_same(scenario, grid_size=48, tol=1e-9, max_iters=25, objective="sum")
 
+    @pytest.mark.parametrize("placement", range(4))
+    def test_sum_objective_example_placements(self, placement):
+        # five nodes with mixed fading
+        document = yaml.safe_load(EXAMPLE.read_text())
+        scenario = scenario_from_mapping({**document, "placement_seed": placement})
+        self.assert_same(scenario, grid_size=8, max_iters=2, objective="sum")
+
+    def test_sum_objective_initial_threshold_beyond_the_bound(self):
+        # every other node's trial faces src beyond its bound: the network rate is -inf
+        scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
+        initial = {"src": tp.source_view(scenario).upper + 1.0}
+        result = self.assert_same(
+            scenario, initial=initial, grid_size=16, max_iters=3, objective="sum"
+        )
+        assert result.trace[0]["previous_throughput"]["src"] == -math.inf
+
 
 class TestPolicyResolution:
     """A policy overrides the scenario's thresholds for the nodes it names."""
@@ -837,6 +876,11 @@ def test_policy_vector_validation():
         PolicyVector({"a": -0.5})
     with pytest.raises(DomainError, match="'a'"):
         PolicyVector({"a": math.nan})
+    for malformed in ("x", None, True):
+        with pytest.raises(DomainError, match="'a'"):
+            PolicyVector({"a": malformed})
+        with pytest.raises(DomainError, match="'src'"):
+            tp.evaluate(rician_scenario(), {"src": malformed})
     assert PolicyVector({"a": math.inf}).get("a") == math.inf  # inf silences a node
     policy = PolicyVector({"a": 1.0}).updated("a", 2.0)
     assert policy.get("a") == 2.0
