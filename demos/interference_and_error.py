@@ -8,7 +8,7 @@ interference drowns a packet of given fading strength.
 
 import numpy as np
 
-from uavlink.channel import LinkChannel, Rayleigh
+from uavlink.channel import LinkChannel, Rayleigh, fading_cdf
 from uavlink.interference import (
     InterfererLink,
     NoiseModel,
@@ -46,5 +46,5 @@ for count in range(0, 6):
 
 print()
 print("raw (unconditioned) variant of the same integral, for comparison:")
-value = p_error(main, 0.5, 1.0, noise, 8.0, fit=fit, conditional=False)
-print(f"  unnormalized integral with 5 interferers: {value:.5f}")
+value = p_error(main, 0.5, 1.0, noise, 8.0, fit=fit) * (1.0 - fading_cdf(main.fading, 1.0))
+print(f"  times the fading mass 1 - F(beta) with 5 interferers: {value:.5f}")

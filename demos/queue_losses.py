@@ -9,7 +9,7 @@ two rates meet and the deadline drop becomes certain.
 import numpy as np
 
 from uavlink.channel import Rician, transmit_prob
-from uavlink.queueing import QueueParams, offered_load, p_delay, p_overflow, service_rate
+from uavlink.queueing import QueueParams, offered_load, p_delay, p_overflow
 from uavlink.throughput import beta_upper
 
 model = Rician(b=4.0)
@@ -26,11 +26,10 @@ print(f"stability bound for this link: beta_upper = {upper:.4f}")
 print()
 print(f"{'beta':>6} {'phi':>9} {'load':>7} {'P(deadline)':>12} {'P(overflow)':>12}")
 for beta in np.linspace(0.0, upper, 12):
-    phi = transmit_prob(model, float(beta), channels)
-    mu = service_rate(phi)
+    phi = transmit_prob(model, float(beta), channels)  # the per-slot service rate
     print(
-        f"{beta:6.3f} {phi:9.5f} {offered_load(mu, queue):7.4f} "
-        f"{p_delay(mu, queue):12.6f} {p_overflow(mu, queue):12.3e}"
+        f"{beta:6.3f} {phi:9.5f} {offered_load(phi, queue):7.4f} "
+        f"{p_delay(phi, queue):12.6f} {p_overflow(phi, queue):12.3e}"
     )
 
 print()

@@ -26,7 +26,6 @@ from .interference import GammaFit, InterfererLink, NoiseModel, ZeroInterference
 from .queueing import QueueParams
 from .scenario_io import Node, Scenario, load_scenario, load_scenario_file, write_results
 from .simulator import SimConfig, SimResult
-from .specfun import QuadratureSpec
 from .throughput import (
     BetaBounds,
     JacobiResult,
@@ -54,7 +53,6 @@ __all__ = [
     "Node",
     "PolicyVector",
     "Position",
-    "QuadratureSpec",
     "QueueParams",
     "Rayleigh",
     "Rician",

@@ -30,6 +30,7 @@ class _Parser(argparse.ArgumentParser):
     # exit-code contract reserves 2 for infeasibility; usage problems are 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -78,8 +79,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.preset:
+        axis = [f"--{name}" for name in ("scenario", "var", "values") if getattr(args, name)]
+        if axis:
+            raise ScenarioError(f"--preset pins the scenario and its axis; drop {', '.join(axis)}")
         columns, rows = ps.run_preset(args.preset, args.seed)
     else:
+        if args.seed is not None:
+            raise ScenarioError("--seed overrides a preset's placement; it needs --preset")
         if not args.scenario or not args.var or not args.values:
             raise ScenarioError("sweep needs either --preset or --scenario/--var/--values")
         scenario = _load(args.scenario)
@@ -181,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uavlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--scenario", metavar="PATH", help="scenario document (YAML)")
+    def add_common(p, scenario_required=True):
+        p.add_argument("--scenario", metavar="PATH", required=scenario_required,
+                       help="scenario document (YAML)")
         p.add_argument("--out", metavar="PATH", help="write results to this file")
 
     p_eval = sub.add_parser("evaluate", help="loss breakdown of a scenario's source node")
@@ -199,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(approx=False, func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="evaluate along a parameter axis or a preset")
-    add_common(p_sweep)
+    add_common(p_sweep, scenario_required=False)
     p_sweep.add_argument("--preset", choices=sorted(ps.PRESETS),
                          help="built-in sweep (pins the scenario)")
     p_sweep.add_argument("--seed", type=int, default=None,

@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
 )
-from .specfun import DEFAULT_QUAD, QuadratureSpec
+from .specfun import DEFAULT_QUAD
 
 __all__ = [
     "InterfererLink",
@@ -225,8 +225,7 @@ def _tail_integrand(model: FadingModel, fit: GammaFit, margin_rate: float, noise
 
 
 def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: NoiseModel,
-                gamma_th: float, conditional: bool = True, quad: QuadratureSpec = DEFAULT_QUAD,
-                cdf: np.ndarray | None = None) -> Callable:
+                gamma_th: float, cdf: np.ndarray | None = None) -> Callable:
     """:func:`p_error` at the flat thresholds ``flat``, as a function of the interference law.
 
     The main link alone fixes the fading CDF, the noise floor x0 with the
@@ -237,9 +236,10 @@ def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: N
     one from x0 graded by ``_FLOOR_GRADING``), all evaluated at once, and a
     reversed cumulative sum gives every limit's integral.  The tail and the
     panels share the absolute tolerance equally; a single limit keeps all of
-    it and lays out no panels.  A panel whose Kronrod-Gauss difference
-    exceeds its share is integrated adaptively instead, so an
-    :class:`AccuracyError` is raised rather than an inaccurate value returned.
+    it and lays out no panels; both read ``DEFAULT_QUAD`` at the call.  A
+    panel whose Kronrod-Gauss difference exceeds its share is integrated
+    adaptively instead, so an :class:`AccuracyError` is raised rather than
+    an inaccurate value returned.
     Passing ``cdf`` (F at ``flat``, then at x0, from a caller that checked
     the thresholds) skips evaluating F.
     """
@@ -258,6 +258,7 @@ def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: N
     index = np.searchsorted(limits, lo)
     certain, mass = np.maximum(0.0, cdf_floor - cdf) * (flat < x0), 1.0 - cdf
     margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
+    quad = DEFAULT_QUAD
     if len(limits) > 1:
         quad = replace(quad, absolute_tolerance=quad.absolute_tolerance / len(limits))
         start, stop = limits[:-1], limits[1:]
@@ -291,9 +292,8 @@ def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: N
                     kronrod[i] = specfun.integrate(integrand, limits[i], limits[i + 1], quad).value
                 integrals = np.append(np.cumsum(kronrod[::-1])[::-1], 0.0) + integrals
             raw = certain + np.append(integrals, 0.0)[index]
-        if conditional:
-            # normalise by the transmit mass; a silenced link has no transmission errors
-            raw = np.divide(raw, mass, out=np.zeros(raw.shape), where=mass > 1e-300)
+        # normalise by the transmit mass; a silenced link has no transmission errors
+        raw = np.divide(raw, mass, out=np.zeros(raw.shape), where=mass > 1e-300)
         return np.minimum(np.maximum(raw, 0.0), 1.0)
 
     return price
@@ -307,8 +307,6 @@ def p_error(
     gamma_th: float,
     *,
     fit: GammaFit | ZeroInterference,
-    conditional: bool = True,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float | np.ndarray:
     """Probability a transmitted packet fails the SINR threshold, at each threshold.
 
@@ -320,14 +318,13 @@ def p_error(
     (:func:`noise_floor`) the tail is pinned at 1, a certain loss
     F(x0) - F(beta) in the fading CDF F.  The fit does not depend on the
     threshold, so the whole grid costs one adaptive quadrature plus one
-    vectorized panel rule (see :func:`_error_grid`).  With
-    ``conditional`` the integral is normalized by the transmit mass
-    1 - F(beta), so the result composes with the queue-drop probabilities.
-    An infinite threshold (a silenced link) has no transmissions and no
-    errors.
+    vectorized panel rule (see :func:`_error_grid`).  The integral is
+    normalized by the transmit mass 1 - F(beta), so the result composes
+    with the queue-drop probabilities.  An infinite threshold (a silenced
+    link) has no transmissions and no errors.
     """
     betas = np.asarray(main_beta, dtype=float)
-    price = _error_grid(main, main_power, betas.ravel(), noise, gamma_th, conditional, quad)
+    price = _error_grid(main, main_power, betas.ravel(), noise, gamma_th)
     return price(fit).reshape(betas.shape)[()]
 
 

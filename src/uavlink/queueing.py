@@ -1,10 +1,13 @@
 """Finite-buffer M/M/1 analysis of the transmit queue.
 
-The service process is the per-slot transmit probability of the threshold
-policy, approximated by an exponential law with the same mean so the queue
-admits closed forms: a waiting-time tail (delay drop) and a buffer-overflow
-probability driven by exponentially distributed packet lengths.  Each
-closed form takes one per-slot service rate or an array of them.
+The service process is the per-slot transmit probability phi of the
+threshold policy, approximated by an exponential law with the same mean so
+the queue admits closed forms: a waiting-time tail (delay drop) and a
+buffer-overflow probability driven by exponentially distributed packet
+lengths.  The exponential law is the unique one sharing the geometric
+distribution's mean number of slots (1/phi), which is the moment the
+formulas rely on, so its per-slot rate is phi itself.  Each closed form
+takes one per-slot service rate or an array of them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .errors import DegeneratePolicyError, DomainError, StabilityError
 
 __all__ = [
     "QueueParams",
-    "service_rate",
     "offered_load",
     "is_stable",
     "p_delay",
@@ -65,16 +67,6 @@ def _check_phi(phi) -> np.ndarray:
         bad = phi[~((0.0 < phi) & (phi <= 1.0))].flat[0]
         raise DomainError(f"transmit probability must lie in (0, 1], got {bad}")
     return phi
-
-
-def service_rate(phi: float | np.ndarray) -> float | np.ndarray:
-    """Rate of the exponential service approximation; equals ``phi`` per slot.
-
-    The exponential law is the unique one sharing the geometric
-    distribution's mean number of slots (1/phi), which is the moment the
-    queueing formulas below rely on.
-    """
-    return _check_phi(phi)
 
 
 def offered_load(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:

@@ -176,8 +176,8 @@ class _Queue:
         mark[nb] = True  # sentinel: drain the block's last transmit slots
         visits = np.flatnonzero(mark)
         tx_slots = np.flatnonzero(can_tx)
-        first_tx = np.searchsorted(tx_slots, visits)  # first transmit slot >= visit
-        tx_here = np.append(can_tx, False)[visits]
+        # the transmit slots up to each visit, its own included
+        stops = np.searchsorted(tx_slots, visits) + np.append(can_tx, False)[visits]
 
         q = self.packets
         stored = self.stored
@@ -190,13 +190,12 @@ class _Queue:
         tx_list = tx_slots.tolist()
         sent = []
         k = lo = 0
-        for v, hi, first, here in zip(
+        for v, hi, stop in zip(
             visits.tolist(),
             np.searchsorted(slot_of, visits, side="right").tolist(),
-            first_tx.tolist(),
-            tx_here.tolist(),
+            stops.tolist(),
         ):
-            while q and k < first:
+            while q and k < stop:
                 s = tx_list[k]
                 k += 1
                 slot = start + s
@@ -210,7 +209,7 @@ class _Queue:
                     sent.append(s)
             if v == nb:
                 break
-            k = first + here
+            k = stop
             slot = start + v
             now = slot * t_slt
             measured = slot >= warmup
@@ -218,9 +217,6 @@ class _Queue:
                 stored -= q.popleft()[1]
                 if measured:
                     delay_drops += 1
-            if here and q:
-                stored -= q.popleft()[1]
-                sent.append(v)
             for j in range(lo, hi):
                 length = lengths[j]
                 if stored + length <= capacity:

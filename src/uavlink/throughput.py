@@ -28,7 +28,6 @@ from .errors import DomainError, LowerBoundNotFoundError, ScenarioError, Stabili
 from .interference import GammaFit, InterfererLink, NoiseModel, ZeroInterference
 from .queueing import QueueParams
 from .scenario_io import Scenario
-from .specfun import DEFAULT_QUAD, QuadratureSpec
 
 __all__ = [
     "PolicyVector",
@@ -207,20 +206,21 @@ def beta_upper_erf(model: Rician, q: QueueParams, num_channels: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def reduced_loss(view: SourceView, beta: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def reduced_loss(view: SourceView, beta: float) -> float:
     """Deadline-drop probability plus the raw (unconditioned) error integral.
 
-    This is the objective whose curvature defines the lower threshold
-    bound; buffer overflow is omitted because its contribution is
-    negligible over the feasible range.
+    The raw integral is :func:`interference.p_error` times the transmit
+    mass 1 - F(beta), and the deadline drop takes the transmit probability
+    1 - F(beta)^N from the same CDF value.  This is the objective whose
+    curvature defines the lower threshold bound; buffer overflow is omitted
+    because its contribution is negligible over the feasible range.
     """
-    phi = ch.transmit_prob(view.model, beta, view.num_channels)
+    cdf = ch.fading_cdf(view.model, beta)
+    phi = 1.0 - cdf**view.num_channels
     if not qn.is_stable(phi, view.queue):
         raise _instability(view, beta, phi)
-    p_dly = qn.p_delay(phi, view.queue)
-    p_err_raw = itf.p_error(view.link, view.power, beta, view.noise, view.sinr_threshold,
-                            fit=view.fit, conditional=False, quad=quad)
-    return p_dly + p_err_raw
+    p_err = itf.p_error(view.link, view.power, beta, view.noise, view.sinr_threshold, fit=view.fit)
+    return qn.p_delay(phi, view.queue) + p_err * (1.0 - cdf)
 
 
 def loss_derivative(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from oracles import p_error_pointwise
 from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import presets as ps
@@ -19,7 +20,7 @@ from uavlink import simulator as sim
 from uavlink import specfun
 from uavlink import throughput as tp
 from uavlink.channel import Rayleigh, Rician, build_link, transmit_prob
-from uavlink.queueing import QueueParams, p_delay, service_rate
+from uavlink.queueing import QueueParams, p_delay
 from uavlink.scenario_io import scenario_from_mapping
 from uavlink.simulator import SimConfig
 from uavlink.specfun import QuadratureSpec
@@ -250,7 +251,7 @@ def test_criterion_07_formula_self_consistency():
     for model in (Rayleigh(2.0), Rician(math.sqrt(30.0))):
         upper = tp.beta_upper(model, q, 15)
         phi = transmit_prob(model, upper, 15)
-        assert abs(p_delay(service_rate(phi), q) - 1.0) <= 1e-9
+        assert abs(p_delay(phi, q) - 1.0) <= 1e-9
     assert time.perf_counter() - started <= 10.0
 
 
@@ -303,7 +304,12 @@ def test_criterion_08_derivative_validation():
         scenario = _derivative_scenario(family)
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        objective = lambda b: tp.reduced_loss(view, b, tight)
+        objective = lambda b: p_delay(
+            transmit_prob(view.model, b, view.num_channels), view.queue
+        ) + p_error_pointwise(
+            view.link, view.power, b, view.interferers, view.noise, view.sinr_threshold,
+            view.num_channels, conditional=False, quad=tight, fit=view.fit,
+        )
         for beta in np.linspace(0.05 * upper, 0.97 * upper, 32):
             first, second = tp.loss_derivative(view, float(beta))
             fd_first = richardson_first(objective, float(beta), 1e-5)

@@ -186,6 +186,37 @@ class TestSweep:
         assert "node 'src'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "axis,named",
+        [
+            (["--scenario", str(EXAMPLE)], "--scenario"),
+            (["--var", "gamma_th", "--values", "1,2"], "--var, --values"),
+            (["--scenario", str(EXAMPLE), "--var", "gamma_th", "--values", "1,2"],
+             "--scenario, --var, --values"),
+        ],
+        ids=["scenario", "axis", "all"],
+    )
+    def test_preset_with_axis_flags_is_usage_error(self, axis, named, capsys):
+        code = cli.main(["sweep", "--preset", "fig3", *axis])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --preset pins the scenario and its axis; drop {named}"
+        ]
+
+    def test_seed_without_preset_is_usage_error(self, scenario_path, capsys):
+        code = cli.main([
+            "sweep", "--seed", "3", "--scenario", scenario_path, "--var", "gamma_th",
+            "--values", "1,2",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --seed overrides a preset's placement; it needs --preset"
+        ]
+
     def test_non_numeric_values_are_usage_error(self, scenario_path, capsys):
         code = cli.main([
             "sweep", "--scenario", scenario_path, "--var", "beta_m", "--values", "3.0,high",
@@ -399,3 +430,20 @@ class TestHelp:
 
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate", "optimize"])
+    def test_missing_scenario_is_usage_error(self, command, capsys):
+        code = cli.main([command])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"usage: uavlink {command} ")
+        assert err.splitlines()[-1] == "error: the following arguments are required: --scenario"
+        assert "Traceback" not in err
+
+    def test_usage_error_names_its_reason(self, capsys):
+        code = cli.main(["optimize", "--scenario", str(EXAMPLE), "--grid", "abc"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage: uavlink optimize ")
+        assert captured.err.splitlines()[-1] == "error: argument --grid: invalid int value: 'abc'"

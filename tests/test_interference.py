@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import p_error_pointwise, ufunc_error_integrand
+from oracles import ORACLE_QUAD, agrees_with_oracle, p_error_pointwise, ufunc_error_integrand
 from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import specfun
@@ -254,11 +254,12 @@ class TestPError:
         assert p == pytest.approx(oracle, abs=1e-8)
 
     def test_unconditional_variant_scales_by_transmit_mass(self):
+        # the raw integral (the oracle's unconditional form) is p_error times the transmit mass
         link = main_link()
         links = [rayleigh_link(beta=0.3, power=0.4)]
         beta = 1.2
         cond = itf.p_error(link, 1.0, beta, self.NOISE, 1.0, fit=law(links))
-        raw = itf.p_error(link, 1.0, beta, self.NOISE, 1.0, fit=law(links), conditional=False)
+        raw = p_error_pointwise(link, 1.0, beta, links, self.NOISE, 1.0, 15, conditional=False)
         mass = 1.0 - ch.fading_cdf(link.fading, beta)
         assert raw == pytest.approx(cond * mass, rel=1e-9)
 
@@ -379,15 +380,13 @@ class TestPErrorAgainstBruteForce:
 
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.yaml"
-# The per-point oracle at default tolerances can itself be off by ~1e-10 where
-# the transmit mass is small; run it tighter so that it stands for the truth.
-ORACLE_QUAD = QuadratureSpec(
-    absolute_tolerance=1e-14, relative_tolerance=1e-12, max_subdivisions=500
-)
 
 
-def agrees_with_oracle(value, oracle):
-    return abs(value - oracle) <= 1e-10 + 1e-8 * abs(oracle)
+def kernel(link, power, betas, noise, gamma_th, fit, conditional=True):
+    """``p_error`` at ``betas``; unconditioned, it is the raw integral ``reduced_loss`` adds,
+    ``p_error`` times the transmit mass."""
+    grid = itf.p_error(link, power, betas, noise, gamma_th, fit=fit)
+    return grid if conditional else grid * (1.0 - ch.fading_cdf(link.fading, betas))
 
 
 class TestPErrorGrid:
@@ -396,9 +395,7 @@ class TestPErrorGrid:
     NOISE = NoiseModel(boltzmann=1.0, temperature=1.0, bandwidth=1.0)  # unit noise power
 
     def check(self, link, power, betas, links, noise, gamma_th, conditional=True):
-        grid = itf.p_error(
-            link, power, np.asarray(betas), noise, gamma_th, fit=law(links), conditional=conditional
-        )
+        grid = kernel(link, power, np.asarray(betas), noise, gamma_th, law(links), conditional)
         assert grid.shape == np.shape(betas)
         for beta, value in zip(np.ravel(betas), grid.ravel()):
             oracle = p_error_pointwise(
@@ -419,9 +416,9 @@ class TestPErrorGrid:
             upper = tp.beta_upper(view.model, view.queue, view.num_channels)
             betas = np.linspace(0.0, upper, 64)
             for conditional in (True, False):
-                grid = itf.p_error(
-                    view.link, view.power, betas, view.noise, view.sinr_threshold,
-                    fit=view.fit, conditional=conditional,
+                grid = kernel(
+                    view.link, view.power, betas, view.noise, view.sinr_threshold, view.fit,
+                    conditional,
                 )
                 for beta, value in zip(betas, grid):
                     oracle = p_error_pointwise(
@@ -568,14 +565,14 @@ class TestPErrorPanels:
         given = itf._error_grid(link, 1.0, betas, self.NOISE, 0.5, cdf=cdf)(fit)
         assert given.tolist() == expected.tolist()
 
-    def test_failed_fallback_raises_with_best_estimate(self):
+    def test_failed_fallback_raises_with_best_estimate(self, monkeypatch):
         # two subdivisions suffice for the vanishing tail above 8 but not for the panel below
         link = main_link(fading=Rayleigh(2.0))
         links = [rayleigh_link(beta=0.5, power=0.6)]
-        quad = QuadratureSpec(max_subdivisions=2)
-        assert itf.p_error(link, 1.0, 8.0, self.NOISE, 0.5, fit=law(links), quad=quad) == 0.0
+        monkeypatch.setattr(itf, "DEFAULT_QUAD", QuadratureSpec(max_subdivisions=2))
+        assert itf.p_error(link, 1.0, 8.0, self.NOISE, 0.5, fit=law(links)) == 0.0
         with pytest.raises(AccuracyError) as excinfo:
-            itf.p_error(link, 1.0, [1.0, 8.0], self.NOISE, 0.5, fit=law(links), quad=quad)
+            itf.p_error(link, 1.0, [1.0, 8.0], self.NOISE, 0.5, fit=law(links))
         assert "[1.0, 8.0]" in str(excinfo.value)
         assert math.isfinite(excinfo.value.best_estimate)
         assert excinfo.value.best_estimate > 0.0

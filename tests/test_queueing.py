@@ -36,7 +36,10 @@ class TestSlotsToTransmitPmf:
 
     def test_never_transmitting_policy_rejected(self):
         with pytest.raises(DegeneratePolicyError):
-            qn.service_rate(0.0)
+            slots_to_transmit_pmf(0.0, 1)
+        for formula in (qn.offered_load, qn.p_delay, qn.p_overflow):
+            with pytest.raises(DegeneratePolicyError):
+                formula(0.0, make_queue())
 
     def test_bad_slot_count(self):
         with pytest.raises(DomainError):
@@ -44,15 +47,18 @@ class TestSlotsToTransmitPmf:
 
 
 class TestServiceRate:
+    """The exponential service law's per-slot rate is the transmit probability itself."""
+
     @pytest.mark.parametrize("phi", [1.0, 0.5, 0.123])
     def test_identity(self, phi):
-        assert qn.service_rate(phi) == phi
+        q = make_queue()
+        assert qn.offered_load(phi, q) == q.arrival_rate * q.slot_duration / phi
 
     def test_exponential_approximation_keeps_the_mean(self):
         # mean of the geometric slot count equals the exponential's mean
         phi = 0.37
         geometric_mean = sum(k * slots_to_transmit_pmf(phi, k) for k in range(1, 2000))
-        assert geometric_mean == pytest.approx(1.0 / qn.service_rate(phi), rel=1e-9)
+        assert geometric_mean == pytest.approx(1.0 / phi, rel=1e-9)
 
 
 class TestPDelay:
@@ -170,7 +176,7 @@ def test_queue_losses_monotone_in_fading_threshold():
         for channels in (1, 8, 15):
             upper = beta_upper(model, q, channels)
             betas = np.linspace(0.0, 0.999 * upper, 15)
-            mus = [qn.service_rate(transmit_prob(model, float(b), channels)) for b in betas]
+            mus = [transmit_prob(model, float(b), channels) for b in betas]
             delays = [qn.p_delay(m, q) for m in mus]
             overflows = [qn.p_overflow(m, q) for m in mus]
             assert all(b >= a - 1e-15 for a, b in zip(delays, delays[1:]))

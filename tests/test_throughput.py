@@ -10,13 +10,19 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import jacobi_rebuilding, scenario_policy
+from oracles import (
+    ORACLE_QUAD,
+    agrees_with_oracle,
+    jacobi_rebuilding,
+    p_error_pointwise,
+    scenario_policy,
+)
 from uavlink import interference as itf
 from uavlink import simulator as sim
 from uavlink import throughput as tp
 from uavlink.channel import Rayleigh, Rician, transmit_prob
 from uavlink.errors import DomainError, LowerBoundNotFoundError, ScenarioError, StabilityError
-from uavlink.queueing import QueueParams, p_delay, service_rate
+from uavlink.queueing import QueueParams, p_delay
 from uavlink.scenario_io import scenario_from_mapping
 from uavlink.specfun import QuadratureSpec
 from uavlink.throughput import PolicyVector
@@ -180,7 +186,7 @@ class TestBetaUpper:
         q = queue()
         upper = tp.beta_upper(model, q, 15)
         phi = transmit_prob(model, upper, 15)
-        assert p_delay(service_rate(phi), q) == pytest.approx(1.0, abs=1e-9)
+        assert p_delay(phi, q) == pytest.approx(1.0, abs=1e-9)
 
     def test_infeasible_load(self):
         with pytest.raises(DomainError):
@@ -202,7 +208,7 @@ class TestBetaUpper:
         model = Rician(4.0)
         upper = tp.beta_upper(model, q, 15)
         values = [
-            p_delay(service_rate(transmit_prob(model, upper - eps, 15)), q)
+            p_delay(transmit_prob(model, upper - eps, 15), q)
             for eps in (1e-2, 1e-4, 1e-6, 1e-8)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -222,13 +228,38 @@ def richardson_second(f, x, h):
 TIGHT = QuadratureSpec(absolute_tolerance=1e-13, relative_tolerance=1e-12, max_subdivisions=400)
 
 
+def reduced_loss_pointwise(view, beta, quad=TIGHT):
+    """:func:`throughput.reduced_loss` from the per-point oracle at ``quad``'s tolerances."""
+    phi = transmit_prob(view.model, beta, view.num_channels)
+    return p_delay(phi, view.queue) + p_error_pointwise(
+        view.link, view.power, beta, view.interferers, view.noise, view.sinr_threshold,
+        view.num_channels, conditional=False, quad=quad, fit=view.fit,
+    )
+
+
+class TestReducedLoss:
+    @pytest.mark.parametrize("placement", [0, 1])
+    def test_agrees_with_the_pointwise_oracle(self, placement):
+        doc = yaml.safe_load(EXAMPLE.read_text(encoding="utf-8"))
+        scenario = scenario_from_mapping({**doc, "placement_seed": placement})
+        families = set()
+        for node in scenario.nodes:
+            view = tp.source_view(scenario, node_id=node.id)
+            families.add(type(view.model))
+            for beta in np.linspace(0.0, 0.999 * view.upper, 8).tolist():
+                value = tp.reduced_loss(view, beta)
+                oracle = reduced_loss_pointwise(view, beta, ORACLE_QUAD)
+                assert agrees_with_oracle(value, oracle), (node.id, beta, value, oracle)
+        assert families == {Rayleigh, Rician}
+
+
 class TestLossDerivative:
     @pytest.mark.parametrize("family", ["rician", "rayleigh"])
     def test_matches_finite_differences(self, family):
         scenario = rician_scenario() if family == "rician" else rayleigh_scenario()
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        f = lambda b: tp.reduced_loss(view, b, TIGHT)
+        f = lambda b: reduced_loss_pointwise(view, b)
         for beta in np.linspace(0.15 * upper, 0.97 * upper, 8):
             first, second = tp.loss_derivative(view, float(beta))
             fd1 = richardson_first(f, float(beta), 1e-5)
