@@ -243,10 +243,6 @@ def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: N
     Passing ``cdf`` (F at ``flat``, then at x0, from a caller that checked
     the thresholds) skips evaluating F.
     """
-    if not main_power > 0:
-        raise DomainError(f"main_power must be > 0, got {main_power}")
-    if not gamma_th > 0:
-        raise DomainError(f"gamma_th must be > 0, got {gamma_th}")
     x0 = noise_floor(main, main_power, noise, gamma_th)
     if cdf is None:
         flat = specfun._nonnegative("main_beta", flat)
@@ -329,5 +325,12 @@ def p_error(
 
 
 def noise_floor(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_th: float) -> float:
-    """The amplitude x0 below which the main link fails its SINR threshold without interference."""
+    """The amplitude x0 below which the main link fails its SINR threshold without interference.
+
+    Raises ``DomainError`` unless ``main_power`` and ``gamma_th`` are positive.
+    """
+    if not main_power > 0:
+        raise DomainError(f"main_power must be > 0, got {main_power}")
+    if not gamma_th > 0:
+        raise DomainError(f"gamma_th must be > 0, got {gamma_th}")
     return math.sqrt(noise.power / (main_power * main.path_loss_amplitude**2 / gamma_th))

@@ -130,26 +130,57 @@ class _SimNode:
     buffer_capacity: float
 
 
-def _draw_fading(rng: np.random.Generator, model: ch.FadingModel, nb: int, f: int) -> np.ndarray:
+_NEAR_TIE = 1e-13  # relative gap below which the proxy's pick is checked on the amplitudes
+
+
+def _draw_best(rng: np.random.Generator, model: ch.FadingModel, nb: int, f: int, work: np.ndarray):
+    """Each of ``nb`` slots' best channel among ``f`` and its fading amplitude.
+
+    Rayleigh amplitudes are sqrt(omega E) of unit exponentials E and Rician
+    ones |b + Z| of standard complex normals Z, computed by ``np.hypot``.
+    The winner is picked on a monotone proxy that is cheaper than the
+    amplitudes: E itself, or ``np.abs(b + Z)``, which is within a few ulp of
+    ``np.hypot``.  The proxy is laid out channel-major, so the top of each
+    slot is one elementwise maximum over the channels, and a slot's winner
+    is its only channel within ``_NEAR_TIE`` of the top.  A slot with more
+    than one is picked again on the amplitudes, so channel (the first of
+    equals) and amplitude are those of the argmax over all ``f`` amplitudes.
+    The draws and the proxy are made in ``work``, a float array of at least
+    ``3 nb f`` elements that the caller reuses from block to block.
+    """
+    n = nb * f
+    proxy = work[2 * n : 3 * n].reshape(f, nb)
     if isinstance(model, ch.Rayleigh):
-        return np.sqrt(model.omega * rng.exponential(size=(nb, f)))
-    g = rng.standard_normal(size=(nb, f, 2))
-    return np.hypot(model.b + g[..., 0], g[..., 1])
+        draws = rng.standard_exponential(out=work[:n].reshape(nb, f))
+        np.copyto(proxy, draws.T)
+
+        def amplitude(x):
+            return np.sqrt(model.omega * x)
+    else:
+        normals = rng.standard_normal(out=work[: 2 * n].reshape(nb, f, 2))
+        normals[..., 0] += model.b
+        draws = normals.view(complex)[..., 0]
+        np.abs(draws.T, out=proxy)
+
+        def amplitude(z):
+            return np.hypot(z.real, z.imag)
+    # 1 where a channel is within reach of its slot's top, else 0
+    np.greater_equal(proxy, proxy.max(axis=0) * (1.0 - _NEAR_TIE), out=proxy)
+    channel = (np.arange(f, dtype=float) @ proxy).astype(np.intp)  # the index of a lone 1
+    if np.count_nonzero(proxy) > nb:
+        rows = np.flatnonzero(np.count_nonzero(proxy, axis=0) > 1)
+        channel[rows] = amplitude(draws[rows]).argmax(axis=1)
+    return channel, amplitude(draws[np.arange(nb), channel])
 
 
 class _Queue:
-    """One node's FIFO buffer, advanced only at the slots where it can change.
+    """One node's FIFO buffer, advanced one block of slots at a time.
 
-    A visit does what a slot does: deadline expiry, then at most one
-    transmission, then the slot's arrivals in offset order.  The queue is
-    visited at its arrival slots, at its transmit slots while it holds
-    packets, and at the bookkeeping slots it is given.  Between two visits
-    nothing enters or leaves it, and the expired packets form a prefix
-    that only grows with time, so expiring them at the next visit pops the
-    same packets in the same order, and ``stored`` sees the same float
-    sequence, as expiring them in every slot.  Tallies count events in
-    slots at or after ``warmup``; a bookkeeping visit at ``warmup - 1``
-    keeps packets that expired before the warmup out of them.
+    A slot does deadline expiry, then at most one transmission, then the
+    slot's arrivals in offset order.  A block in which nothing is dropped
+    is one departure schedule (:meth:`_schedule`); any other block is
+    walked visit by visit (:meth:`_visit`).  Tallies count events in slots
+    at or after ``warmup``.
     """
 
     def __init__(self, node: _SimNode, warmup: int):
@@ -161,13 +192,78 @@ class _Queue:
         self.arrivals = self.overflow_drops = self.delay_drops = 0
         self.queued_at_warmup = 0
 
-    def walk(self, start, t_slt, can_tx, slot_of, times, lengths, bookkeeping) -> list[int]:
+    def walk(self, start, t_slt, can_tx, slot_of, times, lengths, bookkeeping) -> np.ndarray:
         """Advance through one block; return the block slots it transmitted in.
 
         ``can_tx`` marks the block slots whose best channel clears the
         threshold.  Packet ``j`` arrives in block slot ``slot_of[j]`` at
         time ``times[j]`` with length ``lengths[j]``, in admission order.
         ``bookkeeping`` are further block slots to visit.
+        """
+        sent = self._schedule(start, t_slt, can_tx, slot_of, times, lengths)
+        if sent is None:
+            sent = self._visit(start, t_slt, can_tx, slot_of, times, lengths, bookkeeping)
+        return sent
+
+    def _schedule(self, start, t_slt, can_tx, slot_of, times, lengths) -> np.ndarray | None:
+        """:meth:`walk` for a block that drops nothing; ``None``, changing nothing, otherwise.
+
+        Without drops the queue is a FIFO served at the transmit slots, so
+        (Lindley, 1952) packet j, the carried-in packets first, leaves at
+        transmit slot number d_j = max(a_j, d_{j-1} + 1) = j + max over
+        i <= j of (a_i - i), where a_i is the first transmit slot after
+        packet i's arrival slot (0 for a carried-in packet).  ``stored`` is
+        replayed over each slot's departure, then its arrivals: the float
+        sequence the visits add up.  The schedule stands if no packet is
+        past its deadline when it leaves, none that stays is past it at
+        the block's last slot, and every arrival fits the buffer.
+        """
+        tx_slots = np.flatnonzero(can_tx)
+        held = len(self.packets)
+        first = np.searchsorted(tx_slots, slot_of, side="right")
+        if held:
+            carried = np.array(self.packets).T
+            times = np.concatenate((carried[0], times))
+            lengths = np.concatenate((carried[1], lengths))
+            first = np.concatenate((np.zeros(held, dtype=first.dtype), first))
+        rank = np.arange(first.size)
+        leave = rank + np.maximum.accumulate(first - rank)
+        gone = int(np.searchsorted(leave, tx_slots.size))
+        sent = tx_slots[leave[:gone]]
+        deadline = self.delay_threshold
+        if np.any((start + sent) * t_slt - times[:gone] > deadline) or np.any(
+            (start + can_tx.size - 1) * t_slt - times[gone:] > deadline
+        ):
+            return None
+        # departures before arrivals within a slot; steps in FIFO order within each kind
+        order = np.argsort(np.concatenate((2 * sent, 2 * slot_of + 1)), kind="stable")
+        steps = np.concatenate((-lengths[:gone], lengths[held:]))[order]
+        level = np.add.accumulate(np.concatenate(([self.stored], steps)))
+        if np.any(level[1:][order >= gone] > self.buffer_capacity):
+            return None
+        self.stored = float(level[-1])
+        self.packets = deque(zip(times[gone:].tolist(), lengths[gone:].tolist()))
+        last_warmup_slot = self.warmup - 1 - start
+        if 0 <= last_warmup_slot < can_tx.size:
+            self.queued_at_warmup = (
+                held
+                + int(np.searchsorted(slot_of, last_warmup_slot, side="right"))
+                - int(np.searchsorted(sent, last_warmup_slot, side="right"))
+            )
+        self.arrivals += slot_of.size - int(np.searchsorted(slot_of, self.warmup - start))
+        return sent
+
+    def _visit(self, start, t_slt, can_tx, slot_of, times, lengths, bookkeeping) -> np.ndarray:
+        """:meth:`walk` by visiting the slots where the queue can change.
+
+        The queue is visited at its arrival slots, at its transmit slots
+        while it holds packets, and at the ``bookkeeping`` slots.  Between
+        two visits nothing enters or leaves it, and the expired packets
+        form a prefix that only grows with time, so expiring them at the
+        next visit pops the same packets in the same order, and ``stored``
+        sees the same float sequence, as expiring them in every slot.  A
+        bookkeeping visit at ``warmup - 1`` keeps packets that expired
+        before the warmup out of the tallies.
         """
         nb = can_tx.size
         mark = np.zeros(nb + 1, dtype=bool)
@@ -233,7 +329,21 @@ class _Queue:
         self.arrivals += arrivals
         self.overflow_drops += overflow_drops
         self.delay_drops += delay_drops
-        return sent
+        return np.array(sent, dtype=np.intp)
+
+
+def _arrival_order(slot_of: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((lengths, offsets, slot_of))``, sorting arrivals by time.
+
+    The rounded key slot + offset orders the arrivals as (slot, offset) does
+    wherever no two keys tie, and one stable sort of it is far cheaper than
+    the three-key sort, which is kept for a block with a tie.
+    """
+    key = slot_of + offsets
+    order = np.argsort(key, kind="stable")
+    if np.any(key[order[1:]] == key[order[:-1]]):
+        return np.lexsort((lengths, offsets, slot_of))
+    return order
 
 
 def _run_replication(
@@ -254,6 +364,7 @@ def _run_replication(
     queues = [_Queue(node, cfg.warmup_slots) for node in nodes]
     bookkeeping = np.array([cfg.warmup_slots - 1, cfg.num_slots - 1])
     delivered = transmissions = 0
+    work = np.empty(3 * min(_BLOCK, cfg.num_slots) * f)
 
     done = 0
     while done < cfg.num_slots:
@@ -264,9 +375,7 @@ def _run_replication(
         best_ch = []
         sent = []
         for node, rng, queue in zip(nodes, rngs, queues):
-            fades = _draw_fading(rng, node.fading, nb, f)
-            channel = fades.argmax(axis=1)
-            value = np.take_along_axis(fades, channel[:, None], axis=1)[:, 0]
+            channel, value = _draw_best(rng, node.fading, nb, f, work)
             best_ch.append(channel)
             best_val.append(value)
             cnt = rng.poisson(node.arrivals_per_slot, nb)
@@ -274,13 +383,13 @@ def _run_replication(
             offsets = rng.random(total)
             lengths = rng.exponential(1.0, total)
             slot_of = np.repeat(np.arange(nb), cnt)
-            order = np.lexsort((lengths, offsets, slot_of))  # FIFO follows arrival times
+            order = _arrival_order(slot_of, offsets, lengths)  # FIFO follows arrival times
             times = ((slot_of + done) + offsets[order]) * t_slt
             sent.append(
                 queue.walk(done, t_slt, value >= node.beta, slot_of, times, lengths[order], local)
             )
 
-        tx = np.asarray(sent[source_idx], dtype=np.intp)
+        tx = sent[source_idx]
         if tx.size:
             my_ch = best_ch[source_idx][tx]
             interference = np.zeros(tx.size)

@@ -126,9 +126,13 @@ class SourceView:
         return beta_upper(self.model, self.queue, self.num_channels)
 
 
-def _probabilities(p) -> bool:
-    """Whether every element of the float or array ``p`` lies in [0, 1] (NaN does not)."""
-    return all(0.0 <= v <= 1.0 for v in np.asarray(p).ravel().tolist())
+def _check_probability(name: str, p) -> None:
+    """Raise ``DomainError`` naming ``name`` unless each element of ``p`` lies in [0, 1].
+
+    ``p`` is a float or an array; NaN lies outside.
+    """
+    if not all(0.0 <= v <= 1.0 for v in np.asarray(p).ravel().tolist()):
+        raise DomainError(f"{name} must lie in [0, 1], got {p}")
 
 
 def compose_loss(p_ov, p_dly, p_err):
@@ -137,8 +141,7 @@ def compose_loss(p_ov, p_dly, p_err):
     Algebraically 1 - (1-p_ov)(1-p_dly)(1-p_err).
     """
     for name, p in (("p_ov", p_ov), ("p_dly", p_dly), ("p_err", p_err)):
-        if not _probabilities(p):
-            raise DomainError(f"compose_loss: {name} must lie in [0, 1], got {p}")
+        _check_probability(f"compose_loss: {name}", p)
     return 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err)
 
 
@@ -153,8 +156,7 @@ def expected_throughput(arrival_rate: float, p_loss, approximate: bool = False):
         raise DomainError(f"arrival_rate must be > 0, got {arrival_rate}")
     if approximate:
         return np.maximum(0.0, arrival_rate * (1.0 - p_loss))
-    if not _probabilities(p_loss):
-        raise DomainError(f"p_loss must lie in [0, 1], got {p_loss}")
+    _check_probability("p_loss", p_loss)
     return arrival_rate * (1.0 - p_loss)
 
 
@@ -391,10 +393,14 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray) -> tupl
         betas, mu, cdf = betas[stable], mu[stable], cdf[np.append(stable, True)]
     p_dly = qn.p_delay(mu, view.queue)
     p_ov = qn.p_overflow(mu, view.queue)
+    _check_probability("p_delay", p_dly)
+    _check_probability("p_overflow", p_ov)
+    survive = (1.0 - p_ov) * (1.0 - p_dly)  # compose_loss's product, up to the error term
     p_err = itf._error_grid(view.link, view.power, betas, view.noise, view.sinr_threshold, cdf=cdf)
 
     def price(fit: GammaFit | ZeroInterference) -> tuple[np.ndarray, ...]:
-        p_loss = compose_loss(p_ov, p_dly, errors := p_err(fit))
+        _check_probability("p_error", errors := p_err(fit))
+        p_loss = 1.0 - survive * (1.0 - errors)
         return p_dly, p_ov, errors, p_loss, expected_throughput(view.queue.arrival_rate, p_loss)
 
     return cases, price

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import scenario_policy, slot_loop_counts
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import _draw_fading_slot_loop, scenario_policy, slot_loop_counts
 
 from uavlink import presets
 from uavlink import simulator as sim
 from uavlink import throughput as tp
-from uavlink.channel import build_link
+from uavlink.channel import Rayleigh, Rician, build_link
 from uavlink.errors import DomainError, ScenarioError
 from uavlink.scenario_io import load_scenario_file, scenario_from_mapping
 from uavlink.simulator import SimConfig, derive_seed
@@ -205,6 +207,248 @@ class TestSlotLoopOracle:
         make_scenario, policy, cfg = SLOT_LOOP_CASES[case]
         scenario = make_scenario()
         assert sim.run(scenario, policy, cfg).counts == slot_loop_counts(scenario, policy, cfg)
+
+
+class StubGenerator:
+    """Hands out one fixed array of draws, as a sized draw or into ``out``."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def _draw(self, size=None, out=None):
+        if out is None:
+            return self.values.reshape(size).copy()
+        out[...] = self.values.reshape(out.shape)
+        return out
+
+    standard_normal = standard_exponential = exponential = _draw
+
+
+def hypot_above(re, im):
+    """An imaginary part just above ``im`` whose ``np.hypot`` with ``re`` is one ulp larger."""
+    h = np.hypot(re, im)
+    up = im
+    while np.hypot(re, up) == h:
+        up = np.nextafter(up, math.inf)
+    assert np.hypot(re, up) == np.nextafter(h, math.inf)
+    return up
+
+
+class TestDrawBest:
+    NB, F = 40, 15
+
+    def check(self, model, values):
+        want = _draw_fading_slot_loop(StubGenerator(values), model, self.NB, self.F)
+        channel, value = sim._draw_best(
+            StubGenerator(values), model, self.NB, self.F, np.empty(3 * self.NB * self.F)
+        )
+        best = want.argmax(axis=1)
+        assert channel.tolist() == best.tolist()
+        assert value.tolist() == want[np.arange(self.NB), best].tolist()
+        return want
+
+    def test_rician_ties_and_one_ulp_gaps(self):
+        model = Rician(3.9)
+        g = np.random.default_rng(11).standard_normal((self.NB, self.F, 2))
+        re = model.b + 4.0  # the real part of the planted channels, above the random ones
+        g[0, [3, 7], 0] = 4.0
+        g[0, [3, 7], 1] = [1.25, -1.25]  # mirrored: equal magnitudes
+        g[1, [2, 9], 0] = 4.0
+        g[1, [2, 9], 1] = [hypot_above(re, 0.75), 0.75]  # the first is one ulp larger
+        g[2, [2, 9], 0] = 4.0
+        g[2, [2, 9], 1] = [0.75, hypot_above(re, 0.75)]  # the second is one ulp larger
+        fades = self.check(model, g)
+        assert fades[:3].argmax(axis=1).tolist() == [3, 2, 9]
+        assert fades[0, 3] == fades[0, 7]
+        assert fades[1, 2] == np.nextafter(fades[1, 9], math.inf)
+        assert fades[2, 9] == np.nextafter(fades[2, 2], math.inf)
+
+    def test_rayleigh_ties_and_one_ulp_gaps(self):
+        model = Rayleigh(0.7)
+        e = np.random.default_rng(12).exponential(size=(self.NB, self.F))
+        e[0, [3, 7]] = 50.0  # equal draws
+        e[1, [1, 4]] = [50.0, np.nextafter(50.0, math.inf)]  # one ulp apart, equal amplitudes
+        e[2, [1, 4]] = [np.nextafter(50.0, math.inf), 50.0]
+        fades = self.check(model, e)
+        assert fades[:3].argmax(axis=1).tolist() == [3, 1, 1]
+        assert fades[1, 1] == fades[1, 4] == fades[2, 1] == fades[2, 4]
+
+
+class TestArrivalOrder:
+    def test_ties_of_the_rounded_key_keep_the_three_key_order(self):
+        above = np.nextafter(0.5, 1.0)
+        assert 5 + above == 5 + 0.5  # one ulp of the offset is lost in the key
+        slot_of = np.array([0, 0, 1, 5, 5, 5, 7, 7])
+        offsets = np.array([0.7, 0.2, 0.1, above, 0.5, 0.5, 0.3, 0.3])
+        lengths = np.array([1.0, 1.0, 1.0, 0.2, 0.9, 0.4, 2.0, 0.5])
+        order = sim._arrival_order(slot_of, offsets, lengths)
+        assert order.tolist() == np.lexsort((lengths, offsets, slot_of)).tolist()
+        assert order[3:6].tolist() == [5, 4, 3]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 70_000), st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 5.0)
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_three_key_sort(self, arrivals):
+        arrivals.sort(key=lambda a: a[0])  # arrivals come grouped by slot
+        slot_of = np.array([a[0] for a in arrivals], dtype=int)
+        offsets = np.array([a[1] for a in arrivals], dtype=float)
+        lengths = np.array([a[2] for a in arrivals], dtype=float)
+        order = sim._arrival_order(slot_of, offsets, lengths)
+        assert order.tolist() == np.lexsort((lengths, offsets, slot_of)).tolist()
+
+
+def block(
+    nb=12, start=50, tx=(), arrivals=(), carried=(), warmup=0, ends_run=True, deadline=0.05,
+    capacity=30.0,
+):
+    """One block of a queue: transmit slots ``tx``, ``arrivals`` as (slot, offset, length)
+    in admission order, and the carried-in packets as (time, length)."""
+    can_tx = np.zeros(nb, dtype=bool)
+    can_tx[list(tx)] = True
+    stored = 0.0
+    for _, length in carried:
+        stored += length
+    last = [nb - 1] if ends_run else []
+    return {
+        "start": start,
+        "t_slt": 0.002,
+        "can_tx": can_tx,
+        "slot_of": np.array([a[0] for a in arrivals], dtype=int),
+        "times": np.array([(start + s + o) * 0.002 for s, o, _ in arrivals]),
+        "lengths": np.array([a[2] for a in arrivals]),
+        "bookkeeping": np.array([s for s in [warmup - 1 - start, *last] if 0 <= s < nb], dtype=int),
+        "carried": list(carried),
+        "stored": stored,
+        "warmup": warmup,
+        "deadline": deadline,
+        "capacity": capacity,
+    }
+
+
+@st.composite
+def queue_blocks(draw):
+    """A block of random transmit chances, arrivals and carried-in packets."""
+    nb = draw(st.integers(1, 40))
+    start = draw(st.integers(0, 100))
+    size = st.floats(0.01, 3.0)
+    arrival = st.tuples(st.integers(0, nb - 1), st.floats(0.0, 1.0, exclude_max=True), size)
+    ages = draw(st.lists(st.floats(0.0, 0.02), max_size=4))
+    return block(
+        nb=nb,
+        start=start,
+        tx=np.flatnonzero(draw(st.lists(st.booleans(), min_size=nb, max_size=nb))),
+        arrivals=sorted(draw(st.lists(arrival, max_size=nb))),
+        carried=[(start * 0.002 - age, draw(size)) for age in sorted(ages, reverse=True)],
+        warmup=draw(st.integers(0, start + nb + 5)),
+        ends_run=draw(st.booleans()),
+        deadline=draw(st.floats(0.001, 0.3)),
+        capacity=draw(st.floats(0.5, 30.0)),
+    )
+
+
+CARRIED = [(0.09, 1.0), (0.095, 0.5)]
+ARRIVALS = [(1, 0.3, 0.8), (1, 0.7, 1.1), (4, 0.1, 0.4), (9, 0.5, 2.0)]
+
+
+def queue_state(queue) -> tuple:
+    return (
+        queue.arrivals,
+        queue.overflow_drops,
+        queue.delay_drops,
+        queue.queued_at_warmup,
+        list(queue.packets),
+        queue.stored.hex(),
+    )
+
+
+class TestBlockSchedule:
+    """The max-plus schedule of a block against the visit loop."""
+
+    @staticmethod
+    def queue(b):
+        node = sim._SimNode(
+            index=0,
+            beta=0.0,
+            received_power=1.0,
+            fading=Rayleigh(1.0),
+            arrivals_per_slot=0.0,
+            delay_threshold=b["deadline"],
+            buffer_capacity=b["capacity"],
+        )
+        queue = sim._Queue(node, b["warmup"])
+        queue.packets.extend(b["carried"])
+        queue.stored = b["stored"]
+        return queue
+
+    @given(b=queue_blocks())
+    @example(b=block(tx=[2, 5, 6, 10], arrivals=ARRIVALS, carried=CARRIED))  # carried in
+    @example(b=block(tx=[11], arrivals=ARRIVALS, carried=CARRIED, deadline=0.01))  # deadline drops
+    @example(b=block(tx=[10], arrivals=ARRIVALS, capacity=2.0))  # overflow drops
+    @example(b=block(tx=[0, 3, 8], arrivals=ARRIVALS, carried=CARRIED, warmup=55))  # warmup inside
+    @example(b=block(arrivals=ARRIVALS, carried=CARRIED))  # no transmit slot
+    @example(b=block(arrivals=ARRIVALS, carried=CARRIED, deadline=0.01))  # none, and expiry
+    @example(b=block(tx=[0, 3], carried=CARRIED, warmup=56))  # no arrivals
+    @settings(max_examples=400, deadline=None)
+    def test_schedule_matches_the_visit_loop(self, b):
+        args = (b["start"], b["t_slt"], b["can_tx"], b["slot_of"], b["times"], b["lengths"])
+        loop, scheduled, walked = self.queue(b), self.queue(b), self.queue(b)
+        want = loop._visit(*args, b["bookkeeping"])
+        before = queue_state(scheduled)
+        got = scheduled._schedule(*args)
+        lost = len(b["carried"]) + b["slot_of"].size - want.size - len(loop.packets)
+        if got is None:
+            assert queue_state(scheduled) == before
+        else:
+            assert lost == 0
+            assert got.tolist() == want.tolist()
+            assert queue_state(scheduled) == queue_state(loop)
+        assert walked.walk(*args, b["bookkeeping"]).tolist() == want.tolist()
+        assert queue_state(walked) == queue_state(loop)
+
+    @pytest.mark.parametrize(
+        "b, schedules",
+        [
+            (block(tx=[2, 5, 6, 10], arrivals=ARRIVALS, carried=CARRIED), True),
+            (block(tx=[0, 3, 8], arrivals=ARRIVALS, carried=CARRIED, warmup=55), True),
+            (block(arrivals=ARRIVALS), True),
+            (block(tx=[0, 3], carried=CARRIED, warmup=56), True),
+            (block(tx=[11], arrivals=ARRIVALS, carried=CARRIED, deadline=0.01), False),
+            (block(tx=[10], arrivals=ARRIVALS, capacity=2.0), False),
+            (block(arrivals=ARRIVALS, carried=CARRIED, deadline=0.01), False),
+        ],
+    )
+    def test_schedule_declines_exactly_the_blocks_with_drops(self, b, schedules):
+        args = (b["start"], b["t_slt"], b["can_tx"], b["slot_of"], b["times"], b["lengths"])
+        assert (self.queue(b)._schedule(*args) is not None) == schedules
+
+    def spy(self, monkeypatch):
+        visits = []
+        visit = sim._Queue._visit
+
+        def counting(queue, *args):
+            visits.append(args[0])
+            return visit(queue, *args)
+
+        monkeypatch.setattr(sim._Queue, "_visit", counting)
+        return visits
+
+    def test_example_never_falls_back_to_the_visit_loop(self, monkeypatch):
+        visits = self.spy(monkeypatch)
+        sim.run(load_scenario_file(EXAMPLE), cfg=SimConfig(20_000, seed=5, replication_count=2))
+        assert visits == []
+
+    def test_blocks_with_drops_fall_back(self, monkeypatch):
+        make_scenario, policy, cfg = SLOT_LOOP_CASES["buffer_full_bursts"]
+        visits = self.spy(monkeypatch)
+        counts = sim.run(make_scenario(), policy, cfg).counts
+        assert visits
+        assert all(c.overflow_drops > 0 for c in counts)
 
 
 class TestConservation:

@@ -1,5 +1,6 @@
 """Loss composition, threshold bounds, derivatives, and the optimizer."""
 
+import dataclasses
 import functools
 import math
 from pathlib import Path
@@ -478,6 +479,18 @@ class TestEvaluate:
             assert excinfo.value.node == "src"
             assert excinfo.value.margin > 0.0
 
+    @pytest.mark.parametrize("loss", [tp.evaluate_view, tp.reduced_loss])
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("power", 0.0, "main_power"), ("sinr_threshold", -1.0, "gamma_th")],
+    )
+    def test_nonpositive_power_or_sinr_threshold_is_a_named_domain_error(
+        self, loss, field, value, named
+    ):
+        view = dataclasses.replace(_view("rician"), **{field: value})
+        with pytest.raises(DomainError, match=named):
+            loss(view, 1.0)
+
     @pytest.mark.parametrize("family", ["rayleigh", "rician"])
     def test_never_transmitting_node_is_unstable_by_its_arrival_rate(self, family):
         view = _view(family)
@@ -641,7 +654,8 @@ class TestJacobi:
         self, on_grid, monkeypatch
     ):
         # preparing a grid evaluates F once at all its thresholds and the noise floor, and
-        # pricing it composes its losses once; the bounds and the fits evaluate F pointwise
+        # pricing it turns its losses into throughput once; the bounds and the fits
+        # evaluate F pointwise
         scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.0, seed=9)
         grids = {
             node.id: np.linspace(0.0, tp.source_view(scenario, node_id=node.id).upper, 24)
@@ -657,7 +671,8 @@ class TestJacobi:
             return fading_cdf(model, beta)
 
         monkeypatch.setattr(tp.ch, "fading_cdf", counting)
-        monkeypatch.setattr(tp, "compose_loss", recording(priced, tp.compose_loss))
+        priced_once = recording(priced, tp.expected_throughput)
+        monkeypatch.setattr(tp, "expected_throughput", priced_once)
         result = tp.jacobi_best_response(
             scenario, initial if on_grid else None, grid_size=24, tol=1e-12, max_iters=3
         )
@@ -667,7 +682,7 @@ class TestJacobi:
         grid_calls = [size for size in cdf_sizes if size > 1]
         assert sorted(grid_calls) == [25] * nodes + ([] if on_grid else [26] * nodes)
         assert len(priced) == nodes * result.iterations
-        assert all(np.size(p_err) <= 25 for *_, p_err in priced)
+        assert all(np.size(p_loss) <= 25 for _, p_loss in priced)
 
     def test_previous_threshold_beyond_the_bound_scores_minus_infinity(self):
         scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
