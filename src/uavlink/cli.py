@@ -114,10 +114,11 @@ def cmd_simulate(args) -> int:
         replication_count=args.replications,
     )
     result = sim.run(scenario, policy, cfg)
+    analytic = infeasible = None
     try:
         analytic = tp.evaluate(scenario, policy)
-    except StabilityError:
-        analytic = None
+    except StabilityError as exc:  # the empirical columns are still reported
+        infeasible = exc
     print(f"{'metric':<12}{'analytic':>16}{'empirical':>16}{'halfwidth':>14}{'gap':>14}")
     rows = []
     for name in ps.BREAKDOWN_COLUMNS:
@@ -145,6 +146,9 @@ def cmd_simulate(args) -> int:
         )
     if args.out:
         write_results(rows, args.out, ["metric", "analytic", "empirical", "halfwidth", "gap"])
+    if infeasible is not None:
+        print(f"infeasible: {infeasible}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     return EXIT_OK
 
 

@@ -33,6 +33,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1 << 16
+_SPLIT = 1 << 13  # the part length of a block that overflows
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,11 @@ class _Queue:
     """One node's FIFO buffer, advanced one block of slots at a time.
 
     A slot does deadline expiry, then at most one transmission, then the
-    slot's arrivals in offset order.  A block in which nothing is dropped
-    is one departure schedule (:meth:`_schedule`); any other block is
-    walked visit by visit (:meth:`_visit`).  Tallies count events in slots
-    at or after ``warmup``.
+    slot's arrivals in offset order.  Expiry is eager: a packet is dropped
+    in the first slot in which its deadline has passed, so after a block the
+    queue holds what a slot-by-slot loop holds after the block's last slot,
+    and a block can be walked in parts.  Tallies count events in slots at
+    or after ``warmup``.
     """
 
     def __init__(self, node: _SimNode, warmup: int):
@@ -189,147 +191,109 @@ class _Queue:
         self.delay_threshold = node.delay_threshold
         self.buffer_capacity = node.buffer_capacity
         self.warmup = warmup
-        self.arrivals = self.overflow_drops = self.delay_drops = 0
-        self.queued_at_warmup = 0
+        self.arrivals = self.overflow_drops = self.delay_drops = self.queued_at_warmup = 0
 
-    def walk(self, start, t_slt, can_tx, slot_of, times, lengths, bookkeeping) -> np.ndarray:
+    def walk(self, start, t_slt, can_tx, slot_of, times, lengths) -> np.ndarray:
         """Advance through one block; return the block slots it transmitted in.
 
         ``can_tx`` marks the block slots whose best channel clears the
         threshold.  Packet ``j`` arrives in block slot ``slot_of[j]`` at
         time ``times[j]`` with length ``lengths[j]``, in admission order.
-        ``bookkeeping`` are further block slots to visit.
-        """
-        sent = self._schedule(start, t_slt, can_tx, slot_of, times, lengths)
-        if sent is None:
-            sent = self._visit(start, t_slt, can_tx, slot_of, times, lengths, bookkeeping)
-        return sent
 
-    def _schedule(self, start, t_slt, can_tx, slot_of, times, lengths) -> np.ndarray | None:
-        """:meth:`walk` for a block that drops nothing; ``None``, changing nothing, otherwise.
-
-        Without drops the queue is a FIFO served at the transmit slots, so
-        (Lindley, 1952) packet j, the carried-in packets first, leaves at
-        transmit slot number d_j = max(a_j, d_{j-1} + 1) = j + max over
-        i <= j of (a_i - i), where a_i is the first transmit slot after
-        packet i's arrival slot (0 for a carried-in packet).  ``stored`` is
-        replayed over each slot's departure, then its arrivals: the float
-        sequence the visits add up.  The schedule stands if no packet is
-        past its deadline when it leaves, none that stays is past it at
-        the block's last slot, and every arrival fits the buffer.
-        """
-        tx_slots = np.flatnonzero(can_tx)
-        held = len(self.packets)
-        first = np.searchsorted(tx_slots, slot_of, side="right")
-        if held:
-            carried = np.array(self.packets).T
-            times = np.concatenate((carried[0], times))
-            lengths = np.concatenate((carried[1], lengths))
-            first = np.concatenate((np.zeros(held, dtype=first.dtype), first))
-        rank = np.arange(first.size)
-        leave = rank + np.maximum.accumulate(first - rank)
-        gone = int(np.searchsorted(leave, tx_slots.size))
-        sent = tx_slots[leave[:gone]]
-        deadline = self.delay_threshold
-        if np.any((start + sent) * t_slt - times[:gone] > deadline) or np.any(
-            (start + can_tx.size - 1) * t_slt - times[gone:] > deadline
-        ):
-            return None
-        # departures before arrivals within a slot; steps in FIFO order within each kind
-        order = np.argsort(np.concatenate((2 * sent, 2 * slot_of + 1)), kind="stable")
-        steps = np.concatenate((-lengths[:gone], lengths[held:]))[order]
-        level = np.add.accumulate(np.concatenate(([self.stored], steps)))
-        if np.any(level[1:][order >= gone] > self.buffer_capacity):
-            return None
-        self.stored = float(level[-1])
-        self.packets = deque(zip(times[gone:].tolist(), lengths[gone:].tolist()))
-        last_warmup_slot = self.warmup - 1 - start
-        if 0 <= last_warmup_slot < can_tx.size:
-            self.queued_at_warmup = (
-                held
-                + int(np.searchsorted(slot_of, last_warmup_slot, side="right"))
-                - int(np.searchsorted(sent, last_warmup_slot, side="right"))
-            )
-        self.arrivals += slot_of.size - int(np.searchsorted(slot_of, self.warmup - start))
-        return sent
-
-    def _visit(self, start, t_slt, can_tx, slot_of, times, lengths, bookkeeping) -> np.ndarray:
-        """:meth:`walk` by visiting the slots where the queue can change.
-
-        The queue is visited at its arrival slots, at its transmit slots
-        while it holds packets, and at the ``bookkeeping`` slots.  Between
-        two visits nothing enters or leaves it, and the expired packets
-        form a prefix that only grows with time, so expiring them at the
-        next visit pops the same packets in the same order, and ``stored``
-        sees the same float sequence, as expiring them in every slot.  A
-        bookkeeping visit at ``warmup - 1`` keeps packets that expired
-        before the warmup out of the tallies.
+        Packets are served first come, first served at the transmit slots,
+        with the deadline as a deterministic patience (Barrer, 1957).  Let
+        a_j be the first transmit slot number after packet j's arrival (0 for
+        a carried-in packet, which comes first) and b_j the number of
+        transmit slots before it expires.  With p the first one still free,
+        packet j leaves at max(p, a_j) if that is below b_j and expires
+        otherwise, so over the packets with a_j < b_j, p - j runs through a
+        chain of clamps (:func:`_clamp_chain`): Lindley's (1952) recursion
+        when none binds.  ``stored`` is replayed over each slot's expiries,
+        departure and arrivals, the float sequence of a slot-by-slot loop.
+        The block is solved again without the arrivals that overflow until
+        these repeat; each round settles at least the first arrival decided
+        wrongly.  A block longer than ``_SPLIT`` slots that overflows is
+        walked in parts of that length.
         """
         nb = can_tx.size
-        mark = np.zeros(nb + 1, dtype=bool)
-        mark[slot_of] = True
-        mark[bookkeeping] = True
-        mark[nb] = True  # sentinel: drain the block's last transmit slots
-        visits = np.flatnonzero(mark)
+        held = len(self.packets)
         tx_slots = np.flatnonzero(can_tx)
-        # the transmit slots up to each visit, its own included
-        stops = np.searchsorted(tx_slots, visits) + np.append(can_tx, False)[visits]
-
-        q = self.packets
-        stored = self.stored
+        counts = np.zeros(nb + 1, dtype=np.int32)  # transmit slots before each slot
+        np.cumsum(can_tx, out=counts[1:])  # in int32, far cheaper here than in int64
+        first, t, size = counts[slot_of + 1], times, lengths
+        if held:
+            carried = np.array(self.packets).T
+            t = np.concatenate((carried[0], times))
+            size = np.concatenate((carried[1], lengths))
+            first = np.concatenate((np.zeros(held, dtype=first.dtype), first))
         deadline = self.delay_threshold
-        capacity = self.buffer_capacity
-        warmup = self.warmup
-        arrivals = overflow_drops = delay_drops = 0
-        times = times.tolist()
-        lengths = lengths.tolist()
-        tx_list = tx_slots.tolist()
-        sent = []
-        k = lo = 0
-        for v, hi, stop in zip(
-            visits.tolist(),
-            np.searchsorted(slot_of, visits, side="right").tolist(),
-            stops.tolist(),
-        ):
-            while q and k < stop:
-                s = tx_list[k]
-                k += 1
-                slot = start + s
-                now = slot * t_slt
-                while q and now - q[0][0] > deadline:
-                    stored -= q.popleft()[1]
-                    if slot >= warmup:
-                        delay_drops += 1
-                if q:
-                    stored -= q.popleft()[1]
-                    sent.append(s)
-            if v == nb:
+        slot = np.ceil((t + deadline) / t_slt)  # the first slot past the deadline, to rounding
+        slot += slot * t_slt - t <= deadline  # made exact with the slot loop's own test
+        slot -= (slot - 1) * t_slt - t > deadline
+        expiry = np.maximum(slot.astype(np.intp) - start, 0)  # one past it expires at once
+        chances = counts[np.minimum(expiry, nb)]
+        chances[expiry >= nb] = tx_slots.size + t.size  # never expires: never runs out
+        overflowed = np.zeros(t.size, dtype=bool)
+        while True:
+            hopeful = np.flatnonzero(~overflowed & (first < chances))
+            rank = np.arange(hopeful.size)
+            lo = first[hopeful] - rank
+            hi = chances[hopeful] - rank - 1
+            free = _clamp_chain(lo, hi)  # p - j as each hopeful packet comes up
+            stays = free <= hi
+            kept = hopeful[stays]
+            leave = (rank + np.maximum(free, lo))[stays]
+            gone = int(np.searchsorted(leave, tx_slots.size))
+            sent = tx_slots[leave[:gone]]
+            expired = ~overflowed
+            expired[kept] = False
+            expired = np.flatnonzero(expired)
+            keys = np.concatenate((3 * expiry[expired], 3 * sent + 1, 3 * slot_of + 2))
+            order = np.argsort(keys, kind="stable")
+            admitted = np.where(overflowed[held:], 0.0, lengths)
+            steps = np.concatenate((-size[expired], -size[kept[:gone]], admitted))
+            level = np.add.accumulate(np.concatenate(([self.stored], steps[order])))
+            arriving = np.flatnonzero(order >= expired.size + gone)
+            rejected = level[arriving] + lengths > self.buffer_capacity
+            if (rejected == overflowed[held:]).all():
                 break
-            k = stop
-            slot = start + v
-            now = slot * t_slt
-            measured = slot >= warmup
-            while q and now - q[0][0] > deadline:
-                stored -= q.popleft()[1]
-                if measured:
-                    delay_drops += 1
-            for j in range(lo, hi):
-                length = lengths[j]
-                if stored + length <= capacity:
-                    q.append((times[j], length))
-                    stored += length
-                elif measured:
-                    overflow_drops += 1
-            if measured:
-                arrivals += hi - lo
-            lo = hi
-            if slot == warmup - 1:
-                self.queued_at_warmup = len(q)
-        self.stored = stored
-        self.arrivals += arrivals
-        self.overflow_drops += overflow_drops
-        self.delay_drops += delay_drops
-        return np.array(sent, dtype=np.intp)
+            overflowed[held:] = rejected
+            if nb > _SPLIT:
+                cuts = np.searchsorted(slot_of, [*range(0, nb, _SPLIT), nb]).tolist()
+                return np.concatenate([
+                    s + self.walk(start + s, t_slt, can_tx[s : s + _SPLIT],
+                                  slot_of[a:b] - s, times[a:b], lengths[a:b])
+                    for s, a, b in zip(range(0, nb, _SPLIT), cuts, cuts[1:])
+                ])
+        self.stored = float(level[-1])
+        self.packets = deque(zip(t[kept[gone:]].tolist(), size[kept[gone:]].tolist()))
+        w = self.warmup - start  # the block's first measured slot
+        self.arrivals += slot_of.size - int(np.searchsorted(slot_of, w))
+        self.overflow_drops += int(np.count_nonzero(overflowed[held:] & (slot_of >= w)))
+        self.delay_drops += int(np.count_nonzero(expiry[expired] >= w))
+        if 0 < w <= nb:  # the packets held after slot w - 1
+            came = held + np.count_nonzero(~overflowed[held:] & (slot_of < w))
+            left = np.count_nonzero(expiry[expired] < w) + np.searchsorted(sent, w)
+            self.queued_at_warmup = int(came - left)
+        return sent
+
+
+def _clamp_chain(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """x_0, ..., x_{n-1} of x_0 = 0, x_{j+1} = min(max(x_j, lo_j), hi_j), where lo <= hi.
+
+    Without a binding ``hi`` this is a running maximum.  Otherwise, as a
+    chain of clamps composes into one clamp, the chain up to every j is
+    found by doubling in log2(n) steps (Hillis and Steele, 1986).
+    """
+    x = np.maximum.accumulate(np.concatenate(([0], lo)))[:-1]
+    if np.all(x <= hi):
+        return x
+    lo, hi = lo.copy(), hi.copy()  # become the bounds of the chain's clamp up to each j
+    step = 1
+    while step < lo.size:  # clamp the chain before each j, of `step` links, by j's own
+        lo[step:], hi[step:] = [np.clip(b[:-step], lo[step:], hi[step:]) for b in (lo, hi)]
+        step *= 2
+    return np.concatenate(([0], np.clip(0, lo[:-1], hi[:-1])))
 
 
 def _arrival_order(slot_of: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -362,15 +326,12 @@ def _run_replication(
         for node in nodes
     ]
     queues = [_Queue(node, cfg.warmup_slots) for node in nodes]
-    bookkeeping = np.array([cfg.warmup_slots - 1, cfg.num_slots - 1])
     delivered = transmissions = 0
     work = np.empty(3 * min(_BLOCK, cfg.num_slots) * f)
 
     done = 0
     while done < cfg.num_slots:
         nb = min(_BLOCK, cfg.num_slots - done)
-        local = bookkeeping - done
-        local = local[(local >= 0) & (local < nb)]
         best_val = []
         best_ch = []
         sent = []
@@ -385,9 +346,7 @@ def _run_replication(
             slot_of = np.repeat(np.arange(nb), cnt)
             order = _arrival_order(slot_of, offsets, lengths)  # FIFO follows arrival times
             times = ((slot_of + done) + offsets[order]) * t_slt
-            sent.append(
-                queue.walk(done, t_slt, value >= node.beta, slot_of, times, lengths[order], local)
-            )
+            sent.append(queue.walk(done, t_slt, value >= node.beta, slot_of, times, lengths[order]))
 
         tx = sent[source_idx]
         if tx.size:

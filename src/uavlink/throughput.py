@@ -393,14 +393,11 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray) -> tupl
         betas, mu, cdf = betas[stable], mu[stable], cdf[np.append(stable, True)]
     p_dly = qn.p_delay(mu, view.queue)
     p_ov = qn.p_overflow(mu, view.queue)
-    _check_probability("p_delay", p_dly)
-    _check_probability("p_overflow", p_ov)
-    survive = (1.0 - p_ov) * (1.0 - p_dly)  # compose_loss's product, up to the error term
     p_err = itf._error_grid(view.link, view.power, betas, view.noise, view.sinr_threshold, cdf=cdf)
 
     def price(fit: GammaFit | ZeroInterference) -> tuple[np.ndarray, ...]:
-        _check_probability("p_error", errors := p_err(fit))
-        p_loss = 1.0 - survive * (1.0 - errors)
+        errors = p_err(fit)
+        p_loss = compose_loss(p_ov, p_dly, errors)
         return p_dly, p_ov, errors, p_loss, expected_throughput(view.queue.arrival_rate, p_loss)
 
     return cases, price

@@ -1,15 +1,17 @@
 """Test-side oracles: the buffer-occupancy Markov chain behind the queue
 formulas, the per-point SINR error integral with the tolerances it runs
 at and the bound a kernel keeps of it, the error integrand in
-scipy's ufuncs, the scaled Bessel I0, the slot-by-slot simulator loop, a
-reader for results files, a scenario's own policy, and the best-response
-loop that rebuilds and re-evaluates every node's view each iteration.
+scipy's ufuncs, the scaled Bessel I0, the slot-by-slot simulator loop and
+its per-block visit loop, a reader for results files, a scenario's own
+policy, and the best-response loop that rebuilds and re-evaluates every
+node's view each iteration.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
 ``interference.p_error``, the quadrature's float integrand,
-``simulator.run`` and ``throughput.jacobi_best_response`` the hard way, so
-the package's closed forms, grid kernel, float kernels, per-node queue walk
-and prepared best-response grids can be checked against them.  They
+``simulator.run``, ``simulator._Queue.walk`` and
+``throughput.jacobi_best_response`` the hard way, so the package's closed
+forms, grid kernel, float kernels, per-node queue schedule and prepared
+best-response grids can be checked against them.  They
 live with the tests because the package itself never calls them.
 """
 
@@ -309,6 +311,85 @@ def _slot_loop_replication(
         queued_at_warmup=queued_at_warmup,
         queued_at_end=len(queues[source_idx]),
     )
+
+
+def visit_block(queue, start, t_slt, can_tx, slot_of, times, lengths, bookkeeping) -> np.ndarray:
+    """``simulator._Queue.walk`` on ``queue`` by visiting the slots where it can change.
+
+    The queue is visited at its arrival slots, at its transmit slots
+    while it holds packets, and at the ``bookkeeping`` slots.  Between
+    two visits nothing enters or leaves it, and the expired packets
+    form a prefix that only grows with time, so expiring them at the
+    next visit pops the same packets in the same order, and ``stored``
+    sees the same float sequence, as expiring them in every slot.  A
+    bookkeeping visit at ``warmup - 1`` keeps packets that expired
+    before the warmup out of the tallies.
+    """
+    nb = can_tx.size
+    mark = np.zeros(nb + 1, dtype=bool)
+    mark[slot_of] = True
+    mark[bookkeeping] = True
+    mark[nb] = True  # sentinel: drain the block's last transmit slots
+    visits = np.flatnonzero(mark)
+    tx_slots = np.flatnonzero(can_tx)
+    # the transmit slots up to each visit, its own included
+    stops = np.searchsorted(tx_slots, visits) + np.append(can_tx, False)[visits]
+
+    q = queue.packets
+    stored = queue.stored
+    deadline = queue.delay_threshold
+    capacity = queue.buffer_capacity
+    warmup = queue.warmup
+    arrivals = overflow_drops = delay_drops = 0
+    times = times.tolist()
+    lengths = lengths.tolist()
+    tx_list = tx_slots.tolist()
+    sent = []
+    k = lo = 0
+    for v, hi, stop in zip(
+        visits.tolist(),
+        np.searchsorted(slot_of, visits, side="right").tolist(),
+        stops.tolist(),
+    ):
+        while q and k < stop:
+            s = tx_list[k]
+            k += 1
+            slot = start + s
+            now = slot * t_slt
+            while q and now - q[0][0] > deadline:
+                stored -= q.popleft()[1]
+                if slot >= warmup:
+                    delay_drops += 1
+            if q:
+                stored -= q.popleft()[1]
+                sent.append(s)
+        if v == nb:
+            break
+        k = stop
+        slot = start + v
+        now = slot * t_slt
+        measured = slot >= warmup
+        while q and now - q[0][0] > deadline:
+            stored -= q.popleft()[1]
+            if measured:
+                delay_drops += 1
+        for j in range(lo, hi):
+            length = lengths[j]
+            if stored + length <= capacity:
+                q.append((times[j], length))
+                stored += length
+            elif measured:
+                overflow_drops += 1
+        if measured:
+            arrivals += hi - lo
+        lo = hi
+        if slot == warmup - 1:
+            queue.queued_at_warmup = len(q)
+    queue.stored = stored
+    queue.arrivals += arrivals
+    queue.overflow_drops += overflow_drops
+    queue.delay_drops += delay_drops
+    return np.array(sent, dtype=np.intp)
 
 
 def slot_loop_counts(scenario, policy=None, cfg=None) -> tuple:

@@ -259,9 +259,10 @@ class TestSimulate:
             "--slots", "2000", "--replications", "2", "--seed", "5", "--warmup", "100",
             "--out", str(out),
         ])
-        printed = capsys.readouterr().out
-        assert code == 0
-        assert "n/a" in printed
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "n/a" in captured.out
+        assert captured.err.startswith("infeasible: ")
         rows = read_results(out)
         assert all(math.isnan(row["analytic"]) for row in rows)
 

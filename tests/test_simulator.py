@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import _draw_fading_slot_loop, scenario_policy, slot_loop_counts
+from oracles import _draw_fading_slot_loop, scenario_policy, slot_loop_counts, visit_block
 
 from uavlink import presets
 from uavlink import simulator as sim
@@ -132,6 +132,26 @@ class TestDeterminism:
         assert a.counts != b.counts
 
 
+def loaded_source(load_per_slot, utilization, delay_threshold, buffer_capacity):
+    """A lone Rayleigh source, as in acceptance criterion 06: transmit chance load / utilization."""
+    phi = load_per_slot / utilization
+    beta = math.sqrt(-2.0 * math.log(1.0 - (1.0 - phi) ** (1.0 / 15.0)))
+    source = {
+        "id": "src",
+        "role": "source",
+        "position": [5.0, 5.0, 0.0],
+        "transmit_power": 0.5,
+        "fading": "rayleigh",
+        "beta": beta,
+        "queue": {
+            "arrival_rate": load_per_slot / 0.002,
+            "delay_threshold": delay_threshold,
+            "buffer_capacity_normalized": buffer_capacity,
+        },
+    }
+    return scenario_from_mapping({"nodes": [source]})
+
+
 # name: (scenario, policy, config); each case runs in well under 2 s
 SLOT_LOOP_CASES = {
     "example_mixed_fading": (
@@ -198,6 +218,12 @@ SLOT_LOOP_CASES = {
         {"src": math.inf},
         SimConfig(300, seed=3, warmup_slots=20, replication_count=16),
     ),
+    # deadline and overflow drops on both sides of the first block boundary
+    "drops_across_the_block_boundary": (
+        lambda: loaded_source(0.32, 0.55, delay_threshold=0.02, buffer_capacity=8.0),
+        None,
+        SimConfig(70_000, seed=23, warmup_slots=5_000),
+    ),
 }
 
 
@@ -207,6 +233,11 @@ class TestSlotLoopOracle:
         make_scenario, policy, cfg = SLOT_LOOP_CASES[case]
         scenario = make_scenario()
         assert sim.run(scenario, policy, cfg).counts == slot_loop_counts(scenario, policy, cfg)
+
+    def test_the_drop_case_drops_both_ways(self):
+        make_scenario, policy, cfg = SLOT_LOOP_CASES["drops_across_the_block_boundary"]
+        (counts,) = sim.run(make_scenario(), policy, cfg).counts
+        assert counts.delay_drops > 0 and counts.overflow_drops > 0
 
 
 class StubGenerator:
@@ -304,8 +335,7 @@ class TestArrivalOrder:
 
 
 def block(
-    nb=12, start=50, tx=(), arrivals=(), carried=(), warmup=0, ends_run=True, deadline=0.05,
-    capacity=30.0,
+    nb=12, start=50, tx=(), arrivals=(), carried=(), warmup=0, deadline=0.05, capacity=30.0
 ):
     """One block of a queue: transmit slots ``tx``, ``arrivals`` as (slot, offset, length)
     in admission order, and the carried-in packets as (time, length)."""
@@ -314,7 +344,6 @@ def block(
     stored = 0.0
     for _, length in carried:
         stored += length
-    last = [nb - 1] if ends_run else []
     return {
         "start": start,
         "t_slt": 0.002,
@@ -322,7 +351,8 @@ def block(
         "slot_of": np.array([a[0] for a in arrivals], dtype=int),
         "times": np.array([(start + s + o) * 0.002 for s, o, _ in arrivals]),
         "lengths": np.array([a[2] for a in arrivals]),
-        "bookkeeping": np.array([s for s in [warmup - 1 - start, *last] if 0 <= s < nb], dtype=int),
+        # the visit loop expires lazily; a visit at the last slot leaves the walk's state
+        "bookkeeping": np.array(sorted({s for s in [warmup - 1 - start, nb - 1] if 0 <= s < nb})),
         "carried": list(carried),
         "stored": stored,
         "warmup": warmup,
@@ -346,7 +376,6 @@ def queue_blocks(draw):
         arrivals=sorted(draw(st.lists(arrival, max_size=nb))),
         carried=[(start * 0.002 - age, draw(size)) for age in sorted(ages, reverse=True)],
         warmup=draw(st.integers(0, start + nb + 5)),
-        ends_run=draw(st.booleans()),
         deadline=draw(st.floats(0.001, 0.3)),
         capacity=draw(st.floats(0.5, 30.0)),
     )
@@ -367,8 +396,17 @@ def queue_state(queue) -> tuple:
     )
 
 
+def args_of(b, lo=0, hi=None):
+    """The ``walk`` arguments of block slots ``lo`` to ``hi`` of block ``b``."""
+    a, z = np.searchsorted(b["slot_of"], [lo, b["can_tx"].size if hi is None else hi])
+    return (
+        b["start"] + lo, b["t_slt"], b["can_tx"][lo:hi], b["slot_of"][a:z] - lo,
+        b["times"][a:z], b["lengths"][a:z],
+    )
+
+
 class TestBlockSchedule:
-    """The max-plus schedule of a block against the visit loop."""
+    """The drop-aware departure schedule of a block against the visit loop."""
 
     @staticmethod
     def queue(b):
@@ -394,61 +432,45 @@ class TestBlockSchedule:
     @example(b=block(arrivals=ARRIVALS, carried=CARRIED))  # no transmit slot
     @example(b=block(arrivals=ARRIVALS, carried=CARRIED, deadline=0.01))  # none, and expiry
     @example(b=block(tx=[0, 3], carried=CARRIED, warmup=56))  # no arrivals
+    @example(b=block(arrivals=ARRIVALS))  # nothing leaves, nothing dropped
+    @example(b=block(carried=[(0.09, 1.0)], deadline=0.005))  # carried in past its deadline
+    @example(b=block(nb=7, arrivals=[(1, 0.0, 1.0)], deadline=0.01))  # not yet past at slot 6
+    @example(b=block(nb=7, start=513675, arrivals=[(1, 0.5, 1.0)], deadline=0.009))  # past at 6
     @settings(max_examples=400, deadline=None)
     def test_schedule_matches_the_visit_loop(self, b):
-        args = (b["start"], b["t_slt"], b["can_tx"], b["slot_of"], b["times"], b["lengths"])
-        loop, scheduled, walked = self.queue(b), self.queue(b), self.queue(b)
-        want = loop._visit(*args, b["bookkeeping"])
-        before = queue_state(scheduled)
-        got = scheduled._schedule(*args)
-        lost = len(b["carried"]) + b["slot_of"].size - want.size - len(loop.packets)
-        if got is None:
-            assert queue_state(scheduled) == before
-        else:
-            assert lost == 0
-            assert got.tolist() == want.tolist()
-            assert queue_state(scheduled) == queue_state(loop)
-        assert walked.walk(*args, b["bookkeeping"]).tolist() == want.tolist()
+        loop, walked = self.queue(b), self.queue(b)
+        want = visit_block(loop, *args_of(b), b["bookkeeping"])
+        assert walked.walk(*args_of(b)).tolist() == want.tolist()
         assert queue_state(walked) == queue_state(loop)
 
-    @pytest.mark.parametrize(
-        "b, schedules",
-        [
-            (block(tx=[2, 5, 6, 10], arrivals=ARRIVALS, carried=CARRIED), True),
-            (block(tx=[0, 3, 8], arrivals=ARRIVALS, carried=CARRIED, warmup=55), True),
-            (block(arrivals=ARRIVALS), True),
-            (block(tx=[0, 3], carried=CARRIED, warmup=56), True),
-            (block(tx=[11], arrivals=ARRIVALS, carried=CARRIED, deadline=0.01), False),
-            (block(tx=[10], arrivals=ARRIVALS, capacity=2.0), False),
-            (block(arrivals=ARRIVALS, carried=CARRIED, deadline=0.01), False),
-        ],
+    @given(b=queue_blocks(), data=st.data())
+    @example(b=block(tx=[11], arrivals=ARRIVALS, carried=CARRIED, deadline=0.01), data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_a_block_walks_the_same_in_two_parts(self, b, data):
+        nb = b["can_tx"].size
+        assume(nb > 1)
+        cut = 5 if data is None else data.draw(st.integers(1, nb - 1))
+        whole, parts = self.queue(b), self.queue(b)
+        want = whole.walk(*args_of(b))
+        got = [parts.walk(*args_of(b, 0, cut)), cut + parts.walk(*args_of(b, cut))]
+        assert np.concatenate(got).tolist() == want.tolist()
+        assert queue_state(parts) == queue_state(whole)
+
+
+class TestClampChain:
+    @given(
+        st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 6)), max_size=70),
+        st.integers(0, 25),
     )
-    def test_schedule_declines_exactly_the_blocks_with_drops(self, b, schedules):
-        args = (b["start"], b["t_slt"], b["can_tx"], b["slot_of"], b["times"], b["lengths"])
-        assert (self.queue(b)._schedule(*args) is not None) == schedules
-
-    def spy(self, monkeypatch):
-        visits = []
-        visit = sim._Queue._visit
-
-        def counting(queue, *args):
-            visits.append(args[0])
-            return visit(queue, *args)
-
-        monkeypatch.setattr(sim._Queue, "_visit", counting)
-        return visits
-
-    def test_example_never_falls_back_to_the_visit_loop(self, monkeypatch):
-        visits = self.spy(monkeypatch)
-        sim.run(load_scenario_file(EXAMPLE), cfg=SimConfig(20_000, seed=5, replication_count=2))
-        assert visits == []
-
-    def test_blocks_with_drops_fall_back(self, monkeypatch):
-        make_scenario, policy, cfg = SLOT_LOOP_CASES["buffer_full_bursts"]
-        visits = self.spy(monkeypatch)
-        counts = sim.run(make_scenario(), policy, cfg).counts
-        assert visits
-        assert all(c.overflow_drops > 0 for c in counts)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_clamps_one_by_one(self, bounds, tight):
+        lo = np.array([b[0] for b in bounds], dtype=np.intp)
+        hi = lo + np.array([b[1] if j % (tight + 1) == 0 else 99 for j, b in enumerate(bounds)])
+        x, want = 0, []
+        for low, high in zip(lo.tolist(), hi.tolist()):
+            want.append(x)
+            x = min(max(x, low), high)
+        assert sim._clamp_chain(lo, hi).tolist() == want
 
 
 class TestConservation:
