@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.special as sp
-import scipy.special.cython_special as cs
 
 from . import specfun
 from .errors import DegenerateGeometryError, DomainError
@@ -198,26 +197,16 @@ def rician_b(theta: float, env: EnvironmentParams) -> float:
 
 
 def _pdf(model: FadingModel, x: np.ndarray) -> np.ndarray:
-    """Density of the fading amplitude, elementwise over an array of x >= 0.
+    """Density of the fading amplitude at a float or elementwise over an array of x >= 0.
 
-    Unchecked, like :func:`_float_pdf`, its float twin; the callers keep x
-    in range.  The Rician branch is the exponentially-scaled form
-    x * exp(-(x-b)^2/2) * i0e(xb), which stays finite for all x.
+    Unchecked; the callers keep x in range.  The Rician branch is the
+    exponentially-scaled form x * exp(-(x-b)^2/2) * i0e(xb), which stays
+    finite for all x.
     """
     if isinstance(model, Rayleigh):
         return (2.0 * x / model.omega) * np.exp(-x * x / model.omega)
     diff = x - model.b
     return x * np.exp(-0.5 * diff * diff) * sp.i0e(x * model.b)
-
-
-def _float_pdf(model: FadingModel):
-    """:func:`_pdf` as a float function for one-node quadrature calls: the C ``i0e``,
-    and math.exp, as numpy's exp can differ in the last bit."""
-    if isinstance(model, Rayleigh):
-        om = model.omega
-        return lambda x: (2.0 * x / om) * math.exp(-x * x / om)
-    b = model.b
-    return lambda x: x * math.exp(-0.5 * (x - b) * (x - b)) * cs.i0e(x * b)
 
 
 def _pdf_slope(model: FadingModel, x: float | np.ndarray):
@@ -235,7 +224,7 @@ def fading_pdf(model: FadingModel, x: float) -> float:
     x = float(x)
     if x < 0:
         raise DomainError(f"fading_pdf: x must be >= 0, got {x}")
-    return _float_pdf(model)(x)
+    return float(_pdf(model, x))
 
 
 def fading_cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:

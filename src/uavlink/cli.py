@@ -53,6 +53,16 @@ def _load(path: str) -> Scenario:
     return scenario
 
 
+def _on_boundary(breakdown: tp.LossBreakdown) -> str | None:
+    """Why a threshold on the stability boundary is infeasible, or None off it.
+
+    There the deadline drop is certain; the bound itself still evaluates.
+    """
+    if breakdown.p_delay >= 1.0 - 1e-12:
+        return "the threshold sits on the stability boundary (deadline drop probability is 1)"
+    return None
+
+
 def cmd_evaluate(args) -> int:
     scenario = _load(args.scenario)
     breakdown = tp.evaluate(scenario, _parse_beta_overrides(args.beta))
@@ -67,12 +77,9 @@ def cmd_evaluate(args) -> int:
         print(f"{name:<10} = {value:.12g}")
     if args.out:
         write_results([row], args.out)
-    if breakdown.p_delay >= 1.0 - 1e-12:
-        print(
-            "infeasible: the threshold sits on the stability boundary "
-            "(deadline drop probability is 1)",
-            file=sys.stderr,
-        )
+    infeasible = _on_boundary(breakdown)
+    if infeasible is not None:
+        print(f"infeasible: {infeasible}", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -114,11 +121,13 @@ def cmd_simulate(args) -> int:
         replication_count=args.replications,
     )
     result = sim.run(scenario, policy, cfg)
-    analytic = infeasible = None
+    analytic = None
     try:
         analytic = tp.evaluate(scenario, policy)
     except StabilityError as exc:  # the empirical columns are still reported
         infeasible = exc
+    else:
+        infeasible = _on_boundary(analytic)
     print(f"{'metric':<12}{'analytic':>16}{'empirical':>16}{'halfwidth':>14}{'gap':>14}")
     rows = []
     for name in ps.BREAKDOWN_COLUMNS:

@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.special.cython_special as cs
 
 from . import channel, specfun
-from .channel import FadingModel, LinkChannel
+from .channel import FadingModel, LinkChannel, Rician
 from .errors import (
     DegenerateInterferenceError,
     DomainError,
@@ -212,20 +213,39 @@ _FLOOR_GRADING = 0.5 ** np.arange(20.0, 0.0, -1.0)
 def _tail_integrand(model: FadingModel, fit: GammaFit, margin_rate: float, noise_power: float):
     """The error integrand at one float x, bound to the fading family and the Gamma shape.
 
-    Float kernels throughout: a quadrature node pays no numpy dispatch or type test.
+    One closure with :func:`channel._pdf` and :func:`specfun.gamma_tail` inlined in
+    ``math`` and scipy's C kernels, which return what the ufuncs return: a quadrature
+    node pays no numpy dispatch, type test or nested call.
     """
-    pdf, tail = channel._float_pdf(model), specfun.gamma_tail(fit.shape, scalar=True)
-    scale = fit.scale
+    rician = isinstance(model, Rician)
+    b, om = (model.b, 0.0) if rician else (0.0, model.omega)
+    k, scale = fit.shape, fit.scale
+    # below shape 1 the tail is taken one shape up in the recurrence band, as gamma_tail
+    # does; from shape 1 the band is empty, and one comparison rules a node out of it
+    lo, hi = specfun._RECURRENCE_BAND if k < 1.0 else (math.inf, math.inf)
+    k1, log_norm = k + 1.0, math.lgamma(k + 1.0)
+    exp, log, gammaincc, i0e = math.exp, math.log, cs.gammaincc, cs.i0e
 
     def integrand(x: float) -> float:
+        if rician:
+            d = x - b
+            pdf = x * exp(-0.5 * d * d) * i0e(x * b)
+        else:
+            pdf = (2.0 * x / om) * exp(-x * x / om)
         excess = margin_rate * x * x - noise_power  # the tail is 1 where this is <= 0
-        return pdf(x) * tail(excess / scale) if excess > 0.0 else pdf(x)
+        if not excess > 0.0:
+            return pdf
+        z = excess / scale
+        if lo < z < hi:
+            return pdf * (gammaincc(k1, z) - exp(k * log(z) - z - log_norm))
+        return pdf * gammaincc(k, z)
 
     return integrand
 
 
 def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: NoiseModel,
-                gamma_th: float, cdf: np.ndarray | None = None) -> Callable:
+                gamma_th: float, cdf: np.ndarray | None = None,
+                x0: float | None = None) -> Callable:
     """:func:`p_error` at the flat thresholds ``flat``, as a function of the interference law.
 
     The main link alone fixes the fading CDF, the noise floor x0 with the
@@ -241,9 +261,10 @@ def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: N
     adaptively instead, so an :class:`AccuracyError` is raised rather than
     an inaccurate value returned.
     Passing ``cdf`` (F at ``flat``, then at x0, from a caller that checked
-    the thresholds) skips evaluating F.
+    the thresholds) skips evaluating F, and passing ``x0`` skips computing it.
     """
-    x0 = noise_floor(main, main_power, noise, gamma_th)
+    if x0 is None:
+        x0 = noise_floor(main, main_power, noise, gamma_th)
     if cdf is None:
         flat = specfun._nonnegative("main_beta", flat)
         cdf = channel.fading_cdf(main.fading, np.append(flat, x0))

@@ -107,10 +107,9 @@ def _with_slot_duration(scenario: Scenario, slot: float) -> Scenario:
 def _apply_point(scenario: Scenario, betas: dict[str, float], variable: str, value: Any):
     """The scenario and the thresholds it overrides after setting ``variable``.
 
-    ``betas`` only ever names nodes of the returned scenario.
+    ``betas`` only ever names nodes of the returned scenario.  The source's own
+    threshold ``beta_n`` is not applied here: it varies within a group of points.
     """
-    if variable == "beta_n":
-        return scenario, {**betas, scenario.source().id: float(value)}
     if variable == "beta_m":
         interferers = dict.fromkeys((n.id for n in scenario.interferers()), float(value))
         return scenario, {**betas, **interferers}
@@ -150,8 +149,10 @@ def _sweep(
 ) -> tuple[list[str], list[dict]]:
     """Evaluate the source over the product of ``axes``, first axis outermost.
 
-    Points that differ only in ``beta_n`` share one source view, and with it
-    one interference fit; each point still gets its own error quadrature.
+    Points that differ only in ``beta_n`` form a group.  The other axes are
+    applied, the policy resolved and the source view (with its interference
+    fit) built once per group, at its first point; every point still checks
+    its own ``beta_n`` and gets its own error quadrature.
     """
     if any(callable(axis.values) for axis in axes):
         upper = _stability_bound(scenario, axes)
@@ -162,18 +163,22 @@ def _sweep(
             for axis in axes
         ]
     columns = [axis.column or axis.variable for axis in axes] + list(outputs)
-    groups: dict[tuple, tp.SourceView] = {}
+    source = scenario.source().id
+    groups: dict[tuple, tuple[tp.SourceView, float]] = {}
     rows = []
     for point in itertools.product(*(axis.values for axis in axes)):
-        point_scenario, betas = scenario, {}
-        for axis, value in zip(axes, point):
-            point_scenario, betas = _apply_point(point_scenario, betas, axis.variable, value)
-        policy = tp._resolve_policy(point_scenario, betas)
-        group = tuple(v for axis, v in zip(axes, point) if axis.variable != "beta_n")
-        if group not in groups:
-            groups[group] = tp.source_view(point_scenario, policy)
-        view = groups[group]
-        breakdown = tp.evaluate_view(view, policy.get(view.node_id))
+        group = tuple((a.variable, v) for a, v in zip(axes, point) if a.variable != "beta_n")
+        own = {source: float(v) for a, v in zip(axes, point) if a.variable == "beta_n"}
+        if group in groups:
+            tp.PolicyVector(own)  # the group's other thresholds were checked at its first point
+        else:
+            group_scenario, betas = scenario, {}
+            for variable, value in group:
+                group_scenario, betas = _apply_point(group_scenario, betas, variable, value)
+            policy = tp._resolve_policy(group_scenario, {**betas, **own})
+            groups[group] = tp.source_view(group_scenario, policy), policy.get(source)
+        view, beta = groups[group]
+        breakdown = tp.evaluate_view(view, own.get(source, beta))
         row = dict(zip(columns, point))
         row.update((column, _output(breakdown, column)) for column in outputs)
         rows.append(row)

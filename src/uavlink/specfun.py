@@ -2,8 +2,7 @@
 
 Thin, contract-enforcing wrappers around scipy's well-tested kernels.
 Every function is pure and thread-safe; no table interpolation anywhere,
-so repeated calls are bit-reproducible.  Float kernels call scipy's C kernels
-(``scipy.special.cython_special``): floats out, bit-equal to the ufuncs.
+so repeated calls are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.integrate
 import scipy.special as sp
-import scipy.special.cython_special as cs
 
 from .errors import AccuracyError, DomainError
 
@@ -92,32 +90,25 @@ def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarra
 _RECURRENCE_BAND = (0.1, 2.0)
 
 
-def gamma_tail(k: float, scalar: bool = False) -> Callable:
-    """Q(k, .) bound to one shape, elementwise over an array x >= 0 (unchecked);
-    with ``scalar``, float to float in the C kernels, for one-node quadrature calls."""
+def gamma_tail(k: float) -> Callable:
+    """Q(k, .) bound to one shape, elementwise over an array x >= 0 (unchecked)."""
     if not k > 0:
         raise DomainError(f"regularized_gamma_upper requires k > 0, got {k}")
-    gammaincc = cs.gammaincc if scalar else sp.gammaincc
     if k >= 1.0:
-        return functools.partial(gammaincc, k)
+        return functools.partial(sp.gammaincc, k)
     lo, hi = _RECURRENCE_BAND
     k1, log_norm = k + 1.0, math.lgamma(k + 1.0)
-
-    def float_tail(x: float) -> float:
-        if lo < x < hi:
-            return gammaincc(k1, x) - math.exp(k * math.log(x) - x - log_norm)
-        return gammaincc(k, x)
 
     def tail(x):
         x = np.asarray(x, dtype=float)
         band = (lo < x) & (x < hi)
         q = np.empty(x.shape)
-        q[~band] = gammaincc(k, x[~band])
+        q[~band] = sp.gammaincc(k, x[~band])
         xb = x[band]
-        q[band] = gammaincc(k1, xb) - np.exp(k * np.log(xb) - xb - log_norm)
+        q[band] = sp.gammaincc(k1, xb) - np.exp(k * np.log(xb) - xb - log_norm)
         return q
 
-    return float_tail if scalar else tail
+    return tail
 
 
 def regularized_gamma_upper(k: float, x: float | np.ndarray) -> float | np.ndarray:
@@ -125,8 +116,6 @@ def regularized_gamma_upper(k: float, x: float | np.ndarray) -> float | np.ndarr
 
     Elementwise over an array ``x``; any x < 0 gives 1, the value at 0.
     """
-    if isinstance(x, float):
-        return gamma_tail(k, scalar=True)(max(x, 0.0))
     return gamma_tail(k)(np.maximum(x, 0.0))[()]
 
 

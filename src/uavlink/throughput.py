@@ -140,9 +140,20 @@ def compose_loss(p_ov, p_dly, p_err):
 
     Algebraically 1 - (1-p_ov)(1-p_dly)(1-p_err).
     """
-    for name, p in (("p_ov", p_ov), ("p_dly", p_dly), ("p_err", p_err)):
+    return _loss(_survival(p_ov, p_dly), p_err)
+
+
+def _survival(p_ov, p_dly):
+    """(1-p_ov)(1-p_dly), the first product of :func:`compose_loss`, checking both."""
+    for name, p in (("p_ov", p_ov), ("p_dly", p_dly)):
         _check_probability(f"compose_loss: {name}", p)
-    return 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err)
+    return (1.0 - p_ov) * (1.0 - p_dly)
+
+
+def _loss(survive, p_err):
+    """1 - survive (1-p_err), the rest of :func:`compose_loss`, checking ``p_err``."""
+    _check_probability("compose_loss: p_err", p_err)
+    return 1.0 - survive * (1.0 - p_err)
 
 
 def expected_throughput(arrival_rate: float, p_loss, approximate: bool = False):
@@ -393,11 +404,14 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray) -> tupl
         betas, mu, cdf = betas[stable], mu[stable], cdf[np.append(stable, True)]
     p_dly = qn.p_delay(mu, view.queue)
     p_ov = qn.p_overflow(mu, view.queue)
-    p_err = itf._error_grid(view.link, view.power, betas, view.noise, view.sinr_threshold, cdf=cdf)
+    p_err = itf._error_grid(view.link, view.power, betas, view.noise, view.sinr_threshold,
+                            cdf, x0)
+    # the queue terms do not depend on the law: checked and composed once, as compose_loss does
+    survive = _survival(p_ov, p_dly)
 
     def price(fit: GammaFit | ZeroInterference) -> tuple[np.ndarray, ...]:
         errors = p_err(fit)
-        p_loss = compose_loss(p_ov, p_dly, errors)
+        p_loss = _loss(survive, errors)
         return p_dly, p_ov, errors, p_loss, expected_throughput(view.queue.arrival_rate, p_loss)
 
     return cases, price

@@ -266,6 +266,23 @@ class TestSimulate:
         rows = read_results(out)
         assert all(math.isnan(row["analytic"]) for row in rows)
 
+    def test_threshold_at_bound_prints_columns_then_exits_two(self, tmp_path, capsys):
+        # on the bound the analytic deadline drop is 1, as evaluate reports it
+        upper = tp.source_view(load_scenario_file(EXAMPLE)).upper
+        out = tmp_path / "sim.csv"
+        code = cli.main([
+            "simulate", "--scenario", str(EXAMPLE), "--beta", f"src={upper!r}",
+            "--slots", "2000", "--replications", "2", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "boundary" in captured.err and captured.err.startswith("infeasible: ")
+        rows = {row["metric"]: row for row in read_results(out)}
+        assert rows["p_delay"]["analytic"] == 1.0
+        assert rows["p_delay"]["empirical"] < 1.0
+        assert "n/a" not in captured.out
+        assert cli.main(["evaluate", "--scenario", str(EXAMPLE), "--beta", f"src={upper!r}"]) == 2
+
     def test_nan_threshold_rejected_before_simulating(self, capsys):
         code = cli.main(["simulate", "--scenario", str(EXAMPLE), "--beta", "src=nan"])
         captured = capsys.readouterr()

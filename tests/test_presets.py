@@ -1,9 +1,13 @@
 """Sweep machinery: axis application, presets, and reproducibility."""
 
+import dataclasses
+import itertools
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import read_results
 
 from uavlink import interference as itf
@@ -177,6 +181,28 @@ class TestPresets:
             policy = {"src": row["beta_n"], **{n.id: row["beta_m"] for n in scenario.interferers()}}
             assert row["throughput"] == tp.evaluate(scenario, policy).throughput
 
+    @pytest.mark.parametrize("name, groups", [("fig2", 7), ("fig5", 8)])
+    def test_axes_apply_once_per_group(self, monkeypatch, name, groups):
+        # one non-threshold axis per preset: one application and one view per group,
+        # plus the view of the stability bound that resolves the beta_n values
+        applied, views = [], []
+        apply_point, source_view = ps._apply_point, tp.source_view
+
+        def counting_apply(*args):
+            applied.append(args[2:])
+            return apply_point(*args)
+
+        def counting_view(*args, **kwargs):
+            views.append(args)
+            return source_view(*args, **kwargs)
+
+        monkeypatch.setattr(ps, "_apply_point", counting_apply)
+        monkeypatch.setattr(tp, "source_view", counting_view)
+        ps.run_preset(name)
+        assert len(applied) == groups
+        assert all(variable != "beta_n" for variable, _ in applied)
+        assert len(views) == 1 + groups
+
     @pytest.mark.parametrize("name", sorted(ps.PRESETS))
     def test_matches_golden(self, name):
         # regression gate: default-seed output against the committed CSV
@@ -188,3 +214,59 @@ class TestPresets:
         for row, want in zip(rows, golden):
             for column in columns:
                 assert row[column] == pytest.approx(want[column], rel=1e-8, abs=0.0)
+
+
+class TestSweepGroups:
+    """A sweep's rows are each point evaluated on its own, whatever the axis order."""
+
+    SCENARIO = ps.preset_scenario("fig3")  # Rician and Rayleigh interferers
+    UPPER = tp.source_view(SCENARIO).upper
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        variables=st.lists(
+            st.sampled_from(["beta_n", "gamma_th", "interferer_count"]),
+            min_size=1, max_size=3, unique=True,
+        ),
+        fractions=st.lists(
+            st.floats(0.05, 0.99), min_size=1, max_size=3, unique_by=lambda f: round(f, 6)
+        ),
+        thresholds=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=2, unique=True),
+        counts=st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True),
+        negative_first=st.booleans(),
+    )
+    def test_rows_equal_per_point_evaluate(
+        self, variables, fractions, thresholds, counts, negative_first
+    ):
+        betas = [f * self.UPPER for f in sorted(fractions)]
+        if negative_first:
+            betas[0] = -betas[0]
+        values = {"beta_n": betas, "gamma_th": sorted(thresholds), "interferer_count": sorted(counts)}
+        axes = [ps.SweepSpec(v, tuple(values[v])) for v in variables]
+
+        def alone(point):
+            scenario, policy = self.SCENARIO, {}
+            for variable, value in zip(variables, point):
+                if variable == "beta_n":
+                    policy["src"] = value
+                elif variable == "gamma_th":
+                    scenario = dataclasses.replace(scenario, sinr_threshold=value)
+                else:
+                    kept = (scenario.source(), *scenario.interferers()[:value])
+                    scenario = dataclasses.replace(scenario, nodes=kept)
+            return dataclasses.asdict(tp.evaluate(scenario, policy))
+
+        points = list(itertools.product(*(axis.values for axis in axes)))
+        if negative_first and "beta_n" in variables:
+            with pytest.raises(DomainError, match="beta for node 'src'") as swept:
+                ps._sweep(self.SCENARIO, axes, ps.BREAKDOWN_COLUMNS)
+            with pytest.raises(DomainError) as first:
+                alone(points[0])
+            assert str(swept.value) == str(first.value)
+            return
+        _, rows = ps._sweep(self.SCENARIO, axes, ps.BREAKDOWN_COLUMNS)
+        assert len(rows) == len(points)
+        for row, point in zip(rows, points):
+            want = alone(point)
+            got = {column: row[column] for column in ps.BREAKDOWN_COLUMNS}
+            assert repr(got) == repr(want), point
