@@ -229,11 +229,15 @@ def fading_pdf(model: FadingModel, x: float) -> float:
 
 def fading_cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
     """Probability that the fading amplitude falls below each ``beta`` >= 0 (1 at +inf)."""
-    beta = specfun._nonnegative("fading_cdf: beta", beta)
+    return _cdf(model, specfun._nonnegative("fading_cdf: beta", beta))
+
+
+def _cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
+    """:func:`fading_cdf` at a float or a float array of thresholds already checked."""
     if isinstance(model, Rayleigh):
         expm1 = math.expm1 if isinstance(beta, float) else np.expm1
         return -expm1(-beta * beta / model.omega)
-    return 1.0 - specfun.marcum_q1(model.b, beta)
+    return 1.0 - specfun._marcum_q1(model.b, beta)
 
 
 def transmit_prob(

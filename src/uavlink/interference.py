@@ -243,38 +243,34 @@ def _tail_integrand(model: FadingModel, fit: GammaFit, margin_rate: float, noise
     return integrand
 
 
-def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: NoiseModel,
-                gamma_th: float, cdf: np.ndarray | None = None,
-                x0: float | None = None) -> Callable:
+def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor: float,
+                x0: float, margin_rate: float, noise_power: float) -> Callable:
     """:func:`p_error` at the flat thresholds ``flat``, as a function of the interference law.
 
-    The main link alone fixes the fading CDF, the noise floor x0 with the
-    certain loss below it, the transmit mass, and the quadrature layout, so
-    they are computed once.  The error integral above the largest limit
-    max(beta, x0) is one adaptive quadrature of :func:`_tail_integrand`;
-    each gap between consecutive limits is a Gauss-Kronrod 7-15 panel (the
-    one from x0 graded by ``_FLOOR_GRADING``), all evaluated at once, and a
-    reversed cumulative sum gives every limit's integral.  The tail and the
-    panels share the absolute tolerance equally; a single limit keeps all of
-    it and lays out no panels; both read ``DEFAULT_QUAD`` at the call.  A
+    The main link alone fixes the fading CDF ``cdf`` at ``flat`` and
+    ``cdf_floor`` at the noise floor ``x0`` (both from the caller, which
+    checked the thresholds), the certain loss below x0, the transmit mass,
+    and the quadrature layout, so they are computed once.  The error
+    integral above the largest limit max(beta, x0) is one adaptive
+    quadrature of :func:`_tail_integrand`; each gap between consecutive
+    limits is a Gauss-Kronrod 7-15 panel (the one from x0 graded by
+    ``_FLOOR_GRADING``), all evaluated at once, and a reversed cumulative
+    sum gives every limit's integral.  The tail and the panels share the
+    absolute tolerance equally; a grid of one keeps all of it, lays out no
+    panels and sorts no limits; both read ``DEFAULT_QUAD`` at the call.  A
     panel whose Kronrod-Gauss difference exceeds its share is integrated
     adaptively instead, so an :class:`AccuracyError` is raised rather than
-    an inaccurate value returned.
-    Passing ``cdf`` (F at ``flat``, then at x0, from a caller that checked
-    the thresholds) skips evaluating F, and passing ``x0`` skips computing it.
+    an inaccurate value returned.  The returned function takes the law and,
+    optionally, the integrand already bound to it.
     """
-    if x0 is None:
-        x0 = noise_floor(main, main_power, noise, gamma_th)
-    if cdf is None:
-        flat = specfun._nonnegative("main_beta", flat)
-        cdf = channel.fading_cdf(main.fading, np.append(flat, x0))
-    cdf, cdf_floor = cdf[:-1], cdf[-1]
     lo = np.maximum(flat, x0)
     # a silenced threshold integrates nothing
-    limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
-    index = np.searchsorted(limits, lo)
+    if flat.size == 1:
+        limits, index = lo if lo[0] < math.inf else lo[:0], None
+    else:
+        limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
+        index = np.searchsorted(limits, lo)
     certain, mass = np.maximum(0.0, cdf_floor - cdf) * (flat < x0), 1.0 - cdf
-    margin_rate = main_power * main.path_loss_amplitude**2 / gamma_th
     quad = DEFAULT_QUAD
     if len(limits) > 1:
         quad = replace(quad, absolute_tolerance=quad.absolute_tolerance / len(limits))
@@ -289,13 +285,13 @@ def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: N
         # start + width * t with t in [0, 1] never falls below start
         x = start[:, None] + width[:, None] * (0.5 * (1.0 + _GK15_NODES))
         # the tail is 1 where the affordable power is not positive
-        excess = np.maximum(margin_rate * x * x - noise.power, 0.0)
-        pdf, half = channel._pdf(main.fading, x), 0.5 * width
+        excess = np.maximum(margin_rate * x * x - noise_power, 0.0)
+        pdf, half = channel._pdf(model, x), 0.5 * width
 
-    def price(fit: GammaFit | ZeroInterference) -> np.ndarray:
+    def price(fit: GammaFit | ZeroInterference, integrand: Callable | None = None) -> np.ndarray:
         raw = certain
         if limits.size and isinstance(fit, GammaFit):
-            integrand = _tail_integrand(main.fading, fit, margin_rate, noise.power)
+            integrand = integrand or _tail_integrand(model, fit, margin_rate, noise_power)
             # the integral above the largest limit, then the panels below it
             integrals = specfun.integrate(integrand, limits[-1], math.inf, quad).value
             if len(limits) > 1:
@@ -308,7 +304,9 @@ def _error_grid(main: LinkChannel, main_power: float, flat: np.ndarray, noise: N
                 for i in np.flatnonzero(~(error <= tolerance)):
                     kronrod[i] = specfun.integrate(integrand, limits[i], limits[i + 1], quad).value
                 integrals = np.append(np.cumsum(kronrod[::-1])[::-1], 0.0) + integrals
-            raw = certain + np.append(integrals, 0.0)[index]
+            if index is not None:  # each threshold's limit, and nothing above a silenced one
+                integrals = np.append(integrals, 0.0)[index]
+            raw = certain + integrals
         # normalise by the transmit mass; a silenced link has no transmission errors
         raw = np.divide(raw, mass, out=np.zeros(raw.shape), where=mass > 1e-300)
         return np.minimum(np.maximum(raw, 0.0), 1.0)
@@ -341,7 +339,11 @@ def p_error(
     link) has no transmissions and no errors.
     """
     betas = np.asarray(main_beta, dtype=float)
-    price = _error_grid(main, main_power, betas.ravel(), noise, gamma_th)
+    x0 = noise_floor(main, main_power, noise, gamma_th)
+    flat = specfun._nonnegative("main_beta", betas.ravel())
+    cdf = channel._cdf(main.fading, np.append(flat, x0))
+    price = _error_grid(main.fading, flat, cdf[:-1], cdf[-1], x0,
+                        _margin_rate(main, main_power, gamma_th), noise.power)
     return price(fit).reshape(betas.shape)[()]
 
 
@@ -354,4 +356,10 @@ def noise_floor(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_t
         raise DomainError(f"main_power must be > 0, got {main_power}")
     if not gamma_th > 0:
         raise DomainError(f"gamma_th must be > 0, got {gamma_th}")
-    return math.sqrt(noise.power / (main_power * main.path_loss_amplitude**2 / gamma_th))
+    return math.sqrt(noise.power / _margin_rate(main, main_power, gamma_th))
+
+
+def _margin_rate(main: LinkChannel, main_power: float, gamma_th: float) -> float:
+    """P L^2 / gamma_th: at fading amplitude x the main link affords interference
+    power ``margin_rate * x**2`` less the noise power."""
+    return main_power * main.path_loss_amplitude**2 / gamma_th

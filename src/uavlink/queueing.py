@@ -96,6 +96,11 @@ def p_delay(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
             f"arrival rate {q.arrival_rate:.6g}/s",
             margin=q.arrival_rate - slowest,
         )
+    return _p_delay(mu, q)
+
+
+def _p_delay(mu: np.ndarray, q: QueueParams) -> np.ndarray:
+    """:func:`p_delay` at a float array of rates in (0, 1] that keep the queue stable."""
     return np.exp(np.minimum(q.arrival_rate - mu / q.slot_duration, 0.0) * q.delay_threshold)
 
 
@@ -109,6 +114,11 @@ def p_overflow(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
     worst = float(rho.max(initial=0.0))
     if not worst <= 1.0 + _BOUNDARY_TOL:
         raise StabilityError(f"unstable queue: offered load {worst:.6g} >= 1", margin=worst - 1.0)
+    return _p_overflow(rho, q)
+
+
+def _p_overflow(rho: np.ndarray, q: QueueParams) -> np.ndarray:
+    """:func:`p_overflow` at a float array of offered loads ``rho`` that keep the queue stable."""
     bn = q.buffer_capacity_normalized
     neg_x = bn * (rho - 1.0)  # -x, exactly
     return np.exp(neg_x) / (1.0 + rho * bn * sp.exprel(neg_x))

@@ -77,8 +77,11 @@ def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarra
     below 1e-10 absolute error over the range used here.  ``a`` must be
     finite; ``b`` may be +inf, where Q1 is 0.
     """
-    a = _nonnegative("marcum_q1 a", a, finite=True)
-    b = _nonnegative("marcum_q1 b", b)
+    return _marcum_q1(_nonnegative("marcum_q1 a", a, finite=True), _nonnegative("marcum_q1 b", b))
+
+
+def _marcum_q1(a, b):
+    """:func:`marcum_q1` of arguments already checked."""
     # exactly 1 at b = 0, where the chi-square CDF is 0; clip roundoff below 0
     return np.maximum(1.0 - sp.chndtr(b * b, 2.0, a * a), 0.0)[()]
 

@@ -98,8 +98,9 @@ class BetaBounds:
 class SourceView:
     """Everything needed to evaluate one node's losses against fixed opponents.
 
-    The view's interference law and stability bound depend on nothing else,
-    so each is computed at its first use and kept.
+    The view's interference law, stability bound, noise floor with its
+    fading CDF, margin rate and error integrand depend on nothing else, so
+    each is computed at its first use and kept.
     """
 
     node_id: str
@@ -124,6 +125,28 @@ class SourceView:
     def upper(self) -> float:
         """The largest threshold keeping this node's queue stable (:func:`beta_upper`)."""
         return beta_upper(self.model, self.queue, self.num_channels)
+
+    @cached_property
+    def _margin_rate(self) -> float:
+        """The affordable interference power per unit squared amplitude (unchecked)."""
+        return itf._margin_rate(self.link, self.power, self.sinr_threshold)
+
+    @cached_property
+    def _x0(self) -> float:
+        """The noise floor (:func:`interference.noise_floor`)."""
+        return itf.noise_floor(self.link, self.power, self.noise, self.sinr_threshold)
+
+    @cached_property
+    def _cdf_x0(self) -> float:
+        """The fading CDF at the noise floor, through the array CDF a grid takes."""
+        return ch._cdf(self.model, np.array([self._x0]))[0]
+
+    @cached_property
+    def _integrand(self) -> Callable | None:
+        """The error integrand bound to :attr:`fit`; None for zero interference."""
+        if isinstance(self.fit, ZeroInterference):
+            return None
+        return itf._tail_integrand(self.model, self.fit, self._margin_rate, self.noise.power)
 
 
 def _check_probability(name: str, p) -> None:
@@ -258,13 +281,14 @@ def loss_derivative(
             margin=worst - upper,
             node=view.node_id,
         )
+    # thresholds in (0, upper) give rates in (0, 1] that keep the queue stable
     n = view.num_channels
-    cdf = ch.fading_cdf(view.model, betas)
-    p_dly = qn.p_delay(1.0 - cdf**n, view.queue)
+    cdf = ch._cdf(view.model, betas)
+    p_dly = qn._p_delay(1.0 - cdf**n, view.queue)
     pdf = ch._pdf(view.model, betas)
     dpdf = ch._pdf_slope(view.model, betas)
 
-    margin_rate = view.power * view.link.path_loss_amplitude**2 / view.sinr_threshold
+    margin_rate = view._margin_rate
     excess = margin_rate * betas * betas - view.noise.power
     tail = itf.interference_ccdf(view.fit, excess)
     # d(tail)/d(beta) through the Gamma density, which is zero where the tail is pinned at 1
@@ -390,29 +414,35 @@ def source_view(
 def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray) -> tuple[list, Callable]:
     """:func:`_evaluate_grid` up to the interference law, which the returned function takes.
 
-    Returns each threshold's ``(beta, phi, stable)`` and a function of the law giving the
-    arrays ``p_delay, p_overflow, p_error, p_loss, throughput`` at the stable thresholds.  One
-    fading-CDF evaluation (thresholds and noise floor) feeds the queue terms and the error grid.
+    Returns each threshold's ``(beta, phi, stable)`` and a function of the law (and,
+    optionally, the error integrand bound to it) giving the arrays ``p_delay, p_overflow,
+    p_error, p_loss, throughput`` at the stable thresholds.  The
+    thresholds are checked here, once; one fading-CDF evaluation feeds the queue terms and the
+    error grid, which take the stable rates, in (0, 1] by construction, unchecked.
     """
     betas = np.asarray(betas, dtype=float)
-    x0 = itf.noise_floor(view.link, view.power, view.noise, view.sinr_threshold)
-    cdf = ch.fading_cdf(view.model, np.concatenate((betas, [x0])))
-    mu = 1.0 - cdf[:-1] ** view.num_channels
+    if not betas.min(initial=0.0) >= 0.0:  # NaN fails too; the error shows F's full argument
+        specfun._nonnegative("fading_cdf: beta", np.append(betas, view._x0))
+    cdf = ch._cdf(view.model, betas)
+    mu = 1.0 - cdf**view.num_channels
     stable = qn.is_stable(mu, view.queue)
     cases = list(zip(betas.tolist(), mu.tolist(), stable.tolist()))
     if not all(ok for *_, ok in cases):  # keep the stable thresholds only
-        betas, mu, cdf = betas[stable], mu[stable], cdf[np.append(stable, True)]
-    p_dly = qn.p_delay(mu, view.queue)
-    p_ov = qn.p_overflow(mu, view.queue)
-    p_err = itf._error_grid(view.link, view.power, betas, view.noise, view.sinr_threshold,
-                            cdf, x0)
+        betas, mu, cdf = betas[stable], mu[stable], cdf[stable]
+    q = view.queue
+    p_dly = qn._p_delay(mu, q)
+    p_ov = qn._p_overflow(q.arrival_rate * q.slot_duration / mu, q)
+    p_err = itf._error_grid(view.model, betas, cdf, view._cdf_x0, view._x0, view._margin_rate,
+                            view.noise.power)
     # the queue terms do not depend on the law: checked and composed once, as compose_loss does
     survive = _survival(p_ov, p_dly)
 
-    def price(fit: GammaFit | ZeroInterference) -> tuple[np.ndarray, ...]:
-        errors = p_err(fit)
+    def price(
+        fit: GammaFit | ZeroInterference, integrand: Callable | None = None
+    ) -> tuple[np.ndarray, ...]:
+        errors = p_err(fit, integrand)
         p_loss = _loss(survive, errors)
-        return p_dly, p_ov, errors, p_loss, expected_throughput(view.queue.arrival_rate, p_loss)
+        return p_dly, p_ov, errors, p_loss, expected_throughput(q.arrival_rate, p_loss)
 
     return cases, price
 
@@ -426,7 +456,7 @@ def _evaluate_grid(view: SourceView, betas) -> list[LossBreakdown | StabilityErr
     :class:`StabilityError` in place of a breakdown.
     """
     cases, price = _prepare_grid(view, betas)
-    rows = zip(*(a.tolist() for a in price(view.fit)))
+    rows = zip(*(a.tolist() for a in price(view.fit, view._integrand)))
     return [
         LossBreakdown(*next(rows)) if ok else _instability(view, beta, phi)
         for beta, phi, ok in cases

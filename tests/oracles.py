@@ -117,7 +117,8 @@ def p_error_pointwise(
 
     The per-point form of ``interference.p_error``: the fading density
     integrated from ``max(main_beta, x0)`` to infinity against the
-    interference tail, plus the certain loss below the noise floor ``x0``.
+    interference tail (:func:`ufunc_error_integrand`, one float node at a
+    time), plus the certain loss below the noise floor ``x0``.
     """
     if main_power <= 0:
         raise DomainError(f"main_power must be > 0, got {main_power}")
@@ -139,11 +140,7 @@ def p_error_pointwise(
     if isinstance(fit, itf.ZeroInterference):
         raw = certain_loss
     else:
-
-        def integrand(x: float) -> float:
-            excess = margin_rate * x * x - noise_power
-            return ch.fading_pdf(model, x) * itf.interference_ccdf(fit, excess)
-
+        integrand = ufunc_error_integrand(model, fit, margin_rate, noise_power)
         raw = certain_loss + specfun.integrate(integrand, lo, math.inf, quad).value
     if not conditional:
         return min(1.0, max(0.0, raw))

@@ -562,8 +562,11 @@ class TestPErrorPanels:
         fit = itf.fit_interference(links, 15)
         expected = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=fit)
         monkeypatch.setattr(itf.channel, "fading_cdf", None)
-        given = itf._error_grid(link, 1.0, betas, self.NOISE, 0.5, cdf=cdf)(fit)
-        assert given.tolist() == expected.tolist()
+        monkeypatch.setattr(itf.channel, "_cdf", None)
+        margin_rate = link.path_loss_amplitude**2 / 0.5
+        price = itf._error_grid(link.fading, betas, cdf[:-1], cdf[-1], x0, margin_rate,
+                                self.NOISE.power)
+        assert price(fit).tolist() == expected.tolist()
 
     def test_failed_fallback_raises_with_best_estimate(self, monkeypatch):
         # two subdivisions suffice for the vanishing tail above 8 but not for the panel below

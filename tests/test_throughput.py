@@ -18,11 +18,20 @@ from oracles import (
     p_error_pointwise,
     scenario_policy,
 )
+from uavlink import channel as ch
 from uavlink import interference as itf
+from uavlink import queueing as qn
 from uavlink import simulator as sim
+from uavlink import specfun
 from uavlink import throughput as tp
 from uavlink.channel import Rayleigh, Rician, transmit_prob
-from uavlink.errors import DomainError, LowerBoundNotFoundError, ScenarioError, StabilityError
+from uavlink.errors import (
+    DegeneratePolicyError,
+    DomainError,
+    LowerBoundNotFoundError,
+    ScenarioError,
+    StabilityError,
+)
 from uavlink.queueing import QueueParams, p_delay
 from uavlink.scenario_io import scenario_from_mapping
 from uavlink.specfun import QuadratureSpec
@@ -553,27 +562,129 @@ class TestEvaluateGrid:
 
     def spy(self, monkeypatch):
         calls = []
-        fading_cdf = tp.ch.fading_cdf
+        cdf = tp.ch._cdf  # every evaluation of F, checked or not
 
         def counting(model, beta):
             calls.append(np.size(beta))
-            return fading_cdf(model, beta)
+            return cdf(model, beta)
 
-        monkeypatch.setattr(tp.ch, "fading_cdf", counting)
+        monkeypatch.setattr(tp.ch, "_cdf", counting)
         return calls
 
     @pytest.mark.parametrize("family", ["rayleigh", "rician"])
     def test_one_fading_cdf_per_grid_and_per_derivative_scan(self, family, monkeypatch):
         view = _view(family)
         upper = view.upper
-        view.fit  # the view's bound and fit evaluate F themselves, so they come first
+        # the view's bound, fit and noise floor evaluate F themselves, so they come first
+        view.fit, view._cdf_x0
         grid = np.linspace(0.0, upper, 64)
         calls = self.spy(monkeypatch)
         tp._evaluate_grid(view, grid)
-        assert calls == [65]  # the grid and the noise floor
+        assert calls == [64]  # the view keeps F at its noise floor
         calls.clear()
         tp.loss_derivative(view, grid[1:-1])
         assert calls == [62]
+
+
+class TestChecksAtTheEntry:
+    """A grid checks its thresholds where they enter, then runs unchecked twins."""
+
+    @staticmethod
+    def thresholds(view, layout, fractions):
+        upper, x0 = view.upper, itf.noise_floor(view.link, view.power, view.noise,
+                                                 view.sinr_threshold)
+        if layout == "one":
+            return [fractions[0] * upper]
+        if layout == "floor":  # around and below the noise floor
+            return [f * x0 for f in fractions]
+        if layout == "grid":  # a best-response grid and an off-grid previous threshold
+            return [*np.linspace(0.0, upper, 64).tolist(), fractions[0] * upper]
+        return [upper]
+
+    @given(
+        family=st.sampled_from(["rayleigh", "rician"]),
+        layout=st.sampled_from(["one", "floor", "grid", "upper"]),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=1, max_size=4),
+    )
+    @example(family="rayleigh", layout="floor", fractions=[0.0, 0.5, 1.0, 1.2])
+    @example(family="rician", layout="floor", fractions=[0.3, 0.3, 1.1])
+    @example(family="rayleigh", layout="grid", fractions=[1.1])
+    @example(family="rician", layout="upper", fractions=[0.0])
+    @settings(max_examples=60, deadline=None)
+    def test_every_float_equals_the_public_checked_chain(self, family, layout, fractions):
+        view = _view(family)
+        betas = self.thresholds(view, layout, fractions)
+        results = tp._evaluate_grid(view, betas)
+        rows = [r for r in results if isinstance(r, tp.LossBreakdown)]
+        stable = np.array([b for b, r in zip(betas, results) if isinstance(r, tp.LossBreakdown)])
+        if layout != "one":
+            assert rows  # the noise floor and the bound itself are stable
+        mu = 1.0 - ch.fading_cdf(view.model, stable) ** view.num_channels
+        p_dly, p_ov = qn.p_delay(mu, view.queue), qn.p_overflow(mu, view.queue)
+        at = stable[0] if len(stable) == 1 else stable  # a grid of one at a float
+        p_err = itf.p_error(view.link, view.power, at, view.noise, view.sinr_threshold,
+                            fit=view.fit)
+        p_loss = tp.compose_loss(p_ov, p_dly, p_err)
+        throughput = tp.expected_throughput(view.queue.arrival_rate, p_loss)
+        chain = zip(*(np.atleast_1d(a).tolist() for a in (p_dly, p_ov, p_err, p_loss, throughput)))
+        assert [dataclasses.astuple(row) for row in rows] == list(chain)
+
+    @pytest.mark.parametrize("family", ["rayleigh", "rician"])
+    def test_bad_thresholds_are_named_at_the_boundary(self, family):
+        view = _view(family)
+        x0 = itf.noise_floor(view.link, view.power, view.noise, view.sinr_threshold)
+        for beta in (math.nan, -0.5):
+            with pytest.raises(DomainError) as excinfo:
+                tp.evaluate_view(view, beta)
+            assert type(excinfo.value) is DomainError
+            # the message shows F's whole argument: the threshold, then the noise floor
+            assert str(excinfo.value) == (
+                f"fading_cdf: beta must be >= 0, got {np.array([beta, x0])!r}"
+            )
+        past = view.upper * (1.0 + 1e-6)
+        phi = 1.0 - ch.fading_cdf(view.model, np.array([past]))[0] ** view.num_channels
+        arrivals = view.queue.arrival_rate
+        for beta, rate in ((math.inf, 0.0), (past, phi / view.queue.slot_duration)):
+            with pytest.raises(StabilityError) as excinfo:
+                tp.evaluate_view(view, beta)
+            assert type(excinfo.value) is StabilityError
+            assert str(excinfo.value) == (
+                f"node 'src': beta {beta:.6g} exceeds the stability bound (unstable queue: "
+                f"service rate {rate:.6g}/s is below arrival rate {arrivals:.6g}/s)"
+            )
+            assert excinfo.value.margin == arrivals - rate
+            assert excinfo.value.node == "src"
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: ch.fading_cdf(Rayleigh(2.0), -1.0), DomainError,
+             "fading_cdf: beta must be >= 0, got -1.0"),
+            (lambda: ch.fading_cdf(Rician(2.0), [0.5, math.nan]), DomainError,
+             "fading_cdf: beta must be >= 0, got array([0.5, nan])"),
+            (lambda: specfun.marcum_q1(-1.0, 2.0), DomainError,
+             "marcum_q1 a must be finite and >= 0, got -1.0"),
+            (lambda: specfun.marcum_q1(1.0, -2.0), DomainError,
+             "marcum_q1 b must be >= 0, got -2.0"),
+            (lambda: qn.p_delay(0.0, queue()), DegeneratePolicyError,
+             "transmit probability is 0: node never transmits"),
+            (lambda: qn.p_delay([0.5, 1.5], queue()), DomainError,
+             "transmit probability must lie in (0, 1], got 1.5"),
+            (lambda: qn.p_delay([0.5, 0.1], queue()), StabilityError,
+             "unstable queue: service rate 50/s is below arrival rate 80/s"),
+            (lambda: qn.p_overflow([0.5, 0.0], queue()), DegeneratePolicyError,
+             "transmit probability is 0: node never transmits"),
+            (lambda: qn.p_overflow(math.nan, queue()), DomainError,
+             "transmit probability must lie in (0, 1], got nan"),
+            (lambda: qn.p_overflow(0.1, queue()), StabilityError,
+             "unstable queue: offered load 1.6 >= 1"),
+        ],
+    )
+    def test_public_functions_still_check_their_input(self, call, error, message):
+        with pytest.raises(error) as excinfo:
+            call()
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
 
 class TestJacobi:
@@ -653,8 +764,8 @@ class TestJacobi:
     def test_own_objective_prepares_each_grid_once_and_prices_it_every_sweep(
         self, on_grid, monkeypatch
     ):
-        # preparing a grid evaluates F once at all its thresholds and the noise floor, and
-        # pricing it turns its losses into throughput once; the bounds and the fits
+        # preparing a grid evaluates F once at all its thresholds, and pricing it turns its
+        # losses into throughput once; the bounds, the fits and the views' noise floors
         # evaluate F pointwise
         scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.0, seed=9)
         grids = {
@@ -664,13 +775,13 @@ class TestJacobi:
         assert not any(np.any(grid == 2.0) for grid in grids.values())
         initial = {node_id: float(grid[10]) for node_id, grid in grids.items()}
         cdf_sizes, priced = [], []
-        fading_cdf = tp.ch.fading_cdf
+        cdf = tp.ch._cdf
 
         def counting(model, beta):
             cdf_sizes.append(np.size(beta))
-            return fading_cdf(model, beta)
+            return cdf(model, beta)
 
-        monkeypatch.setattr(tp.ch, "fading_cdf", counting)
+        monkeypatch.setattr(tp.ch, "_cdf", counting)
         priced_once = recording(priced, tp.expected_throughput)
         monkeypatch.setattr(tp, "expected_throughput", priced_once)
         result = tp.jacobi_best_response(
@@ -680,7 +791,7 @@ class TestJacobi:
         assert result.iterations == 3
         # one 24-point grid per node, and at iteration 0 one holding the off-grid start
         grid_calls = [size for size in cdf_sizes if size > 1]
-        assert sorted(grid_calls) == [25] * nodes + ([] if on_grid else [26] * nodes)
+        assert sorted(grid_calls) == [24] * nodes + ([] if on_grid else [25] * nodes)
         assert len(priced) == nodes * result.iterations
         assert all(np.size(p_loss) <= 25 for _, p_loss in priced)
 
@@ -797,20 +908,14 @@ class TestJacobi:
             tp.jacobi_best_response(rician_scenario(), tol=tol)
 
     def test_sum_objective_prepares_each_grid_of_one_once(self, monkeypatch):
-        # a grid of one evaluates F at its threshold and the noise floor; every node's trial
-        # threshold is a point of its grid or its initial one
+        # every node's trial threshold is a point of its grid or its initial one
         document = yaml.safe_load(EXAMPLE.read_text())
         scenario = scenario_from_mapping({**document, "placement_seed": 0})
-        cdf_sizes = []
-        fading_cdf = tp.ch.fading_cdf
-
-        def counting(model, beta):
-            cdf_sizes.append(np.size(beta))
-            return fading_cdf(model, beta)
-
-        monkeypatch.setattr(tp.ch, "fading_cdf", counting)
+        prepared = []
+        monkeypatch.setattr(tp, "_prepare_grid", recording(prepared, tp._prepare_grid))
         tp.jacobi_best_response(scenario, grid_size=8, max_iters=2, objective="sum")
-        assert 0 < cdf_sizes.count(2) <= len(scenario.nodes) * (8 + 1)
+        ones = [betas for _, betas in prepared if len(betas) == 1]
+        assert 0 < len(ones) <= len(scenario.nodes) * (8 + 1)
 
 
 class TestJacobiMatchesRebuildingLoop:
