@@ -237,7 +237,8 @@ def _cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
     if isinstance(model, Rayleigh):
         expm1 = math.expm1 if isinstance(beta, float) else np.expm1
         return -expm1(-beta * beta / model.omega)
-    return 1.0 - specfun._marcum_q1(model.b, beta)
+    q = specfun._marcum_q1(model.b, beta)
+    return 1.0 - (float(q) if isinstance(beta, float) else q)
 
 
 def transmit_prob(
@@ -263,7 +264,7 @@ def truncated_power_moment(model: FadingModel, beta: float, power: int) -> float
     if math.isinf(beta):
         return 0.0
     if isinstance(model, Rician) and model.b > 0.0:
-        return _rician_truncated_moment(model.b, beta, power)
+        return _rician_truncated_moment(model.b, beta)[power // 2 - 1]
     om = model.omega if isinstance(model, Rayleigh) else 2.0
     u = beta * beta / om
     if power == 2:
@@ -271,22 +272,25 @@ def truncated_power_moment(model: FadingModel, beta: float, power: int) -> float
     return (beta**4 + 2.0 * om * beta * beta + 2.0 * om * om) * math.exp(-u)
 
 
-@lru_cache(maxsize=16384)
-def _rician_truncated_moment(b: float, beta: float, power: int) -> float:
-    """E[X^2m; X >= beta] = 2^m sum_j w_j (j+1)...(j+m) Q(j+1+m, t), m = power/2.
+@lru_cache(maxsize=8192)
+def _rician_truncated_moment(b: float, beta: float) -> tuple[float, float]:
+    """E[X^2m; X >= beta] = 2^m sum_j w_j (j+1)...(j+m) Q(j+1+m, t) for m = 1 and 2.
 
     X^2 is noncentral chi-square (2 degrees of freedom, noncentrality b^2): a
     mixture of central ones with 2 + 2j, by Poisson(lam = b^2/2) weights w_j
     (Johnson, Kotz & Balakrishnan, vol. 2, ch. 29), with t = beta^2/2.  As
     Gamma(a+1, t) <= (a+t) Gamma(a, t), term j+1 is at most lam (j+1+m+t)/(j+1)^2
     times term j; 53 terms past the first j where that is 1/2, the positive terms
-    left out sum to under 2^-53 of the total.  Cached: sweeps revisit (b, beta).
+    left out sum to under 2^-53 of the total.  The orders share w_j and Q(2..n+2, t),
+    and each sums its own prefix.  Cached: sweeps revisit (b, beta).
     """
-    m, lam, t = power // 2, 0.5 * b * b, 0.5 * beta * beta
-    j = np.arange(math.ceil(lam + math.sqrt(lam * lam + 2.0 * lam * (m + t))) + 53.0)
+    lam, t = 0.5 * b * b, 0.5 * beta * beta
+    n2, n4 = (math.ceil(lam + math.sqrt(lam * lam + 2.0 * lam * (m + t))) + 53 for m in (1, 2))
+    j = np.arange(float(n4))
     weights = np.exp(sp.xlogy(j, lam) - lam - sp.gammaln(j + 1.0))
-    rising = (j + 1.0) * (j + 2.0) if m == 2 else j + 1.0
-    return float(2**m * np.sum(weights * rising * sp.gammaincc(j + 1.0 + m, t)))
+    tails = sp.gammaincc(np.arange(2.0, n4 + 3.0), t)
+    return (float(2 * np.sum(weights[:n2] * (j[:n2] + 1.0) * tails[:n2])),
+            float(4 * np.sum(weights * ((j + 1.0) * (j + 2.0)) * tails[1:])))
 
 
 def classify_link(

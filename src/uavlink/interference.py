@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.special.cython_special as cs
@@ -102,26 +102,34 @@ class NoiseModel:
 def interference_moments(
     links: Sequence[InterfererLink], num_channels: int
 ) -> tuple[float, float]:
-    """Mean and variance of the aggregate interference on the observed channel.
-
-    Each interferer contributes its truncated second fading moment scaled
-    by its transmit probability and the 1/num_channels chance of landing on
-    the observed channel.  The variance is accumulated per term (the cross
-    terms of the expanded square cancel against the squared mean exactly,
-    so the per-term form is the numerically stable equivalent).
-    """
+    """Mean and variance of the aggregate interference on the observed channel."""
     if num_channels < 1:
         raise DomainError(f"num_channels must be >= 1, got {num_channels}")
-    mean = 0.0
-    variance = 0.0
-    second_sum = 0.0
-    for link in links:
-        t2 = channel.truncated_power_moment(link.fading, link.beta, 2)
-        t4 = channel.truncated_power_moment(link.fading, link.beta, 4)
-        phi = channel.transmit_prob(link.fading, link.beta, num_channels)
-        power, gain = link.transmit_power, link.path_loss_amplitude
-        e = power * gain**2 * t2 * phi / num_channels
-        s = (power**2) * gain**4 * t4 * (phi / num_channels) ** 2
+    return _summed(_link_terms(link, num_channels) for link in links)
+
+
+def _link_terms(link: InterfererLink, num_channels: int) -> tuple[float, float]:
+    """One interferer's mean and second moment on the observed channel.
+
+    Both are its truncated fading moments scaled by its transmit probability
+    and the 1/num_channels chance of landing on the observed channel.
+    """
+    t2, t4 = (channel.truncated_power_moment(link.fading, link.beta, p) for p in (2, 4))
+    phi = channel.transmit_prob(link.fading, link.beta, num_channels)
+    power, gain = link.transmit_power, link.path_loss_amplitude
+    e = power * gain**2 * t2 * phi / num_channels
+    return e, (power**2) * gain**4 * t4 * (phi / num_channels) ** 2
+
+
+def _summed(terms: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """Mean and variance of a sum of independent terms given as ``(mean, second moment)``.
+
+    The variance is accumulated per term (the cross terms of the expanded
+    square cancel against the squared mean exactly, so the per-term form is
+    the numerically stable equivalent).
+    """
+    mean = variance = second_sum = 0.0
+    for e, s in terms:
         mean += e
         variance += s - e * e
         second_sum += s
@@ -149,7 +157,11 @@ def fit_interference(
     links: Sequence[InterfererLink], num_channels: int
 ) -> GammaFit | ZeroInterference:
     """Moment-match the interferer set, falling back to the zero distribution."""
-    mean, variance = interference_moments(links, num_channels)
+    return _fitted(*interference_moments(links, num_channels))
+
+
+def _fitted(mean: float, variance: float) -> GammaFit | ZeroInterference:
+    """:func:`fit_gamma`, or the zero distribution where either moment is not positive."""
     if mean <= 0.0 or variance <= 0.0:
         return ZERO_INTERFERENCE
     return fit_gamma(mean, variance)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -421,8 +421,8 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray) -> tupl
     error grid, which take the stable rates, in (0, 1] by construction, unchecked.
     """
     betas = np.asarray(betas, dtype=float)
-    if not betas.min(initial=0.0) >= 0.0:  # NaN fails too; the error shows F's full argument
-        specfun._nonnegative("fading_cdf: beta", np.append(betas, view._x0))
+    if not betas.min(initial=0.0) >= 0.0:  # NaN fails too
+        specfun._nonnegative(f"node {view.node_id!r}: beta", betas)
     cdf = ch._cdf(view.model, betas)
     mu = 1.0 - cdf**view.num_channels
     stable = qn.is_stable(mu, view.queue)
@@ -534,7 +534,8 @@ def jacobi_best_response(
     sum with ``objective='sum'``), holding the others at the previous
     iterate; ties break toward the smaller threshold.  Every score prices a
     grid prepared once per call (:func:`_prepare_grid`) against the
-    interference law of the trial thresholds, with -inf for an unstable
+    interference law of the trial thresholds, summed from terms built once
+    per interferer and threshold, with -inf for an unstable
     queue: under ``'own'`` the node's grid, holding its previous threshold
     too when that lies off the grid (iteration 0 only); under ``'sum'``
     each node's grid of one at its trial threshold.  Stops when no
@@ -556,13 +557,16 @@ def jacobi_best_response(
     views = {node_id: source_view(scenario, policy, node_id) for node_id in node_ids}
     grids = {i: tuple(np.linspace(0.0, v.upper, grid_size).tolist()) for i, v in views.items()}
     prepared = cache(lambda node_id, betas: _prepare_grid(views[node_id], betas))
+    # a node's link to the shared destination is the one every other node's view holds
+    terms = cache(lambda i, beta: itf._link_terms(
+        InterfererLink(views[i].power, views[i].link.path_loss_amplitude, views[i].model, beta),
+        scenario.num_channels))
 
     def rates(node_id: str, betas: tuple[float, ...], trial: PolicyVector) -> list[float]:
         """The node's throughput at each of ``betas`` facing ``trial``; -inf where unstable."""
-        view, others = views[node_id], (i for i in node_ids if i != node_id)
-        links = [replace(link, beta=trial.get(i)) for link, i in zip(view.interferers, others)]
+        faced = (terms(i, trial.get(i)) for i in node_ids if i != node_id)
         cases, price = prepared(node_id, betas)
-        throughputs = iter(price(itf.fit_interference(links, view.num_channels))[-1].tolist())
+        throughputs = iter(price(itf._fitted(*itf._summed(faced)))[-1].tolist())
         return [next(throughputs) if ok else -math.inf for *_, ok in cases]
 
     trace: list[dict] = []

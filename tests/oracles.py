@@ -1,18 +1,20 @@
 """Test-side oracles: the buffer-occupancy Markov chain behind the queue
 formulas, the per-point SINR error integral with the tolerances it runs
 at and the bound a kernel keeps of it, the error integrand in
-scipy's ufuncs, the scaled Bessel I0, the slot-by-slot simulator loop and
-its per-block visit loop, a reader for results files, a scenario's own
-policy, and the best-response loop that rebuilds and re-evaluates every
-node's view each iteration.
+scipy's ufuncs, the Rician truncated moment summed one order at a time,
+the scaled Bessel I0, the slot-by-slot simulator loop and its per-block
+visit loop, a reader for results files, a scenario's own policy, and the
+best-response loop that rebuilds and re-evaluates every node's view each
+iteration.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
-``interference.p_error``, the quadrature's float integrand,
+``interference.p_error``, the quadrature's float integrand, the paired
+moment series of ``channel._rician_truncated_moment``,
 ``simulator.run``, ``simulator._Queue.walk`` and
 ``throughput.jacobi_best_response`` the hard way, so the package's closed
-forms, grid kernel, float kernels, per-node queue schedule and prepared
-best-response grids can be checked against them.  They
-live with the tests because the package itself never calls them.
+forms, grid kernel, float kernels, paired moments, per-node queue
+schedule and prepared best-response grids can be checked against them.
+They live with the tests because the package itself never calls them.
 """
 
 from __future__ import annotations
@@ -497,3 +499,17 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
             converged = True
             break
     return tp.JacobiResult(trace=trace, converged=converged)
+
+
+def rician_moment_per_order(b: float, beta: float, power: int) -> float:
+    """E[X^power; X >= beta] for Rician(b), power in {2, 4}, by its own Poisson series.
+
+    The one-order-per-call series that ``channel._rician_truncated_moment``
+    summed before it paired the two orders; the paired pass must give the
+    same floats, bit for bit.
+    """
+    m, lam, t = power // 2, 0.5 * b * b, 0.5 * beta * beta
+    j = np.arange(math.ceil(lam + math.sqrt(lam * lam + 2.0 * lam * (m + t))) + 53.0)
+    weights = np.exp(sp.xlogy(j, lam) - lam - sp.gammaln(j + 1.0))
+    rising = (j + 1.0) * (j + 2.0) if m == 2 else j + 1.0
+    return float(2**m * np.sum(weights * rising * sp.gammaincc(j + 1.0 + m, t)))

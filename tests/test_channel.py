@@ -9,6 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rician_moment_per_order
 from uavlink import channel as ch
 from uavlink import specfun
 from uavlink.channel import (
@@ -366,6 +367,27 @@ class TestRicianMomentSeries:
         assert calls == []
 
 
+class TestPairedMoments:
+    """One Poisson pass gives both orders, bit for bit the per-order series."""
+
+    @pytest.mark.parametrize("first", [2, 4])
+    @pytest.mark.parametrize("b", [1e-3, 0.5, 3.0, math.sqrt(30.0)])
+    def test_matches_the_per_order_series(self, b, first):
+        for beta in (0.0, 0.3, 2.5, 7.0, 40.0):
+            ch._rician_truncated_moment.cache_clear()
+            powers = (first, 6 - first)
+            got = np.array([ch.truncated_power_moment(Rician(b), beta, p) for p in powers])
+            want = np.array([rician_moment_per_order(b, beta, p) for p in powers])
+            assert (got.view(np.int64) == want.view(np.int64)).all(), (beta, got, want)
+
+    def test_both_orders_are_one_lookup(self):
+        ch._rician_truncated_moment.cache_clear()
+        for power in (2, 4):
+            ch.truncated_power_moment(Rician(3.0), 2.5, power)
+        info = ch._rician_truncated_moment.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
 class TestClassifyLink:
     def test_high_elevation_is_rician(self):
         ground = Position(0, 0, 0)
@@ -425,12 +447,18 @@ class TestValidation:
 
 
 class TestElementwise:
-    @pytest.mark.parametrize("model", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
+    @pytest.mark.parametrize(
+        "model", [Rayleigh(2.0), Rician(3.0), Rician(0.0)], ids=["rayleigh", "rician", "rician0"]
+    )
     def test_arrays_match_floats(self, model):
+        # an array gives an array, and a float gives a float whatever the family
         betas = np.array([0.0, 0.5, 2.0, 4.5, math.inf])
         cdf = ch.fading_cdf(model, betas)
         phi = ch.transmit_prob(model, betas, 15)
+        assert isinstance(cdf, np.ndarray) and isinstance(phi, np.ndarray)
         for beta, c, p in zip(betas.tolist(), cdf.tolist(), phi.tolist()):
+            assert type(ch.fading_cdf(model, beta)) is float
+            assert type(ch.transmit_prob(model, beta, 15)) is float
             assert c == ch.fading_cdf(model, beta)
             assert p == ch.transmit_prob(model, beta, 15)
         assert cdf[-1] == 1.0 and phi[-1] == 0.0

@@ -164,6 +164,19 @@ class TestGammaFit:
             itf.fit_interference([rayleigh_link(beta=math.inf)], 15), ZeroInterference
         )
 
+    @pytest.mark.parametrize("mix", ["rician", "rayleigh", "mixed"])
+    def test_fit_holds_floats(self, mix):
+        rician = [
+            InterfererLink(0.9, 0.6, Rician(3.0), 2.5),
+            InterfererLink(0.5, 0.8, Rician(0.0), 1.0),
+        ]
+        rayleigh = [rayleigh_link(beta=0.8, power=0.7, amplitude=1.1), rayleigh_link(beta=1.5)]
+        links = {"rician": rician, "rayleigh": rayleigh, "mixed": [rician[0], rayleigh[0]]}[mix]
+        mean, variance = itf.interference_moments(links, 15)
+        assert type(mean) is float and type(variance) is float
+        fit = itf.fit_interference(links, 15)
+        assert type(fit.shape) is float and type(fit.scale) is float
+
 
 class TestInterferenceCcdf:
     def test_at_zero(self):

@@ -632,14 +632,13 @@ class TestChecksAtTheEntry:
     @pytest.mark.parametrize("family", ["rayleigh", "rician"])
     def test_bad_thresholds_are_named_at_the_boundary(self, family):
         view = _view(family)
-        x0 = itf.noise_floor(view.link, view.power, view.noise, view.sinr_threshold)
         for beta in (math.nan, -0.5):
             with pytest.raises(DomainError) as excinfo:
                 tp.evaluate_view(view, beta)
             assert type(excinfo.value) is DomainError
-            # the message shows F's whole argument: the threshold, then the noise floor
+            # the message names the node and shows the caller's thresholds only
             assert str(excinfo.value) == (
-                f"fading_cdf: beta must be >= 0, got {np.array([beta, x0])!r}"
+                f"node 'src': beta must be >= 0, got {np.array([beta])!r}"
             )
         past = view.upper * (1.0 + 1e-6)
         phi = 1.0 - ch.fading_cdf(view.model, np.array([past]))[0] ** view.num_channels
@@ -873,14 +872,46 @@ class TestJacobi:
         assert result.policy == PolicyVector(result.trace[-1]["betas"])
 
     def test_grid_set_up_bounds_every_node_and_fits_none(self, monkeypatch):
-        # one bound per node for the grids, then one fit per node and iteration
+        # one bound per node for the grids, then one fit per node and iteration, each
+        # from the interferers' memoised terms rather than from a view's links
         scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.0, seed=9)
-        fits, bounds = [], []
-        monkeypatch.setattr(itf, "fit_interference", recording(fits, itf.fit_interference))
+        fits, bounds, view_fits = [], [], []
+        monkeypatch.setattr(itf, "_fitted", recording(fits, itf._fitted))
+        monkeypatch.setattr(itf, "fit_interference", recording(view_fits, itf.fit_interference))
         monkeypatch.setattr(tp, "beta_upper", recording(bounds, tp.beta_upper))
         result = tp.jacobi_best_response(scenario, grid_size=8, tol=1e-12, max_iters=2)
         assert len(bounds) == len(scenario.nodes)
+        assert view_fits == []
         assert len(fits) == len(scenario.nodes) * result.iterations
+
+    @pytest.mark.parametrize("objective, count", [("own", None), ("sum", 45)])
+    def test_each_interferer_term_is_built_once_per_threshold(self, monkeypatch, objective,
+                                                              count):
+        document = yaml.safe_load(EXAMPLE.read_text())
+        scenario = scenario_from_mapping({**document, "placement_seed": 0})
+        node_ids = [node.id for node in scenario.nodes]
+        built = []
+        monkeypatch.setattr(itf, "_link_terms", recording(built, itf._link_terms))
+        result = tp.jacobi_best_response(scenario, grid_size=8, max_iters=2, objective=objective)
+        # every node faces the others at each iterate the sweeps start from ...
+        starts = [tp._resolve_policy(scenario, None).betas]
+        starts += [entry["betas"] for entry in result.trace[:-1]]
+        faced = {(i, betas[i]) for betas in starts for i in node_ids}
+        if objective == "sum":  # ... and, under the sum, at every trial point of its grid
+            for i in node_ids:
+                grid = np.linspace(0.0, tp.source_view(scenario, None, i).upper, 8).tolist()
+                faced |= {(i, beta) for beta in grid}
+        base = {}
+        for i in node_ids:  # a node's link is the same in every other node's view
+            observer = next(j for j in node_ids if j != i)
+            view = tp.source_view(scenario, None, observer)
+            link = view.interferers[[j for j in node_ids if j != observer].index(i)]
+            base[dataclasses.replace(link, beta=0.0)] = i
+        pairs = [(base[dataclasses.replace(link, beta=0.0)], link.beta) for link, _ in built]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == faced
+        if count is not None:
+            assert len(pairs) == count
 
     def test_validation(self):
         scenario = rician_scenario()
