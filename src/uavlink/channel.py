@@ -41,7 +41,6 @@ __all__ = [
     "path_loss_exponent",
     "path_loss_amplitude",
     "rician_b",
-    "fading_pdf",
     "fading_cdf",
     "transmit_prob",
     "truncated_power_moment",
@@ -217,14 +216,6 @@ def _pdf_slope(model: FadingModel, x: float | np.ndarray):
     diff = x - model.b
     xb = x * model.b
     return np.exp(-0.5 * diff * diff) * ((1.0 - x * x) * sp.i0e(xb) + xb * sp.i1e(xb))
-
-
-def fading_pdf(model: FadingModel, x: float) -> float:
-    """Density of the fading amplitude at x >= 0."""
-    x = float(x)
-    if x < 0:
-        raise DomainError(f"fading_pdf: x must be >= 0, got {x}")
-    return float(_pdf(model, x))
 
 
 def fading_cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:

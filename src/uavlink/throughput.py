@@ -63,6 +63,8 @@ class PolicyVector:
                 raise DomainError(
                     f"PolicyVector: beta for node {node_id!r} must be a number >= 0, got {beta!r}"
                 )
+        # every threshold a Python float, so an int one takes the float path downstream
+        object.__setattr__(self, "betas", {i: float(beta) for i, beta in self.betas.items()})
 
     def get(self, node_id: str) -> float:
         return self.betas[node_id]
@@ -538,10 +540,11 @@ def jacobi_best_response(
     per interferer and threshold, with -inf for an unstable
     queue: under ``'own'`` the node's grid, holding its previous threshold
     too when that lies off the grid (iteration 0 only); under ``'sum'``
-    each node's grid of one at its trial threshold.  Stops when no
-    threshold moves by more than ``tol`` (> 0).  Best-response dynamics need
-    not converge, so hitting ``max_iters`` (at least 1) returns the last
-    iterate with ``converged=False`` rather than raising.
+    each node's grid of one at its trial threshold.  Each distinct price is
+    made once per call, so a cycling iterate costs no pricing.  Stops when
+    no threshold moves by more than ``tol`` (> 0).  Best-response dynamics
+    need not converge, so hitting ``max_iters`` (at least 1) returns the
+    last iterate with ``converged=False`` rather than raising.
     """
     if objective not in ("own", "sum"):
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
@@ -561,13 +564,20 @@ def jacobi_best_response(
     terms = cache(lambda i, beta: itf._link_terms(
         InterfererLink(views[i].power, views[i].link.path_loss_amplitude, views[i].model, beta),
         scenario.num_channels))
+    others = {node_id: [i for i in node_ids if i != node_id] for node_id in node_ids}
 
-    def rates(node_id: str, betas: tuple[float, ...], trial: PolicyVector) -> list[float]:
-        """The node's throughput at each of ``betas`` facing ``trial``; -inf where unstable."""
-        faced = (terms(i, trial.get(i)) for i in node_ids if i != node_id)
+    @cache  # equal inputs give equal floats, so a repeated price is looked up
+    def priced(node_id: str, betas: tuple[float, ...], faced: tuple[float, ...]) -> tuple:
+        """The node's throughput at each of ``betas`` facing the others' thresholds
+        ``faced`` in scenario order; -inf where unstable."""
+        law = itf._fitted(*itf._summed(map(terms, others[node_id], faced)))
         cases, price = prepared(node_id, betas)
-        throughputs = iter(price(itf._fitted(*itf._summed(faced)))[-1].tolist())
-        return [next(throughputs) if ok else -math.inf for *_, ok in cases]
+        throughputs = iter(price(law)[-1].tolist())
+        return tuple(next(throughputs) if ok else -math.inf for *_, ok in cases)
+
+    def rates(node_id: str, betas: tuple[float, ...], trial: PolicyVector) -> tuple:
+        """The node's throughput at each of ``betas`` facing ``trial``; -inf where unstable."""
+        return priced(node_id, betas, tuple(map(trial.get, others[node_id])))
 
     trace: list[dict] = []
     converged = False

@@ -1,11 +1,11 @@
 """Test-side oracles: the buffer-occupancy Markov chain behind the queue
 formulas, the per-point SINR error integral with the tolerances it runs
-at and the bound a kernel keeps of it, the error integrand in
-scipy's ufuncs, the Rician truncated moment summed one order at a time,
-the scaled Bessel I0, the slot-by-slot simulator loop and its per-block
-visit loop, a reader for results files, a scenario's own policy, and the
-best-response loop that rebuilds and re-evaluates every node's view each
-iteration.
+at and the bound a kernel keeps of it, the checked fading density, the
+error integrand in scipy's ufuncs, the Rician truncated moment summed
+one order at a time, the scaled Bessel I0, the slot-by-slot simulator
+loop and its per-block visit loop, a reader for results files, a
+scenario's own policy, and the best-response loop that rebuilds and
+re-evaluates every node's view each iteration.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
 ``interference.p_error``, the quadrature's float integrand, the paired
@@ -150,6 +150,14 @@ def p_error_pointwise(
     if transmit_mass <= 1e-300:
         return 0.0
     return min(1.0, max(0.0, raw / transmit_mass))
+
+
+def fading_pdf(model: ch.FadingModel, x: float) -> float:
+    """Density of the fading amplitude at x >= 0: ``channel._pdf`` at a checked float."""
+    x = float(x)
+    if x < 0:
+        raise DomainError(f"fading_pdf: x must be >= 0, got {x}")
+    return float(ch._pdf(model, x))
 
 
 def bessel_i0_scaled(x: float) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from oracles import p_error_pointwise
+from oracles import fading_pdf, p_error_pointwise
 from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import presets as ps
@@ -227,7 +227,7 @@ def test_criterion_07_formula_self_consistency():
     for beta in (0.0, 0.7, 1.55, 2.4, 3.3):
         for power in (2, 4):
             oracle, _ = scipy.integrate.quad(
-                lambda x: x**power * ch.fading_pdf(model, x),
+                lambda x: x**power * fading_pdf(model, x),
                 beta,
                 np.inf,
                 epsabs=1e-13,
@@ -241,7 +241,7 @@ def test_criterion_07_formula_self_consistency():
     for b in (0.5, 2.0, math.sqrt(30.0)):
         for beta in (0.3, 1.0, 3.0, 6.0):
             cdf, _ = scipy.integrate.quad(
-                lambda x: ch.fading_pdf(Rician(b), x), 0.0, beta,
+                lambda x: fading_pdf(Rician(b), x), 0.0, beta,
                 epsabs=1e-12, epsrel=1e-11, limit=300,
             )
             assert abs(specfun.marcum_q1(b, beta) + cdf - 1.0) <= 1e-9

@@ -9,7 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rician_moment_per_order
+from oracles import fading_pdf, rician_moment_per_order
 from uavlink import channel as ch
 from uavlink import specfun
 from uavlink.channel import (
@@ -163,24 +163,24 @@ MODELS = [
 
 class TestFadingDistributions:
     def test_rayleigh_pdf_value(self):
-        assert ch.fading_pdf(Rayleigh(2.0), 1.0) == pytest.approx(
+        assert fading_pdf(Rayleigh(2.0), 1.0) == pytest.approx(
             0.60653065971263342, rel=1e-12
         )
 
     def test_rician_b_zero_degenerates_to_rayleigh(self):
         for x in np.linspace(0.0, 6.0, 25):
-            assert ch.fading_pdf(Rician(0.0), x) == pytest.approx(
-                ch.fading_pdf(Rayleigh(2.0), x), rel=1e-12, abs=1e-300
+            assert fading_pdf(Rician(0.0), x) == pytest.approx(
+                fading_pdf(Rayleigh(2.0), x), rel=1e-12, abs=1e-300
             )
 
     def test_pdf_vanishes_at_origin(self):
         for model in MODELS:
-            assert ch.fading_pdf(model, 0.0) == 0.0
+            assert fading_pdf(model, 0.0) == 0.0
 
     @pytest.mark.parametrize("model", MODELS, ids=str)
     def test_pdf_is_normalized(self, model):
         mass, _ = scipy.integrate.quad(
-            lambda x: ch.fading_pdf(model, x), 0.0, np.inf, epsabs=1e-11, epsrel=1e-10, limit=300
+            lambda x: fading_pdf(model, x), 0.0, np.inf, epsabs=1e-11, epsrel=1e-10, limit=300
         )
         assert mass == pytest.approx(1.0, abs=1e-8)
 
@@ -197,7 +197,7 @@ class TestFadingDistributions:
     def test_cdf_matches_pdf_quadrature(self, model):
         for beta in (0.4, 1.2, 2.5, 5.0):
             mass, _ = scipy.integrate.quad(
-                lambda x: ch.fading_pdf(model, x), 0.0, beta, epsabs=1e-11, epsrel=1e-10, limit=300
+                lambda x: fading_pdf(model, x), 0.0, beta, epsabs=1e-11, epsrel=1e-10, limit=300
             )
             assert ch.fading_cdf(model, beta) == pytest.approx(mass, abs=1e-8)
 
@@ -261,7 +261,7 @@ class TestTruncatedPowerMoment:
         model = Rayleigh(2.0)
         for beta in (0.0, 0.7, 1.55, 3.0):
             oracle, _ = scipy.integrate.quad(
-                lambda x: x**power * ch.fading_pdf(model, x),
+                lambda x: x**power * fading_pdf(model, x),
                 beta,
                 np.inf,
                 epsabs=1e-12,
@@ -462,6 +462,14 @@ class TestElementwise:
             assert c == ch.fading_cdf(model, beta)
             assert p == ch.transmit_prob(model, beta, 15)
         assert cdf[-1] == 1.0 and phi[-1] == 0.0
+
+    @pytest.mark.parametrize("model", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
+    def test_int_threshold_is_a_float_one(self, model):
+        # an int takes the float path, as a float of its value does
+        for beta in (0, 2, 5):
+            assert type(ch.fading_cdf(model, beta)) is float
+            assert type(ch.transmit_prob(model, beta, 15)) is float
+            assert ch.transmit_prob(model, beta, 15) == ch.transmit_prob(model, float(beta), 15)
 
     @pytest.mark.parametrize("model", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
     @pytest.mark.parametrize("bad", [math.nan, -1.0])

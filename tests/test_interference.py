@@ -10,7 +10,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ORACLE_QUAD, agrees_with_oracle, p_error_pointwise, ufunc_error_integrand
+from oracles import (
+    ORACLE_QUAD,
+    agrees_with_oracle,
+    fading_pdf,
+    p_error_pointwise,
+    ufunc_error_integrand,
+)
 from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import specfun
@@ -261,7 +267,7 @@ class TestPError:
         assert x0 > beta
         p = itf.p_error(link, power, beta, self.NOISE, gamma_th, fit=ZERO_INTERFERENCE)
         oracle, _ = scipy.integrate.quad(
-            lambda x: ch.fading_pdf(link.fading, x), beta, x0, epsabs=1e-13, epsrel=1e-12
+            lambda x: fading_pdf(link.fading, x), beta, x0, epsabs=1e-13, epsrel=1e-12
         )
         oracle /= 1.0 - ch.fading_cdf(link.fading, beta)
         assert p == pytest.approx(oracle, abs=1e-8)

@@ -135,19 +135,35 @@ class TestIncompleteGamma:
 
 
 class TestGammaTailAgainstMpmath:
-    """Q(k, x) on both sides of the recurrence band (0.1, 2) and out to 50."""
+    """Q(k, x) on both sides of the series cut max(k+1, 2), at it, at 0 and out to 50."""
 
     XS = (0.0, 0.01, 0.05, 0.0999, 0.1, 0.1001, 0.3, 0.7, 1.0, 1.5, 1.999, 2.0, 2.001,
           3.0, 7.0, 15.0, 30.0, 50.0)
 
-    @pytest.mark.parametrize("k", [0.02, 0.1, 0.5, 0.9, 0.999, 1.0, 1.5])
+    @pytest.mark.parametrize("k", [0.02, 0.1, 0.5, 0.9, 0.999, 1.0, 1.5, 1.999])
     def test_matches_40_digit_reference(self, k):
+        cut = max(k + 1.0, 2.0)
+        xs = (*self.XS, 1e-300, cut - 0.5, math.nextafter(cut, 0.0), cut,
+              math.nextafter(cut, math.inf), cut + 0.5)
         with mpmath.workdps(40):
-            refs = [float(mpmath.gammainc(k, x, mpmath.inf, regularized=True)) for x in self.XS]
-        for x, ref in zip(self.XS, refs):
+            refs = [float(mpmath.gammainc(k, x, mpmath.inf, regularized=True)) for x in xs]
+        for x, ref in zip(xs, refs):
             value = specfun.regularized_gamma_upper(k, x)
-            assert abs(value - ref) <= 1e-14
-            assert abs(value - ref) <= 1e-12 * ref
+            assert abs(value - ref) <= 1e-14, x
+            assert abs(value - ref) <= 1e-12 * ref, x
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=0.01, max_value=2.5),
+        st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    def test_each_element_is_its_own_float_call(self, k, xs, rng):
+        # no element depends on the others: a shuffled array gives each its float value
+        rng.shuffle(xs)
+        for x, got in zip(xs, specfun.gamma_tail(k)(np.array(xs)).tolist()):
+            want = specfun.regularized_gamma_upper(k, x)
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), x
 
     @pytest.mark.parametrize("k", [0.02, 0.5, 0.999, 1.5])
     def test_float_and_one_element_array_agree(self, k):

@@ -949,6 +949,24 @@ class TestJacobi:
         assert 0 < len(ones) <= len(scenario.nodes) * (8 + 1)
 
 
+def test_a_repeated_price_is_made_once(monkeypatch):
+    # the example 2-cycles: 50 iterations score 250 grids, of which 25 are distinct
+    scenario = scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
+    prices = []
+
+    def spied(*args):
+        return recording(prices, error_grid(*args))
+
+    error_grid = itf._error_grid
+    monkeypatch.setattr(itf, "_error_grid", spied)
+    got = tp.jacobi_best_response(scenario, max_iters=50)
+    monkeypatch.undo()
+    want = jacobi_rebuilding(scenario, max_iters=50)
+    assert len(prices) <= 25
+    assert got.iterations == 50 and not got.converged
+    assert repr(got.trace) == repr(want.trace) and got.converged == want.converged
+
+
 class TestJacobiMatchesRebuildingLoop:
     """Prepared grids and kept views give the rebuilding loop's result, bit for bit."""
 
@@ -1066,6 +1084,16 @@ def test_policy_vector_validation():
     assert PolicyVector({"a": math.inf}).get("a") == math.inf  # inf silences a node
     policy = PolicyVector({"a": 1.0}).updated("a", 2.0)
     assert policy.get("a") == 2.0
+
+
+def test_int_thresholds_are_stored_and_priced_as_floats():
+    policy = PolicyVector({"a": 2, "b": np.float64(1.5)}).updated("c", 0)
+    assert all(type(beta) is float for beta in policy.betas.values())
+    assert policy.betas == {"a": 2.0, "b": 1.5, "c": 0.0}
+    scenario = scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
+    view = tp.source_view(scenario, {"i1": 2}, "src")
+    assert type(view.fit.shape) is float and type(view.fit.scale) is float
+    assert view.fit == tp.source_view(scenario, {"i1": 2.0}, "src").fit
 
 
 def test_beta_bounds_composition():
