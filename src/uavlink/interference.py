@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,6 +70,11 @@ class GammaFit:
     def __post_init__(self):
         if not (self.shape > 0 and self.scale > 0):  # also rejects NaN
             raise DomainError("GammaFit: shape and scale must be > 0")
+
+    @cached_property
+    def _tail(self) -> Callable:
+        """Q(shape, .) bound once (:func:`specfun.gamma_tail`): P[interference > x] at x / scale."""
+        return specfun.gamma_tail(self.shape)
 
 
 class ZeroInterference:
@@ -190,7 +196,7 @@ def interference_ccdf(fit: GammaFit | ZeroInterference, x: float | np.ndarray):
     """
     if isinstance(fit, ZeroInterference):
         return np.where(np.asarray(x) < 0.0, 1.0, 0.0)[()]
-    return specfun.regularized_gamma_upper(fit.shape, np.asarray(x) / fit.scale)
+    return fit._tail(np.maximum(np.asarray(x) / fit.scale, 0.0))[()]
 
 
 # Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK qk15; Piessens et al., 1983):
@@ -263,35 +269,34 @@ def _tail_integrand(model: FadingModel, fit: GammaFit, margin_rate: float, noise
 
 
 def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor: float,
-                x0: float, margin_rate: float, noise_power: float) -> Callable:
+                x0: float, margin_rate: float, noise_power: float, *, scan: bool) -> Callable:
     """:func:`p_error` at the flat thresholds ``flat``, as a function of the interference law.
 
     The main link alone fixes the fading CDF ``cdf`` at ``flat`` and
     ``cdf_floor`` at the noise floor ``x0`` (both from the caller, which
     checked the thresholds), the certain loss below x0, the transmit mass,
-    and the quadrature layout, so they are computed once.  The error
-    integral above the largest limit max(beta, x0) is one adaptive
-    quadrature of :func:`_tail_integrand`; each gap between consecutive
-    limits is a Gauss-Kronrod 7-15 panel (the one from x0 graded by
-    ``_FLOOR_GRADING``), all evaluated at once, and a reversed cumulative
-    sum gives every limit's integral.  The tail and the panels share the
-    absolute tolerance equally; a grid of one keeps all of it, lays out no
-    panels and sorts no limits; both read ``DEFAULT_QUAD`` at the call.  A
-    panel whose Kronrod-Gauss difference exceeds its share is integrated
-    adaptively instead, so an :class:`AccuracyError` is raised rather than
-    an inaccurate value returned.  The returned function takes the law and,
-    optionally, the integrand already bound to it.
+    and the quadrature layout, so they are computed once.  As *points*,
+    each distinct limit max(beta, x0) gets its own adaptive quadrature of
+    :func:`_tail_integrand` up to infinity at the whole ``DEFAULT_QUAD``, so a
+    grid of k points is its k grids of one, bit for bit.  As a ``scan``, only
+    the largest limit gets one; each gap between consecutive limits is a
+    Gauss-Kronrod 7-15 panel (the one from x0 graded by ``_FLOOR_GRADING``),
+    all evaluated at once, and a reversed cumulative sum gives every limit's
+    integral.  The tail and the panels share the absolute tolerance equally;
+    a scan of one limit is its point.  Both read ``DEFAULT_QUAD`` at the
+    call.  A panel whose Kronrod-Gauss difference exceeds its share is
+    integrated adaptively instead, so an :class:`AccuracyError` is raised
+    rather than an inaccurate value returned.  The returned function takes
+    the law and, optionally, the integrand already bound to it.
     """
     lo = np.maximum(flat, x0)
     # a silenced threshold integrates nothing
-    if flat.size == 1:
-        limits, index = lo if lo[0] < math.inf else lo[:0], None
-    else:
-        limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
-        index = np.searchsorted(limits, lo)
+    limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
+    index = np.searchsorted(limits, lo)
     certain, mass = np.maximum(0.0, cdf_floor - cdf) * (flat < x0), 1.0 - cdf
     quad = DEFAULT_QUAD
-    if len(limits) > 1:
+    scan = scan and len(limits) > 1
+    if scan:
         quad = replace(quad, absolute_tolerance=quad.absolute_tolerance / len(limits))
         start, stop = limits[:-1], limits[1:]
         panel = np.arange(len(start))
@@ -311,10 +316,12 @@ def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor
         raw = certain
         if limits.size and isinstance(fit, GammaFit):
             integrand = integrand or _tail_integrand(model, fit, margin_rate, noise_power)
-            # the integral above the largest limit, then the panels below it
-            integrals = specfun.integrate(integrand, limits[-1], math.inf, quad).value
-            if len(limits) > 1:
-                values = pdf * specfun.gamma_tail(fit.shape)(excess / fit.scale)
+            if not scan:  # the integral above each limit
+                integrals = np.array([specfun.integrate(integrand, limit, math.inf, quad).value
+                                      for limit in limits.tolist()])
+            else:  # the integral above the largest limit, then the panels below it
+                integrals = specfun.integrate(integrand, limits[-1], math.inf, quad).value
+                values = pdf * fit._tail(excess / fit.scale)
                 kronrod = half * (values @ _GK15_KRONROD)
                 error = np.bincount(panel, np.abs(kronrod - half * (values @ _GK15_GAUSS)))
                 kronrod = np.bincount(panel, kronrod)
@@ -323,9 +330,8 @@ def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor
                 for i in np.flatnonzero(~(error <= tolerance)):
                     kronrod[i] = specfun.integrate(integrand, limits[i], limits[i + 1], quad).value
                 integrals = np.append(np.cumsum(kronrod[::-1])[::-1], 0.0) + integrals
-            if index is not None:  # each threshold's limit, and nothing above a silenced one
-                integrals = np.append(integrals, 0.0)[index]
-            raw = certain + integrals
+            # each threshold's limit, and nothing above a silenced one
+            raw = certain + np.append(integrals, 0.0)[index]
         # normalise by the transmit mass; a silenced link has no transmission errors
         raw = np.divide(raw, mass, out=np.zeros(raw.shape), where=mass > 1e-300)
         return np.minimum(np.maximum(raw, 0.0), 1.0)
@@ -362,7 +368,7 @@ def p_error(
     flat = specfun._nonnegative("main_beta", betas.ravel())
     cdf = channel._cdf(main.fading, np.append(flat, x0))
     price = _error_grid(main.fading, flat, cdf[:-1], cdf[-1], x0,
-                        _margin_rate(main, main_power, gamma_th), noise.power)
+                        _margin_rate(main, main_power, gamma_th), noise.power, scan=True)
     return price(fit).reshape(betas.shape)[()]
 
 

@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import throughput as tp
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, ScenarioError, StabilityError, UavLinkError
 from .scenario_io import Scenario, scenario_from_mapping
 from .throughput import LossBreakdown
 
@@ -151,8 +151,10 @@ def _sweep(
 
     Points that differ only in ``beta_n`` form a group.  The other axes are
     applied, the policy resolved and the source view (with its interference
-    fit) built once per group, at its first point; every point still checks
-    its own ``beta_n`` and gets its own error quadrature.
+    fit) built once per group, at its first point, which then prices every
+    threshold of the group as points (:func:`throughput._evaluate_grid`).
+    Each point still checks its own ``beta_n`` and raises its own error when
+    it comes up; a group whose pricing fails is priced point by point.
     """
     if any(callable(axis.values) for axis in axes):
         upper = _stability_bound(scenario, axes)
@@ -164,11 +166,16 @@ def _sweep(
         ]
     columns = [axis.column or axis.variable for axis in axes] + list(outputs)
     source = scenario.source().id
-    groups: dict[tuple, tuple[tp.SourceView, float]] = {}
-    rows = []
-    for point in itertools.product(*(axis.values for axis in axes)):
-        group = tuple((a.variable, v) for a, v in zip(axes, point) if a.variable != "beta_n")
-        own = {source: float(v) for a, v in zip(axes, point) if a.variable == "beta_n"}
+    points = [  # each point, its group, and the source's own threshold if an axis sets it
+        (point, tuple((a.variable, v) for a, v in zip(axes, point) if a.variable != "beta_n"),
+         {source: float(v) for a, v in zip(axes, point) if a.variable == "beta_n"})
+        for point in itertools.product(*(axis.values for axis in axes))
+    ]
+    members: dict[tuple, list[dict]] = {}
+    for _, group, own in points:
+        members.setdefault(group, []).append(own)
+    groups, rows = {}, []  # each group's view, policy threshold and priced rows
+    for point, group, own in points:
         if group in groups:
             tp.PolicyVector(own)  # the group's other thresholds were checked at its first point
         else:
@@ -176,9 +183,16 @@ def _sweep(
             for variable, value in group:
                 group_scenario, betas = _apply_point(group_scenario, betas, variable, value)
             policy = tp._resolve_policy(group_scenario, {**betas, **own})
-            groups[group] = tp.source_view(group_scenario, policy), policy.get(source)
-        view, beta = groups[group]
-        breakdown = tp.evaluate_view(view, own.get(source, beta))
+            view, beta = tp.source_view(group_scenario, policy), policy.get(source)
+            try:
+                priced = iter(tp._evaluate_grid(view, [o.get(source, beta) for o in members[group]]))
+            except UavLinkError:  # each point alone, so an error comes up at its own point
+                priced = None
+            groups[group] = view, beta, priced
+        view, beta, priced = groups[group]
+        breakdown = tp.evaluate_view(view, own.get(source, beta)) if priced is None else next(priced)
+        if isinstance(breakdown, StabilityError):
+            raise breakdown
         row = dict(zip(columns, point))
         row.update((column, _output(breakdown, column)) for column in outputs)
         rows.append(row)

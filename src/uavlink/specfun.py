@@ -56,9 +56,11 @@ class IntegrationResult(NamedTuple):
 def _nonnegative(name: str, x, finite: bool = False):
     """``x``, a float (an int becomes one) or else a float array, once every element is >= 0.
 
-    NaN fails, and with ``finite`` so does +inf; the :class:`DomainError`
-    names ``name``.  A float is checked without numpy dispatch.
+    NaN fails, a bool fails, and with ``finite`` so does +inf; the
+    :class:`DomainError` names ``name``.  A float is checked without numpy dispatch.
     """
+    if isinstance(x, bool):  # an int to Python, but not a number here
+        raise DomainError(f"{name} must be a number, got {x!r}")
     if isinstance(x, int):
         x = float(x)
     if isinstance(x, float):

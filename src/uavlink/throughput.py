@@ -413,14 +413,16 @@ def source_view(
     )
 
 
-def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray) -> tuple[list, Callable]:
+def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
+                  scan: bool) -> tuple[list, Callable]:
     """:func:`_evaluate_grid` up to the interference law, which the returned function takes.
 
     Returns each threshold's ``(beta, phi, stable)`` and a function of the law (and,
     optionally, the error integrand bound to it) giving the arrays ``p_delay, p_overflow,
-    p_error, p_loss, throughput`` at the stable thresholds.  The
-    thresholds are checked here, once; one fading-CDF evaluation feeds the queue terms and the
-    error grid, which take the stable rates, in (0, 1] by construction, unchecked.
+    p_error, p_loss, throughput`` at the stable thresholds.  The thresholds are checked
+    here, once; one fading-CDF evaluation feeds the queue terms and the error grid (laid out
+    as points or, with ``scan``, as a scan: :func:`interference._error_grid`), which take
+    the stable rates, in (0, 1] by construction, unchecked.
     """
     betas = np.asarray(betas, dtype=float)
     if not betas.min(initial=0.0) >= 0.0:  # NaN fails too
@@ -435,7 +437,7 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray) -> tupl
     p_dly = qn._p_delay(mu, q)
     p_ov = qn._p_overflow(q.arrival_rate * q.slot_duration / mu, q)
     p_err = itf._error_grid(view.model, betas, cdf, view._cdf_x0, view._x0, view._margin_rate,
-                            view.noise.power)
+                            view.noise.power, scan=scan)
     # the queue terms do not depend on the law: checked and composed once, as compose_loss does
     survive = _survival(p_ov, p_dly)
 
@@ -452,12 +454,13 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray) -> tupl
 def _evaluate_grid(view: SourceView, betas) -> list[LossBreakdown | StabilityError]:
     """Loss breakdown of one node at each threshold of ``betas``, in order.
 
-    The grid is prepared (:func:`_prepare_grid`), then priced against the
-    view's fit.  A threshold beyond the stability bound, including one
-    whose transmit probability rounds to 0, gets its
+    The grid is prepared (:func:`_prepare_grid`) as points, then priced
+    against the view's fit, so each breakdown is the one its threshold gets
+    alone, bit for bit.  A threshold beyond the stability bound, including
+    one whose transmit probability rounds to 0, gets its
     :class:`StabilityError` in place of a breakdown.
     """
-    cases, price = _prepare_grid(view, betas)
+    cases, price = _prepare_grid(view, betas, scan=False)
     rows = zip(*(a.tolist() for a in price(view.fit, view._integrand)))
     return [
         LossBreakdown(*next(rows)) if ok else _instability(view, beta, phi)
@@ -535,7 +538,7 @@ def jacobi_best_response(
     from 0 to its stability bound for its own throughput (or the network
     sum with ``objective='sum'``), holding the others at the previous
     iterate; ties break toward the smaller threshold.  Every score prices a
-    grid prepared once per call (:func:`_prepare_grid`) against the
+    grid prepared once per call as a scan (:func:`_prepare_grid`) against the
     interference law of the trial thresholds, summed from terms built once
     per interferer and threshold, with -inf for an unstable
     queue: under ``'own'`` the node's grid, holding its previous threshold
@@ -559,7 +562,7 @@ def jacobi_best_response(
     node_ids = [node.id for node in scenario.nodes]
     views = {node_id: source_view(scenario, policy, node_id) for node_id in node_ids}
     grids = {i: tuple(np.linspace(0.0, v.upper, grid_size).tolist()) for i, v in views.items()}
-    prepared = cache(lambda node_id, betas: _prepare_grid(views[node_id], betas))
+    prepared = cache(lambda node_id, betas: _prepare_grid(views[node_id], betas, scan=True))
     # a node's link to the shared destination is the one every other node's view holds
     terms = cache(lambda i, beta: itf._link_terms(
         InterfererLink(views[i].power, views[i].link.path_loss_amplitude, views[i].model, beta),

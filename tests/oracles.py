@@ -4,24 +4,28 @@ at and the bound a kernel keeps of it, the checked fading density, the
 error integrand in scipy's ufuncs, the Rician truncated moment summed
 one order at a time, the scaled Bessel I0, the slot-by-slot simulator
 loop and its per-block visit loop, a reader for results files, a
-scenario's own policy, and the best-response loop that rebuilds and
-re-evaluates every node's view each iteration.
+scenario's own policy, the best-response loop that rebuilds and
+re-evaluates every node's view each iteration, and the sweep runner that
+evaluates each point on its own.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
 ``interference.p_error``, the quadrature's float integrand, the paired
 moment series of ``channel._rician_truncated_moment``,
-``simulator.run``, ``simulator._Queue.walk`` and
-``throughput.jacobi_best_response`` the hard way, so the package's closed
-forms, grid kernel, float kernels, paired moments, per-node queue
-schedule and prepared best-response grids can be checked against them.
+``simulator.run``, ``simulator._Queue.walk``,
+``throughput.jacobi_best_response`` and ``presets._sweep`` the hard way,
+so the package's closed forms, grid kernel, float kernels, paired moments,
+per-node queue schedule, prepared best-response grids and grouped sweeps
+can be checked against them.
 They live with the tests because the package itself never calls them.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -31,6 +35,7 @@ import scipy.stats
 
 from uavlink import channel as ch
 from uavlink import interference as itf
+from uavlink import presets as ps
 from uavlink import queueing as qn
 from uavlink import simulator as sim
 from uavlink import specfun
@@ -446,9 +451,10 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
     """``jacobi_best_response`` with every view rebuilt and every grid evaluated afresh.
 
     Each iteration calls ``source_view`` for every node and scores its grid
-    and previous threshold in one ``_evaluate_grid(view, [*grid, previous])``
-    call, building a breakdown per point; the package's loop must give the
-    same trace, bit for bit.
+    and previous threshold as one scan through the public checked chain:
+    the fading CDF, the queue's closed forms, ``p_error`` on the array of
+    stable thresholds, ``compose_loss`` and ``expected_throughput``.  The
+    package's loop must give the same trace, bit for bit.
     """
     policy = tp._resolve_policy(scenario, initial)
     node_ids = [node.id for node in scenario.nodes]
@@ -460,10 +466,15 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
     }
 
     def own_rates(view, betas):
-        return [
-            -math.inf if isinstance(r, StabilityError) else r.throughput
-            for r in tp._evaluate_grid(view, betas)
-        ]
+        betas = np.array(betas)
+        mu = 1.0 - ch.fading_cdf(view.model, betas) ** view.num_channels
+        stable = qn.is_stable(mu, view.queue)
+        mu = mu[stable]
+        p_err = itf.p_error(view.link, view.power, betas[stable], view.noise,
+                            view.sinr_threshold, fit=view.fit)
+        p_loss = tp.compose_loss(qn.p_overflow(mu, view.queue), qn.p_delay(mu, view.queue), p_err)
+        rates = iter(tp.expected_throughput(view.queue.arrival_rate, p_loss).tolist())
+        return [next(rates) if ok else -math.inf for ok in stable.tolist()]
 
     def network_rate(trial):
         total = 0.0
@@ -507,6 +518,45 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
             converged = True
             break
     return tp.JacobiResult(trace=trace, converged=converged)
+
+
+def sweep_pointwise(scenario, axes, outputs) -> tuple[list[str], list[dict]]:
+    """``presets._sweep`` evaluating each point on its own.
+
+    The loop the grouped runner replaced: each group's axes, policy and view
+    are built at its first point, and every point checks its own ``beta_n``
+    and calls ``evaluate_view``.  The grouped runner must give the same rows,
+    bit for bit, and raise the same error first.
+    """
+    if any(callable(axis.values) for axis in axes):
+        upper = ps._stability_bound(scenario, axes)
+        axes = [
+            replace(axis, values=tuple(float(v) for v in axis.values(upper)))
+            if callable(axis.values)
+            else axis
+            for axis in axes
+        ]
+    columns = [axis.column or axis.variable for axis in axes] + list(outputs)
+    source = scenario.source().id
+    groups = {}
+    rows = []
+    for point in itertools.product(*(axis.values for axis in axes)):
+        group = tuple((a.variable, v) for a, v in zip(axes, point) if a.variable != "beta_n")
+        own = {source: float(v) for a, v in zip(axes, point) if a.variable == "beta_n"}
+        if group in groups:
+            PolicyVector(own)
+        else:
+            group_scenario, betas = scenario, {}
+            for variable, value in group:
+                group_scenario, betas = ps._apply_point(group_scenario, betas, variable, value)
+            policy = tp._resolve_policy(group_scenario, {**betas, **own})
+            groups[group] = tp.source_view(group_scenario, policy), policy.get(source)
+        view, beta = groups[group]
+        breakdown = tp.evaluate_view(view, own.get(source, beta))
+        row = dict(zip(columns, point))
+        row.update((column, ps._output(breakdown, column)) for column in outputs)
+        rows.append(row)
+    return columns, rows
 
 
 def rician_moment_per_order(b: float, beta: float, power: int) -> float:

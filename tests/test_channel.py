@@ -240,6 +240,23 @@ class TestTransmitProb:
         assert ch.transmit_prob(model, 4.0, 20) >= ch.transmit_prob(model, 4.0, 5)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda flag: ch.fading_cdf(Rayleigh(2.0), flag),
+        lambda flag: ch.transmit_prob(Rician(3.0), flag, 15),
+        lambda flag: specfun.marcum_q1(flag, 1.0),
+        lambda flag: specfun.marcum_q1(1.0, flag),
+    ],
+    ids=["fading_cdf", "transmit_prob", "marcum_q1 a", "marcum_q1 b"],
+)
+def test_a_bool_is_not_a_threshold(call, flag):
+    # an int to Python, but PolicyVector rejects it too
+    with pytest.raises(DomainError, match=f"must be a number, got {flag}$"):
+        call(flag)
+
+
 class TestTruncatedPowerMoment:
     def test_rayleigh_full_moments(self):
         assert ch.truncated_power_moment(Rayleigh(2.0), 0.0, 2) == pytest.approx(2.0, rel=1e-12)

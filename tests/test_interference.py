@@ -584,7 +584,7 @@ class TestPErrorPanels:
         monkeypatch.setattr(itf.channel, "_cdf", None)
         margin_rate = link.path_loss_amplitude**2 / 0.5
         price = itf._error_grid(link.fading, betas, cdf[:-1], cdf[-1], x0, margin_rate,
-                                self.NOISE.power)
+                                self.NOISE.power, scan=True)
         assert price(fit).tolist() == expected.tolist()
 
     def test_failed_fallback_raises_with_best_estimate(self, monkeypatch):

@@ -8,15 +8,22 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import read_results
+import yaml
+from oracles import read_results, sweep_pointwise
 
 from uavlink import interference as itf
 from uavlink import presets as ps
 from uavlink import throughput as tp
-from uavlink.errors import DomainError
+from uavlink.errors import AccuracyError, DomainError, StabilityError, UavLinkError
 from uavlink.scenario_io import scenario_from_mapping
+from uavlink.specfun import QuadratureSpec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.yaml"
+
+
+def example_scenario():
+    return scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
 
 
 def base_scenario():
@@ -270,3 +277,59 @@ class TestSweepGroups:
             want = alone(point)
             got = {column: row[column] for column in ps.BREAKDOWN_COLUMNS}
             assert repr(got) == repr(want), point
+
+
+class TestGroupedSweepMatchesPointwise:
+    """One grid per group gives the per-point loop's rows, and raises its first error."""
+
+    @pytest.mark.parametrize("placement", range(8))
+    @pytest.mark.parametrize("name", sorted(ps.PRESETS))
+    def test_presets(self, name, placement):
+        preset, scenario = ps.PRESETS[name], ps.preset_scenario(name, placement)
+        want = sweep_pointwise(scenario, preset.axes, preset.outputs)
+        assert repr(ps.run_preset(name, placement)) == repr(want)
+
+    @pytest.mark.parametrize("variable", ps.SWEEP_VARIABLES)
+    def test_example_along_each_variable(self, variable):
+        scenario = example_scenario()
+        upper = tp.source_view(scenario).upper
+        values = {
+            "beta_n": tuple(f * upper for f in (0.0, 1e-4, 0.3, 0.7, 0.99, 1.0)),
+            "beta_m": (0.0, 1.55, 5.1, math.inf),
+            "interferer_count": (0, 1, 2, 3, 4),
+            "gamma_th": (1.0, 2.0, 8.0, 32.0),
+            "t_slt": (0.001, 0.0015, 0.002, 0.0025),
+        }[variable]
+        spec = ps.SweepSpec(variable, values)
+        want = sweep_pointwise(scenario, (spec,), ps.BREAKDOWN_COLUMNS)
+        assert repr(ps.run_sweep(scenario, spec)) == repr(want)
+
+    @staticmethod
+    def first_error(axes):
+        scenario = example_scenario()
+        with pytest.raises(UavLinkError) as grouped:
+            ps._sweep(scenario, axes, ps.BREAKDOWN_COLUMNS)
+        with pytest.raises(UavLinkError) as pointwise:
+            sweep_pointwise(scenario, axes, ps.BREAKDOWN_COLUMNS)
+        assert type(grouped.value) is type(pointwise.value)
+        assert str(grouped.value) == str(pointwise.value)
+        return grouped.value
+
+    def test_an_infeasible_threshold_fails_before_a_bad_one(self):
+        error = self.first_error((ps.SweepSpec("beta_n", (1.0, 50.0, math.nan)),))
+        assert isinstance(error, StabilityError) and "beta 50 " in str(error)
+
+    def test_a_group_that_cannot_be_built_fails_at_its_first_point(self):
+        # (0, 1), (0, 50), then (9, 1): there are only four interferers to keep
+        axes = (ps.SweepSpec("interferer_count", (0, 9)), ps.SweepSpec("beta_n", (1.0, 50.0)))
+        assert isinstance(self.first_error(axes), StabilityError)
+        with pytest.raises(DomainError, match="exceeds the 4 interferers"):
+            ps._sweep(example_scenario(), axes[:1], ps.BREAKDOWN_COLUMNS)
+
+    def test_a_failed_tail_fails_at_its_own_point(self, monkeypatch):
+        # (1, 0) has no interference, so no tail; (1, 1) fails its tail before
+        # (50, 0) is found infeasible, although that group was priced first
+        monkeypatch.setattr(itf, "DEFAULT_QUAD", QuadratureSpec(max_subdivisions=2))
+        axes = (ps.SweepSpec("beta_n", (1.0, 50.0)), ps.SweepSpec("interferer_count", (0, 1)))
+        error = self.first_error(axes)
+        assert isinstance(error, AccuracyError) and "[1.0, inf]" in str(error)

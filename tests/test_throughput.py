@@ -119,11 +119,11 @@ def _view(family):
 
 
 def recording(calls, function):
-    """``function``, appending the arguments of each call to ``calls``."""
+    """``function``, appending the positional arguments of each call to ``calls``."""
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return function(*args)
+        return function(*args, **kwargs)
 
     return wrapper
 
@@ -531,11 +531,6 @@ class TestEvaluate:
 
 
 class TestEvaluateGrid:
-    # slack beyond 1e-12 relative: where the grid's adaptive tail starts, the
-    # per-threshold quadrature (asked for 1e-10 absolute) lands up to 1e-13
-    # absolute off a 1e-15 oracle, while the grid's lands within 1e-17
-    SLACK = {"p_delay": 0.0, "p_overflow": 0.0, "p_error": 2e-13, "p_loss": 2e-13, "throughput": 0.0}
-
     @pytest.mark.parametrize("family", ["rayleigh", "rician"])
     def test_matches_per_threshold_evaluation(self, family):
         view = _view(family)
@@ -555,10 +550,43 @@ class TestEvaluateGrid:
                 assert str(result) == str(exc)
                 continue
             assert isinstance(result, tp.LossBreakdown)
-            for field, slack in self.SLACK.items():
-                got, want = getattr(result, field), getattr(single, field)
-                assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)) + slack
+            assert dataclasses.astuple(result) == dataclasses.astuple(single)  # every field, exactly
         assert 1 < unstable < 64
+
+    @given(
+        family=st.sampled_from(["rayleigh", "rician"]),
+        # fractions of the noise floor, of the bound beyond it, and beyond the bound
+        picks=st.lists(
+            st.one_of(
+                st.tuples(st.just("floor"), st.floats(0.0, 1.0)),
+                st.tuples(st.just("bound"), st.floats(0.0, 1.0)),
+                st.tuples(st.just("beyond"), st.floats(1.0, 2.0)),
+                st.just(("inf", 0.0)),
+            ),
+            min_size=1, max_size=8,
+        ),
+        repeats=st.integers(0, 3),
+    )
+    @example(family="rician", picks=[("floor", 0.5), ("floor", 0.0), ("inf", 0.0)], repeats=2)
+    @example(family="rayleigh", picks=[("bound", 1.0), ("beyond", 1.2), ("floor", 1.0)], repeats=1)
+    @settings(max_examples=40, deadline=None)
+    def test_points_are_their_grids_of_one(self, family, picks, repeats):
+        view = _view(family)
+        x0, upper = view._x0, view.upper
+        at = {"floor": lambda f: f * x0, "bound": lambda f: x0 + f * (upper - x0),
+              "beyond": lambda f: f * upper, "inf": lambda f: math.inf}
+        betas = [at[kind](f) for kind, f in picks]
+        betas += betas[:repeats]
+        for beta, result in zip(betas, tp._evaluate_grid(view, betas)):
+            try:
+                alone = tp.evaluate_view(view, beta)
+            except StabilityError as exc:
+                assert isinstance(result, StabilityError)
+                assert (str(result), result.margin, result.node) == (str(exc), exc.margin, exc.node)
+                continue
+            assert isinstance(result, tp.LossBreakdown)
+            got, want = np.array(dataclasses.astuple(result)), np.array(dataclasses.astuple(alone))
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), beta
 
     def spy(self, monkeypatch):
         calls = []
@@ -621,9 +649,9 @@ class TestChecksAtTheEntry:
             assert rows  # the noise floor and the bound itself are stable
         mu = 1.0 - ch.fading_cdf(view.model, stable) ** view.num_channels
         p_dly, p_ov = qn.p_delay(mu, view.queue), qn.p_overflow(mu, view.queue)
-        at = stable[0] if len(stable) == 1 else stable  # a grid of one at a float
-        p_err = itf.p_error(view.link, view.power, at, view.noise, view.sinr_threshold,
-                            fit=view.fit)
+        # each threshold alone: a grid prices its thresholds as points
+        p_err = np.array([itf.p_error(view.link, view.power, beta, view.noise,
+                                      view.sinr_threshold, fit=view.fit) for beta in stable])
         p_loss = tp.compose_loss(p_ov, p_dly, p_err)
         throughput = tp.expected_throughput(view.queue.arrival_rate, p_loss)
         chain = zip(*(np.atleast_1d(a).tolist() for a in (p_dly, p_ov, p_err, p_loss, throughput)))
@@ -954,8 +982,8 @@ def test_a_repeated_price_is_made_once(monkeypatch):
     scenario = scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
     prices = []
 
-    def spied(*args):
-        return recording(prices, error_grid(*args))
+    def spied(*args, **kwargs):
+        return recording(prices, error_grid(*args, **kwargs))
 
     error_grid = itf._error_grid
     monkeypatch.setattr(itf, "_error_grid", spied)
