@@ -9,6 +9,7 @@ analytic forms, spot-checked against finite differences.
 
 import numpy as np
 
+from uavlink import channel as ch
 from uavlink import throughput as tp
 from uavlink.scenario_io import scenario_from_mapping
 
@@ -50,9 +51,16 @@ lower = tp.beta_lower(view)
 print(f"feasible threshold range: [{lower:.4f}, {upper:.4f}]")
 print()
 
+
+def reduced_loss(beta: float) -> float:
+    """Deadline drop plus the raw error: p_error weighted by the transmit mass 1 - F(beta)."""
+    b = tp.evaluate_view(view, beta)
+    return b.p_delay + b.p_error * (1.0 - ch.fading_cdf(view.model, beta))
+
+
 print(f"{'beta':>6} {'reduced loss':>13} {'slope':>12} {'curvature':>12}")
 for beta in np.linspace(0.05 * upper, 0.98 * upper, 10):
-    loss = tp.reduced_loss(view, float(beta))
+    loss = reduced_loss(float(beta))
     slope, curvature = tp.loss_derivative(view, float(beta))
     print(f"{beta:6.3f} {loss:13.6f} {slope:+12.5f} {curvature:+12.5f}")
 
@@ -60,6 +68,6 @@ print()
 h = 1e-5
 beta = 0.5 * upper
 slope, _ = tp.loss_derivative(view, beta)
-fd = (tp.reduced_loss(view, beta + h) - tp.reduced_loss(view, beta - h)) / (2 * h)
+fd = (reduced_loss(beta + h) - reduced_loss(beta - h)) / (2 * h)
 print(f"finite-difference spot check at beta={beta:.3f}: "
       f"analytic {slope:+.8f} vs central difference {fd:+.8f}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -224,20 +225,33 @@ def fading_cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarr
 
 
 def _cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
-    """:func:`fading_cdf` at a float or a float array of thresholds already checked."""
+    """:func:`fading_cdf` at a float or a float array of thresholds already checked.
+
+    A Rician F is 1 - Q1(b, beta) in the first-order Marcum Q-function: a noncentral
+    chi-square survival (two degrees of freedom, noncentrality b^2) at beta^2.
+    """
     if isinstance(model, Rayleigh):
         expm1 = math.expm1 if isinstance(beta, float) else np.expm1
         return -expm1(-beta * beta / model.omega)
-    q = specfun._marcum_q1(model.b, beta)
-    return 1.0 - (float(q) if isinstance(beta, float) else q)
+    b = model.b
+    # Q1 is exactly 1 at beta = 0, where the chi-square CDF is 0; roundoff below 0 is clipped
+    cdf = 1.0 - np.maximum(1.0 - sp.chndtr(beta * beta, 2.0, b * b), 0.0)
+    return float(cdf) if isinstance(beta, float) else cdf
+
+
+def _check_num_channels(name: str, num_channels: int) -> None:
+    """Raise ``DomainError`` naming ``name`` unless ``num_channels`` is an int >= 1, not a bool."""
+    if not isinstance(num_channels, numbers.Integral) or isinstance(num_channels, bool):
+        raise DomainError(f"{name} must be an integer, got {num_channels!r}")
+    if num_channels < 1:
+        raise DomainError(f"{name} must be >= 1, got {num_channels}")
 
 
 def transmit_prob(
     model: FadingModel, beta: float | np.ndarray, num_channels: int
 ) -> float | np.ndarray:
     """Probability the best of ``num_channels`` i.i.d. draws clears ``beta``, elementwise."""
-    if num_channels < 1:
-        raise DomainError(f"transmit_prob: num_channels must be >= 1, got {num_channels}")
+    _check_num_channels("transmit_prob: num_channels", num_channels)
     return 1.0 - fading_cdf(model, beta) ** num_channels
 
 
@@ -247,9 +261,7 @@ def truncated_power_moment(model: FadingModel, beta: float, power: int) -> float
     Rayleigh has closed forms, and so does Rician(0), which is Rayleigh(2);
     any other Rician sums a Poisson mixture of Gamma tails.
     """
-    beta = float(beta)
-    if beta < 0:
-        raise DomainError(f"truncated_power_moment: beta must be >= 0, got {beta}")
+    beta = specfun._nonnegative("truncated_power_moment: beta", beta)
     if power not in (2, 4):
         raise DomainError(f"truncated_power_moment: power must be 2 or 4, got {power}")
     if math.isinf(beta):

@@ -56,8 +56,8 @@ class InterfererLink:
         for name in ("transmit_power", "path_loss_amplitude"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise DomainError(f"InterfererLink.{name} must be > 0, got {getattr(self, name)!r}")
-        if not self.beta >= 0:  # also rejects NaN; inf silences the interferer
-            raise DomainError(f"InterfererLink.beta must be >= 0, got {self.beta!r}")
+        # stored as a float; inf silences the interferer
+        object.__setattr__(self, "beta", specfun._nonnegative("InterfererLink.beta", self.beta))
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,7 @@ def interference_moments(
     links: Sequence[InterfererLink], num_channels: int
 ) -> tuple[float, float]:
     """Mean and variance of the aggregate interference on the observed channel."""
-    if num_channels < 1:
-        raise DomainError(f"num_channels must be >= 1, got {num_channels}")
+    channel._check_num_channels("num_channels", num_channels)
     return _summed(_link_terms(link, num_channels) for link in links)
 
 
@@ -121,7 +120,7 @@ def _link_terms(link: InterfererLink, num_channels: int) -> tuple[float, float]:
     and the 1/num_channels chance of landing on the observed channel.
     """
     t2, t4 = (channel.truncated_power_moment(link.fading, link.beta, p) for p in (2, 4))
-    phi = channel.transmit_prob(link.fading, link.beta, num_channels)
+    phi = 1.0 - channel._cdf(link.fading, link.beta) ** num_channels
     power, gain = link.transmit_power, link.path_loss_amplitude
     e = power * gain**2 * t2 * phi / num_channels
     return e, (power**2) * gain**4 * t4 * (phi / num_channels) ** 2
@@ -363,9 +362,9 @@ def p_error(
     with the queue-drop probabilities.  An infinite threshold (a silenced
     link) has no transmissions and no errors.
     """
-    betas = np.asarray(main_beta, dtype=float)
     x0 = noise_floor(main, main_power, noise, gamma_th)
-    flat = specfun._nonnegative("main_beta", betas.ravel())
+    betas = np.asarray(specfun._nonnegative("main_beta", main_beta), dtype=float)
+    flat = betas.ravel()
     cdf = channel._cdf(main.fading, np.append(flat, x0))
     price = _error_grid(main.fading, flat, cdf[:-1], cdf[-1], x0,
                         _margin_rate(main, main_power, gamma_th), noise.power, scan=True)

@@ -20,11 +20,13 @@ axis outermost and evaluates the source at every point.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from . import specfun
 from . import throughput as tp
 from .errors import DomainError, ScenarioError, StabilityError, UavLinkError
 from .scenario_io import Scenario, scenario_from_mapping
@@ -72,14 +74,19 @@ class SweepSpec:
             return
         if len(self.values) == 0:
             raise DomainError("SweepSpec.values must be non-empty")
+        name = f"SweepSpec: {self.variable}"
+        for value in self.values:
+            if self.variable in ("beta_n", "beta_m"):  # a threshold: >= 0, where inf silences
+                specfun._nonnegative(name, value)
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a number, got {value!r}")
+            elif self.variable == "interferer_count":
+                if not (value >= 0 and float(value).is_integer()):  # NaN fails the comparison
+                    raise DomainError(f"{name} takes whole numbers >= 0, got {value!r}")
+            elif not value == value:
+                raise DomainError(f"{name} must be a number, got {value!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise DomainError("SweepSpec.values must be strictly increasing")
-        if self.variable == "interferer_count":
-            for count in self.values:
-                if not (count >= 0 and float(count).is_integer()):  # NaN fails the comparison
-                    raise DomainError(
-                        f"SweepSpec: interferer_count takes whole numbers >= 0, got {count!r}"
-                    )
 
 
 def _with_interferer_prefix(scenario: Scenario, count: int) -> Scenario:

@@ -1,14 +1,15 @@
-"""Special functions and adaptive quadrature used throughout the package.
+"""Special functions, adaptive quadrature and the threshold rule used throughout the package.
 
-Thin, contract-enforcing wrappers around scipy's well-tested kernels.
-Every function is pure and thread-safe; no table interpolation anywhere,
-so repeated calls are bit-reproducible.
+Thin wrappers around scipy's well-tested kernels.  Every function is pure
+and thread-safe; no table interpolation anywhere, so repeated calls are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -22,10 +23,7 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUAD",
     "IntegrationResult",
-    "marcum_q1",
     "gamma_tail",
-    "regularized_gamma_upper",
-    "erfinv",
     "integrate",
 ]
 
@@ -53,45 +51,28 @@ class IntegrationResult(NamedTuple):
     error: float
 
 
-def _nonnegative(name: str, x, finite: bool = False):
-    """``x``, a float (an int becomes one) or else a float array, once every element is >= 0.
+def _nonnegative(name: str, x):
+    """``x`` as a float, or as a float array, once it is a threshold: every element >= 0.
 
-    NaN fails, a bool fails, and with ``finite`` so does +inf; the
-    :class:`DomainError` names ``name``.  A float is checked without numpy dispatch.
+    The one rule for a threshold where it enters the package: a real number,
+    not a bool, where NaN fails and +inf passes.  The :class:`DomainError`
+    names ``name``.  A float is checked without numpy dispatch.
     """
-    if isinstance(x, bool):  # an int to Python, but not a number here
-        raise DomainError(f"{name} must be a number, got {x!r}")
-    if isinstance(x, int):
+    if type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool)):
         x = float(x)
-    if isinstance(x, float):
-        if x >= 0.0 and not (finite and x == math.inf):
+        if x >= 0.0:
             return x
+    elif np.asarray(x).dtype.kind not in "iuf":  # a bool, alone or in an array, is not a number
+        raise DomainError(f"{name} must be a number, got {x!r}")
     else:
         x = np.asarray(x, dtype=float)
-        if x.min(initial=0.0) >= 0.0 and not (finite and x.max(initial=0.0) == math.inf):
+        if x.min(initial=0.0) >= 0.0:
             return x
-    raise DomainError(f"{name} must be {'finite and ' if finite else ''}>= 0, got {x!r}")
-
-
-def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
-    """First-order Marcum Q-function Q1(a, b), elementwise over arrays.
-
-    Evaluated through the noncentral chi-square survival function with two
-    degrees of freedom and noncentrality a**2, which scipy computes to well
-    below 1e-10 absolute error over the range used here.  ``a`` must be
-    finite; ``b`` may be +inf, where Q1 is 0.
-    """
-    return _marcum_q1(_nonnegative("marcum_q1 a", a, finite=True), _nonnegative("marcum_q1 b", b))
-
-
-def _marcum_q1(a, b):
-    """:func:`marcum_q1` of arguments already checked."""
-    # exactly 1 at b = 0, where the chi-square CDF is 0; clip roundoff below 0
-    return np.maximum(1.0 - sp.chndtr(b * b, 2.0, a * a), 0.0)[()]
+    raise DomainError(f"{name} must be >= 0, got {x!r}")
 
 
 def gamma_tail(k: float) -> Callable:
-    """Q(k, .) bound to one shape, elementwise over an array x >= 0 (unchecked).
+    """Q(k, .) bound to one shape k > 0, elementwise over an array x >= 0 (both unchecked).
 
     Below shape 2 and the cut c = max(k+1, 2), Q = 1 - x^k e^-x / Gamma(k+1) *
     sum_n x^n / (k+1)_n (DLMF 8.7.1; Gautschi, ACM TOMS 5:466, 1979), whose
@@ -99,8 +80,6 @@ def gamma_tail(k: float) -> Callable:
     it takes for the term c^n / (k+1)_n to fall below 2^-56.  Elsewhere it is
     scipy's gammaincc, and each element is computed alone.
     """
-    if not k > 0:
-        raise DomainError(f"regularized_gamma_upper requires k > 0, got {k}")
     if k >= 2.0:
         return functools.partial(sp.gammaincc, k)
     cut = max(k + 1.0, 2.0)
@@ -124,21 +103,6 @@ def gamma_tail(k: float) -> Callable:
         return sp.gammaincc(k, x - low) - low**k * np.exp(-low) * s
 
     return tail
-
-
-def regularized_gamma_upper(k: float, x: float | np.ndarray) -> float | np.ndarray:
-    """Regularized upper incomplete gamma Q(k, x) = 1 - gamma(k, x)/Gamma(k).
-
-    Elementwise over an array ``x``; any x < 0 gives 1, the value at 0.
-    """
-    return gamma_tail(k)(np.maximum(x, 0.0))[()]
-
-
-def erfinv(y: float) -> float:
-    y = float(y)
-    if not -1.0 < y < 1.0:  # also rejects NaN
-        raise DomainError(f"erfinv argument must lie in (-1, 1), got {y}")
-    return float(sp.erfinv(y))
 
 
 def integrate(

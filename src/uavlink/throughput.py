@@ -23,7 +23,7 @@ from . import channel as ch
 from . import interference as itf
 from . import queueing as qn
 from . import specfun
-from .channel import FadingModel, LinkChannel, Rayleigh, Rician
+from .channel import FadingModel, LinkChannel, Rayleigh
 from .errors import DomainError, LowerBoundNotFoundError, ScenarioError, StabilityError
 from .interference import GammaFit, InterfererLink, NoiseModel, ZeroInterference
 from .queueing import QueueParams
@@ -34,14 +34,11 @@ __all__ = [
     "LossBreakdown",
     "BetaBounds",
     "SourceView",
-    "compose_loss",
     "expected_throughput",
     "beta_upper",
-    "beta_upper_erf",
     "beta_lower",
     "beta_bounds",
     "source_view",
-    "reduced_loss",
     "loss_derivative",
     "evaluate",
     "evaluate_view",
@@ -57,14 +54,11 @@ class PolicyVector:
     betas: dict[str, float]
 
     def __post_init__(self):
-        for node_id, beta in self.betas.items():
-            # NaN fails the comparison; inf silences the node
-            if isinstance(beta, bool) or not (isinstance(beta, numbers.Real) and beta >= 0):
-                raise DomainError(
-                    f"PolicyVector: beta for node {node_id!r} must be a number >= 0, got {beta!r}"
-                )
         # every threshold a Python float, so an int one takes the float path downstream
-        object.__setattr__(self, "betas", {i: float(beta) for i, beta in self.betas.items()})
+        object.__setattr__(self, "betas", {
+            i: specfun._nonnegative(f"PolicyVector: beta for node {i!r}", beta)
+            for i, beta in self.betas.items()
+        })
 
     def get(self, node_id: str) -> float:
         return self.betas[node_id]
@@ -160,27 +154,6 @@ def _check_probability(name: str, p) -> None:
         raise DomainError(f"{name} must lie in [0, 1], got {p}")
 
 
-def compose_loss(p_ov, p_dly, p_err):
-    """Overall loss: overflow, then deadline drop, then SINR error, elementwise.
-
-    Algebraically 1 - (1-p_ov)(1-p_dly)(1-p_err).
-    """
-    return _loss(_survival(p_ov, p_dly), p_err)
-
-
-def _survival(p_ov, p_dly):
-    """(1-p_ov)(1-p_dly), the first product of :func:`compose_loss`, checking both."""
-    for name, p in (("p_ov", p_ov), ("p_dly", p_dly)):
-        _check_probability(f"compose_loss: {name}", p)
-    return (1.0 - p_ov) * (1.0 - p_dly)
-
-
-def _loss(survive, p_err):
-    """1 - survive (1-p_err), the rest of :func:`compose_loss`, checking ``p_err``."""
-    _check_probability("compose_loss: p_err", p_err)
-    return 1.0 - survive * (1.0 - p_err)
-
-
 def expected_throughput(arrival_rate: float, p_loss, approximate: bool = False):
     """Delivered packet rate given the loss probability, elementwise.
 
@@ -213,7 +186,7 @@ def beta_upper(model: FadingModel, q: QueueParams, num_channels: int) -> float:
         return math.sqrt(-model.omega * math.log1p(-target_cdf))
 
     def excess(beta: float) -> float:
-        return ch.fading_cdf(model, beta) - target_cdf
+        return ch._cdf(model, beta) - target_cdf
 
     hi = model.b + 10.0
     while excess(hi) < 0.0:
@@ -221,60 +194,29 @@ def beta_upper(model: FadingModel, q: QueueParams, num_channels: int) -> float:
     return float(scipy.optimize.brentq(excess, 0.0, hi, xtol=1e-12, rtol=8.9e-16))
 
 
-def beta_upper_erf(model: Rician, q: QueueParams, num_channels: int) -> float:
-    """Gaussian-tail surrogate of the Rician upper bound (intended for b > 3).
-
-    At high LoS strength the Rician amplitude is close to a unit-variance
-    Gaussian centred on sqrt(b^2 + 1) (Gudbjartsson & Patz, 1995), so the
-    bound is sqrt(b^2 + 1) - sqrt(2) * erfinv(1 - 2 (1 - load)^(1/N)).
-    Centring on sqrt(b^2 + 1) rather than on b accounts for the mean's
-    excess over b (about 1/(2b)) and keeps the surrogate within 0.05 of
-    :func:`beta_upper` for b in [3, 9], loads 0.02 to 0.8 and up to 30
-    channels.
-    """
-    if not isinstance(model, Rician):
-        raise DomainError("beta_upper_erf applies to Rician fading only")
-    load = q.arrival_rate * q.slot_duration  # in (0, 1), as QueueParams requires
-    rhs = 1.0 - 2.0 * (1.0 - load) ** (1.0 / num_channels)
-    return math.hypot(model.b, 1.0) - math.sqrt(2.0) * specfun.erfinv(rhs)
-
-
 # --------------------------------------------------------------------------
 # Loss derivatives (reduced loss: deadline drop + raw SINR error)
 # --------------------------------------------------------------------------
 
 
-def reduced_loss(view: SourceView, beta: float) -> float:
-    """Deadline-drop probability plus the raw (unconditioned) error integral.
-
-    The raw integral is :func:`interference.p_error` times the transmit
-    mass 1 - F(beta), and the deadline drop takes the transmit probability
-    1 - F(beta)^N from the same CDF value.  This is the objective whose
-    curvature defines the lower threshold bound; buffer overflow is omitted
-    because its contribution is negligible over the feasible range.
-    """
-    cdf = ch.fading_cdf(view.model, beta)
-    phi = 1.0 - cdf**view.num_channels
-    if not qn.is_stable(phi, view.queue):
-        raise _instability(view, beta, phi)
-    p_err = itf.p_error(view.link, view.power, beta, view.noise, view.sinr_threshold, fit=view.fit)
-    return qn.p_delay(phi, view.queue) + p_err * (1.0 - cdf)
-
-
 def loss_derivative(
     view: SourceView, beta: float | np.ndarray
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Analytic first and second derivatives of :func:`reduced_loss` in beta.
+    """Analytic first and second derivatives of the reduced loss in beta.
 
-    ``beta`` is one threshold (two floats are returned) or an array of
-    them (two arrays of its shape), all in (0, ``view.upper``).  The error
-    part differentiates the integral through its lower limit; the
+    The reduced loss is the deadline-drop probability plus the raw error
+    integral, :func:`interference.p_error` times the transmit mass 1 - F(beta):
+    the objective whose curvature defines the lower threshold bound.  Buffer
+    overflow is omitted because its contribution is negligible over the
+    feasible range.  ``beta`` is one threshold (two floats are returned) or
+    an array of them (two arrays of its shape), all in (0, ``view.upper``).
+    The error part differentiates the integral through its lower limit; the
     interference tail's own derivative enters via the Gamma density chain
     rule.  The deadline part differentiates the exponential waiting tail
     through the transmit probability.
     """
-    betas = np.asarray(beta, dtype=float)
-    if not np.all(betas > 0.0):
+    betas = np.asarray(specfun._nonnegative("loss_derivative: beta", beta))
+    if not betas.min(initial=1.0) > 0.0:
         raise DomainError(f"loss_derivative: beta must be > 0, got {beta}")
     upper, worst = view.upper, float(np.max(betas, initial=0.0))
     if worst >= upper:
@@ -419,14 +361,13 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
 
     Returns each threshold's ``(beta, phi, stable)`` and a function of the law (and,
     optionally, the error integrand bound to it) giving the arrays ``p_delay, p_overflow,
-    p_error, p_loss, throughput`` at the stable thresholds.  The thresholds are checked
-    here, once; one fading-CDF evaluation feeds the queue terms and the error grid (laid out
-    as points or, with ``scan``, as a scan: :func:`interference._error_grid`), which take
-    the stable rates, in (0, 1] by construction, unchecked.
+    p_error, p_loss, throughput`` at the stable thresholds.  The thresholds were checked
+    where they entered; one fading-CDF evaluation feeds the queue terms and the error grid
+    (laid out as points or, with ``scan``, as a scan: :func:`interference._error_grid`),
+    which take the stable rates, in (0, 1] by construction, unchecked.  Those rates bound
+    the queue terms to [0, 1]; only the error is checked.
     """
     betas = np.asarray(betas, dtype=float)
-    if not betas.min(initial=0.0) >= 0.0:  # NaN fails too
-        specfun._nonnegative(f"node {view.node_id!r}: beta", betas)
     cdf = ch._cdf(view.model, betas)
     mu = 1.0 - cdf**view.num_channels
     stable = qn.is_stable(mu, view.queue)
@@ -438,14 +379,16 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
     p_ov = qn._p_overflow(q.arrival_rate * q.slot_duration / mu, q)
     p_err = itf._error_grid(view.model, betas, cdf, view._cdf_x0, view._x0, view._margin_rate,
                             view.noise.power, scan=scan)
-    # the queue terms do not depend on the law: checked and composed once, as compose_loss does
-    survive = _survival(p_ov, p_dly)
+    # the loss composes left to right: overflow, then deadline drop, then SINR error; the
+    # queue terms do not depend on the law, so their product is taken once
+    survive = (1.0 - p_ov) * (1.0 - p_dly)
 
     def price(
         fit: GammaFit | ZeroInterference, integrand: Callable | None = None
     ) -> tuple[np.ndarray, ...]:
         errors = p_err(fit, integrand)
-        p_loss = _loss(survive, errors)
+        _check_probability("p_err", errors)  # a quadrature may return NaN
+        p_loss = 1.0 - survive * (1.0 - errors)
         return p_dly, p_ov, errors, p_loss, expected_throughput(q.arrival_rate, p_loss)
 
     return cases, price
@@ -481,7 +424,7 @@ def _instability(view: SourceView, beta: float, phi: float) -> StabilityError:
 
 def evaluate_view(view: SourceView, beta: float) -> LossBreakdown:
     """Loss breakdown of one node at threshold ``beta`` under fixed opponents."""
-    (result,) = _evaluate_grid(view, [beta])
+    (result,) = _evaluate_grid(view, [specfun._nonnegative(f"node {view.node_id!r}: beta", beta)])
     if isinstance(result, StabilityError):
         raise result
     return result

@@ -2,7 +2,9 @@
 formulas, the per-point SINR error integral with the tolerances it runs
 at and the bound a kernel keeps of it, the checked fading density, the
 error integrand in scipy's ufuncs, the Rician truncated moment summed
-one order at a time, the scaled Bessel I0, the slot-by-slot simulator
+one order at a time, the scaled Bessel I0, the reduced loss of the
+lower threshold bound, the inverse error function with the Gaussian-tail
+surrogate of the Rician stability bound, the slot-by-slot simulator
 loop and its per-block visit loop, a reader for results files, a
 scenario's own policy, the best-response loop that rebuilds and
 re-evaluates every node's view each iteration, and the sweep runner that
@@ -167,7 +169,40 @@ def fading_pdf(model: ch.FadingModel, x: float) -> float:
 
 def bessel_i0_scaled(x: float) -> float:
     """exp(-x) * I0(x): the overflow-free form used inside fading densities."""
-    return float(sp.i0e(specfun._nonnegative("bessel_i0_scaled argument", float(x), finite=True)))
+    x = float(x)
+    if not 0.0 <= x < math.inf:  # also rejects NaN
+        raise DomainError(f"bessel_i0_scaled argument must be finite and >= 0, got {x}")
+    return float(sp.i0e(x))
+
+
+def reduced_loss(view, beta: float) -> float:
+    """Deadline drop plus ``p_error`` times the transmit mass 1 - F(beta), from ``evaluate_view``:
+    the loss ``throughput.loss_derivative`` differentiates for the lower threshold bound."""
+    breakdown = tp.evaluate_view(view, beta)
+    return breakdown.p_delay + breakdown.p_error * (1.0 - ch.fading_cdf(view.model, beta))
+
+
+def erfinv(y: float) -> float:
+    """Inverse error function on (-1, 1)."""
+    y = float(y)
+    if not -1.0 < y < 1.0:  # also rejects NaN
+        raise DomainError(f"erfinv argument must lie in (-1, 1), got {y}")
+    return float(sp.erfinv(y))
+
+
+def beta_upper_erf(model: ch.Rician, q: QueueParams, num_channels: int) -> float:
+    """Gaussian-tail surrogate of the Rician upper bound (intended for b > 3).
+
+    At high LoS strength the Rician amplitude is close to a unit-variance
+    Gaussian centred on its mean sqrt(b^2 + 1) (Gudbjartsson & Patz, 1995),
+    so the bound is sqrt(b^2 + 1) - sqrt(2) * erfinv(1 - 2 (1 - load)^(1/N)).
+    """
+    if not isinstance(model, ch.Rician):
+        raise DomainError("beta_upper_erf applies to Rician fading only")
+    load = q.arrival_rate * q.slot_duration  # in (0, 1), as QueueParams requires
+    return math.hypot(model.b, 1.0) - math.sqrt(2.0) * erfinv(
+        1.0 - 2.0 * (1.0 - load) ** (1.0 / num_channels)
+    )
 
 
 def ufunc_error_integrand(model, fit, margin_rate: float, noise_power: float):
@@ -453,8 +488,9 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
     Each iteration calls ``source_view`` for every node and scores its grid
     and previous threshold as one scan through the public checked chain:
     the fading CDF, the queue's closed forms, ``p_error`` on the array of
-    stable thresholds, ``compose_loss`` and ``expected_throughput``.  The
-    package's loop must give the same trace, bit for bit.
+    stable thresholds, the loss composed left to right and
+    ``expected_throughput``.  The package's loop must give the same trace,
+    bit for bit.
     """
     policy = tp._resolve_policy(scenario, initial)
     node_ids = [node.id for node in scenario.nodes]
@@ -472,7 +508,8 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
         mu = mu[stable]
         p_err = itf.p_error(view.link, view.power, betas[stable], view.noise,
                             view.sinr_threshold, fit=view.fit)
-        p_loss = tp.compose_loss(qn.p_overflow(mu, view.queue), qn.p_delay(mu, view.queue), p_err)
+        p_ov, p_dly = qn.p_overflow(mu, view.queue), qn.p_delay(mu, view.queue)
+        p_loss = 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err)
         rates = iter(tp.expected_throughput(view.queue.arrival_rate, p_loss).tolist())
         return [next(rates) if ok else -math.inf for ok in stable.tolist()]
 

@@ -7,21 +7,21 @@ forms against the slot-level Monte Carlo.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from oracles import fading_pdf, p_error_pointwise
+from oracles import beta_upper_erf, fading_pdf, p_error_pointwise
 from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import presets as ps
 from uavlink import simulator as sim
-from uavlink import specfun
 from uavlink import throughput as tp
 from uavlink.channel import Rayleigh, Rician, build_link, transmit_prob
 from uavlink.queueing import QueueParams, p_delay
-from uavlink.scenario_io import scenario_from_mapping
+from uavlink.scenario_io import load_scenario_file, scenario_from_mapping
 from uavlink.simulator import SimConfig
 from uavlink.specfun import QuadratureSpec
 from uavlink.throughput import PolicyVector
@@ -207,14 +207,14 @@ def test_criterion_06_oracle_queueing():
 def test_criterion_07_formula_self_consistency():
     started = time.perf_counter()
 
-    # loss composition identity at machine tolerance
-    grid = np.linspace(0.0, 1.0, 11)
-    for p_ov in grid:
-        for p_dly in grid:
-            for p_err in grid:
-                composed = tp.compose_loss(p_ov, p_dly, p_err)
-                product = 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err)
-                assert abs(composed - product) <= 1e-12
+    # loss composition identity, exactly, in every node's breakdown across its feasible range
+    scenario = load_scenario_file(Path(__file__).resolve().parent.parent / "scenarios/example.yaml")
+    for node in scenario.nodes:
+        view = tp.source_view(scenario, node_id=node.id)
+        for beta in np.linspace(0.0, view.upper, 11).tolist():
+            b = tp.evaluate_view(view, beta)
+            assert b.p_loss == 1.0 - (1.0 - b.p_overflow) * (1.0 - b.p_delay) * (1.0 - b.p_error)
+            assert b.throughput == node.queue.arrival_rate * (1.0 - b.p_loss)
 
     # Gamma moment identities
     for mean, variance in [(1e-9, 2.5e-17), (0.3, 0.04), (7.0, 49.0), (1e4, 3e5)]:
@@ -237,14 +237,14 @@ def test_criterion_07_formula_self_consistency():
             value = ch.truncated_power_moment(model, beta, power)
             assert abs(value - oracle) <= 1e-8 * oracle
 
-    # tail/CDF complementarity of the strong-line-of-sight family
+    # the Rician CDF, 1 - Q1(b, beta) in the Marcum Q-function, against its density's integral
     for b in (0.5, 2.0, math.sqrt(30.0)):
         for beta in (0.3, 1.0, 3.0, 6.0):
             cdf, _ = scipy.integrate.quad(
                 lambda x: fading_pdf(Rician(b), x), 0.0, beta,
                 epsabs=1e-12, epsrel=1e-11, limit=300,
             )
-            assert abs(specfun.marcum_q1(b, beta) + cdf - 1.0) <= 1e-9
+            assert abs(ch.fading_cdf(Rician(b), beta) - cdf) <= 1e-9
 
     # the stability bound saturates the deadline-drop probability exactly
     q = QueueParams(80.0, 0.002, 0.045, 100.0)
@@ -345,7 +345,7 @@ def test_criterion_09b_erf_surrogate_band():
     for b in (3.1, 3.6, 4.1, 4.6, 5.1, math.sqrt(30.0)):
         model = Rician(b)
         exact = tp.beta_upper(model, q, 15)
-        surrogate = tp.beta_upper_erf(model, q, 15)
+        surrogate = beta_upper_erf(model, q, 15)
         gaps[round(b, 3)] = abs(exact - surrogate)
     print(f"\nsurrogate gaps over b: {gaps}")
     assert time.perf_counter() - started <= 5.0

@@ -246,10 +246,10 @@ class TestTransmitProb:
     [
         lambda flag: ch.fading_cdf(Rayleigh(2.0), flag),
         lambda flag: ch.transmit_prob(Rician(3.0), flag, 15),
-        lambda flag: specfun.marcum_q1(flag, 1.0),
-        lambda flag: specfun.marcum_q1(1.0, flag),
+        # the Rician CDF is 1 - Q1(b, beta) in the Marcum Q-function
+        lambda flag: ch.fading_cdf(Rician(1.0), flag),
     ],
-    ids=["fading_cdf", "transmit_prob", "marcum_q1 a", "marcum_q1 b"],
+    ids=["fading_cdf", "transmit_prob", "marcum_q1 b"],
 )
 def test_a_bool_is_not_a_threshold(call, flag):
     # an int to Python, but PolicyVector rejects it too

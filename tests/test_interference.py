@@ -402,7 +402,7 @@ EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.yaml"
 
 
 def kernel(link, power, betas, noise, gamma_th, fit, conditional=True):
-    """``p_error`` at ``betas``; unconditioned, it is the raw integral ``reduced_loss`` adds,
+    """``p_error`` at ``betas``; unconditioned, it is the raw integral the reduced loss adds,
     ``p_error`` times the transmit mass."""
     grid = itf.p_error(link, power, betas, noise, gamma_th, fit=fit)
     return grid if conditional else grid * (1.0 - ch.fading_cdf(link.fading, betas))

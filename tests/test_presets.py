@@ -249,6 +249,11 @@ class TestSweepGroups:
         if negative_first:
             betas[0] = -betas[0]
         values = {"beta_n": betas, "gamma_th": sorted(thresholds), "interferer_count": sorted(counts)}
+        if negative_first and "beta_n" in variables:
+            # the axis rejects the negative threshold where it is built, before any point
+            with pytest.raises(DomainError, match="SweepSpec: beta_n must be >= 0"):
+                ps.SweepSpec("beta_n", tuple(betas))
+            return
         axes = [ps.SweepSpec(v, tuple(values[v])) for v in variables]
 
         def alone(point):
@@ -264,13 +269,6 @@ class TestSweepGroups:
             return dataclasses.asdict(tp.evaluate(scenario, policy))
 
         points = list(itertools.product(*(axis.values for axis in axes)))
-        if negative_first and "beta_n" in variables:
-            with pytest.raises(DomainError, match="beta for node 'src'") as swept:
-                ps._sweep(self.SCENARIO, axes, ps.BREAKDOWN_COLUMNS)
-            with pytest.raises(DomainError) as first:
-                alone(points[0])
-            assert str(swept.value) == str(first.value)
-            return
         _, rows = ps._sweep(self.SCENARIO, axes, ps.BREAKDOWN_COLUMNS)
         assert len(rows) == len(points)
         for row, point in zip(rows, points):
@@ -315,8 +313,11 @@ class TestGroupedSweepMatchesPointwise:
         assert str(grouped.value) == str(pointwise.value)
         return grouped.value
 
-    def test_an_infeasible_threshold_fails_before_a_bad_one(self):
-        error = self.first_error((ps.SweepSpec("beta_n", (1.0, 50.0, math.nan)),))
+    def test_a_bad_threshold_fails_at_the_axis(self):
+        # before any point is evaluated; without it, the infeasible 50 fails at its own point
+        with pytest.raises(DomainError, match="SweepSpec: beta_n must be >= 0, got nan$"):
+            ps.SweepSpec("beta_n", (1.0, 50.0, math.nan))
+        error = self.first_error((ps.SweepSpec("beta_n", (1.0, 50.0)),))
         assert isinstance(error, StabilityError) and "beta 50 " in str(error)
 
     def test_a_group_that_cannot_be_built_fails_at_its_first_point(self):

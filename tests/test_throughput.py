@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 from oracles import (
     ORACLE_QUAD,
     agrees_with_oracle,
+    beta_upper_erf,
     jacobi_rebuilding,
     p_error_pointwise,
+    reduced_loss,
     scenario_policy,
 )
 from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import queueing as qn
 from uavlink import simulator as sim
-from uavlink import specfun
 from uavlink import throughput as tp
 from uavlink.channel import Rayleigh, Rician, transmit_prob
 from uavlink.errors import (
@@ -129,25 +130,15 @@ def recording(calls, function):
 
 
 class TestComposeLoss:
-    def test_trivials(self):
-        assert tp.compose_loss(0.0, 0.0, 0.0) == 0.0
-        assert tp.compose_loss(1.0, 0.3, 0.9) == 1.0
-
-    def test_value(self):
-        assert tp.compose_loss(0.1, 0.2, 0.3) == pytest.approx(0.496, rel=1e-12)
-
-    @given(p_ov=probabilities, p_dly=probabilities, p_err=probabilities)
-    @settings(max_examples=150, deadline=None)
-    def test_product_identity(self, p_ov, p_dly, p_err):
-        composed = tp.compose_loss(p_ov, p_dly, p_err)
-        assert 0.0 <= composed <= 1.0
-        expected = 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err)
-        assert composed == pytest.approx(expected, abs=1e-12)
-        assert composed >= max(p_ov, p_dly, p_err) - 1e-12
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            tp.compose_loss(-0.1, 0.0, 0.0)
+    @given(family=st.sampled_from(["rayleigh", "rician"]), fraction=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_product_identity(self, family, fraction):
+        # a breakdown composes its loss left to right: overflow, deadline drop, SINR error
+        view = _view(family)
+        b = tp.evaluate_view(view, fraction * view.upper)
+        assert 0.0 <= b.p_loss <= 1.0
+        assert b.p_loss == 1.0 - (1.0 - b.p_overflow) * (1.0 - b.p_delay) * (1.0 - b.p_error)
+        assert b.p_loss >= max(b.p_overflow, b.p_delay, b.p_error) - 1e-12
 
 
 class TestExpectedThroughput:
@@ -157,7 +148,7 @@ class TestExpectedThroughput:
 
     def test_exact_vs_approximate_values(self):
         components = (0.1, 0.2, 0.3)
-        exact = tp.expected_throughput(80.0, tp.compose_loss(*components))
+        exact = tp.expected_throughput(80.0, 1.0 - 0.9 * 0.8 * 0.7)
         approx = tp.expected_throughput(80.0, sum(components), approximate=True)
         assert exact == pytest.approx(40.32, rel=1e-12)
         assert approx == pytest.approx(32.0, rel=1e-12)
@@ -165,7 +156,7 @@ class TestExpectedThroughput:
     @given(p_ov=probabilities, p_dly=probabilities, p_err=probabilities)
     @settings(max_examples=150, deadline=None)
     def test_approximate_never_exceeds_exact(self, p_ov, p_dly, p_err):
-        exact = tp.expected_throughput(80.0, tp.compose_loss(p_ov, p_dly, p_err))
+        exact = tp.expected_throughput(80.0, 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err))
         approx = tp.expected_throughput(80.0, p_ov + p_dly + p_err, approximate=True)
         assert approx <= exact + 1e-9
 
@@ -206,12 +197,12 @@ class TestBetaUpper:
         q = queue()
         model = Rician(math.sqrt(30.0))
         exact = tp.beta_upper(model, q, 15)
-        surrogate = tp.beta_upper_erf(model, q, 15)
+        surrogate = beta_upper_erf(model, q, 15)
         assert abs(exact - surrogate) < 0.1
 
     def test_erf_surrogate_rejects_rayleigh(self):
         with pytest.raises(DomainError):
-            tp.beta_upper_erf(Rayleigh(2.0), queue(), 15)
+            beta_upper_erf(Rayleigh(2.0), queue(), 15)
 
     def test_deadline_drop_continuous_at_the_bound(self):
         q = queue()
@@ -239,7 +230,7 @@ TIGHT = QuadratureSpec(absolute_tolerance=1e-13, relative_tolerance=1e-12, max_s
 
 
 def reduced_loss_pointwise(view, beta, quad=TIGHT):
-    """:func:`throughput.reduced_loss` from the per-point oracle at ``quad``'s tolerances."""
+    """:func:`oracles.reduced_loss` from the per-point oracle at ``quad``'s tolerances."""
     phi = transmit_prob(view.model, beta, view.num_channels)
     return p_delay(phi, view.queue) + p_error_pointwise(
         view.link, view.power, beta, view.interferers, view.noise, view.sinr_threshold,
@@ -257,7 +248,7 @@ class TestReducedLoss:
             view = tp.source_view(scenario, node_id=node.id)
             families.add(type(view.model))
             for beta in np.linspace(0.0, 0.999 * view.upper, 8).tolist():
-                value = tp.reduced_loss(view, beta)
+                value = reduced_loss(view, beta)
                 oracle = reduced_loss_pointwise(view, beta, ORACLE_QUAD)
                 assert agrees_with_oracle(value, oracle), (node.id, beta, value, oracle)
         assert families == {Rayleigh, Rician}
@@ -482,23 +473,19 @@ class TestEvaluate:
         view = _view(family)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
         beta = upper * (1.0 + 1e-6) + excess
-        for loss in (tp.evaluate_view, tp.reduced_loss):
-            with pytest.raises(StabilityError) as excinfo:
-                loss(view, beta)
-            assert excinfo.value.node == "src"
-            assert excinfo.value.margin > 0.0
+        with pytest.raises(StabilityError) as excinfo:
+            tp.evaluate_view(view, beta)
+        assert excinfo.value.node == "src"
+        assert excinfo.value.margin > 0.0
 
-    @pytest.mark.parametrize("loss", [tp.evaluate_view, tp.reduced_loss])
     @pytest.mark.parametrize(
         "field, value, named",
         [("power", 0.0, "main_power"), ("sinr_threshold", -1.0, "gamma_th")],
     )
-    def test_nonpositive_power_or_sinr_threshold_is_a_named_domain_error(
-        self, loss, field, value, named
-    ):
+    def test_nonpositive_power_or_sinr_threshold_is_a_named_domain_error(self, field, value, named):
         view = dataclasses.replace(_view("rician"), **{field: value})
         with pytest.raises(DomainError, match=named):
-            loss(view, 1.0)
+            tp.evaluate_view(view, 1.0)
 
     @pytest.mark.parametrize("family", ["rayleigh", "rician"])
     def test_never_transmitting_node_is_unstable_by_its_arrival_rate(self, family):
@@ -615,7 +602,7 @@ class TestEvaluateGrid:
 
 
 class TestChecksAtTheEntry:
-    """A grid checks its thresholds where they enter, then runs unchecked twins."""
+    """Thresholds are checked where they enter; a grid runs the unchecked private formulas."""
 
     @staticmethod
     def thresholds(view, layout, fractions):
@@ -652,7 +639,7 @@ class TestChecksAtTheEntry:
         # each threshold alone: a grid prices its thresholds as points
         p_err = np.array([itf.p_error(view.link, view.power, beta, view.noise,
                                       view.sinr_threshold, fit=view.fit) for beta in stable])
-        p_loss = tp.compose_loss(p_ov, p_dly, p_err)
+        p_loss = 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err)
         throughput = tp.expected_throughput(view.queue.arrival_rate, p_loss)
         chain = zip(*(np.atleast_1d(a).tolist() for a in (p_dly, p_ov, p_err, p_loss, throughput)))
         assert [dataclasses.astuple(row) for row in rows] == list(chain)
@@ -664,10 +651,8 @@ class TestChecksAtTheEntry:
             with pytest.raises(DomainError) as excinfo:
                 tp.evaluate_view(view, beta)
             assert type(excinfo.value) is DomainError
-            # the message names the node and shows the caller's thresholds only
-            assert str(excinfo.value) == (
-                f"node 'src': beta must be >= 0, got {np.array([beta])!r}"
-            )
+            # the message names the node and shows the caller's threshold
+            assert str(excinfo.value) == f"node 'src': beta must be >= 0, got {beta!r}"
         past = view.upper * (1.0 + 1e-6)
         phi = 1.0 - ch.fading_cdf(view.model, np.array([past]))[0] ** view.num_channels
         arrivals = view.queue.arrival_rate
@@ -689,10 +674,8 @@ class TestChecksAtTheEntry:
              "fading_cdf: beta must be >= 0, got -1.0"),
             (lambda: ch.fading_cdf(Rician(2.0), [0.5, math.nan]), DomainError,
              "fading_cdf: beta must be >= 0, got array([0.5, nan])"),
-            (lambda: specfun.marcum_q1(-1.0, 2.0), DomainError,
-             "marcum_q1 a must be finite and >= 0, got -1.0"),
-            (lambda: specfun.marcum_q1(1.0, -2.0), DomainError,
-             "marcum_q1 b must be >= 0, got -2.0"),
+            (lambda: ch.fading_cdf(Rician(1.0), -2.0), DomainError,
+             "fading_cdf: beta must be >= 0, got -2.0"),
             (lambda: qn.p_delay(0.0, queue()), DegeneratePolicyError,
              "transmit probability is 0: node never transmits"),
             (lambda: qn.p_delay([0.5, 1.5], queue()), DomainError,
