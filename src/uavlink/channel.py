@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.special as sp
+import scipy.special.cython_special as cs
 
 from . import specfun
 from .errors import DegenerateGeometryError, DomainError
@@ -110,7 +111,7 @@ class Rayleigh:
     omega: float
 
     def __post_init__(self):
-        if not 0 < self.omega < math.inf:  # also rejects NaN
+        if not 0 < specfun._nonnegative("Rayleigh.omega", self.omega) < math.inf:
             raise DomainError(f"Rayleigh.omega must be finite and > 0, got {self.omega}")
 
 
@@ -121,7 +122,7 @@ class Rician:
     b: float
 
     def __post_init__(self):
-        if not 0 <= self.b < math.inf:  # also rejects NaN
+        if not specfun._nonnegative("Rician.b", self.b) < math.inf:  # a bool, NaN or a negative fails
             raise DomainError(f"Rician.b must be finite and >= 0, got {self.b}")
 
 
@@ -228,15 +229,16 @@ def _cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
     """:func:`fading_cdf` at a float or a float array of thresholds already checked.
 
     A Rician F is 1 - Q1(b, beta) in the first-order Marcum Q-function: a noncentral
-    chi-square survival (two degrees of freedom, noncentrality b^2) at beta^2.
+    chi-square survival (two degrees of freedom, noncentrality b^2) at beta^2.  A float
+    takes scipy's C kernel and ``max``: the ufunc's values without its dispatch.
     """
+    scalar = isinstance(beta, float)
     if isinstance(model, Rayleigh):
-        expm1 = math.expm1 if isinstance(beta, float) else np.expm1
-        return -expm1(-beta * beta / model.omega)
+        return -(math.expm1 if scalar else np.expm1)(-beta * beta / model.omega)
     b = model.b
+    chndtr, maximum = (cs.chndtr, max) if scalar else (sp.chndtr, np.maximum)
     # Q1 is exactly 1 at beta = 0, where the chi-square CDF is 0; roundoff below 0 is clipped
-    cdf = 1.0 - np.maximum(1.0 - sp.chndtr(beta * beta, 2.0, b * b), 0.0)
-    return float(cdf) if isinstance(beta, float) else cdf
+    return 1.0 - maximum(1.0 - chndtr(beta * beta, 2.0, b * b), 0.0)
 
 
 def _check_num_channels(name: str, num_channels: int) -> None:
@@ -262,6 +264,8 @@ def truncated_power_moment(model: FadingModel, beta: float, power: int) -> float
     any other Rician sums a Poisson mixture of Gamma tails.
     """
     beta = specfun._nonnegative("truncated_power_moment: beta", beta)
+    if not isinstance(beta, float):  # an array, which the rule passes through
+        raise DomainError(f"truncated_power_moment takes one threshold, got {beta!r}")
     if power not in (2, 4):
         raise DomainError(f"truncated_power_moment: power must be 2 or 4, got {power}")
     if math.isinf(beta):

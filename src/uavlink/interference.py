@@ -286,7 +286,7 @@ def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor
     call.  A panel whose Kronrod-Gauss difference exceeds its share is
     integrated adaptively instead, so an :class:`AccuracyError` is raised
     rather than an inaccurate value returned.  The returned function takes
-    the law and, optionally, the integrand already bound to it.
+    the law.
     """
     lo = np.maximum(flat, x0)
     # a silenced threshold integrates nothing
@@ -311,10 +311,10 @@ def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor
         excess = np.maximum(margin_rate * x * x - noise_power, 0.0)
         pdf, half = channel._pdf(model, x), 0.5 * width
 
-    def price(fit: GammaFit | ZeroInterference, integrand: Callable | None = None) -> np.ndarray:
+    def price(fit: GammaFit | ZeroInterference) -> np.ndarray:
         raw = certain
         if limits.size and isinstance(fit, GammaFit):
-            integrand = integrand or _tail_integrand(model, fit, margin_rate, noise_power)
+            integrand = _tail_integrand(model, fit, margin_rate, noise_power)
             if not scan:  # the integral above each limit
                 integrals = np.array([specfun.integrate(integrand, limit, math.inf, quad).value
                                       for limit in limits.tolist()])

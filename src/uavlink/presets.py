@@ -19,6 +19,7 @@ axis outermost and evaluates the source at every point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -41,13 +42,11 @@ DEFAULT_PRESET_SEED = 7
 RICIAN_BETA = 5.1
 RAYLEIGH_BETA = 1.55
 
-SWEEP_VARIABLES = (
-    "beta_n",
-    "beta_m",
-    "interferer_count",
-    "gamma_th",
-    "t_slt",
-)
+# What each variable moves: the grid of source thresholds, the source (its noise
+# floor, margin rate and queue), or only the interference law.
+MOVES = {"beta_n": "grid", "beta_m": "law", "interferer_count": "law",
+         "gamma_th": "source", "t_slt": "source"}
+SWEEP_VARIABLES = tuple(MOVES)
 
 BREAKDOWN_COLUMNS = tuple(f.name for f in fields(LossBreakdown))
 
@@ -156,12 +155,14 @@ def _sweep(
 ) -> tuple[list[str], list[dict]]:
     """Evaluate the source over the product of ``axes``, first axis outermost.
 
-    Points that differ only in ``beta_n`` form a group.  The other axes are
-    applied, the policy resolved and the source view (with its interference
-    fit) built once per group, at its first point, which then prices every
-    threshold of the group as points (:func:`throughput._evaluate_grid`).
-    Each point still checks its own ``beta_n`` and raises its own error when
-    it comes up; a group whose pricing fails is priced point by point.
+    Points that differ only in ``beta_n`` form a group; groups that differ only
+    in law axes (:data:`MOVES`) share a source state.  At a group's first point
+    its axes are applied and its policy resolved; a source state's first group
+    builds its view of the source alone and prepares its thresholds as points
+    (:func:`throughput._prepare_grid`), which each group prices against its own
+    law (:func:`throughput._laws`).  Each point still checks its own ``beta_n``
+    and raises its own error when it comes up; a group whose pricing fails is
+    priced point by point on its full view.
     """
     if any(callable(axis.values) for axis in axes):
         upper = _stability_bound(scenario, axes)
@@ -181,7 +182,9 @@ def _sweep(
     members: dict[tuple, list[dict]] = {}
     for _, group, own in points:
         members.setdefault(group, []).append(own)
-    groups, rows = {}, []  # each group's view, policy threshold and priced rows
+    # no axis moves a node, so each node's link is made once per call
+    law = tp._laws(scenario, functools.cache(lambda i: tp._link(scenario, scenario.node(i))))
+    states, groups, rows = {}, {}, []  # each source state's view and grid; each group's rows
     for point, group, own in points:
         if group in groups:
             tp.PolicyVector(own)  # the group's other thresholds were checked at its first point
@@ -190,14 +193,19 @@ def _sweep(
             for variable, value in group:
                 group_scenario, betas = _apply_point(group_scenario, betas, variable, value)
             policy = tp._resolve_policy(group_scenario, {**betas, **own})
-            view, beta = tp.source_view(group_scenario, policy), policy.get(source)
+            thresholds = [o.get(source, policy.get(source)) for o in members[group]]
+            state = tuple((v, x) for v, x in group if MOVES[v] == "source"), *thresholds
+            interferers = [n.id for n in group_scenario.interferers()]
             try:
-                priced = iter(tp._evaluate_grid(view, [o.get(source, beta) for o in members[group]]))
+                if state not in states:
+                    view = tp.source_view(_with_interferer_prefix(group_scenario, 0))
+                    states[state] = view, tp._prepare_grid(view, thresholds, scan=False)
+                fit = law(interferers, [policy.get(i) for i in interferers])
+                groups[group] = iter(tp._breakdowns(*states[state], fit))
             except UavLinkError:  # each point alone, so an error comes up at its own point
-                priced = None
-            groups[group] = view, beta, priced
-        view, beta, priced = groups[group]
-        breakdown = tp.evaluate_view(view, own.get(source, beta)) if priced is None else next(priced)
+                view = tp.source_view(group_scenario, policy)
+                groups[group] = map(functools.partial(tp.evaluate_view, view), thresholds)
+        breakdown = next(groups[group])
         if isinstance(breakdown, StabilityError):
             raise breakdown
         row = dict(zip(columns, point))

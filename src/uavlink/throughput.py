@@ -95,8 +95,8 @@ class SourceView:
     """Everything needed to evaluate one node's losses against fixed opponents.
 
     The view's interference law, stability bound, noise floor with its
-    fading CDF, margin rate and error integrand depend on nothing else, so
-    each is computed at its first use and kept.
+    fading CDF and margin rate depend on nothing else, so each is computed
+    at its first use and kept.
     """
 
     node_id: str
@@ -136,13 +136,6 @@ class SourceView:
     def _cdf_x0(self) -> float:
         """The fading CDF at the noise floor, through the array CDF a grid takes."""
         return ch._cdf(self.model, np.array([self._x0]))[0]
-
-    @cached_property
-    def _integrand(self) -> Callable | None:
-        """The error integrand bound to :attr:`fit`; None for zero interference."""
-        if isinstance(self.fit, ZeroInterference):
-            return None
-        return itf._tail_integrand(self.model, self.fit, self._margin_rate, self.noise.power)
 
 
 def _check_probability(name: str, p) -> None:
@@ -327,14 +320,12 @@ def source_view(
     if node_id is None:
         node_id = scenario.source().id
     me = scenario.node(node_id)
-    link = ch.build_link(me.position, scenario.destination, scenario.environment, me.fading_override)
+    link = _link(scenario, me)
     interferers = []
     for other in scenario.nodes:
         if other.id == node_id:
             continue
-        other_link = ch.build_link(
-            other.position, scenario.destination, scenario.environment, other.fading_override
-        )
+        other_link = _link(scenario, other)
         interferers.append(
             InterfererLink(
                 transmit_power=other.transmit_power,
@@ -355,17 +346,34 @@ def source_view(
     )
 
 
+def _link(scenario: Scenario, node) -> LinkChannel:
+    """The channel from ``node`` to the scenario's destination."""
+    return ch.build_link(node.position, scenario.destination, scenario.environment,
+                         node.fading_override)
+
+
+def _laws(scenario: Scenario, link: Callable[[str], LinkChannel]) -> Callable:
+    """``law(ids, betas)``: :func:`interference.fit_interference` of the nodes ``ids``, in
+    scenario order, at ``betas``, bit for bit; the terms of each node (power and ``link(id)``)
+    at each threshold are made once per returned function."""
+    power = {node.id: node.transmit_power for node in scenario.nodes}
+    terms = cache(lambda i, beta: itf._link_terms(
+        InterfererLink(power[i], link(i).path_loss_amplitude, link(i).fading, beta),
+        scenario.num_channels))
+    return lambda ids, betas: itf._fitted(*itf._summed(map(terms, ids, betas)))
+
+
 def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
                   scan: bool) -> tuple[list, Callable]:
     """:func:`_evaluate_grid` up to the interference law, which the returned function takes.
 
-    Returns each threshold's ``(beta, phi, stable)`` and a function of the law (and,
-    optionally, the error integrand bound to it) giving the arrays ``p_delay, p_overflow,
-    p_error, p_loss, throughput`` at the stable thresholds.  The thresholds were checked
-    where they entered; one fading-CDF evaluation feeds the queue terms and the error grid
-    (laid out as points or, with ``scan``, as a scan: :func:`interference._error_grid`),
-    which take the stable rates, in (0, 1] by construction, unchecked.  Those rates bound
-    the queue terms to [0, 1]; only the error is checked.
+    Returns each threshold's ``(beta, phi, stable)`` and a function of the law giving the
+    arrays ``p_delay, p_overflow, p_error, p_loss, throughput`` at the stable thresholds.
+    Only the view's source side is read.  The thresholds were checked where they entered;
+    one fading-CDF evaluation feeds the queue terms and the error grid (laid out as points
+    or, with ``scan``, as a scan: :func:`interference._error_grid`), which take the stable
+    rates, in (0, 1] by construction, unchecked.  Those rates bound the queue terms to
+    [0, 1]; only the error is checked.
     """
     betas = np.asarray(betas, dtype=float)
     cdf = ch._cdf(view.model, betas)
@@ -383,10 +391,8 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
     # queue terms do not depend on the law, so their product is taken once
     survive = (1.0 - p_ov) * (1.0 - p_dly)
 
-    def price(
-        fit: GammaFit | ZeroInterference, integrand: Callable | None = None
-    ) -> tuple[np.ndarray, ...]:
-        errors = p_err(fit, integrand)
+    def price(fit: GammaFit | ZeroInterference) -> tuple[np.ndarray, ...]:
+        errors = p_err(fit)
         _check_probability("p_err", errors)  # a quadrature may return NaN
         p_loss = 1.0 - survive * (1.0 - errors)
         return p_dly, p_ov, errors, p_loss, expected_throughput(q.arrival_rate, p_loss)
@@ -403,8 +409,13 @@ def _evaluate_grid(view: SourceView, betas) -> list[LossBreakdown | StabilityErr
     one whose transmit probability rounds to 0, gets its
     :class:`StabilityError` in place of a breakdown.
     """
-    cases, price = _prepare_grid(view, betas, scan=False)
-    rows = zip(*(a.tolist() for a in price(view.fit, view._integrand)))
+    return _breakdowns(view, _prepare_grid(view, betas, scan=False), view.fit)
+
+
+def _breakdowns(view: SourceView, prepared: tuple[list, Callable], fit) -> list:
+    """The breakdowns of a grid prepared on ``view``'s source side, priced against ``fit``."""
+    cases, price = prepared
+    rows = zip(*(a.tolist() for a in price(fit)))
     return [
         LossBreakdown(*next(rows)) if ok else _instability(view, beta, phi)
         for beta, phi, ok in cases
@@ -507,18 +518,15 @@ def jacobi_best_response(
     grids = {i: tuple(np.linspace(0.0, v.upper, grid_size).tolist()) for i, v in views.items()}
     prepared = cache(lambda node_id, betas: _prepare_grid(views[node_id], betas, scan=True))
     # a node's link to the shared destination is the one every other node's view holds
-    terms = cache(lambda i, beta: itf._link_terms(
-        InterfererLink(views[i].power, views[i].link.path_loss_amplitude, views[i].model, beta),
-        scenario.num_channels))
+    law = _laws(scenario, lambda i: views[i].link)
     others = {node_id: [i for i in node_ids if i != node_id] for node_id in node_ids}
 
     @cache  # equal inputs give equal floats, so a repeated price is looked up
     def priced(node_id: str, betas: tuple[float, ...], faced: tuple[float, ...]) -> tuple:
         """The node's throughput at each of ``betas`` facing the others' thresholds
         ``faced`` in scenario order; -inf where unstable."""
-        law = itf._fitted(*itf._summed(map(terms, others[node_id], faced)))
         cases, price = prepared(node_id, betas)
-        throughputs = iter(price(law)[-1].tolist())
+        throughputs = iter(price(law(others[node_id], faced))[-1].tolist())
         return tuple(next(throughputs) if ok else -math.inf for *_, ok in cases)
 
     def rates(node_id: str, betas: tuple[float, ...], trial: PolicyVector) -> tuple:

@@ -105,6 +105,16 @@ ORACLE_QUAD = QuadratureSpec(
 )
 
 
+def recording(calls, function):
+    """``function``, appending the positional arguments of each call to ``calls``."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
 def agrees_with_oracle(value, oracle) -> bool:
     """Whether a kernel value lies within the bound it keeps of an ``ORACLE_QUAD`` oracle."""
     return abs(value - oracle) <= 1e-10 + 1e-8 * abs(oracle)

@@ -315,6 +315,13 @@ class TestTruncatedPowerMoment:
         with pytest.raises(DomainError):
             ch.truncated_power_moment(Rayleigh(2.0), 1.0, 3)
 
+    @pytest.mark.parametrize("model", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
+    @pytest.mark.parametrize("beta", [[1.0], [1.0, 2.0], np.array([1.0, 2.0]), np.array(1.0)],
+                             ids=["list-of-one", "list-of-two", "array", "0-d-array"])
+    def test_takes_one_threshold(self, model, beta):
+        with pytest.raises(DomainError, match="truncated_power_moment takes one threshold"):
+            ch.truncated_power_moment(model, beta, 2)
+
 
 def mixture_moment(b: float, beta: float, power: int) -> mpmath.mpf:
     """E[X^power; X >= beta] as the Poisson mixture of Gamma tails, at 40 digits.
@@ -456,6 +463,15 @@ class TestValidation:
         with pytest.raises(DomainError, match="Rician.b"):
             Rician(b=math.inf)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],
+                             ids=["True", "False", "np.True_", "np.False_"])
+    def test_fading_rejects_a_bool_naming_the_field(self, flag):
+        # an int to Python and numpy, but a bool parameter is a mistake, not 1.0
+        with pytest.raises(DomainError, match=f"Rayleigh.omega must be a number, got {flag!r}$"):
+            Rayleigh(omega=flag)
+        with pytest.raises(DomainError, match=f"Rician.b must be a number, got {flag!r}$"):
+            Rician(b=flag)
+
     def test_fading_rejects_nan_naming_the_field(self):
         with pytest.raises(DomainError, match="Rayleigh.omega"):
             Rayleigh(omega=math.nan)
@@ -479,6 +495,16 @@ class TestElementwise:
             assert c == ch.fading_cdf(model, beta)
             assert p == ch.transmit_prob(model, beta, 15)
         assert cdf[-1] == 1.0 and phi[-1] == 0.0
+
+    @pytest.mark.parametrize("b", [0.0, 0.5, 3.0, math.sqrt(30.0), 40.0])
+    def test_rician_float_path_equals_the_array_path(self, b):
+        # a float takes scipy's C kernel and max, an array the ufunc and np.maximum
+        model = Rician(b)
+        betas = np.concatenate(([0.0, 1e-8, 1e3, 1e150, math.inf], np.linspace(0.0, 50.0, 201)))
+        cdf = ch._cdf(model, betas)
+        for beta, want in zip(betas.tolist(), cdf.tolist()):
+            got = ch._cdf(model, beta)
+            assert type(got) is float and repr(got) == repr(want), beta
 
     @pytest.mark.parametrize("model", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
     def test_int_threshold_is_a_float_one(self, model):

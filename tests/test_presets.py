@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import yaml
-from oracles import read_results, sweep_pointwise
+from oracles import read_results, recording, sweep_pointwise
 
 from uavlink import interference as itf
 from uavlink import presets as ps
@@ -169,46 +169,46 @@ class TestPresets:
         assert scenario.source().transmit_power == 0.5
         assert scenario.source().queue.arrival_rate == 80.0
 
-    def test_fig2_fits_once_per_interferer_threshold(self, monkeypatch):
-        # points that differ only in beta_n share a view and a fit, yet every
-        # row equals the per-point evaluation bit for bit
-        fits = []
-        fit_interference = itf.fit_interference
+    # per preset: source states, groups, axes a group applies, and distinct (node, threshold)s
+    SHAPES = {"fig2": (1, 7, 1, 63), "fig3": (1, 9, 1, 8), "fig4": (3, 24, 2, 8),
+              "fig5": (8, 8, 1, 0)}
 
-        def counting(*args, **kwargs):
-            fits.append(args)
-            return fit_interference(*args, **kwargs)
-
-        monkeypatch.setattr(itf, "fit_interference", counting)
-        _, rows = ps.run_preset("fig2")
-        assert len(fits) == 7
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_one_law_per_group_from_terms_made_once(self, monkeypatch, name):
+        # every group fits its own law from terms made once per interferer and threshold,
+        # yet every row equals the per-point evaluation bit for bit
+        laws, terms = [], []
+        monkeypatch.setattr(itf, "_fitted", recording(laws, itf._fitted))
+        monkeypatch.setattr(itf, "_link_terms", recording(terms, itf._link_terms))
+        got = ps.run_preset(name)
         monkeypatch.undo()
+        _, groups, _, distinct = self.SHAPES[name]
+        assert len(laws) == groups
+        assert len(terms) == len(set(terms)) == distinct
+        preset, scenario = ps.PRESETS[name], ps.preset_scenario(name)
+        assert repr(got) == repr(sweep_pointwise(scenario, preset.axes, preset.outputs))
+
+    def test_fig2_rows_equal_evaluate(self):
         scenario = ps.preset_scenario("fig2")
-        for row in rows:
+        for row in ps.run_preset("fig2")[1]:
             policy = {"src": row["beta_n"], **{n.id: row["beta_m"] for n in scenario.interferers()}}
             assert row["throughput"] == tp.evaluate(scenario, policy).throughput
 
-    @pytest.mark.parametrize("name, groups", [("fig2", 7), ("fig5", 8)])
-    def test_axes_apply_once_per_group(self, monkeypatch, name, groups):
-        # one non-threshold axis per preset: one application and one view per group,
-        # plus the view of the stability bound that resolves the beta_n values
-        applied, views = [], []
-        apply_point, source_view = ps._apply_point, tp.source_view
-
-        def counting_apply(*args):
-            applied.append(args[2:])
-            return apply_point(*args)
-
-        def counting_view(*args, **kwargs):
-            views.append(args)
-            return source_view(*args, **kwargs)
-
-        monkeypatch.setattr(ps, "_apply_point", counting_apply)
-        monkeypatch.setattr(tp, "source_view", counting_view)
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_axes_apply_once_per_group(self, monkeypatch, name):
+        # one application of each non-threshold axis per group; one view of the source
+        # alone and one prepared grid per source state, plus the view of the stability
+        # bound that resolves the beta_n values
+        applied, views, grids = [], [], []
+        monkeypatch.setattr(ps, "_apply_point", recording(applied, ps._apply_point))
+        monkeypatch.setattr(tp, "source_view", recording(views, tp.source_view))
+        monkeypatch.setattr(tp, "_prepare_grid", recording(grids, tp._prepare_grid))
         ps.run_preset(name)
-        assert len(applied) == groups
-        assert all(variable != "beta_n" for variable, _ in applied)
-        assert len(views) == 1 + groups
+        states, groups, axes, _ = self.SHAPES[name]
+        assert len(applied) == groups * axes
+        assert all(args[2] != "beta_n" for args in applied)
+        assert len(grids) == states
+        assert len(views) == states + any(callable(a.values) for a in ps.PRESETS[name].axes)
 
     @pytest.mark.parametrize("name", sorted(ps.PRESETS))
     def test_matches_golden(self, name):
@@ -302,6 +302,18 @@ class TestGroupedSweepMatchesPointwise:
         want = sweep_pointwise(scenario, (spec,), ps.BREAKDOWN_COLUMNS)
         assert repr(ps.run_sweep(scenario, spec)) == repr(want)
 
+    def test_source_axis_crossed_with_law_axis(self):
+        # two source states, each grid priced against three laws
+        scenario = example_scenario()
+        upper = tp.source_view(scenario).upper
+        axes = (
+            ps.SweepSpec("gamma_th", (1.0, 8.0)),
+            ps.SweepSpec("beta_m", (0.0, 1.55, math.inf)),
+            ps.SweepSpec("beta_n", tuple(f * upper for f in (0.0, 0.3, 0.99))),
+        )
+        want = sweep_pointwise(scenario, axes, ps.BREAKDOWN_COLUMNS)
+        assert repr(ps._sweep(scenario, axes, ps.BREAKDOWN_COLUMNS)) == repr(want)
+
     @staticmethod
     def first_error(axes):
         scenario = example_scenario()
@@ -326,6 +338,14 @@ class TestGroupedSweepMatchesPointwise:
         assert isinstance(self.first_error(axes), StabilityError)
         with pytest.raises(DomainError, match="exceeds the 4 interferers"):
             ps._sweep(example_scenario(), axes[:1], ps.BREAKDOWN_COLUMNS)
+
+    def test_a_threshold_unstable_in_a_later_source_state_fails_at_its_point(self):
+        # 0.99 upper is stable at the shorter slot and not at the longer one, where the
+        # grid of the source state is shared by both interferer counts
+        upper = tp.source_view(example_scenario()).upper
+        axes = (ps.SweepSpec("t_slt", (0.001, 0.0025)), ps.SweepSpec("interferer_count", (0, 2)),
+                ps.SweepSpec("beta_n", (0.5 * upper, 0.99 * upper)))
+        assert isinstance(self.first_error(axes), StabilityError)
 
     def test_a_failed_tail_fails_at_its_own_point(self, monkeypatch):
         # (1, 0) has no interference, so no tail; (1, 1) fails its tail before

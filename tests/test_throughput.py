@@ -17,6 +17,7 @@ from oracles import (
     beta_upper_erf,
     jacobi_rebuilding,
     p_error_pointwise,
+    recording,
     reduced_loss,
     scenario_policy,
 )
@@ -117,16 +118,6 @@ def rayleigh_scenario(beta=1.0, interferer_betas=(1.0, 0.8), seed=3):
 def _view(family):
     scenario = rayleigh_scenario() if family == "rayleigh" else rician_scenario()
     return tp.source_view(scenario)
-
-
-def recording(calls, function):
-    """``function``, appending the positional arguments of each call to ``calls``."""
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return function(*args, **kwargs)
-
-    return wrapper
 
 
 class TestComposeLoss:
