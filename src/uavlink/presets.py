@@ -140,12 +140,14 @@ def _stability_bound(scenario: Scenario, axes: Sequence[SweepSpec]) -> float:
     """The source's ``beta_upper`` at the largest slot duration the sweep reaches.
 
     That bound is the tightest one, so every point of the sweep stays feasible.
+    It depends on the source's own link and queue alone.
     """
     slot = max(
         (v for axis in axes if axis.variable == "t_slt" for v in axis.values),
         default=scenario.slot_duration,
     )
-    return tp.source_view(_with_slot_duration(scenario, float(slot))).upper
+    source = _with_slot_duration(scenario, float(slot)).source()
+    return tp.beta_upper(tp._link(scenario, source).fading, source.queue, scenario.num_channels)
 
 
 def _sweep(

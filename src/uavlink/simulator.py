@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from collections import deque
+from concurrent import futures  # its ThreadPoolExecutor module loads at first use
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,13 +313,38 @@ def _arrival_order(slot_of: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
     return order
 
 
+def _advance(node: _SimNode, rng, queue: _Queue, work: np.ndarray, start: int, nb: int,
+             f: int, t_slt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One node's block of ``nb`` slots from slot ``start``.
+
+    Returns each slot's best channel and its amplitude, and the block slots
+    the node transmitted in.  It touches only the node's own ``rng`` and
+    ``queue`` and the caller's ``work`` (see :func:`_draw_best`), so nodes
+    can advance at once on separate threads, each with its own ``work``.
+    """
+    channel, value = _draw_best(rng, node.fading, nb, f, work)
+    cnt = rng.poisson(node.arrivals_per_slot, nb)
+    total = int(cnt.sum())
+    offsets = rng.random(total)
+    lengths = rng.exponential(1.0, total)
+    slot_of = np.repeat(np.arange(nb), cnt)
+    order = _arrival_order(slot_of, offsets, lengths)  # FIFO follows arrival times
+    times = ((slot_of + start) + offsets[order]) * t_slt
+    return channel, value, queue.walk(start, t_slt, value >= node.beta, slot_of, times,
+                                      lengths[order])
+
+
 def _run_replication(
     scenario: Scenario,
     nodes: list[_SimNode],
     source_idx: int,
     cfg: SimConfig,
     replication: int,
+    pool: futures.Executor,
+    worker: threading.local,
 ) -> ReplicationCounts:
+    """One replication; a block's nodes advance as tasks on ``pool``, each with the
+    ``work`` of the ``worker`` thread that runs it, and are gathered in node order."""
     f = scenario.num_channels
     t_slt = scenario.slot_duration
     gamma_th = scenario.sinr_threshold
@@ -327,27 +355,15 @@ def _run_replication(
     ]
     queues = [_Queue(node, cfg.warmup_slots) for node in nodes]
     delivered = transmissions = 0
-    work = np.empty(3 * min(_BLOCK, cfg.num_slots) * f)
 
     done = 0
     while done < cfg.num_slots:
         nb = min(_BLOCK, cfg.num_slots - done)
-        best_val = []
-        best_ch = []
-        sent = []
-        for node, rng, queue in zip(nodes, rngs, queues):
-            channel, value = _draw_best(rng, node.fading, nb, f, work)
-            best_ch.append(channel)
-            best_val.append(value)
-            cnt = rng.poisson(node.arrivals_per_slot, nb)
-            total = int(cnt.sum())
-            offsets = rng.random(total)
-            lengths = rng.exponential(1.0, total)
-            slot_of = np.repeat(np.arange(nb), cnt)
-            order = _arrival_order(slot_of, offsets, lengths)  # FIFO follows arrival times
-            times = ((slot_of + done) + offsets[order]) * t_slt
-            sent.append(queue.walk(done, t_slt, value >= node.beta, slot_of, times, lengths[order]))
 
+        def advance(node, rng, queue, start=done, nb=nb):
+            return _advance(node, rng, queue, worker.work, start, nb, f, t_slt)
+
+        best_ch, best_val, sent = zip(*pool.map(advance, nodes, rngs, queues))
         tx = sent[source_idx]
         if tx.size:
             my_ch = best_ch[source_idx][tx]
@@ -377,6 +393,13 @@ def _run_replication(
         queued_at_warmup=source.queued_at_warmup,
         queued_at_end=len(source.packets),
     )
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _estimate(values: list[float]) -> MetricEstimate:
@@ -423,12 +446,27 @@ def run(scenario: Scenario, policy=None, cfg: SimConfig = SimConfig(100_000)) ->
     ``DomainError``.  Replications use independently derived
     streams and are reduced in replication order, so identical inputs give
     bit-identical results.
+
+    Within a block of slots the nodes advance in parallel, one task per
+    node on a thread pool with a worker per usable CPU (at most one per
+    node), which lives only while the call runs.  A node's draws and queue
+    touch nothing of another node's, and the SINR step takes their results
+    in node order, so the results are bit-identical for any CPU count.
+    Each worker holds a buffer of 3 x block x ``num_channels`` floats for
+    its draws: 23.6 MB at the 65,536-slot block with 15 channels.
     """
     nodes, source_idx = _sim_nodes(scenario, policy)
-    counts = tuple(
-        _run_replication(scenario, nodes, source_idx, cfg, rep)
-        for rep in range(cfg.replication_count)
-    )
+    size = 3 * min(_BLOCK, cfg.num_slots) * scenario.num_channels
+    worker = threading.local()
+
+    def start():
+        worker.work = np.empty(size)
+
+    with futures.ThreadPoolExecutor(min(_usable_cpus(), len(nodes)), initializer=start) as pool:
+        counts = tuple(
+            _run_replication(scenario, nodes, source_idx, cfg, rep, pool, worker)
+            for rep in range(cfg.replication_count)
+        )
     observed_slots = cfg.num_slots - cfg.warmup_slots
     horizon = observed_slots * scenario.slot_duration
     return SimResult(

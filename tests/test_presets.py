@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import yaml
 from oracles import read_results, recording, sweep_pointwise
 
+from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import presets as ps
 from uavlink import throughput as tp
@@ -169,9 +170,10 @@ class TestPresets:
         assert scenario.source().transmit_power == 0.5
         assert scenario.source().queue.arrival_rate == 80.0
 
-    # per preset: source states, groups, axes a group applies, and distinct (node, threshold)s
-    SHAPES = {"fig2": (1, 7, 1, 63), "fig3": (1, 9, 1, 8), "fig4": (3, 24, 2, 8),
-              "fig5": (8, 8, 1, 0)}
+    # per preset: source states, groups, axes a group applies, distinct (node, threshold)s,
+    # and links built
+    SHAPES = {"fig2": (1, 7, 1, 63, 11), "fig3": (1, 9, 1, 8, 9), "fig4": (3, 24, 2, 8, 11),
+              "fig5": (8, 8, 1, 0, 9)}
 
     @pytest.mark.parametrize("name", sorted(SHAPES))
     def test_one_law_per_group_from_terms_made_once(self, monkeypatch, name):
@@ -182,7 +184,7 @@ class TestPresets:
         monkeypatch.setattr(itf, "_link_terms", recording(terms, itf._link_terms))
         got = ps.run_preset(name)
         monkeypatch.undo()
-        _, groups, _, distinct = self.SHAPES[name]
+        _, groups, _, distinct, _ = self.SHAPES[name]
         assert len(laws) == groups
         assert len(terms) == len(set(terms)) == distinct
         preset, scenario = ps.PRESETS[name], ps.preset_scenario(name)
@@ -197,18 +199,22 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(SHAPES))
     def test_axes_apply_once_per_group(self, monkeypatch, name):
         # one application of each non-threshold axis per group; one view of the source
-        # alone and one prepared grid per source state, plus the view of the stability
-        # bound that resolves the beta_n values
-        applied, views, grids = [], [], []
+        # alone and one prepared grid per source state.  A link is built for each such
+        # view, each interferer, and the stability bound that resolves the beta_n values,
+        # which takes the source's link alone
+        applied, views, grids, links = [], [], [], []
         monkeypatch.setattr(ps, "_apply_point", recording(applied, ps._apply_point))
         monkeypatch.setattr(tp, "source_view", recording(views, tp.source_view))
         monkeypatch.setattr(tp, "_prepare_grid", recording(grids, tp._prepare_grid))
+        monkeypatch.setattr(ch, "build_link", recording(links, ch.build_link))
         ps.run_preset(name)
-        states, groups, axes, _ = self.SHAPES[name]
+        states, groups, axes, _, built = self.SHAPES[name]
         assert len(applied) == groups * axes
         assert all(args[2] != "beta_n" for args in applied)
-        assert len(grids) == states
-        assert len(views) == states + any(callable(a.values) for a in ps.PRESETS[name].axes)
+        assert len(grids) == len(views) == states
+        preset = ps.PRESETS[name]
+        bound = any(callable(a.values) for a in preset.axes)
+        assert len(links) == built == states + len(preset.interferers) + bound
 
     @pytest.mark.parametrize("name", sorted(ps.PRESETS))
     def test_matches_golden(self, name):

@@ -1,6 +1,9 @@
 """Monte Carlo oracle: determinism, conservation, and analytic agreement."""
 
+import itertools
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +133,82 @@ class TestDeterminism:
         a = sim.run(scenario, cfg=SimConfig(5000, seed=1, replication_count=2))
         b = sim.run(scenario, cfg=SimConfig(5000, seed=2, replication_count=2))
         assert a.counts != b.counts
+
+
+class TestWorkerThreads:
+    """A block's nodes advance as tasks on a thread pool that lives only while ``run`` does."""
+
+    SCENARIOS = {"example": lambda: load_scenario_file(EXAMPLE),
+                 "fig2": lambda: presets.preset_scenario("fig2", 0)}
+    CFG = SimConfig(6000, seed=21, warmup_slots=500, replication_count=2)
+
+    @staticmethod
+    def run_on(monkeypatch, scenario, cpus):
+        """``run``'s counts with ``cpus`` usable CPUs and 1,024-slot blocks, and the
+        threads that drew; with several CPUs the first two tasks must meet on two threads."""
+        threads, calls = set(), itertools.count()
+        meet = threading.Barrier(2, timeout=30)
+        draw = sim._draw_best
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            if cpus > 1 and next(calls) < 2:
+                meet.wait()
+            return draw(*args)
+
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sim, "_draw_best", recorded)
+        monkeypatch.setattr(sim, "_BLOCK", 1024)  # several blocks, the last one short
+        try:
+            return sim.run(scenario, cfg=TestWorkerThreads.CFG).counts, threads
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_counts_do_not_depend_on_the_thread_count(self, monkeypatch, name):
+        scenario = self.SCENARIOS[name]()
+        one, drew = self.run_on(monkeypatch, scenario, 1)
+        assert len(drew) == 1 and threading.get_ident() not in drew
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as they can
+        try:
+            many, drew = self.run_on(monkeypatch, scenario, 8)  # more workers than cores
+        finally:
+            sys.setswitchinterval(interval)
+        assert 2 <= len(drew) <= min(8, len(scenario.nodes))
+        assert many == one
+
+    def test_two_runs_at_once_equal_the_two_in_turn(self):
+        jobs = [(self.SCENARIOS[name](), SimConfig(4000, seed=seed, replication_count=2))
+                for name, seed in (("example", 3), ("fig2", 4))]
+        want = [sim.run(scenario, cfg=cfg) for scenario, cfg in jobs]
+        got = [None] * len(jobs)
+
+        def job(k):
+            got[k] = sim.run(jobs[k][0], cfg=jobs[k][1])
+
+        threads = [threading.Thread(target=job, args=(k,)) for k in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
+    def test_no_thread_outlives_run(self):
+        before = threading.active_count()
+        sim.run(load_scenario_file(EXAMPLE), cfg=SimConfig(3000, seed=1, replication_count=2))
+        assert threading.active_count() == before
+
+    def test_an_error_in_a_task_comes_out_of_run(self, monkeypatch):
+        def fail(*args):
+            raise DomainError("no draws today")
+
+        monkeypatch.setattr(sim, "_draw_best", fail)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="^no draws today$"):
+            sim.run(load_scenario_file(EXAMPLE), cfg=SimConfig(3000, seed=1))
+        assert threading.active_count() == before
 
 
 def loaded_source(load_per_slot, utilization, delay_threshold, buffer_capacity):
