@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -88,15 +87,12 @@ class EnvironmentParams:
     carrier_frequency: float = 900e6
 
     def __post_init__(self):
-        if not (self.a1 > 0 and self.b1 > 0):
-            raise DomainError("EnvironmentParams: a1 and b1 must be > 0")
-        if not (self.k_pi2 >= self.k0 > 0):
+        for f in fields(self):  # every field is a positive quantity
+            specfun._positive(f"EnvironmentParams.{f.name}", getattr(self, f.name))
+        if not self.k_pi2 >= self.k0:
             raise DomainError("EnvironmentParams: need k_pi2 >= k0 > 0")
-        if not (self.alpha0 >= self.alpha_pi2 >= 2.0):
+        if not self.alpha0 >= self.alpha_pi2 >= 2.0:
             raise DomainError("EnvironmentParams: need alpha0 >= alpha_pi2 >= 2")
-        for name in ("omega", "d0", "carrier_frequency"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise DomainError(f"EnvironmentParams: {name} must be > 0")
 
 
 class FadingKind(enum.Enum):
@@ -111,8 +107,7 @@ class Rayleigh:
     omega: float
 
     def __post_init__(self):
-        if not 0 < specfun._nonnegative("Rayleigh.omega", self.omega) < math.inf:
-            raise DomainError(f"Rayleigh.omega must be finite and > 0, got {self.omega}")
+        specfun._positive("Rayleigh.omega", self.omega)
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,8 @@ class Rician:
     b: float
 
     def __post_init__(self):
-        if not specfun._nonnegative("Rician.b", self.b) < math.inf:  # a bool, NaN or a negative fails
+        # a bool, NaN or a negative fails the rule, which passes an array
+        if not isinstance(b := specfun._nonnegative("Rician.b", self.b), float) or b == math.inf:
             raise DomainError(f"Rician.b must be finite and >= 0, got {self.b}")
 
 
@@ -137,8 +133,7 @@ class LinkChannel:
     path_loss_amplitude: float
 
     def __post_init__(self):
-        if not self.path_loss_amplitude > 0:  # also rejects NaN
-            raise DomainError("LinkChannel.path_loss_amplitude must be > 0")
+        specfun._positive("LinkChannel.path_loss_amplitude", self.path_loss_amplitude)
 
 
 def elevation_angle(a: Position, b: Position) -> float:
@@ -230,7 +225,9 @@ def _cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
 
     A Rician F is 1 - Q1(b, beta) in the first-order Marcum Q-function: a noncentral
     chi-square survival (two degrees of freedom, noncentrality b^2) at beta^2.  A float
-    takes scipy's C kernel and ``max``: the ufunc's values without its dispatch.
+    takes scipy's C kernel and ``max``: the ufunc's values without its dispatch.  A
+    Rayleigh float takes ``math.expm1``, up to 1 ulp from ``np.expm1``, which is why
+    ``SourceView._cdf_x0``, matching a grid's CDF bit for bit, takes a one-element array.
     """
     scalar = isinstance(beta, float)
     if isinstance(model, Rayleigh):
@@ -241,19 +238,11 @@ def _cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
     return 1.0 - maximum(1.0 - chndtr(beta * beta, 2.0, b * b), 0.0)
 
 
-def _check_num_channels(name: str, num_channels: int) -> None:
-    """Raise ``DomainError`` naming ``name`` unless ``num_channels`` is an int >= 1, not a bool."""
-    if not isinstance(num_channels, numbers.Integral) or isinstance(num_channels, bool):
-        raise DomainError(f"{name} must be an integer, got {num_channels!r}")
-    if num_channels < 1:
-        raise DomainError(f"{name} must be >= 1, got {num_channels}")
-
-
 def transmit_prob(
     model: FadingModel, beta: float | np.ndarray, num_channels: int
 ) -> float | np.ndarray:
     """Probability the best of ``num_channels`` i.i.d. draws clears ``beta``, elementwise."""
-    _check_num_channels("transmit_prob: num_channels", num_channels)
+    specfun._count("transmit_prob: num_channels", num_channels, 1)
     return 1.0 - fading_cdf(model, beta) ** num_channels
 
 

@@ -20,11 +20,7 @@ import scipy.special.cython_special as cs
 
 from . import channel, specfun
 from .channel import FadingModel, LinkChannel, Rician
-from .errors import (
-    DegenerateInterferenceError,
-    DomainError,
-    NumericalConsistencyError,
-)
+from .errors import DegenerateInterferenceError, NumericalConsistencyError
 from .specfun import DEFAULT_QUAD
 
 __all__ = [
@@ -53,9 +49,8 @@ class InterfererLink:
     beta: float
 
     def __post_init__(self):
-        for name in ("transmit_power", "path_loss_amplitude"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise DomainError(f"InterfererLink.{name} must be > 0, got {getattr(self, name)!r}")
+        specfun._positive("InterfererLink.transmit_power", self.transmit_power)
+        specfun._positive("InterfererLink.path_loss_amplitude", self.path_loss_amplitude)
         # stored as a float; inf silences the interferer
         object.__setattr__(self, "beta", specfun._nonnegative("InterfererLink.beta", self.beta))
 
@@ -68,8 +63,8 @@ class GammaFit:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):  # also rejects NaN
-            raise DomainError("GammaFit: shape and scale must be > 0")
+        specfun._positive("GammaFit.shape", self.shape)
+        specfun._positive("GammaFit.scale", self.scale)
 
     @cached_property
     def _tail(self) -> Callable:
@@ -97,8 +92,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("boltzmann", "temperature", "bandwidth"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise DomainError(f"NoiseModel.{name} must be > 0, got {getattr(self, name)!r}")
+            specfun._positive(f"NoiseModel.{name}", getattr(self, name))
 
     @property
     def power(self) -> float:
@@ -109,7 +103,7 @@ def interference_moments(
     links: Sequence[InterfererLink], num_channels: int
 ) -> tuple[float, float]:
     """Mean and variance of the aggregate interference on the observed channel."""
-    channel._check_num_channels("num_channels", num_channels)
+    specfun._count("num_channels", num_channels, 1)
     return _summed(_link_terms(link, num_channels) for link in links)
 
 
@@ -374,12 +368,10 @@ def p_error(
 def noise_floor(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_th: float) -> float:
     """The amplitude x0 below which the main link fails its SINR threshold without interference.
 
-    Raises ``DomainError`` unless ``main_power`` and ``gamma_th`` are positive.
+    Raises ``DomainError`` unless ``main_power`` and ``gamma_th`` are positive quantities.
     """
-    if not main_power > 0:
-        raise DomainError(f"main_power must be > 0, got {main_power}")
-    if not gamma_th > 0:
-        raise DomainError(f"gamma_th must be > 0, got {gamma_th}")
+    specfun._positive("main_power", main_power)
+    specfun._positive("gamma_th", gamma_th)
     return math.sqrt(noise.power / _margin_rate(main, main_power, gamma_th))
 
 

@@ -77,13 +77,13 @@ class SweepSpec:
         for value in self.values:
             if self.variable in ("beta_n", "beta_m"):  # a threshold: >= 0, where inf silences
                 specfun._nonnegative(name, value)
+            elif self.variable != "interferer_count":  # gamma_th and t_slt
+                specfun._positive(name, value)
             elif isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"{name} must be a number, got {value!r}")
-            elif self.variable == "interferer_count":
-                if not (value >= 0 and float(value).is_integer()):  # NaN fails the comparison
-                    raise DomainError(f"{name} takes whole numbers >= 0, got {value!r}")
-            elif not value == value:
-                raise DomainError(f"{name} must be a number, got {value!r}")
+            # a count, but whole floats too, since `uavlink sweep --values` parses floats
+            elif not (value >= 0 and float(value).is_integer()):  # NaN fails the comparison
+                raise DomainError(f"{name} takes whole numbers >= 0, got {value!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise DomainError("SweepSpec.values must be strictly increasing")
 
@@ -162,9 +162,10 @@ def _sweep(
     its axes are applied and its policy resolved; a source state's first group
     builds its view of the source alone and prepares its thresholds as points
     (:func:`throughput._prepare_grid`), which each group prices against its own
-    law (:func:`throughput._laws`).  Each point still checks its own ``beta_n``
-    and raises its own error when it comes up; a group whose pricing fails is
-    priced point by point on its full view.
+    law (:func:`throughput._laws`).  Every ``beta_n`` was checked by its axis
+    (:class:`SweepSpec`, which checks a resolved axis again).  A group whose
+    pricing fails is priced point by point on its full view, so each error comes
+    up at its own point.
     """
     if any(callable(axis.values) for axis in axes):
         upper = _stability_bound(scenario, axes)
@@ -188,9 +189,7 @@ def _sweep(
     law = tp._laws(scenario, functools.cache(lambda i: tp._link(scenario, scenario.node(i))))
     states, groups, rows = {}, {}, []  # each source state's view and grid; each group's rows
     for point, group, own in points:
-        if group in groups:
-            tp.PolicyVector(own)  # the group's other thresholds were checked at its first point
-        else:
+        if group not in groups:
             group_scenario, betas = scenario, {}
             for variable, value in group:
                 group_scenario, betas = _apply_point(group_scenario, betas, variable, value)

@@ -12,11 +12,13 @@ takes one per-slot service rate or an array of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
 
+from . import specfun
 from .errors import DegeneratePolicyError, DomainError, StabilityError
 
 __all__ = [
@@ -47,10 +49,10 @@ class QueueParams:
 
     def __post_init__(self):
         for name in ("arrival_rate", "slot_duration", "delay_threshold"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise DomainError(f"QueueParams.{name} must be > 0")
-        if not self.buffer_capacity_normalized >= 0:  # also rejects NaN
-            raise DomainError("QueueParams.buffer_capacity_normalized must be >= 0")
+            specfun._positive(f"QueueParams.{name}", getattr(self, name))
+        name, buffer = "QueueParams.buffer_capacity_normalized", self.buffer_capacity_normalized
+        if not isinstance(b := specfun._nonnegative(name, buffer), float) or b == math.inf:
+            raise DomainError(f"{name} must be a finite number, got {buffer!r}")
         if self.arrival_rate * self.slot_duration >= 1.0:
             raise DomainError(
                 "QueueParams: arrival_rate * slot_duration must be < 1 "

@@ -10,6 +10,7 @@ they are drawn reproducibly from the documented ranges using
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -20,6 +21,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 import yaml
 
+from . import specfun
 from .channel import EnvironmentParams, FadingKind, Position
 from .errors import DomainError, ScenarioError
 from .interference import NoiseModel
@@ -46,6 +48,16 @@ POWER_RANGE = (0.5, 1.0)
 _DEFAULT_QUEUE = {"arrival_rate": 80.0, "delay_threshold": 0.045, "buffer_capacity_normalized": 100.0}
 
 
+@contextlib.contextmanager
+def _reported(where: str):
+    """Report a :class:`DomainError` raised in the block as a :class:`ScenarioError`
+    at ``where``."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Node:
     """One transmitter: its geometry, power, queue, policy, and role."""
@@ -61,12 +73,9 @@ class Node:
     def __post_init__(self):
         if self.role not in ("source", "interferer"):
             raise ScenarioError(f"node {self.id!r}: role must be 'source' or 'interferer'")
-        if not self.transmit_power > 0:  # also rejects NaN
-            raise ScenarioError(
-                f"node {self.id!r}: transmit_power must be > 0, got {self.transmit_power!r}"
-            )
-        if not self.beta >= 0:  # also rejects NaN; inf silences the node
-            raise ScenarioError(f"node {self.id!r}: beta must be >= 0, got {self.beta!r}")
+        with _reported(f"node {self.id!r}"):
+            specfun._positive("transmit_power", self.transmit_power)
+            specfun._nonnegative("beta", self.beta)  # inf silences the node
 
 
 @dataclass(frozen=True)
@@ -84,10 +93,9 @@ class Scenario:
     nodes: tuple[Node, ...] = ()
 
     def __post_init__(self):
-        if not self.num_channels >= 1:
-            raise ScenarioError(f"num_channels: must be >= 1, got {self.num_channels!r}")
-        if not self.sinr_threshold > 0:  # also rejects NaN
-            raise ScenarioError(f"sinr_threshold: must be > 0, got {self.sinr_threshold!r}")
+        with _reported("Scenario"):
+            specfun._count("num_channels", self.num_channels, 1)
+            specfun._positive("sinr_threshold", self.sinr_threshold)
         sources = [n for n in self.nodes if n.role == "source"]
         if len(sources) != 1:
             raise ScenarioError(
@@ -144,14 +152,13 @@ def _number(
     default: Any,
     context: str,
     sample: Callable[[str], float] | None = None,
-    positive: bool = True,
     integer: bool = False,
 ) -> Any:
     """The number at ``spec[key]``, or ``default`` when the key is absent.
 
-    ``"sampled"`` is drawn by ``sample`` where the key allows it.  A
-    ``positive`` key must be finite and > 0; the bounds of the others
-    are checked by the type that holds the value.
+    ``"sampled"`` is drawn by ``sample`` where the key allows it.  Only the
+    YAML type is checked here: the value's range is checked by the type that
+    holds it.
     """
     value = spec.get(key, default)
     where = f"{context}.{key}"
@@ -161,12 +168,9 @@ def _number(
         kind = "an integer" if integer else "a number or 'sampled'" if sample else "a number"
         raise ScenarioError(f"{where}: expected {kind}, got {value!r}")
     try:
-        number = value if integer else float(value)
+        return value if integer else float(value)
     except OverflowError:  # an integer beyond the float range
         raise ScenarioError(f"{where}: the integer lies beyond the float range") from None
-    if positive and not 0 < number < math.inf:  # also rejects NaN
-        raise ScenarioError(f"{where}: must be finite and > 0, got {number}")
-    return number
 
 
 def _params(doc: Mapping, key: str, cls: type):
@@ -176,10 +180,8 @@ def _params(doc: Mapping, key: str, cls: type):
         raise ScenarioError(f"{key}: expected a mapping")
     names = [f.name for f in fields(cls)]
     _require_keys(spec, names, key)
-    try:
+    with _reported(key):
         return cls(**{name: _number(spec, name, getattr(cls, name), key) for name in names})
-    except DomainError as exc:
-        raise ScenarioError(f"{key}: {exc}") from exc
 
 
 class _Sampler:
@@ -212,10 +214,8 @@ def _parse_position(
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScenarioError(f"{where}: expected [x, y, z] or 'sampled', got {value!r}")
     coords = dict(zip("xyz", value))
-    try:
-        return Position(*(_number(coords, k, None, where, positive=False) for k in "xyz"))
-    except DomainError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    with _reported(where):
+        return Position(*(_number(coords, k, None, where) for k in "xyz"))
 
 
 def _parse_node(
@@ -246,7 +246,7 @@ def _parse_node(
         "delay_threshold": partial(sampler.uniform, *DELAY_THRESHOLD_RANGE),
         "buffer_capacity_normalized": partial(sampler.choice, BUFFER_CHOICES),
     }
-    try:  # in _DEFAULT_QUEUE's order, which fixes the order of the draws
+    with _reported(queue_context):  # in _DEFAULT_QUEUE's order, which fixes the order of the draws
         queue = QueueParams(
             slot_duration=slot_duration,
             **{
@@ -254,8 +254,6 @@ def _parse_node(
                 for key, default in _DEFAULT_QUEUE.items()
             },
         )
-    except DomainError as exc:
-        raise ScenarioError(f"{queue_context}: {exc}") from exc
     fading = spec.get("fading")
     override = None
     if fading is not None:
@@ -274,7 +272,7 @@ def _parse_node(
             spec, "transmit_power", 0.5, context, partial(sampler.uniform, *POWER_RANGE)
         ),
         queue=queue,
-        beta=_number(spec, "beta", Node.beta, context, positive=False),
+        beta=_number(spec, "beta", Node.beta, context),
         fading_override=override,
     )
 
@@ -301,21 +299,18 @@ def scenario_from_mapping(doc: Mapping) -> Scenario:
     num_channels = _number(doc, "num_channels", Scenario.num_channels, "document", integer=True)
     sinr_threshold = _number(doc, "sinr_threshold", Scenario.sinr_threshold, "document")
     slot_duration = _number(doc, "slot_duration", 0.002, "document")
-    uav_altitude = _number(doc, "uav_altitude", 50.0, "document")
-
     area_spec = doc.get("area", [40.0, 40.0])
     if not isinstance(area_spec, (list, tuple)) or len(area_spec) != 2:
         raise ScenarioError(f"area: expected [width, height], got {area_spec!r}")
     extents = dict(zip(("width", "height"), area_spec))
-    area = (_number(extents, "width", None, "area"), _number(extents, "height", None, "area"))
-
     placement_seed = doc.get("placement_seed")
-    if placement_seed is not None and (
-        not isinstance(placement_seed, int)
-        or isinstance(placement_seed, bool)
-        or placement_seed < 0
-    ):
-        raise ScenarioError(f"placement_seed: must be an integer >= 0, got {placement_seed!r}")
+    with _reported("document"):  # the keys no type holds
+        uav_altitude = specfun._positive(
+            "uav_altitude", _number(doc, "uav_altitude", 50.0, "document"))
+        area = tuple(specfun._positive(f"area.{k}", _number(extents, k, None, "area"))
+                     for k in extents)
+        if placement_seed is not None:
+            specfun._count("placement_seed", placement_seed, 0)
     sampler = _Sampler(placement_seed)
 
     default_destination = Position(area[0] / 2.0, area[1] / 2.0, uav_altitude)

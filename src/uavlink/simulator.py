@@ -11,7 +11,6 @@ the quality of the closed-form approximations, not bugs.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from collections import deque
@@ -21,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as ch
-from .errors import DomainError
+from . import specfun
 from .scenario_io import Scenario
-from .throughput import _resolve_policy
+from .throughput import _link, _resolve_policy
 
 __all__ = [
     "SimConfig",
@@ -49,14 +48,10 @@ class SimConfig:
     replication_count: int = 1
 
     def __post_init__(self):
-        for name in ("num_slots", "seed", "warmup_slots", "replication_count"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise DomainError(f"SimConfig: {name} must be an integer, got {value!r}")
-        if not 0 <= self.warmup_slots < self.num_slots:
-            raise DomainError("SimConfig: need num_slots > warmup_slots >= 0")
-        if self.replication_count < 1:
-            raise DomainError("SimConfig: replication_count must be >= 1")
+        specfun._count("SimConfig.seed", self.seed, -math.inf)  # any integer seeds the streams
+        specfun._count("SimConfig.warmup_slots", self.warmup_slots, 0)
+        specfun._count("SimConfig.num_slots", self.num_slots, self.warmup_slots + 1)
+        specfun._count("SimConfig.replication_count", self.replication_count, 1)
 
 
 @dataclass(frozen=True)
@@ -191,8 +186,7 @@ class _Queue:
     def __init__(self, node: _SimNode, warmup: int):
         self.packets: deque = deque()
         self.stored = 0.0
-        self.delay_threshold = node.delay_threshold
-        self.buffer_capacity = node.buffer_capacity
+        self.node = node
         self.warmup = warmup
         self.arrivals = self.overflow_drops = self.delay_drops = self.queued_at_warmup = 0
 
@@ -229,7 +223,7 @@ class _Queue:
             t = np.concatenate((carried[0], times))
             size = np.concatenate((carried[1], lengths))
             first = np.concatenate((np.zeros(held, dtype=first.dtype), first))
-        deadline = self.delay_threshold
+        deadline = self.node.delay_threshold
         slot = np.ceil((t + deadline) / t_slt)  # the first slot past the deadline, to rounding
         slot += slot * t_slt - t <= deadline  # made exact with the slot loop's own test
         slot -= (slot - 1) * t_slt - t > deadline
@@ -257,7 +251,7 @@ class _Queue:
             steps = np.concatenate((-size[expired], -size[kept[:gone]], admitted))
             level = np.add.accumulate(np.concatenate(([self.stored], steps[order])))
             arriving = np.flatnonzero(order >= expired.size + gone)
-            rejected = level[arriving] + lengths > self.buffer_capacity
+            rejected = level[arriving] + lengths > self.node.buffer_capacity
             if (rejected == overflowed[held:]).all():
                 break
             overflowed[held:] = rejected
@@ -417,9 +411,7 @@ def _sim_nodes(scenario: Scenario, policy=None) -> tuple[list[_SimNode], int]:
     nodes = []
     source_idx = None
     for index, node in enumerate(scenario.nodes):
-        link = ch.build_link(
-            node.position, scenario.destination, scenario.environment, node.fading_override
-        )
+        link = _link(scenario, node)
         if node.role == "source":
             source_idx = index
         nodes.append(

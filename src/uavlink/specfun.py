@@ -1,8 +1,11 @@
-"""Special functions, adaptive quadrature and the threshold rule used throughout the package.
+"""Special functions, adaptive quadrature and the rules every number is checked by.
 
 Thin wrappers around scipy's well-tested kernels.  Every function is pure
 and thread-safe; no table interpolation anywhere, so repeated calls are
-bit-reproducible.
+bit-reproducible.  Each number that enters the package is checked once, by
+the rule of its kind: a threshold by :func:`_nonnegative`, a positive
+quantity (a rate, a duration, a power, a scale, a tolerance) by
+:func:`_positive`, and a count by :func:`_count`.
 """
 
 from __future__ import annotations
@@ -28,29 +31,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive quadrature."""
-
-    absolute_tolerance: float = 1e-10
-    relative_tolerance: float = 1e-8
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.absolute_tolerance > 0 and self.relative_tolerance > 0):
-            raise DomainError("QuadratureSpec tolerances must be > 0")
-        if self.max_subdivisions < 1:
-            raise DomainError("QuadratureSpec.max_subdivisions must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
-class IntegrationResult(NamedTuple):
-    value: float
-    error: float
-
-
 def _nonnegative(name: str, x):
     """``x`` as a float, or as a float array, once it is a threshold: every element >= 0.
 
@@ -69,6 +49,59 @@ def _nonnegative(name: str, x):
         if x.min(initial=0.0) >= 0.0:
             return x
     raise DomainError(f"{name} must be >= 0, got {x!r}")
+
+
+def _positive(name: str, x) -> float:
+    """``x`` as a float once it is a positive quantity: a real number, not a bool,
+    finite and > 0.
+
+    The one rule for a rate, a duration, a power, a scale or a tolerance where
+    it enters the package; NaN and +inf fail, and so does an integer beyond the
+    float range.  The :class:`DomainError` names ``name``.  A float skips the
+    type test.
+    """
+    if type(x) is not float:
+        if not isinstance(x, numbers.Real) or isinstance(x, bool):
+            raise DomainError(f"{name} must be a number, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+    if 0.0 < x < math.inf:  # NaN fails
+        return x
+    raise DomainError(f"{name} must be {'finite' if x == math.inf else '> 0'}, got {x!r}")
+
+
+def _count(name: str, n, least: int | float) -> int:
+    """``n`` as an int once it is a count: an integer (a numpy one too), not a bool,
+    and >= ``least``.  The :class:`DomainError` names ``name``."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+    return int(n)
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Tolerances and subdivision budget for adaptive quadrature."""
+
+    absolute_tolerance: float = 1e-10
+    relative_tolerance: float = 1e-8
+    max_subdivisions: int = 200
+
+    def __post_init__(self):
+        _positive("QuadratureSpec.absolute_tolerance", self.absolute_tolerance)
+        _positive("QuadratureSpec.relative_tolerance", self.relative_tolerance)
+        _count("QuadratureSpec.max_subdivisions", self.max_subdivisions, 1)
+
+
+DEFAULT_QUAD = QuadratureSpec()
+
+
+class IntegrationResult(NamedTuple):
+    value: float
+    error: float
 
 
 def gamma_tail(k: float) -> Callable:

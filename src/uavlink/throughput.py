@@ -11,7 +11,6 @@ iteration lets every node tune its own threshold against the others.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Mapping, Sequence
@@ -154,8 +153,7 @@ def expected_throughput(arrival_rate: float, p_loss, approximate: bool = False):
     components (which may exceed 1, dropping the cross terms), and the
     result clamps at zero; the sum-form never exceeds the exact form.
     """
-    if not arrival_rate > 0:
-        raise DomainError(f"arrival_rate must be > 0, got {arrival_rate}")
+    specfun._positive("arrival_rate", arrival_rate)
     if approximate:
         return np.maximum(0.0, arrival_rate * (1.0 - p_loss))
     _check_probability("p_loss", p_loss)
@@ -372,8 +370,9 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
     Only the view's source side is read.  The thresholds were checked where they entered;
     one fading-CDF evaluation feeds the queue terms and the error grid (laid out as points
     or, with ``scan``, as a scan: :func:`interference._error_grid`), which take the stable
-    rates, in (0, 1] by construction, unchecked.  Those rates bound the queue terms to
-    [0, 1]; only the error is checked.
+    rates, in (0, 1] by construction, unchecked.  With the finite buffer and deadline
+    :class:`queueing.QueueParams` requires, those rates bound the queue terms to [0, 1],
+    so the loss lies in [0, 1] once the error does: only the error is checked.
     """
     betas = np.asarray(betas, dtype=float)
     cdf = ch._cdf(view.model, betas)
@@ -395,7 +394,7 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
         errors = p_err(fit)
         _check_probability("p_err", errors)  # a quadrature may return NaN
         p_loss = 1.0 - survive * (1.0 - errors)
-        return p_dly, p_ov, errors, p_loss, expected_throughput(q.arrival_rate, p_loss)
+        return p_dly, p_ov, errors, p_loss, q.arrival_rate * (1.0 - p_loss)
 
     return cases, price
 
@@ -499,19 +498,15 @@ def jacobi_best_response(
     too when that lies off the grid (iteration 0 only); under ``'sum'``
     each node's grid of one at its trial threshold.  Each distinct price is
     made once per call, so a cycling iterate costs no pricing.  Stops when
-    no threshold moves by more than ``tol`` (> 0).  Best-response dynamics
+    no threshold moves by more than ``tol`` (finite and > 0).  Best-response dynamics
     need not converge, so hitting ``max_iters`` (at least 1) returns the
     last iterate with ``converged=False`` rather than raising.
     """
     if objective not in ("own", "sum"):
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
-    for name, value, least in (("grid_size", grid_size, 2), ("max_iters", max_iters, 1)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise DomainError(f"{name} must be >= {least}, got {value}")
-    if not (isinstance(tol, numbers.Real) and tol > 0):  # NaN too: no change is ever below it
-        raise DomainError(f"tol must be > 0, got {tol}")
+    specfun._count("grid_size", grid_size, 2)
+    specfun._count("max_iters", max_iters, 1)
+    specfun._positive("tol", tol)  # no change is ever below a NaN or non-positive one
     policy = _resolve_policy(scenario, initial)
     node_ids = [node.id for node in scenario.nodes]
     views = {node_id: source_view(scenario, policy, node_id) for node_id in node_ids}

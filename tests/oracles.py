@@ -394,8 +394,8 @@ def visit_block(queue, start, t_slt, can_tx, slot_of, times, lengths, bookkeepin
 
     q = queue.packets
     stored = queue.stored
-    deadline = queue.delay_threshold
-    capacity = queue.buffer_capacity
+    deadline = queue.node.delay_threshold
+    capacity = queue.node.buffer_capacity
     warmup = queue.warmup
     arrivals = overflow_drops = delay_drops = 0
     times = times.tolist()

@@ -463,6 +463,11 @@ class TestValidation:
         with pytest.raises(DomainError, match="Rician.b"):
             Rician(b=math.inf)
 
+    def test_rician_rejects_an_array_naming_the_field(self):
+        # the threshold rule passes an array, which a LoS parameter is not
+        with pytest.raises(DomainError, match=r"^Rician.b must be finite and >= 0, got \["):
+            Rician(b=[1.0, 2.0])
+
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],
                              ids=["True", "False", "np.True_", "np.False_"])
     def test_fading_rejects_a_bool_naming_the_field(self, flag):
@@ -495,6 +500,20 @@ class TestElementwise:
             assert c == ch.fading_cdf(model, beta)
             assert p == ch.transmit_prob(model, beta, 15)
         assert cdf[-1] == 1.0 and phi[-1] == 0.0
+
+    @pytest.mark.parametrize(
+        "model, ulps", [(Rayleigh(2.0), 1), (Rician(3.0), 0), (Rician(0.0), 0)],
+        ids=["rayleigh", "rician", "rician0"],
+    )
+    def test_floats_match_arrays_over_a_dense_grid(self, model, ulps):
+        # a Rician float takes the array's values; a Rayleigh one takes math.expm1, which
+        # differs from np.expm1 by 1 ulp at some thresholds
+        betas = np.linspace(0.01, 6.0, 2001)[1:]
+        cdf = ch.fading_cdf(model, betas)
+        floats = np.array([ch.fading_cdf(model, beta) for beta in betas.tolist()])
+        below, above = np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)
+        near = (floats == cdf) | (ulps > 0) & ((floats == below) | (floats == above))
+        assert near.all(), betas[~near]
 
     @pytest.mark.parametrize("b", [0.0, 0.5, 3.0, math.sqrt(30.0), 40.0])
     def test_rician_float_path_equals_the_array_path(self, b):

@@ -1,8 +1,11 @@
-"""Where values enter the package: every threshold is checked by one rule, and
-every public function has a caller outside the tests."""
+"""Where values enter the package: every number is checked by the one rule of its
+kind (a threshold, a positive quantity or a count), and every public function has a
+caller outside the tests."""
 
 import ast
 import math
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -10,11 +13,14 @@ import pytest
 from uavlink import channel as ch
 from uavlink import interference as itf
 from uavlink import presets as ps
+from uavlink import simulator as sim
 from uavlink import throughput as tp
-from uavlink.channel import LinkChannel, Rayleigh, Rician
-from uavlink.errors import DomainError
-from uavlink.interference import ZERO_INTERFERENCE, InterfererLink, NoiseModel
-from uavlink.scenario_io import scenario_from_mapping
+from uavlink.channel import EnvironmentParams, LinkChannel, Rayleigh, Rician
+from uavlink.errors import DomainError, ScenarioError
+from uavlink.interference import ZERO_INTERFERENCE, GammaFit, InterfererLink, NoiseModel
+from uavlink.queueing import QueueParams
+from uavlink.scenario_io import load_scenario_file, scenario_from_mapping
+from uavlink.specfun import QuadratureSpec
 from uavlink.throughput import PolicyVector
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,3 +138,170 @@ def test_num_channels_is_an_integer_of_at_least_one(call, field, count):
     expected = "an integer" if isinstance(count, (bool, float)) else ">= 1"
     with pytest.raises(DomainError, match=f"^{field} must be {expected}, got "):
         call(count)
+
+
+EXAMPLE = load_scenario_file(ROOT / "scenarios" / "example.yaml")
+QUEUE = QueueParams(80.0, 0.002, 0.045, 100.0)
+
+
+def setting(value, name):
+    """A call that makes ``value`` again with its field ``name`` set to the argument."""
+    return lambda x: replace(value, **{name: x})
+
+
+# each entry point of a positive quantity: its call, the field its error names, and the error
+POSITIVE = {
+    "Rayleigh.omega": (Rayleigh, "Rayleigh.omega", DomainError),
+    **{f"EnvironmentParams.{f.name}": (setting(EnvironmentParams(), f.name),
+                                       f"EnvironmentParams.{f.name}", DomainError)
+       for f in fields(EnvironmentParams)},
+    "LinkChannel.path_loss_amplitude": (setting(LINK, "path_loss_amplitude"),
+                                        "LinkChannel.path_loss_amplitude", DomainError),
+    **{f"InterfererLink.{name}": (setting(InterfererLink(1.0, 1.0, Rayleigh(2.0), 1.0), name),
+                                  f"InterfererLink.{name}", DomainError)
+       for name in ("transmit_power", "path_loss_amplitude")},
+    **{f"GammaFit.{name}": (setting(GammaFit(2.0, 1e-12), name), f"GammaFit.{name}", DomainError)
+       for name in ("shape", "scale")},
+    **{f"NoiseModel.{f.name}": (setting(NoiseModel(), f.name), f"NoiseModel.{f.name}",
+                                DomainError) for f in fields(NoiseModel)},
+    **{f"QueueParams.{name}": (setting(QUEUE, name), f"QueueParams.{name}", DomainError)
+       for name in ("arrival_rate", "slot_duration", "delay_threshold")},
+    **{f"QuadratureSpec.{name}": (setting(QuadratureSpec(), name), f"QuadratureSpec.{name}",
+                                  DomainError)
+       for name in ("absolute_tolerance", "relative_tolerance")},
+    "noise_floor main_power": (lambda x: itf.noise_floor(LINK, x, NoiseModel(), 2.0),
+                               "main_power", DomainError),
+    "noise_floor gamma_th": (lambda x: itf.noise_floor(LINK, 1.0, NoiseModel(), x),
+                             "gamma_th", DomainError),
+    "p_error gamma_th": (lambda x: itf.p_error(LINK, 1.0, 2.0, NoiseModel(), x,
+                                               fit=ZERO_INTERFERENCE), "gamma_th", DomainError),
+    "expected_throughput": (lambda x: tp.expected_throughput(x, 0.1), "arrival_rate",
+                            DomainError),
+    "jacobi_best_response tol": (lambda x: tp.jacobi_best_response(EXAMPLE, tol=x), "tol",
+                                 DomainError),
+    **{f"SweepSpec {name}": (lambda x, name=name: ps.SweepSpec(name, (x,)),
+                             f"SweepSpec: {name}", DomainError) for name in ("gamma_th", "t_slt")},
+    "Node.transmit_power": (lambda x: replace(EXAMPLE.source(), transmit_power=x),
+                            "node 'src': transmit_power", ScenarioError),
+    "Scenario.sinr_threshold": (setting(EXAMPLE, "sinr_threshold"),
+                                "Scenario: sinr_threshold", ScenarioError),
+}
+
+# each entry point of a count: its call, the field its error names, the error, the least count
+COUNTS = {
+    "transmit_prob": (lambda n: ch.transmit_prob(Rayleigh(2.0), 1.0, n),
+                      "transmit_prob: num_channels", DomainError, 1),
+    "interference_moments": (lambda n: itf.interference_moments([], n), "num_channels",
+                             DomainError, 1),
+    "fit_interference": (lambda n: itf.fit_interference([], n), "num_channels", DomainError, 1),
+    "jacobi_best_response grid_size": (lambda n: tp.jacobi_best_response(EXAMPLE, grid_size=n),
+                                       "grid_size", DomainError, 2),
+    "jacobi_best_response max_iters": (lambda n: tp.jacobi_best_response(EXAMPLE, max_iters=n),
+                                       "max_iters", DomainError, 1),
+    **{f"SimConfig.{name}": (lambda n, name=name: sim.SimConfig(**{"num_slots": 10, name: n}),
+                             f"SimConfig.{name}", DomainError, least)
+       for name, least in (("num_slots", 1), ("warmup_slots", 0), ("replication_count", 1),
+                           ("seed", -math.inf))},
+    "QuadratureSpec.max_subdivisions": (setting(QuadratureSpec(), "max_subdivisions"),
+                                        "QuadratureSpec.max_subdivisions", DomainError, 1),
+    "Scenario.num_channels": (setting(EXAMPLE, "num_channels"), "Scenario: num_channels",
+                              ScenarioError, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, 0.0, -1.0], ids=str)
+@pytest.mark.parametrize("entry", POSITIVE)
+def test_a_bad_positive_quantity_is_named_at_every_entry_point(entry, bad):
+    call, field, error = POSITIVE[entry]
+    expected = "a number" if isinstance(bad, bool) else "finite" if bad == math.inf else "> 0"
+    with pytest.raises(error, match=f"^{re.escape(field)} must be {expected}, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (*_, least) in COUNTS.items()
+    for bad in (True, 2.5, math.nan, math.inf, 0, -1)
+    if not (type(bad) is int and bad >= least)
+], ids=str)
+def test_a_bad_count_is_named_at_every_entry_point(entry, bad):
+    call, field, error, least = COUNTS[entry]
+    expected = f">= {least}" if type(bad) is int else "an integer"
+    with pytest.raises(error, match=f"^{re.escape(field)} must be {re.escape(expected)}, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad, expected", [
+    (True, "a number"), (math.nan, ">= 0"), (-1.0, ">= 0"), (math.inf, "a finite number"),
+    ([1.0, 2.0], "a finite number"),
+], ids=str)
+def test_a_bad_buffer_is_named(bad, expected):
+    field = "QueueParams.buffer_capacity_normalized"
+    with pytest.raises(DomainError, match=f"^{field} must be {expected}, got "):
+        replace(QUEUE, buffer_capacity_normalized=bad)
+
+
+@pytest.mark.parametrize("bad, expected", [(True, "a number"), (math.nan, ">= 0"),
+                                           (-1.0, ">= 0")], ids=str)
+def test_a_bad_node_threshold_is_named(bad, expected):
+    with pytest.raises(ScenarioError, match=f"^node 'src': beta must be {expected}, got "):
+        replace(EXAMPLE.source(), beta=bad)
+
+
+def document(path: tuple[str, ...], value) -> dict:
+    """A one-source document with ``value`` at ``path`` (``nodes`` meaning the source)."""
+    doc = {"nodes": [{"id": "src", "role": "source", "position": [1.0, 1.0, 0.0]}]}
+    *parents, key = path
+    target = doc
+    for name in parents:
+        target = target[name][0] if name == "nodes" else target.setdefault(name, {})
+    target[key] = [value, 40.0] if key == "area" else value
+    return doc
+
+
+# every key of a document holding a positive quantity, a count, or a threshold or buffer
+POSITIVE_KEYS = [
+    *(("environment", f.name) for f in fields(EnvironmentParams)),
+    *(("noise", f.name) for f in fields(NoiseModel)),
+    ("sinr_threshold",), ("slot_duration",), ("uav_altitude",), ("area",),
+    ("nodes", "transmit_power"),
+    ("nodes", "queue", "arrival_rate"), ("nodes", "queue", "delay_threshold"),
+]
+COUNT_KEYS = {("num_channels",): 1, ("placement_seed",): 0}
+NONNEGATIVE_KEYS = [("nodes", "beta"), ("nodes", "queue", "buffer_capacity_normalized")]
+
+
+@pytest.mark.parametrize("path, bad", [
+    *((path, bad) for path in POSITIVE_KEYS for bad in (True, math.nan, math.inf, 0.0, -1.0)),
+    *((path, bad) for path, least in COUNT_KEYS.items()
+      for bad in (True, 2.5, math.nan, math.inf, 0, -1) if not (type(bad) is int and bad >= least)),
+    *((path, bad) for path in NONNEGATIVE_KEYS for bad in (True, math.nan, -1.0)),
+    (("nodes", "queue", "buffer_capacity_normalized"), math.inf),
+], ids=str)
+def test_a_bad_number_in_a_document_is_a_scenario_error_naming_its_key(path, bad):
+    with pytest.raises(ScenarioError, match=path[-1]):
+        scenario_from_mapping(document(path, bad))
+
+
+def test_an_infinite_deadline_or_buffer_is_rejected():
+    # an infinite deadline once reached the simulator, which cast it to a slot and
+    # expired every packet at once; an infinite buffer made the overflow term NaN
+    queue = EXAMPLE.source().queue
+    with pytest.raises(DomainError, match="^QueueParams.delay_threshold must be finite, got inf$"):
+        replace(queue, delay_threshold=math.inf)
+    field = "QueueParams.buffer_capacity_normalized"
+    with pytest.raises(DomainError, match=f"^{field} must be a finite number, got inf$"):
+        replace(queue, buffer_capacity_normalized=math.inf)
+
+
+@pytest.mark.parametrize("count", [2.5, True], ids=str)
+def test_a_channel_count_that_is_no_integer_fails_at_the_scenario(count, monkeypatch):
+    # before the simulator opens its pool and before best response runs
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the scenario")
+
+    monkeypatch.setattr(sim.futures, "ThreadPoolExecutor", never)
+    monkeypatch.setattr(tp, "_resolve_policy", never)
+    with pytest.raises(ScenarioError, match="^Scenario: num_channels must be an integer, got "):
+        sim.run(replace(EXAMPLE, num_channels=count), cfg=sim.SimConfig(100))
+    with pytest.raises(ScenarioError, match="^Scenario: num_channels must be an integer, got "):
+        tp.jacobi_best_response(replace(EXAMPLE, num_channels=count))

@@ -783,8 +783,8 @@ class TestJacobi:
             return cdf(model, beta)
 
         monkeypatch.setattr(tp.ch, "_cdf", counting)
-        priced_once = recording(priced, tp.expected_throughput)
-        monkeypatch.setattr(tp, "expected_throughput", priced_once)
+        # a price checks its error once
+        monkeypatch.setattr(tp, "_check_probability", recording(priced, tp._check_probability))
         result = tp.jacobi_best_response(
             scenario, initial if on_grid else None, grid_size=24, tol=1e-12, max_iters=3
         )
@@ -794,7 +794,7 @@ class TestJacobi:
         grid_calls = [size for size in cdf_sizes if size > 1]
         assert sorted(grid_calls) == [24] * nodes + ([] if on_grid else [25] * nodes)
         assert len(priced) == nodes * result.iterations
-        assert all(np.size(p_loss) <= 25 for _, p_loss in priced)
+        assert all(np.size(p_err) <= 25 for _, p_err in priced)
 
     def test_previous_threshold_beyond_the_bound_scores_minus_infinity(self):
         scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
