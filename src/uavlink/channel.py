@@ -117,8 +117,7 @@ class Rician:
     b: float
 
     def __post_init__(self):
-        # a bool, NaN or a negative fails the rule, which passes an array
-        if not isinstance(b := specfun._nonnegative("Rician.b", self.b), float) or b == math.inf:
+        if specfun._nonnegative("Rician.b", self.b) == math.inf:
             raise DomainError(f"Rician.b must be finite and >= 0, got {self.b}")
 
 
@@ -217,7 +216,7 @@ def _pdf_slope(model: FadingModel, x: float | np.ndarray):
 
 def fading_cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
     """Probability that the fading amplitude falls below each ``beta`` >= 0 (1 at +inf)."""
-    return _cdf(model, specfun._nonnegative("fading_cdf: beta", beta))
+    return _cdf(model, specfun._nonnegative_grid("fading_cdf: beta", beta))
 
 
 def _cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
@@ -253,8 +252,6 @@ def truncated_power_moment(model: FadingModel, beta: float, power: int) -> float
     any other Rician sums a Poisson mixture of Gamma tails.
     """
     beta = specfun._nonnegative("truncated_power_moment: beta", beta)
-    if not isinstance(beta, float):  # an array, which the rule passes through
-        raise DomainError(f"truncated_power_moment takes one threshold, got {beta!r}")
     if power not in (2, 4):
         raise DomainError(f"truncated_power_moment: power must be 2 or 4, got {power}")
     if math.isinf(beta):

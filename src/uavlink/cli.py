@@ -170,7 +170,11 @@ def cmd_optimize(args) -> int:
         max_iters=args.max_iters,
         objective=args.objective,
     )
-    status = "converged" if result.converged else "not converged (last iterate returned)"
+    if result.cycle is not None:
+        period, moving = result.cycle
+        status = f"cycle (period {period}: {', '.join(moving)})"
+    else:
+        status = "converged" if result.converged else "not converged (last iterate returned)"
     print(f"status     = {status}")
     print(f"iterations = {result.iterations}")
     last = result.trace[-1]

@@ -357,7 +357,7 @@ def p_error(
     link) has no transmissions and no errors.
     """
     x0 = noise_floor(main, main_power, noise, gamma_th)
-    betas = np.asarray(specfun._nonnegative("main_beta", main_beta), dtype=float)
+    betas = np.asarray(specfun._nonnegative_grid("main_beta", main_beta), dtype=float)
     flat = betas.ravel()
     cdf = channel._cdf(main.fading, np.append(flat, x0))
     price = _error_grid(main.fading, flat, cdf[:-1], cdf[-1], x0,

@@ -51,7 +51,7 @@ class QueueParams:
         for name in ("arrival_rate", "slot_duration", "delay_threshold"):
             specfun._positive(f"QueueParams.{name}", getattr(self, name))
         name, buffer = "QueueParams.buffer_capacity_normalized", self.buffer_capacity_normalized
-        if not isinstance(b := specfun._nonnegative(name, buffer), float) or b == math.inf:
+        if specfun._nonnegative(name, buffer) == math.inf:
             raise DomainError(f"{name} must be a finite number, got {buffer!r}")
         if self.arrival_rate * self.slot_duration >= 1.0:
             raise DomainError(

@@ -310,7 +310,7 @@ def scenario_from_mapping(doc: Mapping) -> Scenario:
         area = tuple(specfun._positive(f"area.{k}", _number(extents, k, None, "area"))
                      for k in extents)
         if placement_seed is not None:
-            specfun._count("placement_seed", placement_seed, 0)
+            specfun._count("placement_seed", placement_seed, 0, math.inf)
     sampler = _Sampler(placement_seed)
 
     default_destination = Position(area[0] / 2.0, area[1] / 2.0, uav_altitude)

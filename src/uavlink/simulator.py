@@ -48,7 +48,7 @@ class SimConfig:
     replication_count: int = 1
 
     def __post_init__(self):
-        specfun._count("SimConfig.seed", self.seed, -math.inf)  # any integer seeds the streams
+        specfun._count("SimConfig.seed", self.seed, -math.inf, math.inf)  # any integer seeds
         specfun._count("SimConfig.warmup_slots", self.warmup_slots, 0)
         specfun._count("SimConfig.num_slots", self.num_slots, self.warmup_slots + 1)
         specfun._count("SimConfig.replication_count", self.replication_count, 1)

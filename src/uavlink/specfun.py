@@ -3,9 +3,9 @@
 Thin wrappers around scipy's well-tested kernels.  Every function is pure
 and thread-safe; no table interpolation anywhere, so repeated calls are
 bit-reproducible.  Each number that enters the package is checked once, by
-the rule of its kind: a threshold by :func:`_nonnegative`, a positive
-quantity (a rate, a duration, a power, a scale, a tolerance) by
-:func:`_positive`, and a count by :func:`_count`.
+the rule of its kind: a threshold by :func:`_nonnegative` (a grid of them by
+:func:`_nonnegative_grid`), a positive quantity (a rate, a duration, a power,
+a scale, a tolerance) by :func:`_positive`, and a count by :func:`_count`.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -31,54 +32,58 @@ __all__ = [
 ]
 
 
-def _nonnegative(name: str, x):
-    """``x`` as a float, or as a float array, once it is a threshold: every element >= 0.
-
-    The one rule for a threshold where it enters the package: a real number,
-    not a bool, where NaN fails and +inf passes.  The :class:`DomainError`
-    names ``name``.  A float is checked without numpy dispatch.
-    """
-    if type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool)):
-        x = float(x)
-        if x >= 0.0:
-            return x
-    elif np.asarray(x).dtype.kind not in "iuf":  # a bool, alone or in an array, is not a number
+def _real(name: str, x) -> float:
+    """``x`` as a float once it is one real number, not a bool and not an array; an
+    integer beyond the float range reads as the infinity of its sign.  Each rule's
+    :class:`DomainError` names ``name``.  A float skips the type test."""
+    if type(x) is float:
+        return x
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
         raise DomainError(f"{name} must be a number, got {x!r}")
-    else:
-        x = np.asarray(x, dtype=float)
-        if x.min(initial=0.0) >= 0.0:
-            return x
+    try:
+        return float(x)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if x > 0 else -math.inf
+
+
+def _nonnegative(name: str, x) -> float:
+    """``x`` as a float once it is a threshold: one real number (:func:`_real`) >= 0,
+    where NaN fails and +inf passes."""
+    if (x := _real(name, x)) >= 0.0:  # NaN fails
+        return x
     raise DomainError(f"{name} must be >= 0, got {x!r}")
 
 
-def _positive(name: str, x) -> float:
-    """``x`` as a float once it is a positive quantity: a real number, not a bool,
-    finite and > 0.
+def _nonnegative_grid(name: str, x):
+    """``x`` as a float once it is a threshold (:func:`_nonnegative`), or as a float
+    array once every element is one."""
+    if isinstance(x, numbers.Real):
+        return _nonnegative(name, x)
+    if np.asarray(x).dtype.kind not in "iuf":  # a bool, alone or in an array, is not a number
+        raise DomainError(f"{name} must be a number, got {x!r}")
+    if (grid := np.asarray(x, dtype=float)).min(initial=0.0) >= 0.0:  # NaN fails
+        return grid
+    raise DomainError(f"{name} must be >= 0, got {grid!r}")
 
-    The one rule for a rate, a duration, a power, a scale or a tolerance where
-    it enters the package; NaN and +inf fail, and so does an integer beyond the
-    float range.  The :class:`DomainError` names ``name``.  A float skips the
-    type test.
-    """
-    if type(x) is not float:
-        if not isinstance(x, numbers.Real) or isinstance(x, bool):
-            raise DomainError(f"{name} must be a number, got {x!r}")
-        try:
-            x = float(x)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-    if 0.0 < x < math.inf:  # NaN fails
+
+def _positive(name: str, x) -> float:
+    """``x`` as a float once it is a positive quantity (a rate, a duration, a power, a
+    scale or a tolerance): one real number (:func:`_real`), finite and > 0."""
+    if 0.0 < (x := _real(name, x)) < math.inf:  # NaN fails
         return x
     raise DomainError(f"{name} must be {'finite' if x == math.inf else '> 0'}, got {x!r}")
 
 
-def _count(name: str, n, least: int | float) -> int:
+def _count(name: str, n, least: int | float, most: float = sys.float_info.max) -> int:
     """``n`` as an int once it is a count: an integer (a numpy one too), not a bool,
-    and >= ``least``.  The :class:`DomainError` names ``name``."""
+    >= ``least`` and <= ``most``, by default the largest float, since a count may
+    meet a float as its exponent."""
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise DomainError(f"{name} must be an integer, got {n!r}")
     if n < least:
         raise DomainError(f"{name} must be >= {least}, got {n}")
+    if n > most:
+        raise DomainError(f"{name} must be <= {most:.6g}, got a {int(n).bit_length()}-bit integer")
     return int(n)
 
 

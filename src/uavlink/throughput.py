@@ -62,11 +62,6 @@ class PolicyVector:
     def get(self, node_id: str) -> float:
         return self.betas[node_id]
 
-    def updated(self, node_id: str, beta: float) -> "PolicyVector":
-        new = dict(self.betas)
-        new[node_id] = beta
-        return PolicyVector(new)
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -206,7 +201,7 @@ def loss_derivative(
     rule.  The deadline part differentiates the exponential waiting tail
     through the transmit probability.
     """
-    betas = np.asarray(specfun._nonnegative("loss_derivative: beta", beta))
+    betas = np.asarray(specfun._nonnegative_grid("loss_derivative: beta", beta))
     if not betas.min(initial=1.0) > 0.0:
         raise DomainError(f"loss_derivative: beta must be > 0, got {beta}")
     upper, worst = view.upper, float(np.max(betas, initial=0.0))
@@ -461,10 +456,12 @@ def evaluate(
 
 @dataclass
 class JacobiResult:
-    """The best-response trace, one entry per iteration, never empty."""
+    """The best-response trace, one entry per iteration, never empty, and the cycle
+    the last iterate closed, if any: its period and the ids of the nodes that move in it."""
 
     trace: list[dict]
     converged: bool
+    cycle: tuple[int, tuple[str, ...]] | None = None
 
     @property
     def iterations(self) -> int:
@@ -490,17 +487,19 @@ def jacobi_best_response(
     top.  Each iteration, every node grid-searches ``grid_size`` thresholds
     from 0 to its stability bound for its own throughput (or the network
     sum with ``objective='sum'``), holding the others at the previous
-    iterate; ties break toward the smaller threshold.  Every score prices a
-    grid prepared once per call as a scan (:func:`_prepare_grid`) against the
-    interference law of the trial thresholds, summed from terms built once
-    per interferer and threshold, with -inf for an unstable
-    queue: under ``'own'`` the node's grid, holding its previous threshold
-    too when that lies off the grid (iteration 0 only); under ``'sum'``
-    each node's grid of one at its trial threshold.  Each distinct price is
-    made once per call, so a cycling iterate costs no pricing.  Stops when
-    no threshold moves by more than ``tol`` (finite and > 0).  Best-response dynamics
-    need not converge, so hitting ``max_iters`` (at least 1) returns the
-    last iterate with ``converged=False`` rather than raising.
+    iterate; ties break toward the smaller threshold.  A node's own
+    throughput is one price of its grid, prepared once per call as a scan
+    (:func:`_prepare_grid`) and holding its previous threshold too when that
+    lies off the grid (iteration 0 only), against the interference law of the
+    others' thresholds, summed from terms built once per interferer and
+    threshold, with -inf for an unstable queue.  Under ``'sum'`` each trial
+    adds, in scenario order, every other node's grid of one at its previous
+    threshold facing the trial.  Each distinct price is made once per call.
+    Stops when no threshold moves by more than ``tol`` (finite and > 0), or
+    when an iterate repeats an earlier one (the first iterate counts as
+    iterate -1), naming the cycle.  Best-response dynamics need not converge,
+    so a cycle or ``max_iters`` (at least 1) returns the last iterate with
+    ``converged=False`` rather than raising.
     """
     if objective not in ("own", "sum"):
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
@@ -524,45 +523,38 @@ def jacobi_best_response(
         throughputs = iter(price(law(others[node_id], faced))[-1].tolist())
         return tuple(next(throughputs) if ok else -math.inf for *_, ok in cases)
 
-    def rates(node_id: str, betas: tuple[float, ...], trial: PolicyVector) -> tuple:
-        """The node's throughput at each of ``betas`` facing ``trial``; -inf where unstable."""
-        return priced(node_id, betas, tuple(map(trial.get, others[node_id])))
-
+    betas = policy.betas
+    seen = {tuple(betas.values()): -1}
     trace: list[dict] = []
-    converged = False
+    converged, cycle = False, None
     for iteration in range(max_iters):
-        new_betas: dict[str, float] = {}
-        chosen_rate: dict[str, float] = {}
-        previous_rate: dict[str, float] = {}
+        new_betas, chosen_rate, previous_rate = {}, {}, {}
         for node_id in node_ids:
-            grid, previous = grids[node_id], policy.get(node_id)
-            if objective == "own":
-                scored = grid if previous in grid else (*grid, previous)
-                values = rates(node_id, scored, policy)
-                best_idx = int(np.argmax(values[:grid_size]))  # first max = smallest beta
-                chosen_rate[node_id] = values[best_idx]
-                previous_rate[node_id] = values[scored.index(previous)]
-            else:
-                trials = (policy.updated(node_id, beta) for beta in grid)
-                best_idx = int(np.argmax([
-                    sum(rates(i, (trial.get(i),), trial)[0] for i in node_ids) for trial in trials
-                ]))
-                chosen_rate[node_id], previous_rate[node_id] = rates(
-                    node_id, (grid[best_idx], previous), policy
-                )
+            grid, previous = grids[node_id], betas[node_id]
+            scored = grid if previous in grid else (*grid, previous)
+            values = priced(node_id, scored, tuple(map(betas.get, others[node_id])))
+            scores = values[:grid_size]
+            if objective == "sum":  # each trial adds the others' rates facing it, in scenario order
+                scores = [
+                    sum(values[k] if i == node_id else priced(i, (betas[i],), tuple(
+                        beta if j == node_id else betas[j] for j in others[i]))[0]
+                        for i in node_ids)
+                    for k, beta in enumerate(grid)
+                ]
+            best_idx = int(np.argmax(scores))  # first max = smallest beta
             new_betas[node_id] = grid[best_idx]
-        delta = max(abs(new_betas[i] - policy.get(i)) for i in node_ids)
-        policy = PolicyVector(new_betas)
-        trace.append(
-            {
-                "iteration": iteration,
-                "betas": dict(new_betas),
-                "throughput": dict(chosen_rate),
-                "previous_throughput": dict(previous_rate),
-                "max_change": delta,
-            }
-        )
+            chosen_rate[node_id] = values[best_idx]
+            previous_rate[node_id] = values[scored.index(previous)]
+        delta = max(abs(new_betas[i] - betas[i]) for i in node_ids)
+        betas = new_betas
+        trace.append({"iteration": iteration, "betas": new_betas, "throughput": chosen_rate,
+                      "previous_throughput": previous_rate, "max_change": delta})
         if delta < tol:
             converged = True
             break
-    return JacobiResult(trace=trace, converged=converged)
+        start = seen.setdefault(tuple(betas.values()), iteration)
+        if start < iteration:  # iterates start + 1 to iteration repeat forever
+            loop = [entry["betas"] for entry in trace[start + 1:]]
+            cycle = iteration - start, tuple(i for i in node_ids if len({b[i] for b in loop}) > 1)
+            break
+    return JacobiResult(trace=trace, converged=converged, cycle=cycle)

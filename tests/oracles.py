@@ -499,10 +499,14 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
     and previous threshold as one scan through the public checked chain:
     the fading CDF, the queue's closed forms, ``p_error`` on the array of
     stable thresholds, the loss composed left to right and
-    ``expected_throughput``.  The package's loop must give the same trace,
-    bit for bit.
+    ``expected_throughput``.  Under the sum, each trial adds to the node's
+    own scanned rate every other node's ``evaluate_view`` facing the trial,
+    in scenario order.  The loop stops at the first iterate that repeats an
+    earlier one, the initial policy included, found by a linear search.  The
+    package's loop must give the same trace and cycle, bit for bit.
     """
     policy = tp._resolve_policy(scenario, initial)
+    initial_betas = policy.betas
     node_ids = [node.id for node in scenario.nodes]
     grids = {
         node_id: np.linspace(
@@ -523,34 +527,32 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
         rates = iter(tp.expected_throughput(view.queue.arrival_rate, p_loss).tolist())
         return [next(rates) if ok else -math.inf for ok in stable.tolist()]
 
-    def network_rate(trial):
-        total = 0.0
-        for other_id in node_ids:
-            other_view = tp.source_view(scenario, trial, other_id)
-            try:
-                total += tp.evaluate_view(other_view, trial.get(other_id)).throughput
-            except StabilityError:
-                return -math.inf
-        return total
+    def rate(trial, node_id):
+        """``node_id``'s throughput under the policy ``trial``; -inf if unstable."""
+        try:
+            return tp.evaluate_view(tp.source_view(scenario, trial, node_id),
+                                    trial.get(node_id)).throughput
+        except StabilityError:
+            return -math.inf
 
     trace = []
-    converged = False
+    converged, cycle = False, None
     for iteration in range(max_iters):
         new_betas, chosen_rate, previous_rate = {}, {}, {}
         for node_id in node_ids:
             view = tp.source_view(scenario, policy, node_id)
             grid = grids[node_id]
             previous = policy.get(node_id)
-            if objective == "own":
-                rates = own_rates(view, [*grid, previous])
-                best_idx = int(np.argmax(rates[:-1]))
-                chosen_rate[node_id], previous_rate[node_id] = rates[best_idx], rates[-1]
-            else:
-                values = [network_rate(policy.updated(node_id, beta)) for beta in grid]
-                best_idx = int(np.argmax(values))
-                chosen_rate[node_id], previous_rate[node_id] = own_rates(
-                    view, [grid[best_idx], previous]
-                )
+            rates = own_rates(view, [*grid, previous])
+            values = rates[:-1]
+            if objective == "sum":
+                values = []
+                for k, beta in enumerate(grid):
+                    trial = PolicyVector({**policy.betas, node_id: beta})
+                    values.append(sum(rates[k] if i == node_id else rate(trial, i)
+                                      for i in node_ids))
+            best_idx = int(np.argmax(values))
+            chosen_rate[node_id], previous_rate[node_id] = rates[best_idx], rates[-1]
             new_betas[node_id] = grid[best_idx]
         delta = max(abs(new_betas[i] - policy.get(i)) for i in node_ids)
         policy = PolicyVector(new_betas)
@@ -564,7 +566,15 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
         if delta < tol:
             converged = True
             break
-    return tp.JacobiResult(trace=trace, converged=converged)
+        iterates = [initial_betas] + [entry["betas"] for entry in trace]
+        start = next(k for k, betas in enumerate(iterates) if betas == new_betas) - 1
+        if start < iteration:
+            period = iteration - start
+            moving = tuple(i for i in node_ids
+                           if any(iterates[-1][i] != betas[i] for betas in iterates[-period:]))
+            cycle = period, moving
+            break
+    return tp.JacobiResult(trace=trace, converged=converged, cycle=cycle)
 
 
 def sweep_pointwise(scenario, axes, outputs) -> tuple[list[str], list[dict]]:

@@ -319,7 +319,7 @@ class TestTruncatedPowerMoment:
     @pytest.mark.parametrize("beta", [[1.0], [1.0, 2.0], np.array([1.0, 2.0]), np.array(1.0)],
                              ids=["list-of-one", "list-of-two", "array", "0-d-array"])
     def test_takes_one_threshold(self, model, beta):
-        with pytest.raises(DomainError, match="truncated_power_moment takes one threshold"):
+        with pytest.raises(DomainError, match="^truncated_power_moment: beta must be a number, got "):
             ch.truncated_power_moment(model, beta, 2)
 
 
@@ -464,8 +464,8 @@ class TestValidation:
             Rician(b=math.inf)
 
     def test_rician_rejects_an_array_naming_the_field(self):
-        # the threshold rule passes an array, which a LoS parameter is not
-        with pytest.raises(DomainError, match=r"^Rician.b must be finite and >= 0, got \["):
+        # the threshold rule takes one number, and so does a LoS parameter
+        with pytest.raises(DomainError, match=r"^Rician.b must be a number, got \["):
             Rician(b=[1.0, 2.0])
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],

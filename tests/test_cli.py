@@ -412,6 +412,15 @@ class TestOptimize:
         for node_id, beta in expected.items():
             assert shown[node_id] == pytest.approx(beta, rel=1e-5)
 
+    def test_a_cycle_is_named_and_exits_zero(self, tmp_path, capsys):
+        # the example's 64-point grid: iterate 4 repeats iterate 2
+        trace = tmp_path / "trace.csv"
+        code = cli.main(["optimize", "--scenario", str(EXAMPLE), "--out", str(trace)])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert printed[:2] == ["status     = cycle (period 2: src, i0)", "iterations = 5"]
+        assert max(row["iteration"] for row in read_results(trace)) == 4
+
 
 class TestLogLevel:
     def test_unknown_level_is_a_usage_error(self, monkeypatch, capsys):

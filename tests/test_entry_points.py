@@ -109,6 +109,7 @@ ENTRY_POINTS = {
     "SweepSpec beta_n last": (lambda b: ps.SweepSpec("beta_n", (1.0, b)), "SweepSpec: beta_n"),
     "SweepSpec beta_m": (lambda b: ps.SweepSpec("beta_m", (b,)), "SweepSpec: beta_m"),
     "evaluate_view": (lambda b: tp.evaluate_view(VIEW, b), "node 'src': beta"),
+    "evaluate": (lambda b: tp.evaluate(EXAMPLE, {"src": b}), "PolicyVector: beta for node 'src'"),
     "loss_derivative": (lambda b: tp.loss_derivative(VIEW, b), "loss_derivative: beta"),
     "p_error": (lambda b: itf.p_error(LINK, 1.0, b, NoiseModel(), 2.0, fit=ZERO_INTERFERENCE),
                 "main_beta"),
@@ -123,6 +124,33 @@ def test_a_bad_threshold_is_a_named_domain_error_at_every_entry_point(entry, bad
     call, field = ENTRY_POINTS[entry]
     expected = "a number" if isinstance(bad, bool) else ">= 0"
     with pytest.raises(DomainError, match=f"^{field} must be {expected}, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_an_integer_below_the_float_range_is_a_negative_threshold(entry):
+    call, field = ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=f"^{field} must be >= 0, got -inf$"):
+        call(-10**400)
+
+
+def test_an_integer_above_the_float_range_is_an_infinite_threshold():
+    assert PolicyVector({"src": 10**400}).get("src") == math.inf
+    assert InterfererLink(1.0, 1.0, Rayleigh(2.0), 10**400).beta == math.inf
+    assert ch.truncated_power_moment(Rician(3.0), 10**400, 4) == 0.0
+    assert tp.evaluate(EXAMPLE, {"i1": 10**400}) == tp.evaluate(EXAMPLE, {"i1": math.inf})
+
+
+# the entry points where a threshold is one value; the others take a grid of them
+ONE_THRESHOLD = [entry for entry in ENTRY_POINTS
+                 if entry not in ("loss_derivative", "p_error", "fading_cdf", "transmit_prob")]
+
+
+@pytest.mark.parametrize("bad", [[1.0, 2.0], [1.0]], ids=str)
+@pytest.mark.parametrize("entry", ONE_THRESHOLD)
+def test_an_array_is_no_threshold_where_a_threshold_is_one_value(entry, bad):
+    call, field = ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=f"^{field} must be a number, got {re.escape(str(bad))}$"):
         call(bad)
 
 
@@ -218,6 +246,30 @@ def test_a_bad_positive_quantity_is_named_at_every_entry_point(entry, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+@pytest.mark.parametrize("entry", POSITIVE)
+def test_an_integer_beyond_the_float_range_is_named_as_a_positive_quantity(entry, sign):
+    call, field, error = POSITIVE[entry]
+    expected = "finite, got inf" if sign > 0 else "> 0, got -inf"
+    with pytest.raises(error, match=f"^{re.escape(field)} must be {re.escape(expected)}$"):
+        call(sign * 10**400)
+
+
+@pytest.mark.parametrize("entry", [entry for entry, (*_, least) in COUNTS.items()
+                                   if entry != "SimConfig.seed"])
+def test_a_count_beyond_the_float_range_is_named(entry):
+    # a count may meet a float as its exponent, as num_channels does in F(beta) ** N
+    call, field, error, _ = COUNTS[entry]
+    expected = "must be <= 1.79769e+308, got a 1329-bit integer"
+    with pytest.raises(error, match=f"^{re.escape(field)} {re.escape(expected)}$"):
+        call(10**400)
+
+
+def test_any_integer_seeds():
+    assert sim.SimConfig(10, seed=10**400).seed == 10**400
+    assert scenario_from_mapping(document(("placement_seed",), 10**400)).nodes
+
+
 @pytest.mark.parametrize("entry, bad", [
     (entry, bad) for entry, (*_, least) in COUNTS.items()
     for bad in (True, 2.5, math.nan, math.inf, 0, -1)
@@ -232,7 +284,7 @@ def test_a_bad_count_is_named_at_every_entry_point(entry, bad):
 
 @pytest.mark.parametrize("bad, expected", [
     (True, "a number"), (math.nan, ">= 0"), (-1.0, ">= 0"), (math.inf, "a finite number"),
-    ([1.0, 2.0], "a finite number"),
+    ([1.0, 2.0], "a number"), pytest.param(10**400, "a finite number", id="10**400"),
 ], ids=str)
 def test_a_bad_buffer_is_named(bad, expected):
     field = "QueueParams.buffer_capacity_normalized"
@@ -241,7 +293,7 @@ def test_a_bad_buffer_is_named(bad, expected):
 
 
 @pytest.mark.parametrize("bad, expected", [(True, "a number"), (math.nan, ">= 0"),
-                                           (-1.0, ">= 0")], ids=str)
+                                           (-1.0, ">= 0"), ([1.0, 2.0], "a number")], ids=str)
 def test_a_bad_node_threshold_is_named(bad, expected):
     with pytest.raises(ScenarioError, match=f"^node 'src': beta must be {expected}, got "):
         replace(EXAMPLE.source(), beta=bad)
@@ -276,6 +328,8 @@ NONNEGATIVE_KEYS = [("nodes", "beta"), ("nodes", "queue", "buffer_capacity_norma
       for bad in (True, 2.5, math.nan, math.inf, 0, -1) if not (type(bad) is int and bad >= least)),
     *((path, bad) for path in NONNEGATIVE_KEYS for bad in (True, math.nan, -1.0)),
     (("nodes", "queue", "buffer_capacity_normalized"), math.inf),
+    pytest.param(("num_channels",), 10**400, id="('num_channels',)-10**400"),
+    (("nodes", "beta"), [1.0, 2.0]),
 ], ids=str)
 def test_a_bad_number_in_a_document_is_a_scenario_error_naming_its_key(path, bad):
     with pytest.raises(ScenarioError, match=path[-1]):

@@ -693,7 +693,7 @@ class TestConfigValidation:
 
     def test_partial_policy_gives_the_completed_counts(self):
         scenario = load_scenario_file(EXAMPLE)
-        full = scenario_policy(scenario).updated("src", 4.5)
+        full = PolicyVector({**scenario_policy(scenario).betas, "src": 4.5})
         cfg = SimConfig(3000, seed=4, warmup_slots=100, replication_count=2)
         partial = sim.run(scenario, PolicyVector({"src": 4.5}), cfg).counts
         assert partial == sim.run(scenario, full, cfg).counts

@@ -435,7 +435,7 @@ class TestEvaluate:
         scenario = rician_scenario()
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        policy = scenario_policy(scenario).updated("src", upper)
+        policy = PolicyVector({**scenario_policy(scenario).betas, "src": upper})
         breakdown = tp.evaluate(scenario, policy)
         assert breakdown.p_delay == pytest.approx(1.0, abs=1e-9)
         assert breakdown.throughput == pytest.approx(0.0, abs=1e-6)
@@ -444,7 +444,7 @@ class TestEvaluate:
         scenario = rician_scenario()
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        policy = scenario_policy(scenario).updated("src", upper + 0.2)
+        policy = PolicyVector({**scenario_policy(scenario).betas, "src": upper + 0.2})
         with pytest.raises(StabilityError) as excinfo:
             tp.evaluate(scenario, policy)
         assert excinfo.value.node == "src"
@@ -492,7 +492,7 @@ class TestEvaluate:
         policy = scenario_policy(scenario)
         previous = tp.evaluate(scenario, policy).throughput
         for value in (3.0, 4.5, 6.0, 8.0):
-            policy = policy.updated("i2", value)
+            policy = PolicyVector({**policy.betas, "i2": value})
             current = tp.evaluate(scenario, policy).throughput
             assert current >= previous - 1e-9
             previous = current
@@ -800,7 +800,7 @@ class TestJacobi:
         scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        initial = scenario_policy(scenario).updated("src", upper + 1.0)
+        initial = PolicyVector({**scenario_policy(scenario).betas, "src": upper + 1.0})
         result = tp.jacobi_best_response(scenario, initial=initial, grid_size=16, max_iters=1)
         first = result.trace[0]
         assert first["previous_throughput"]["src"] == -math.inf
@@ -940,20 +940,27 @@ class TestJacobi:
         with pytest.raises(DomainError, match="tol"):
             tp.jacobi_best_response(rician_scenario(), tol=tol)
 
-    def test_sum_objective_prepares_each_grid_of_one_once(self, monkeypatch):
-        # every node's trial threshold is a point of its grid or its initial one
+    def test_sum_objective_prepares_a_grid_of_one_per_node_and_start(self, monkeypatch):
+        # a node's own term is read off its grid scan, so a grid of one holds a node's
+        # threshold at an iterate a sweep starts from, where the others' trials face it
         document = yaml.safe_load(EXAMPLE.read_text())
         scenario = scenario_from_mapping({**document, "placement_seed": 0})
         prepared = []
         monkeypatch.setattr(tp, "_prepare_grid", recording(prepared, tp._prepare_grid))
-        tp.jacobi_best_response(scenario, grid_size=8, max_iters=2, objective="sum")
-        ones = [betas for _, betas in prepared if len(betas) == 1]
-        assert 0 < len(ones) <= len(scenario.nodes) * (8 + 1)
+        result = tp.jacobi_best_response(scenario, grid_size=8, max_iters=2, objective="sum")
+        starts = [tp._resolve_policy(scenario, None).betas]
+        starts += [entry["betas"] for entry in result.trace[:-1]]
+        ones = [(view.node_id, betas) for view, betas in prepared if len(betas) == 1]
+        assert sorted(ones) == sorted({(i, (betas[i],)) for betas in starts for i in betas})
+        # each node's grid holding its off-grid start, then its grid alone
+        assert len(prepared) - len(ones) == len(scenario.nodes) * 2
 
 
 def test_a_repeated_price_is_made_once(monkeypatch):
-    # the example 2-cycles: 50 iterations score 250 grids, of which 25 are distinct
-    scenario = scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
+    # on example placement 0 some node's opponents hold their thresholds from one sweep's
+    # start to the next: 5 sweeps of 5 nodes score 25 grids, of which 23 are distinct
+    document = yaml.safe_load(EXAMPLE.read_text())
+    scenario = scenario_from_mapping({**document, "placement_seed": 0})
     prices = []
 
     def spied(*args, **kwargs):
@@ -961,12 +968,98 @@ def test_a_repeated_price_is_made_once(monkeypatch):
 
     error_grid = itf._error_grid
     monkeypatch.setattr(itf, "_error_grid", spied)
-    got = tp.jacobi_best_response(scenario, max_iters=50)
+    got = tp.jacobi_best_response(scenario)
     monkeypatch.undo()
-    want = jacobi_rebuilding(scenario, max_iters=50)
-    assert len(prices) <= 25
-    assert got.iterations == 50 and not got.converged
+    want = jacobi_rebuilding(scenario)
     assert repr(got.trace) == repr(want.trace) and got.converged == want.converged
+    # a price is keyed by the node, its scored thresholds (the off-grid start joins its grid
+    # in the first sweep only) and the others' thresholds
+    starts = [tp._resolve_policy(scenario, None).betas]
+    starts += [entry["betas"] for entry in got.trace[:-1]]
+    keys = {(k == 0, i, tuple(b for j, b in betas.items() if j != i))
+            for k, betas in enumerate(starts) for i in betas}
+    assert got.iterations == 5 and got.converged
+    assert len(prices) == len(keys) == 23
+
+
+class TestCycleExit:
+    """Best response stops at the first iterate that repeats an earlier one and names the cycle."""
+
+    EXAMPLE_SCENARIO = scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
+
+    def test_the_example_two_cycles_through_src_and_i0(self):
+        result = tp.jacobi_best_response(self.EXAMPLE_SCENARIO)  # a 64-point grid
+        betas = [entry["betas"] for entry in result.trace]
+        assert result.cycle == (2, ("src", "i0"))
+        assert result.iterations == 5 and not result.converged
+        assert betas[4] == betas[2] and betas[3] != betas[1]
+        assert [i for i in betas[2] if betas[2][i] != betas[3][i]] == ["src", "i0"]
+
+    def test_a_repeat_of_the_initial_policy_is_a_cycle(self):
+        # the first iterate counts as iterate -1
+        start = tp.jacobi_best_response(self.EXAMPLE_SCENARIO).trace[2]["betas"]
+        result = tp.jacobi_best_response(self.EXAMPLE_SCENARIO, start)
+        assert result.cycle == (2, ("src", "i0"))
+        assert result.iterations == 2 and result.trace[1]["betas"] == start
+
+    @pytest.mark.parametrize("grid_size", [65, 128])
+    def test_a_converging_run_names_no_cycle(self, grid_size):
+        result = tp.jacobi_best_response(self.EXAMPLE_SCENARIO, grid_size=grid_size)
+        assert result.converged and result.cycle is None
+
+    def test_the_cap_before_a_repeat_names_no_cycle(self):
+        result = tp.jacobi_best_response(self.EXAMPLE_SCENARIO, max_iters=4)
+        assert result.iterations == 4 and not result.converged and result.cycle is None
+
+
+# the sum objective's thresholds (src, i0, i1, i2, i3) as they were while a node's own term
+# was priced as a grid of one per trial: example placements at grid 8, where both
+# iterates of 2 are this one ...
+SUM_AT_GRID_8 = {
+    0: (4.957948318094199, 5.936768264811846, 5.271239999460548, 2.560125853728712,
+        2.560125853728712),
+    1: (4.957948318094199, 5.514710796208126, 5.441385296693513, 2.560125853728712,
+        2.560125853728712),
+    2: (4.957948318094199, 5.826850015255831, 5.579287529410261, 2.560125853728712,
+        2.560125853728712),
+    3: (4.957948318094199, 5.432683014475996, 5.5924498150977735, 2.560125853728712,
+        2.560125853728712),
+    4: (4.957948318094199, 5.5302443643360535, 5.552472536152516, 2.560125853728712,
+        2.560125853728712),
+    5: (4.957948318094199, 5.5509237508722205, 5.42481726970078, 2.560125853728712,
+        2.560125853728712),
+    6: (4.957948318094199, 6.2218505018871, 5.408036085551272, 2.560125853728712,
+        2.560125853728712),
+    7: (4.957948318094199, 5.587366251484527, 5.76077509904048, 2.560125853728712,
+        2.560125853728712),
+}
+# ... and the shipped example at the defaults, one per iterate
+SUM_ON_THE_EXAMPLE = [
+    (5.417017606806625, 6.104714978473834, 6.2941802008034875, 2.7023550678247514,
+     2.7023550678247514),
+    (5.417017606806625, 6.104714978473834, 6.2941802008034875, 2.560125853728712,
+     2.560125853728712),
+    (5.417017606806625, 6.104714978473834, 6.2941802008034875, 2.560125853728712,
+     2.560125853728712),
+]
+
+
+def sum_iterates(scenario, **kwargs) -> list[tuple]:
+    result = tp.jacobi_best_response(scenario, objective="sum", **kwargs)
+    assert result.converged
+    return [tuple(entry["betas"].values()) for entry in result.trace]
+
+
+@pytest.mark.parametrize("placement", range(8))
+def test_sum_thresholds_hold_on_example_placements(placement):
+    document = yaml.safe_load(EXAMPLE.read_text())
+    scenario = scenario_from_mapping({**document, "placement_seed": placement})
+    assert sum_iterates(scenario, grid_size=8, max_iters=2) == [SUM_AT_GRID_8[placement]] * 2
+
+
+def test_sum_thresholds_hold_on_the_example():
+    scenario = scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
+    assert sum_iterates(scenario) == SUM_ON_THE_EXAMPLE
 
 
 class TestJacobiMatchesRebuildingLoop:
@@ -978,6 +1071,7 @@ class TestJacobiMatchesRebuildingLoop:
         want = jacobi_rebuilding(scenario, **kwargs)
         assert repr(got.trace) == repr(want.trace)
         assert got.converged == want.converged
+        assert got.cycle == want.cycle
         return got
 
     @pytest.mark.parametrize("placement", range(8))
@@ -1028,6 +1122,10 @@ class TestJacobiMatchesRebuildingLoop:
         scenario = scenario_from_mapping({**document, "placement_seed": placement})
         self.assert_same(scenario, grid_size=8, max_iters=2, objective="sum")
 
+    def test_the_example_cycle(self):
+        scenario = scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
+        assert self.assert_same(scenario).cycle == (2, ("src", "i0"))
+
     def test_sum_objective_initial_threshold_beyond_the_bound(self):
         # every other node's trial faces src beyond its bound: the network rate is -inf
         scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
@@ -1043,13 +1141,13 @@ class TestPolicyResolution:
 
     def test_partial_policy_in_evaluate(self):
         scenario = rician_scenario(beta=4.0)
-        full = scenario_policy(scenario).updated("i1", 3.0)
+        full = PolicyVector({**scenario_policy(scenario).betas, "i1": 3.0})
         assert tp.evaluate(scenario, PolicyVector({"i1": 3.0})) == tp.evaluate(scenario, full)
         assert tp.evaluate(scenario, {"i1": 3.0}) == tp.evaluate(scenario, full)
 
     def test_partial_initial_policy_in_jacobi(self):
         scenario = rician_scenario(beta=4.0)
-        full = scenario_policy(scenario).updated("src", 3.0)
+        full = PolicyVector({**scenario_policy(scenario).betas, "src": 3.0})
 
         def run(initial):
             return tp.jacobi_best_response(scenario, initial, grid_size=8, max_iters=2)
@@ -1084,12 +1182,10 @@ def test_policy_vector_validation():
         with pytest.raises(DomainError, match="'src'"):
             tp.evaluate(rician_scenario(), {"src": malformed})
     assert PolicyVector({"a": math.inf}).get("a") == math.inf  # inf silences a node
-    policy = PolicyVector({"a": 1.0}).updated("a", 2.0)
-    assert policy.get("a") == 2.0
 
 
 def test_int_thresholds_are_stored_and_priced_as_floats():
-    policy = PolicyVector({"a": 2, "b": np.float64(1.5)}).updated("c", 0)
+    policy = PolicyVector({"a": 2, "b": np.float64(1.5), "c": 0})
     assert all(type(beta) is float for beta in policy.betas.values())
     assert policy.betas == {"a": 2.0, "b": 1.5, "c": 0.0}
     scenario = scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
