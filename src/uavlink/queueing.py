@@ -112,11 +112,11 @@ def p_overflow(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
     (1 - rho) e^-x / (1 - rho - rho expm1(-x)) with x = bn (1 - rho), written
     with exprel(z) = expm1(z) / z to pass smoothly through full load, 1 / (1 + bn).
     """
-    rho = offered_load(mu, q)
-    worst = float(rho.max(initial=0.0))
-    if not worst <= 1.0 + _BOUNDARY_TOL:
+    mu = _check_phi(mu)
+    if not is_stable(mu.min(initial=1.0), q):  # the slowest rate decides, as in p_delay
+        worst = q.arrival_rate * q.slot_duration / mu.min()
         raise StabilityError(f"unstable queue: offered load {worst:.6g} >= 1", margin=worst - 1.0)
-    return _p_overflow(rho, q)
+    return _p_overflow(offered_load(mu, q), q)
 
 
 def _p_overflow(rho: np.ndarray, q: QueueParams) -> np.ndarray:

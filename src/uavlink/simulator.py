@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent import futures  # its ThreadPoolExecutor module loads at first use
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import channel as ch
 from . import specfun
+from .errors import DomainError
 from .scenario_io import Scenario
 from .throughput import _link, _resolve_policy
 
@@ -129,47 +129,26 @@ class _SimNode:
     buffer_capacity: float
 
 
-_NEAR_TIE = 1e-13  # relative gap below which the proxy's pick is checked on the amplitudes
-
-
-def _draw_best(rng: np.random.Generator, model: ch.FadingModel, nb: int, f: int, work: np.ndarray):
+def _draw_best(rng: np.random.Generator, model: ch.FadingModel, nb: int, f: int):
     """Each of ``nb`` slots' best channel among ``f`` and its fading amplitude.
 
     Rayleigh amplitudes are sqrt(omega E) of unit exponentials E and Rician
     ones |b + Z| of standard complex normals Z, computed by ``np.hypot``.
-    The winner is picked on a monotone proxy that is cheaper than the
-    amplitudes: E itself, or ``np.abs(b + Z)``, which is within a few ulp of
-    ``np.hypot``.  The proxy is laid out channel-major, so the top of each
-    slot is one elementwise maximum over the channels, and a slot's winner
-    is its only channel within ``_NEAR_TIE`` of the top.  A slot with more
-    than one is picked again on the amplitudes, so channel (the first of
-    equals) and amplitude are those of the argmax over all ``f`` amplitudes.
-    The draws and the proxy are made in ``work``, a float array of at least
-    ``3 nb f`` elements that the caller reuses from block to block.
+    A slot's channel is the argmax of its draws themselves, E or
+    ``np.abs(b + Z)``, the first of equal draws, and only that channel's
+    amplitude is computed.  Where two draws differ but their amplitudes
+    round equal, the larger draw wins; ``np.abs`` may order two Rician
+    channels a few ulp apart unlike ``np.hypot``.
     """
-    n = nb * f
-    proxy = work[2 * n : 3 * n].reshape(f, nb)
     if isinstance(model, ch.Rayleigh):
-        draws = rng.standard_exponential(out=work[:n].reshape(nb, f))
-        np.copyto(proxy, draws.T)
-
-        def amplitude(x):
-            return np.sqrt(model.omega * x)
-    else:
-        normals = rng.standard_normal(out=work[: 2 * n].reshape(nb, f, 2))
-        normals[..., 0] += model.b
-        draws = normals.view(complex)[..., 0]
-        np.abs(draws.T, out=proxy)
-
-        def amplitude(z):
-            return np.hypot(z.real, z.imag)
-    # 1 where a channel is within reach of its slot's top, else 0
-    np.greater_equal(proxy, proxy.max(axis=0) * (1.0 - _NEAR_TIE), out=proxy)
-    channel = (np.arange(f, dtype=float) @ proxy).astype(np.intp)  # the index of a lone 1
-    if np.count_nonzero(proxy) > nb:
-        rows = np.flatnonzero(np.count_nonzero(proxy, axis=0) > 1)
-        channel[rows] = amplitude(draws[rows]).argmax(axis=1)
-    return channel, amplitude(draws[np.arange(nb), channel])
+        draws = rng.standard_exponential((nb, f))
+        channel = draws.argmax(axis=1)
+        return channel, np.sqrt(model.omega * draws[np.arange(nb), channel])
+    normals = rng.standard_normal((nb, f, 2))
+    normals[..., 0] += model.b
+    channel = np.abs(normals.view(complex)[..., 0]).argmax(axis=1)
+    best = normals[np.arange(nb), channel]
+    return channel, np.hypot(best[:, 0], best[:, 1])
 
 
 class _Queue:
@@ -307,16 +286,15 @@ def _arrival_order(slot_of: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
     return order
 
 
-def _advance(node: _SimNode, rng, queue: _Queue, work: np.ndarray, start: int, nb: int,
-             f: int, t_slt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _advance(node: _SimNode, rng, queue: _Queue, start: int, nb: int, f: int,
+             t_slt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One node's block of ``nb`` slots from slot ``start``.
 
     Returns each slot's best channel and its amplitude, and the block slots
     the node transmitted in.  It touches only the node's own ``rng`` and
-    ``queue`` and the caller's ``work`` (see :func:`_draw_best`), so nodes
-    can advance at once on separate threads, each with its own ``work``.
+    ``queue``, so nodes can advance at once on separate threads.
     """
-    channel, value = _draw_best(rng, node.fading, nb, f, work)
+    channel, value = _draw_best(rng, node.fading, nb, f)
     cnt = rng.poisson(node.arrivals_per_slot, nb)
     total = int(cnt.sum())
     offsets = rng.random(total)
@@ -335,10 +313,9 @@ def _run_replication(
     cfg: SimConfig,
     replication: int,
     pool: futures.Executor,
-    worker: threading.local,
 ) -> ReplicationCounts:
-    """One replication; a block's nodes advance as tasks on ``pool``, each with the
-    ``work`` of the ``worker`` thread that runs it, and are gathered in node order."""
+    """One replication; a block's nodes advance as tasks on ``pool`` and are
+    gathered in node order."""
     f = scenario.num_channels
     t_slt = scenario.slot_duration
     gamma_th = scenario.sinr_threshold
@@ -355,7 +332,7 @@ def _run_replication(
         nb = min(_BLOCK, cfg.num_slots - done)
 
         def advance(node, rng, queue, start=done, nb=nb):
-            return _advance(node, rng, queue, worker.work, start, nb, f, t_slt)
+            return _advance(node, rng, queue, start, nb, f, t_slt)
 
         best_ch, best_val, sent = zip(*pool.map(advance, nodes, rngs, queues))
         tx = sent[source_idx]
@@ -444,19 +421,17 @@ def run(scenario: Scenario, policy=None, cfg: SimConfig = SimConfig(100_000)) ->
     node), which lives only while the call runs.  A node's draws and queue
     touch nothing of another node's, and the SINR step takes their results
     in node order, so the results are bit-identical for any CPU count.
-    Each worker holds a buffer of 3 x block x ``num_channels`` floats for
-    its draws: 23.6 MB at the 65,536-slot block with 15 channels.
+    A node draws a block's fading as one array of up to 2 x block x
+    ``num_channels`` floats (Rician); a channel count too large for a
+    numpy array raises ``DomainError`` before any thread starts.
     """
     nodes, source_idx = _sim_nodes(scenario, policy)
-    size = 3 * min(_BLOCK, cfg.num_slots) * scenario.num_channels
-    worker = threading.local()
-
-    def start():
-        worker.work = np.empty(size)
-
-    with futures.ThreadPoolExecutor(min(_usable_cpus(), len(nodes)), initializer=start) as pool:
+    f, nb = scenario.num_channels, min(_BLOCK, cfg.num_slots)
+    if 2 * nb * f * np.dtype(float).itemsize > np.iinfo(np.intp).max:  # numpy's array limit
+        raise DomainError(f"num_channels = {f:.6g} is too many to draw for {nb} slots at once")
+    with futures.ThreadPoolExecutor(min(_usable_cpus(), len(nodes))) as pool:
         counts = tuple(
-            _run_replication(scenario, nodes, source_idx, cfg, rep, pool, worker)
+            _run_replication(scenario, nodes, source_idx, cfg, rep, pool)
             for rep in range(cfg.replication_count)
         )
     observed_slots = cfg.num_slots - cfg.warmup_slots

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavlink import queueing as qn
 from uavlink.errors import DegeneratePolicyError, DomainError, StabilityError
@@ -121,6 +123,27 @@ class TestPOverflow:
         q = make_queue(arrival_rate=100.0)
         with pytest.raises(StabilityError):
             qn.p_overflow(0.1, q)
+
+
+NEAR_BOUND = QueueParams(120.0, 0.002, 0.045, 100.0)
+BOUND = 120.0 * 0.002 * (1.0 - 1e-9)  # the slowest per-slot rate the tolerance admits
+
+
+def raises_stability(closed_form, mu) -> bool:
+    try:
+        closed_form(mu, NEAR_BOUND)
+    except StabilityError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(BOUND - 4e-16, BOUND + 4e-16))
+@example(0.23999999975999997)  # unstable to p_delay, but once accepted by p_overflow
+def test_p_delay_and_p_overflow_share_one_stability_rule(mu):
+    for rates in (mu, np.array([0.5, mu])):
+        assert raises_stability(qn.p_delay, rates) == raises_stability(qn.p_overflow, rates)
+    assert raises_stability(qn.p_overflow, mu) == (not qn.is_stable(mu, NEAR_BOUND))
 
 
 class TestStateDistribution:

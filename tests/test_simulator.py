@@ -4,18 +4,20 @@ import itertools
 import math
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from oracles import _draw_fading_slot_loop, scenario_policy, slot_loop_counts, visit_block
 
 from uavlink import presets
 from uavlink import simulator as sim
 from uavlink import throughput as tp
-from uavlink.channel import Rayleigh, Rician, build_link
+from uavlink.channel import Rayleigh, Rician, build_link, fading_cdf
 from uavlink.errors import DomainError, ScenarioError
 from uavlink.scenario_io import load_scenario_file, scenario_from_mapping
 from uavlink.simulator import SimConfig, derive_seed
@@ -320,16 +322,13 @@ class TestSlotLoopOracle:
 
 
 class StubGenerator:
-    """Hands out one fixed array of draws, as a sized draw or into ``out``."""
+    """Hands out one fixed array of draws in the shape asked for."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def _draw(self, size=None, out=None):
-        if out is None:
-            return self.values.reshape(size).copy()
-        out[...] = self.values.reshape(out.shape)
-        return out
+    def _draw(self, size):
+        return self.values.reshape(size).copy()
 
     standard_normal = standard_exponential = exponential = _draw
 
@@ -345,17 +344,20 @@ def hypot_above(re, im):
 
 
 class TestDrawBest:
+    """A slot's channel is the argmax of its draws, the first of equals, and its
+    amplitude is the slot loop's amplitude of that channel, bit for bit."""
+
     NB, F = 40, 15
 
-    def check(self, model, values):
+    def check(self, model, values, planted):
+        """The slot loop's amplitudes, once ``_draw_best`` agrees with them; the
+        first ``planted`` slots hold planted ties, and their channels are returned."""
         want = _draw_fading_slot_loop(StubGenerator(values), model, self.NB, self.F)
-        channel, value = sim._draw_best(
-            StubGenerator(values), model, self.NB, self.F, np.empty(3 * self.NB * self.F)
-        )
-        best = want.argmax(axis=1)
-        assert channel.tolist() == best.tolist()
-        assert value.tolist() == want[np.arange(self.NB), best].tolist()
-        return want
+        channel, value = sim._draw_best(StubGenerator(values), model, self.NB, self.F)
+        assert value.tolist() == want[np.arange(self.NB), channel].tolist()
+        assert value.tolist() == want.max(axis=1).tolist()
+        assert channel[planted:].tolist() == want[planted:].argmax(axis=1).tolist()
+        return want, channel[:planted].tolist()
 
     def test_rician_ties_and_one_ulp_gaps(self):
         model = Rician(3.9)
@@ -367,8 +369,8 @@ class TestDrawBest:
         g[1, [2, 9], 1] = [hypot_above(re, 0.75), 0.75]  # the first is one ulp larger
         g[2, [2, 9], 0] = 4.0
         g[2, [2, 9], 1] = [0.75, hypot_above(re, 0.75)]  # the second is one ulp larger
-        fades = self.check(model, g)
-        assert fades[:3].argmax(axis=1).tolist() == [3, 2, 9]
+        fades, channels = self.check(model, g, planted=3)
+        assert channels == [3, 2, 9]
         assert fades[0, 3] == fades[0, 7]
         assert fades[1, 2] == np.nextafter(fades[1, 9], math.inf)
         assert fades[2, 9] == np.nextafter(fades[2, 2], math.inf)
@@ -379,9 +381,19 @@ class TestDrawBest:
         e[0, [3, 7]] = 50.0  # equal draws
         e[1, [1, 4]] = [50.0, np.nextafter(50.0, math.inf)]  # one ulp apart, equal amplitudes
         e[2, [1, 4]] = [np.nextafter(50.0, math.inf), 50.0]
-        fades = self.check(model, e)
-        assert fades[:3].argmax(axis=1).tolist() == [3, 1, 1]
+        fades, channels = self.check(model, e, planted=3)
+        assert channels == [3, 4, 1]  # the larger draw wins where the amplitudes round equal
         assert fades[1, 1] == fades[1, 4] == fades[2, 1] == fades[2, 4]
+
+    @pytest.mark.parametrize("model", [Rayleigh(0.7), Rician(3.9)], ids=["rayleigh", "rician"])
+    def test_the_best_of_f_channels_is_uniform_and_follows_the_cdf_to_the_f(self, model):
+        """With i.i.d. channels the best one is uniform over them, and its amplitude
+        has CDF F^f (David and Nagaraja, Order Statistics, 2003)."""
+        nb = sim._BLOCK
+        channel, value = sim._draw_best(np.random.default_rng(2027), model, nb, self.F)
+        assert stats.chisquare(np.bincount(channel, minlength=self.F)).pvalue > 1e-3
+        cdf = lambda x: fading_cdf(model, x) ** self.F  # noqa: E731
+        assert stats.kstest(value, cdf).pvalue > 1e-3
 
 
 class TestArrivalOrder:
@@ -702,6 +714,18 @@ class TestConfigValidation:
     def test_invalid_policy_threshold_named(self, beta):
         with pytest.raises(DomainError, match="'src'"):
             sim.run(load_scenario_file(EXAMPLE), {"src": beta}, SimConfig(1000))
+
+    @pytest.mark.parametrize("num_channels", [10**300, 2**62])
+    def test_an_undrawable_channel_count_is_named_before_the_pool(self, monkeypatch, capfd,
+                                                                   num_channels):
+        def no_pool():
+            raise AssertionError("the pool was started")
+
+        monkeypatch.setattr(sim, "_usable_cpus", no_pool)
+        scenario = replace(load_scenario_file(EXAMPLE), num_channels=num_channels)
+        with pytest.raises(DomainError, match="^num_channels = "):
+            sim.run(scenario, cfg=SimConfig(100))
+        assert capfd.readouterr().err == ""
 
     def test_single_replication_has_zero_halfwidth(self):
         scenario = small_scenario()
