@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Sequence
 
@@ -79,10 +78,9 @@ class SweepSpec:
                 specfun._nonnegative(name, value)
             elif self.variable != "interferer_count":  # gamma_th and t_slt
                 specfun._positive(name, value)
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"{name} must be a number, got {value!r}")
-            # a count, but whole floats too, since `uavlink sweep --values` parses floats
-            elif not (value >= 0 and float(value).is_integer()):  # NaN fails the comparison
+            # a count, but whole floats too, since `uavlink sweep --values` parses floats; an
+            # integer beyond the float range reads as inf, which is not whole
+            elif not ((count := specfun._real(name, value)) >= 0 and count.is_integer()):
                 raise DomainError(f"{name} takes whole numbers >= 0, got {value!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise DomainError("SweepSpec.values must be strictly increasing")
@@ -147,7 +145,7 @@ def _stability_bound(scenario: Scenario, axes: Sequence[SweepSpec]) -> float:
         default=scenario.slot_duration,
     )
     source = _with_slot_duration(scenario, float(slot)).source()
-    return tp.beta_upper(tp._link(scenario, source).fading, source.queue, scenario.num_channels)
+    return tp.beta_upper(scenario.links[source.id].fading, source.queue, scenario.num_channels)
 
 
 def _sweep(
@@ -157,15 +155,14 @@ def _sweep(
 ) -> tuple[list[str], list[dict]]:
     """Evaluate the source over the product of ``axes``, first axis outermost.
 
-    Points that differ only in ``beta_n`` form a group; groups that differ only
-    in law axes (:data:`MOVES`) share a source state.  At a group's first point
-    its axes are applied and its policy resolved; a source state's first group
-    builds its view of the source alone and prepares its thresholds as points
+    Points that differ only in ``beta_n`` form a group, and every group takes
+    the ``beta_n`` values (checked by their axis, :class:`SweepSpec`), else the
+    source's own threshold.  Groups that differ only in law axes (:data:`MOVES`)
+    share a source state: the one view of the source alone with the state's
+    queue and SINR threshold, and its thresholds prepared as points
     (:func:`throughput._prepare_grid`), which each group prices against its own
-    law (:func:`throughput._laws`).  Every ``beta_n`` was checked by its axis
-    (:class:`SweepSpec`, which checks a resolved axis again).  A group whose
-    pricing fails is priced point by point on its full view, so each error comes
-    up at its own point.
+    law (:func:`throughput._laws`).  A group whose pricing fails is priced point
+    by point on its full view, so each error comes up at its own point.
     """
     if any(callable(axis.values) for axis in axes):
         upper = _stability_bound(scenario, axes)
@@ -176,30 +173,24 @@ def _sweep(
             for axis in axes
         ]
     columns = [axis.column or axis.variable for axis in axes] + list(outputs)
-    source = scenario.source().id
-    points = [  # each point, its group, and the source's own threshold if an axis sets it
-        (point, tuple((a.variable, v) for a, v in zip(axes, point) if a.variable != "beta_n"),
-         {source: float(v) for a, v in zip(axes, point) if a.variable == "beta_n"})
-        for point in itertools.product(*(axis.values for axis in axes))
-    ]
-    members: dict[tuple, list[dict]] = {}
-    for _, group, own in points:
-        members.setdefault(group, []).append(own)
-    # no axis moves a node, so each node's link is made once per call
-    law = tp._laws(scenario, functools.cache(lambda i: tp._link(scenario, scenario.node(i))))
+    own = [axis.values for axis in axes if axis.variable == "beta_n"] or [[scenario.source().beta]]
+    thresholds = [float(b[-1]) for b in itertools.product(*own)]  # the last beta_n axis sets it
+    alone = replace(tp.source_view(scenario), interferers=())
+    law = tp._laws(scenario)
     states, groups, rows = {}, {}, []  # each source state's view and grid; each group's rows
-    for point, group, own in points:
+    for point in itertools.product(*(axis.values for axis in axes)):
+        group = tuple((a.variable, v) for a, v in zip(axes, point) if a.variable != "beta_n")
         if group not in groups:
             group_scenario, betas = scenario, {}
             for variable, value in group:
                 group_scenario, betas = _apply_point(group_scenario, betas, variable, value)
-            policy = tp._resolve_policy(group_scenario, {**betas, **own})
-            thresholds = [o.get(source, policy.get(source)) for o in members[group]]
-            state = tuple((v, x) for v, x in group if MOVES[v] == "source"), *thresholds
+            policy = tp._resolve_policy(group_scenario, betas)
+            state = tuple((v, x) for v, x in group if MOVES[v] == "source")
             interferers = [n.id for n in group_scenario.interferers()]
             try:
                 if state not in states:
-                    view = tp.source_view(_with_interferer_prefix(group_scenario, 0))
+                    view = replace(alone, queue=group_scenario.source().queue,
+                                   sinr_threshold=group_scenario.sinr_threshold)
                     states[state] = view, tp._prepare_grid(view, thresholds, scan=False)
                 fit = law(interferers, [policy.get(i) for i in interferers])
                 groups[group] = iter(tp._breakdowns(*states[state], fit))

@@ -14,14 +14,14 @@ import contextlib
 import io
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
 
-from . import specfun
+from . import channel, specfun
 from .channel import EnvironmentParams, FadingKind, Position
 from .errors import DomainError, ScenarioError
 from .interference import NoiseModel
@@ -83,6 +83,9 @@ class Scenario:
     """A full experiment description.
 
     The slot duration lives in the nodes' queues, which must all agree on it.
+    ``links`` is derived: each node's channel to the destination, built once
+    per object at its first read and kept.  It is no field, so equality, the
+    hash and the repr ignore it, and a ``dataclasses.replace`` builds its own.
     """
 
     environment: EnvironmentParams = field(default_factory=EnvironmentParams)
@@ -121,6 +124,12 @@ class Scenario:
                     f"node {node.id!r}: queue slot_duration {node.queue.slot_duration} "
                     f"differs from the source's {slot}"
                 )
+
+    @cached_property
+    def links(self) -> dict[str, channel.LinkChannel]:
+        """Each node's :class:`channel.LinkChannel` to the destination, by id."""
+        return {n.id: channel.build_link(n.position, self.destination, self.environment,
+                                         n.fading_override) for n in self.nodes}
 
     @property
     def slot_duration(self) -> float:

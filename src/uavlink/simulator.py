@@ -22,7 +22,7 @@ from . import channel as ch
 from . import specfun
 from .errors import DomainError
 from .scenario_io import Scenario
-from .throughput import _link, _resolve_policy
+from .throughput import _resolve_policy
 
 __all__ = [
     "SimConfig",
@@ -388,7 +388,7 @@ def _sim_nodes(scenario: Scenario, policy=None) -> tuple[list[_SimNode], int]:
     nodes = []
     source_idx = None
     for index, node in enumerate(scenario.nodes):
-        link = _link(scenario, node)
+        link = scenario.links[node.id]
         if node.role == "source":
             source_idx = index
         nodes.append(

@@ -312,53 +312,38 @@ def source_view(
     policy = _resolve_policy(scenario, policy)
     if node_id is None:
         node_id = scenario.source().id
-    me = scenario.node(node_id)
-    link = _link(scenario, me)
-    interferers = []
-    for other in scenario.nodes:
-        if other.id == node_id:
-            continue
-        other_link = _link(scenario, other)
-        interferers.append(
-            InterfererLink(
-                transmit_power=other.transmit_power,
-                path_loss_amplitude=other_link.path_loss_amplitude,
-                fading=other_link.fading,
-                beta=policy.get(other.id),
-            )
-        )
+    me, links = scenario.node(node_id), scenario.links
+    interferers = tuple(
+        InterfererLink(other.transmit_power, links[other.id].path_loss_amplitude,
+                       links[other.id].fading, policy.get(other.id))
+        for other in scenario.nodes if other.id != node_id
+    )
     return SourceView(
         node_id=node_id,
-        link=link,
+        link=links[node_id],
         power=me.transmit_power,
         queue=me.queue,
         noise=scenario.noise,
         sinr_threshold=scenario.sinr_threshold,
         num_channels=scenario.num_channels,
-        interferers=tuple(interferers),
+        interferers=interferers,
     )
 
 
-def _link(scenario: Scenario, node) -> LinkChannel:
-    """The channel from ``node`` to the scenario's destination."""
-    return ch.build_link(node.position, scenario.destination, scenario.environment,
-                         node.fading_override)
-
-
-def _laws(scenario: Scenario, link: Callable[[str], LinkChannel]) -> Callable:
+def _laws(scenario: Scenario) -> Callable:
     """``law(ids, betas)``: :func:`interference.fit_interference` of the nodes ``ids``, in
-    scenario order, at ``betas``, bit for bit; the terms of each node (power and ``link(id)``)
+    scenario order, at ``betas``, bit for bit; the terms of each node (its power and link)
     at each threshold are made once per returned function."""
-    power = {node.id: node.transmit_power for node in scenario.nodes}
+    power, links = {node.id: node.transmit_power for node in scenario.nodes}, scenario.links
     terms = cache(lambda i, beta: itf._link_terms(
-        InterfererLink(power[i], link(i).path_loss_amplitude, link(i).fading, beta),
+        InterfererLink(power[i], links[i].path_loss_amplitude, links[i].fading, beta),
         scenario.num_channels))
     return lambda ids, betas: itf._fitted(*itf._summed(map(terms, ids, betas)))
 
 
 def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
                   scan: bool) -> tuple[list, Callable]:
-    """:func:`_evaluate_grid` up to the interference law, which the returned function takes.
+    """:func:`evaluate_view` at each of ``betas`` up to the law, which the returned function takes.
 
     Returns each threshold's ``(beta, phi, stable)`` and a function of the law giving the
     arrays ``p_delay, p_overflow, p_error, p_loss, throughput`` at the stable thresholds.
@@ -394,18 +379,6 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
     return cases, price
 
 
-def _evaluate_grid(view: SourceView, betas) -> list[LossBreakdown | StabilityError]:
-    """Loss breakdown of one node at each threshold of ``betas``, in order.
-
-    The grid is prepared (:func:`_prepare_grid`) as points, then priced
-    against the view's fit, so each breakdown is the one its threshold gets
-    alone, bit for bit.  A threshold beyond the stability bound, including
-    one whose transmit probability rounds to 0, gets its
-    :class:`StabilityError` in place of a breakdown.
-    """
-    return _breakdowns(view, _prepare_grid(view, betas, scan=False), view.fit)
-
-
 def _breakdowns(view: SourceView, prepared: tuple[list, Callable], fit) -> list:
     """The breakdowns of a grid prepared on ``view``'s source side, priced against ``fit``."""
     cases, price = prepared
@@ -428,8 +401,10 @@ def _instability(view: SourceView, beta: float, phi: float) -> StabilityError:
 
 
 def evaluate_view(view: SourceView, beta: float) -> LossBreakdown:
-    """Loss breakdown of one node at threshold ``beta`` under fixed opponents."""
-    (result,) = _evaluate_grid(view, [specfun._nonnegative(f"node {view.node_id!r}: beta", beta)])
+    """Loss breakdown of one node at threshold ``beta`` under fixed opponents: a grid of one
+    prepared as points (:func:`_prepare_grid`), priced as a sweep prices each threshold."""
+    beta = specfun._nonnegative(f"node {view.node_id!r}: beta", beta)
+    (result,) = _breakdowns(view, _prepare_grid(view, [beta], scan=False), view.fit)
     if isinstance(result, StabilityError):
         raise result
     return result
@@ -503,7 +478,7 @@ def jacobi_best_response(
     """
     if objective not in ("own", "sum"):
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
-    specfun._count("grid_size", grid_size, 2)
+    specfun._count("grid_size", grid_size, 2, np.iinfo(np.intp).max // 8)  # numpy's array limit
     specfun._count("max_iters", max_iters, 1)
     specfun._positive("tol", tol)  # no change is ever below a NaN or non-positive one
     policy = _resolve_policy(scenario, initial)
@@ -511,8 +486,7 @@ def jacobi_best_response(
     views = {node_id: source_view(scenario, policy, node_id) for node_id in node_ids}
     grids = {i: tuple(np.linspace(0.0, v.upper, grid_size).tolist()) for i, v in views.items()}
     prepared = cache(lambda node_id, betas: _prepare_grid(views[node_id], betas, scan=True))
-    # a node's link to the shared destination is the one every other node's view holds
-    law = _laws(scenario, lambda i: views[i].link)
+    law = _laws(scenario)
     others = {node_id: [i for i in node_ids if i != node_id] for node_id in node_ids}
 
     @cache  # equal inputs give equal floats, so a repeated price is looked up

@@ -380,6 +380,12 @@ class TestOptimize:
         assert err.splitlines() == ["error: max_iters must be >= 1, got 0"]
         assert "Traceback" not in err
 
+    def test_a_grid_beyond_the_array_limit_is_a_usage_error(self, capsys):
+        code = cli.main(["optimize", "--scenario", str(EXAMPLE), "--grid", str(2**62)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["error: grid_size must be <= 1.15292e+18, got a 63-bit integer"]
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_tolerance_no_change_can_meet_is_a_usage_error(self, tol, capsys):
         code = cli.main([

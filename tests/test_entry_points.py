@@ -5,9 +5,11 @@ caller outside the tests."""
 import ast
 import math
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uavlink import channel as ch
@@ -236,6 +238,9 @@ COUNTS = {
                               ScenarioError, 1),
 }
 
+# the counts that size a numpy array, which takes at most numpy's array limit of floats
+ARRAY_COUNTS = {"jacobi_best_response grid_size": np.iinfo(np.intp).max // 8}
+
 
 @pytest.mark.parametrize("bad", [True, math.nan, math.inf, 0.0, -1.0], ids=str)
 @pytest.mark.parametrize("entry", POSITIVE)
@@ -260,9 +265,38 @@ def test_an_integer_beyond_the_float_range_is_named_as_a_positive_quantity(entry
 def test_a_count_beyond_the_float_range_is_named(entry):
     # a count may meet a float as its exponent, as num_channels does in F(beta) ** N
     call, field, error, _ = COUNTS[entry]
-    expected = "must be <= 1.79769e+308, got a 1329-bit integer"
+    most = ARRAY_COUNTS.get(entry, sys.float_info.max)
+    expected = f"must be <= {most:.6g}, got a 1329-bit integer"
     with pytest.raises(error, match=f"^{re.escape(field)} {re.escape(expected)}$"):
         call(10**400)
+
+
+@pytest.mark.parametrize("count, bits", [(2**62, 63), (10**300, 997)], ids=["2**62", "10**300"])
+@pytest.mark.parametrize("entry", ARRAY_COUNTS)
+def test_a_count_beyond_the_array_limit_is_named_before_anything_is_made(entry, count, bits,
+                                                                         monkeypatch):
+    # np.linspace once raised a bare ValueError for these; nothing past the check may run
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the check")
+
+    monkeypatch.setattr(tp, "_resolve_policy", never)
+    call, field, error, _ = COUNTS[entry]
+    expected = f"must be <= {ARRAY_COUNTS[entry]:.6g}, got a {bits}-bit integer"
+    with pytest.raises(error, match=f"^{re.escape(field)} {re.escape(expected)}$"):
+        call(count)
+
+
+WHOLE = "takes whole numbers >= 0"
+
+
+@pytest.mark.parametrize("bad, expected", [
+    pytest.param(10**400, WHOLE, id="10**400"), pytest.param(-10**400, WHOLE, id="-10**400"),
+    (math.inf, WHOLE), (math.nan, WHOLE), (2.5, WHOLE), (-1, WHOLE), (True, "must be a number"),
+], ids=str)
+def test_a_bad_interferer_count_is_named(bad, expected):
+    # an integer beyond the float range once raised a bare OverflowError
+    with pytest.raises(DomainError, match=f"^SweepSpec: interferer_count {expected}, got "):
+        ps.SweepSpec("interferer_count", (bad,))
 
 
 def test_any_integer_seeds():

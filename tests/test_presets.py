@@ -172,8 +172,8 @@ class TestPresets:
 
     # per preset: source states, groups, axes a group applies, distinct (node, threshold)s,
     # and links built
-    SHAPES = {"fig2": (1, 7, 1, 63, 11), "fig3": (1, 9, 1, 8, 9), "fig4": (3, 24, 2, 8, 11),
-              "fig5": (8, 8, 1, 0, 9)}
+    SHAPES = {"fig2": (1, 7, 1, 63, 10), "fig3": (1, 9, 1, 8, 9), "fig4": (3, 24, 2, 8, 9),
+              "fig5": (8, 8, 1, 0, 1)}
 
     @pytest.mark.parametrize("name", sorted(SHAPES))
     def test_one_law_per_group_from_terms_made_once(self, monkeypatch, name):
@@ -198,10 +198,10 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(SHAPES))
     def test_axes_apply_once_per_group(self, monkeypatch, name):
-        # one application of each non-threshold axis per group; one view of the source
-        # alone and one prepared grid per source state.  A link is built for each such
-        # view, each interferer, and the stability bound that resolves the beta_n values,
-        # which takes the source's link alone
+        # one application of each non-threshold axis per group, one view of the source
+        # per call and one prepared grid per source state.  Each node's link is built
+        # once: the view, the laws and the stability bound that resolves the beta_n
+        # values all read the scenario's links
         applied, views, grids, links = [], [], [], []
         monkeypatch.setattr(ps, "_apply_point", recording(applied, ps._apply_point))
         monkeypatch.setattr(tp, "source_view", recording(views, tp.source_view))
@@ -211,10 +211,9 @@ class TestPresets:
         states, groups, axes, _, built = self.SHAPES[name]
         assert len(applied) == groups * axes
         assert all(args[2] != "beta_n" for args in applied)
-        assert len(grids) == len(views) == states
-        preset = ps.PRESETS[name]
-        bound = any(callable(a.values) for a in preset.axes)
-        assert len(links) == built == states + len(preset.interferers) + bound
+        assert len(views) == 1
+        assert len(grids) == states
+        assert len(links) == built == 1 + len(ps.PRESETS[name].interferers)
 
     @pytest.mark.parametrize("name", sorted(ps.PRESETS))
     def test_matches_golden(self, name):

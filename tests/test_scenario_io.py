@@ -2,14 +2,15 @@
 
 import io
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import read_results
 
-from uavlink.channel import EnvironmentParams, FadingKind, Position
+from uavlink.channel import EnvironmentParams, FadingKind, Position, build_link
 from uavlink.errors import ScenarioError
 from uavlink.interference import NoiseModel
 from uavlink.queueing import QueueParams
@@ -17,10 +18,12 @@ from uavlink.scenario_io import (
     Node,
     Scenario,
     load_scenario,
+    load_scenario_file,
     scenario_from_mapping,
     write_results,
 )
 
+EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.yaml"
 
 # every numeric key of a document, as its path from the document root
 NUMERIC_KEYS = [
@@ -307,3 +310,26 @@ class TestResultsFiles:
         write_results([{"v": math.inf}], buffer, ["v"])
         parsed = read_results(io.StringIO(buffer.getvalue()))
         assert parsed[0]["v"] == math.inf
+
+
+class TestLinks:
+    """``links`` is derived from the geometry, kept per object and no part of its value."""
+
+    def test_reading_links_leaves_equality_hash_and_repr(self):
+        scenario, twin = load_scenario_file(EXAMPLE), load_scenario_file(EXAMPLE)
+        before = hash(scenario), repr(scenario)
+        assert scenario.links is scenario.links  # built once, then kept
+        assert scenario == twin
+        assert (hash(scenario), repr(scenario)) == before == (hash(twin), repr(twin))
+        with pytest.raises(FrozenInstanceError):
+            scenario.links = {}
+
+    def test_a_moved_destination_gives_fresh_links(self):
+        scenario = load_scenario_file(EXAMPLE)
+        kept = scenario.links
+        moved = replace(scenario, destination=Position(20.0, 20.0, 80.0))
+        for node in moved.nodes:
+            link = build_link(node.position, moved.destination, moved.environment,
+                              node.fading_override)
+            assert moved.links[node.id] == link != kept[node.id]
+        assert scenario.links is kept

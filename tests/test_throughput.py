@@ -120,6 +120,11 @@ def _view(family):
     return tp.source_view(scenario)
 
 
+def _points(view, betas):
+    """``betas`` priced as a sweep prices them: prepared as points, then against the fit."""
+    return tp._breakdowns(view, tp._prepare_grid(view, betas, scan=False), view.fit)
+
+
 class TestComposeLoss:
     @given(family=st.sampled_from(["rayleigh", "rician"]), fraction=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -514,7 +519,7 @@ class TestEvaluateGrid:
         view = _view(family)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
         grid = [*np.linspace(0.0, 1.4 * upper, 62).tolist(), upper, math.inf]
-        results = tp._evaluate_grid(view, grid)
+        results = _points(view, grid)
         assert len(results) == 64
         unstable = 0
         for beta, result in zip(grid, results):
@@ -555,7 +560,7 @@ class TestEvaluateGrid:
               "beyond": lambda f: f * upper, "inf": lambda f: math.inf}
         betas = [at[kind](f) for kind, f in picks]
         betas += betas[:repeats]
-        for beta, result in zip(betas, tp._evaluate_grid(view, betas)):
+        for beta, result in zip(betas, _points(view, betas)):
             try:
                 alone = tp.evaluate_view(view, beta)
             except StabilityError as exc:
@@ -585,7 +590,7 @@ class TestEvaluateGrid:
         view.fit, view._cdf_x0
         grid = np.linspace(0.0, upper, 64)
         calls = self.spy(monkeypatch)
-        tp._evaluate_grid(view, grid)
+        _points(view, grid)
         assert calls == [64]  # the view keeps F at its noise floor
         calls.clear()
         tp.loss_derivative(view, grid[1:-1])
@@ -620,7 +625,7 @@ class TestChecksAtTheEntry:
     def test_every_float_equals_the_public_checked_chain(self, family, layout, fractions):
         view = _view(family)
         betas = self.thresholds(view, layout, fractions)
-        results = tp._evaluate_grid(view, betas)
+        results = _points(view, betas)
         rows = [r for r in results if isinstance(r, tp.LossBreakdown)]
         stable = np.array([b for b, r in zip(betas, results) if isinstance(r, tp.LossBreakdown)])
         if layout != "one":
@@ -1134,6 +1139,24 @@ class TestJacobiMatchesRebuildingLoop:
             scenario, initial=initial, grid_size=16, max_iters=3, objective="sum"
         )
         assert result.trace[0]["previous_throughput"]["src"] == -math.inf
+
+
+class TestLinksOncePerScenario:
+    """No call moves a node, so each node's link is built once per scenario and shared."""
+
+    @pytest.mark.parametrize("call", ["jacobi_best_response", "source_view", "simulator"])
+    def test_one_build_link_per_node(self, monkeypatch, call):
+        scenario = scenario_from_mapping(yaml.safe_load(EXAMPLE.read_text()))
+        links = []
+        monkeypatch.setattr(ch, "build_link", recording(links, ch.build_link))
+        if call == "jacobi_best_response":
+            tp.jacobi_best_response(scenario)
+        elif call == "source_view":  # one view of every node
+            for node in scenario.nodes:
+                tp.source_view(scenario, node_id=node.id)
+        else:
+            sim._sim_nodes(scenario)
+        assert [args[0] for args in links] == [node.position for node in scenario.nodes]
 
 
 class TestPolicyResolution:
