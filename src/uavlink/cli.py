@@ -1,6 +1,6 @@
 """Command-line driver: evaluate, sweep, simulate, optimize.
 
-Exit codes: 0 success, 1 usage or I/O failure, 2 infeasible policy.
+Exit codes: 0 success, 1 usage, I/O or out-of-memory failure, 2 infeasible policy.
 All commands are deterministic given their flags (seeds included).
 """
 
@@ -273,8 +273,8 @@ def main(argv: list[str] | None = None) -> int:
     except StabilityError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (UavLinkError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UavLinkError, OSError, MemoryError) as exc:  # numpy's MemoryError names its array
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

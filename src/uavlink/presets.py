@@ -41,11 +41,7 @@ DEFAULT_PRESET_SEED = 7
 RICIAN_BETA = 5.1
 RAYLEIGH_BETA = 1.55
 
-# What each variable moves: the grid of source thresholds, the source (its noise
-# floor, margin rate and queue), or only the interference law.
-MOVES = {"beta_n": "grid", "beta_m": "law", "interferer_count": "law",
-         "gamma_th": "source", "t_slt": "source"}
-SWEEP_VARIABLES = tuple(MOVES)
+SWEEP_VARIABLES = ("beta_n", "beta_m", "interferer_count", "gamma_th", "t_slt")
 
 BREAKDOWN_COLUMNS = tuple(f.name for f in fields(LossBreakdown))
 
@@ -108,23 +104,21 @@ def _with_slot_duration(scenario: Scenario, slot: float) -> Scenario:
     return replace(scenario, nodes=tuple(nodes))
 
 
-def _apply_point(scenario: Scenario, betas: dict[str, float], variable: str, value: Any):
-    """The scenario and the thresholds it overrides after setting ``variable``.
+def _apply_point(scenario: Scenario, variable: str, value: Any) -> Scenario:
+    """The scenario with ``variable`` set to ``value``.
 
-    ``betas`` only ever names nodes of the returned scenario.  The source's own
+    ``beta_m`` sets the threshold of every interferer present, and a later
+    ``interferer_count`` keeps it on the interferers it keeps.  The source's own
     threshold ``beta_n`` is not applied here: it varies within a group of points.
     """
     if variable == "beta_m":
-        interferers = dict.fromkeys((n.id for n in scenario.interferers()), float(value))
-        return scenario, {**betas, **interferers}
+        nodes = [n if n.role == "source" else replace(n, beta=float(value)) for n in scenario.nodes]
+        return replace(scenario, nodes=tuple(nodes))
     if variable == "gamma_th":
-        return replace(scenario, sinr_threshold=float(value)), betas
+        return replace(scenario, sinr_threshold=float(value))
     if variable == "t_slt":
-        return _with_slot_duration(scenario, float(value)), betas
-    if variable == "interferer_count":
-        scenario = _with_interferer_prefix(scenario, int(value))
-        return scenario, {n.id: betas[n.id] for n in scenario.nodes if n.id in betas}
-    raise DomainError(f"unknown sweep variable {variable!r}")
+        return _with_slot_duration(scenario, float(value))
+    return _with_interferer_prefix(scenario, int(value))
 
 
 def _output(breakdown: LossBreakdown, column: str) -> float:
@@ -157,12 +151,14 @@ def _sweep(
 
     Points that differ only in ``beta_n`` form a group, and every group takes
     the ``beta_n`` values (checked by their axis, :class:`SweepSpec`), else the
-    source's own threshold.  Groups that differ only in law axes (:data:`MOVES`)
-    share a source state: the one view of the source alone with the state's
-    queue and SINR threshold, and its thresholds prepared as points
-    (:func:`throughput._prepare_grid`), which each group prices against its own
-    law (:func:`throughput._laws`).  A group whose pricing fails is priced point
-    by point on its full view, so each error comes up at its own point.
+    source's own threshold.  A group is the scenario its other axes write
+    (:func:`_apply_point`).  Groups whose scenarios give the source the same
+    queue and SINR threshold share a source state: the one view of the source
+    alone with that queue and threshold, and its thresholds prepared as points
+    (:func:`throughput._prepare_grid`), which each group prices against the law
+    of its interferers at their own thresholds (:func:`throughput._laws`).  A
+    group whose pricing fails is priced point by point on its full view, so
+    each error comes up at its own point.
     """
     if any(callable(axis.values) for axis in axes):
         upper = _stability_bound(scenario, axes)
@@ -181,21 +177,19 @@ def _sweep(
     for point in itertools.product(*(axis.values for axis in axes)):
         group = tuple((a.variable, v) for a, v in zip(axes, point) if a.variable != "beta_n")
         if group not in groups:
-            group_scenario, betas = scenario, {}
+            group_scenario = scenario
             for variable, value in group:
-                group_scenario, betas = _apply_point(group_scenario, betas, variable, value)
-            policy = tp._resolve_policy(group_scenario, betas)
-            state = tuple((v, x) for v, x in group if MOVES[v] == "source")
-            interferers = [n.id for n in group_scenario.interferers()]
+                group_scenario = _apply_point(group_scenario, variable, value)
+            state = group_scenario.source().queue, group_scenario.sinr_threshold
+            interferers = group_scenario.interferers()
             try:
                 if state not in states:
-                    view = replace(alone, queue=group_scenario.source().queue,
-                                   sinr_threshold=group_scenario.sinr_threshold)
+                    view = replace(alone, queue=state[0], sinr_threshold=state[1])
                     states[state] = view, tp._prepare_grid(view, thresholds, scan=False)
-                fit = law(interferers, [policy.get(i) for i in interferers])
+                fit = law([n.id for n in interferers], [n.beta for n in interferers])
                 groups[group] = iter(tp._breakdowns(*states[state], fit))
             except UavLinkError:  # each point alone, so an error comes up at its own point
-                view = tp.source_view(group_scenario, policy)
+                view = tp.source_view(group_scenario)
                 groups[group] = map(functools.partial(tp.evaluate_view, view), thresholds)
         breakdown = next(groups[group])
         if isinstance(breakdown, StabilityError):

@@ -580,10 +580,10 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
 def sweep_pointwise(scenario, axes, outputs) -> tuple[list[str], list[dict]]:
     """``presets._sweep`` evaluating each point on its own.
 
-    The loop the grouped runner replaced: each group's axes, policy and view
-    are built at its first point, and every point checks its own ``beta_n``
-    and calls ``evaluate_view``.  The grouped runner must give the same rows,
-    bit for bit, and raise the same error first.
+    The loop the grouped runner replaced: each group's scenario (its axes
+    applied) and view are built at its first point, and every point checks
+    its own ``beta_n`` and calls ``evaluate_view``.  The grouped runner must
+    give the same rows, bit for bit, and raise the same error first.
     """
     if any(callable(axis.values) for axis in axes):
         upper = ps._stability_bound(scenario, axes)
@@ -603,10 +603,10 @@ def sweep_pointwise(scenario, axes, outputs) -> tuple[list[str], list[dict]]:
         if group in groups:
             PolicyVector(own)
         else:
-            group_scenario, betas = scenario, {}
+            group_scenario = scenario
             for variable, value in group:
-                group_scenario, betas = ps._apply_point(group_scenario, betas, variable, value)
-            policy = tp._resolve_policy(group_scenario, {**betas, **own})
+                group_scenario = ps._apply_point(group_scenario, variable, value)
+            policy = tp._resolve_policy(group_scenario, own)
             groups[group] = tp.source_view(group_scenario, policy), policy.get(source)
         view, beta = groups[group]
         breakdown = tp.evaluate_view(view, own.get(source, beta))

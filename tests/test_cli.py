@@ -11,6 +11,7 @@ from oracles import read_results
 
 from uavlink import cli
 from uavlink import presets as ps
+from uavlink import simulator as sim
 from uavlink import throughput as tp
 from uavlink.errors import UavLinkError
 from uavlink.scenario_io import load_scenario_file, scenario_from_mapping
@@ -82,6 +83,27 @@ class TestEvaluate:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair, message", [
+        ("src", "error: --beta expects NODE=VALUE, got 'src'"),
+        ("src=abc", "error: --beta 'src=abc': value is not a number"),
+    ])
+    def test_malformed_beta_override_is_a_usage_error(self, pair, message, scenario_path, capsys):
+        code = cli.main(["evaluate", "--scenario", scenario_path, "--beta", pair])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
+    def test_out_writes_the_printed_row(self, scenario_path, tmp_path, capsys):
+        out = tmp_path / "evaluate.csv"
+        code = cli.main(["evaluate", "--scenario", scenario_path, "--out", str(out)])
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert code == 0
+        (row,) = read_results(out)
+        assert list(row) == list(ps.BREAKDOWN_COLUMNS)
+        for name, value in row.items():
+            assert value == pytest.approx(float(printed[f"{name:<10}"]), rel=1e-11)
+
     def test_silencing_interferer_via_inf(self, scenario_path, capsys):
         code = cli.main(["evaluate", "--scenario", scenario_path, "--beta", "i0=inf"])
         assert code == 0
@@ -112,6 +134,16 @@ class TestSweep:
         printed = capsys.readouterr().out
         rate = float(printed.split("throughput =")[1].strip())
         assert rows[0]["throughput"] == pytest.approx(rate, rel=1e-9)
+
+    def test_without_out_writes_csv_to_stdout(self, scenario_path, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        axis = ["--scenario", scenario_path, "--var", "gamma_th", "--values", "4,8"]
+        assert cli.main(["sweep", *axis, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 rows to {out}\n"
+        assert cli.main(["sweep", *axis]) == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text(encoding="utf-8")
+        assert printed.splitlines()[0] == ",".join(("gamma_th", *ps.BREAKDOWN_COLUMNS))
 
     def test_preset_writes_expected_columns(self, tmp_path):
         out = tmp_path / "fig5.csv"
@@ -426,6 +458,29 @@ class TestOptimize:
         assert code == 0
         assert printed[:2] == ["status     = cycle (period 2: src, i0)", "iterations = 5"]
         assert max(row["iteration"] for row in read_results(trace)) == 4
+
+
+class TestOutOfMemory:
+    # a --grid of 2**40 or a huge Rician num_channels asks numpy for terabytes
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and data type "
+         "float64", None),
+        ("", "MemoryError"),
+    ], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command, module, name", [
+        (["optimize", "--grid", "1099511627776"], tp, "jacobi_best_response"),
+        (["simulate", "--slots", "2000"], sim, "run"),
+    ], ids=["optimize", "simulate"])
+    def test_is_a_usage_error(self, command, module, name, message, shown, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(module, name, exhausted)
+        code = cli.main([command[0], "--scenario", str(EXAMPLE), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {shown or message}"]
 
 
 class TestLogLevel:

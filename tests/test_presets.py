@@ -6,7 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import yaml
 from oracles import read_results, recording, sweep_pointwise
@@ -210,7 +210,7 @@ class TestPresets:
         ps.run_preset(name)
         states, groups, axes, _, built = self.SHAPES[name]
         assert len(applied) == groups * axes
-        assert all(args[2] != "beta_n" for args in applied)
+        assert all(args[1] != "beta_n" for args in applied)
         assert len(views) == 1
         assert len(grids) == states
         assert len(links) == built == 1 + len(ps.PRESETS[name].interferers)
@@ -237,23 +237,42 @@ class TestSweepGroups:
     @settings(max_examples=25, deadline=None)
     @given(
         variables=st.lists(
-            st.sampled_from(["beta_n", "gamma_th", "interferer_count"]),
+            st.sampled_from(["beta_n", "beta_m", "gamma_th", "interferer_count", "t_slt"]),
             min_size=1, max_size=3, unique=True,
         ),
         fractions=st.lists(
             st.floats(0.05, 0.99), min_size=1, max_size=3, unique_by=lambda f: round(f, 6)
         ),
+        interferer_betas=st.lists(
+            st.floats(0.0, 10.0) | st.just(math.inf), min_size=1, max_size=2, unique=True
+        ),
         thresholds=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=2, unique=True),
         counts=st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True),
+        # slots no longer than the scenario's, so every beta_n below UPPER stays stable
+        slots=st.lists(
+            st.floats(0.25, 1.0), min_size=1, max_size=2, unique_by=lambda f: round(f, 6)
+        ),
         negative_first=st.booleans(),
     )
+    @example(variables=["beta_m", "interferer_count"], fractions=[0.5],
+             interferer_betas=[1.0, math.inf], thresholds=[8.0], counts=[0, 3, 8], slots=[1.0],
+             negative_first=False)
+    @example(variables=["interferer_count", "t_slt", "beta_m"], fractions=[0.5],
+             interferer_betas=[0.0, 3.0], thresholds=[8.0], counts=[2, 8], slots=[0.5],
+             negative_first=False)
     def test_rows_equal_per_point_evaluate(
-        self, variables, fractions, thresholds, counts, negative_first
+        self, variables, fractions, interferer_betas, thresholds, counts, slots, negative_first
     ):
         betas = [f * self.UPPER for f in sorted(fractions)]
         if negative_first:
             betas[0] = -betas[0]
-        values = {"beta_n": betas, "gamma_th": sorted(thresholds), "interferer_count": sorted(counts)}
+        values = {
+            "beta_n": betas,
+            "beta_m": sorted(interferer_betas),
+            "gamma_th": sorted(thresholds),
+            "interferer_count": sorted(counts),
+            "t_slt": [f * self.SCENARIO.slot_duration for f in sorted(slots)],
+        }
         if negative_first and "beta_n" in variables:
             # the axis rejects the negative threshold where it is built, before any point
             with pytest.raises(DomainError, match="SweepSpec: beta_n must be >= 0"):
@@ -262,15 +281,25 @@ class TestSweepGroups:
         axes = [ps.SweepSpec(v, tuple(values[v])) for v in variables]
 
         def alone(point):
-            scenario, policy = self.SCENARIO, {}
+            scenario, policy, beta_m = self.SCENARIO, {}, None
             for variable, value in zip(variables, point):
                 if variable == "beta_n":
                     policy["src"] = value
+                elif variable == "beta_m":
+                    beta_m = value
                 elif variable == "gamma_th":
                     scenario = dataclasses.replace(scenario, sinr_threshold=value)
+                elif variable == "t_slt":
+                    nodes = []
+                    for node in scenario.nodes:
+                        queue = dataclasses.replace(node.queue, slot_duration=value)
+                        nodes.append(dataclasses.replace(node, queue=queue))
+                    scenario = dataclasses.replace(scenario, nodes=tuple(nodes))
                 else:
                     kept = (scenario.source(), *scenario.interferers()[:value])
                     scenario = dataclasses.replace(scenario, nodes=kept)
+            if beta_m is not None:  # on the interferers present at the point, in either axis order
+                policy.update((n.id, beta_m) for n in scenario.interferers())
             return dataclasses.asdict(tp.evaluate(scenario, policy))
 
         points = list(itertools.product(*(axis.values for axis in axes)))
@@ -280,6 +309,15 @@ class TestSweepGroups:
             want = alone(point)
             got = {column: row[column] for column in ps.BREAKDOWN_COLUMNS}
             assert repr(got) == repr(want), point
+
+    def test_beta_m_writes_onto_the_interferers_a_later_count_keeps(self):
+        scenario = example_scenario()
+        written = ps._apply_point(scenario, "beta_m", 2.0)
+        assert written.source() == scenario.source() and scenario.source().beta == 5.1
+        assert [n.beta for n in written.interferers()] == [2.0] * 4
+        kept = ps._apply_point(written, "interferer_count", 2)
+        assert kept.source() == scenario.source()
+        assert [(n.id, n.beta) for n in kept.interferers()] == [("i0", 2.0), ("i1", 2.0)]
 
 
 class TestGroupedSweepMatchesPointwise:

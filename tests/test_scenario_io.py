@@ -72,6 +72,16 @@ class TestDefaults:
         assert len(scenario.nodes) == 1
         assert scenario.source().role == "source"
 
+    def test_an_empty_document_is_the_empty_mapping(self):
+        # YAML reads an empty document as None: the one-source default
+        scenario = load_scenario("")
+        assert scenario == load_scenario("{}")
+        assert [(n.id, n.role) for n in scenario.nodes] == [("src", "source")]
+
+    def test_unknown_node_id(self):
+        with pytest.raises(ScenarioError, match="^unknown node id 'nope'$"):
+            load_scenario("{}").node("nope")
+
     def test_node_defaults(self):
         scenario = load_scenario("nodes:\n  - {id: s, role: source}\n")
         node = scenario.source()
@@ -140,6 +150,18 @@ nodes:
 
 
 class TestValidationErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("environment: 5", "environment: expected a mapping"),
+        ("nodes: [{id: src, role: source, queue: 5}]", "nodes[0] (src).queue: expected a mapping"),
+        ("nodes: [{id: src, role: source, position: [1, 2]}]",
+         "nodes[0] (src).position: expected [x, y, z] or 'sampled', got [1, 2]"),
+        ("area: [40]", "area: expected [width, height], got [40]"),
+    ], ids=["environment", "queue", "position", "area"])
+    def test_a_malformed_shape_is_named(self, text, message):
+        with pytest.raises(ScenarioError) as excinfo:
+            load_scenario(text)
+        assert str(excinfo.value) == message
+
     def test_too_close_to_destination(self):
         doc = {"nodes": [{"id": "s", "role": "source", "position": [20.0, 20.0, 40.0]}]}
         with pytest.raises(ScenarioError, match="reference distance"):

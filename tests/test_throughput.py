@@ -672,6 +672,8 @@ class TestChecksAtTheEntry:
              "fading_cdf: beta must be >= 0, got array([0.5, nan])"),
             (lambda: ch.fading_cdf(Rician(1.0), -2.0), DomainError,
              "fading_cdf: beta must be >= 0, got -2.0"),
+            (lambda: ch.fading_cdf(Rayleigh(2.0), np.array([True])), DomainError,
+             "fading_cdf: beta must be a number, got array([ True])"),
             (lambda: qn.p_delay(0.0, queue()), DegeneratePolicyError,
              "transmit probability is 0: node never transmits"),
             (lambda: qn.p_delay([0.5, 1.5], queue()), DomainError,
@@ -691,6 +693,18 @@ class TestChecksAtTheEntry:
             call()
         assert type(excinfo.value) is error
         assert str(excinfo.value) == message
+
+    def test_a_nan_error_from_the_price_is_named(self, monkeypatch):
+        # a quadrature may return NaN: the price checks the error before it composes the loss
+        error_grid = itf._error_grid
+
+        def nan_errors(*args, **kwargs):
+            p_err = error_grid(*args, **kwargs)
+            return lambda fit: np.full_like(p_err(fit), math.nan)
+
+        monkeypatch.setattr(itf, "_error_grid", nan_errors)
+        with pytest.raises(DomainError, match=r"^p_err must lie in \[0, 1\], got \[nan\]$"):
+            tp.evaluate(rician_scenario())
 
 
 class TestJacobi:
