@@ -249,17 +249,20 @@ def truncated_power_moment(model: FadingModel, beta: float, power: int) -> float
     """E[amplitude^power on the event amplitude >= beta] for power in {2, 4}.
 
     Rayleigh has closed forms, and so does Rician(0), which is Rayleigh(2);
-    any other Rician sums a Poisson mixture of Gamma tails.
+    any other Rician sums a Poisson mixture of Gamma tails.  Past e^-800 in the tail's factor,
+    e^-(beta - b)^2/2 above b or e^-beta^2/omega, out of the double range, the moment is 0.
     """
     beta = specfun._nonnegative("truncated_power_moment: beta", beta)
     if power not in (2, 4):
         raise DomainError(f"truncated_power_moment: power must be 2 or 4, got {power}")
-    if math.isinf(beta):
-        return 0.0
     if isinstance(model, Rician) and model.b > 0.0:
+        if beta - model.b > 40.0:  # (beta - b)^2 / 2 > 800, inf too
+            return 0.0
         return _rician_truncated_moment(model.b, beta)[power // 2 - 1]
     om = model.omega if isinstance(model, Rayleigh) else 2.0
     u = beta * beta / om
+    if u > 800.0:  # inf too
+        return 0.0
     if power == 2:
         return (beta * beta + om) * math.exp(-u)
     return (beta**4 + 2.0 * om * beta * beta + 2.0 * om * om) * math.exp(-u)

@@ -221,6 +221,10 @@ _GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _GK15.T
 _FLOOR_GRADING = 0.5 ** np.arange(20.0, 0.0, -1.0)
 
 
+# The panels in t of the tail above a scan's largest limit a, x = a + t / (1 - t).
+_TAIL_EDGES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
 # Below shape 1, scipy's gammaincc is slow for x in roughly (0.1, 1.1): up to
 # 7 us per element against under 0.3 us elsewhere.  In this band the float
 # integrand takes the tail one shape up instead, by Q(k, x) = Q(k+1, x) -
@@ -271,16 +275,17 @@ def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor
     and the quadrature layout, so they are computed once.  As *points*,
     each distinct limit max(beta, x0) gets its own adaptive quadrature of
     :func:`_tail_integrand` up to infinity at the whole ``DEFAULT_QUAD``, so a
-    grid of k points is its k grids of one, bit for bit.  As a ``scan``, only
-    the largest limit gets one; each gap between consecutive limits is a
-    Gauss-Kronrod 7-15 panel (the one from x0 graded by ``_FLOOR_GRADING``),
-    all evaluated at once, and a reversed cumulative sum gives every limit's
-    integral.  The tail and the panels share the absolute tolerance equally;
-    a scan of one limit is its point.  Both read ``DEFAULT_QUAD`` at the
-    call.  A panel whose Kronrod-Gauss difference exceeds its share is
-    integrated adaptively instead, so an :class:`AccuracyError` is raised
-    rather than an inaccurate value returned.  The returned function takes
-    the law.
+    grid of k points is its k grids of one, bit for bit.  As a ``scan``, each
+    gap between consecutive limits is a bin of one Gauss-Kronrod 7-15 panel
+    (the one from x0 graded by ``_FLOOR_GRADING``), and the tail above the
+    largest limit is one more, of panels in t at ``_TAIL_EDGES``; all are
+    evaluated in one array pass, and a reversed cumulative sum of the bins
+    gives every limit's integral.  The bins share the absolute tolerance
+    equally; a scan of one limit is its point.  Both read ``DEFAULT_QUAD`` at
+    the call.  A bin whose Kronrod-Gauss difference exceeds its share is
+    integrated adaptively instead (the tail up to infinity), so an
+    :class:`AccuracyError` is raised rather than an inaccurate value
+    returned.  The returned function takes the law.
     """
     lo = np.maximum(flat, x0)
     # a silenced threshold integrates nothing
@@ -298,12 +303,20 @@ def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor
             start = np.concatenate(([start[0]], cuts, start[1:]))
             stop = np.concatenate((cuts, stop))
             panel = np.concatenate((np.zeros(len(cuts), int), panel))
+        # the tail above the largest limit is the last bin: x = top + t / (1 - t) on panels
+        # in t, whose density carries the Jacobian dx / dt = 1 / (1 - t)^2
+        t = _TAIL_EDGES[:-1, None] + np.diff(_TAIL_EDGES)[:, None] * (0.5 * (1.0 + _GK15_NODES))
         width = stop - start
-        # start + width * t with t in [0, 1] never falls below start
-        x = start[:, None] + width[:, None] * (0.5 * (1.0 + _GK15_NODES))
-        # the tail is 1 where the affordable power is not positive
-        excess = np.maximum(margin_rate * x * x - noise_power, 0.0)
-        pdf, half = channel._pdf(model, x), 0.5 * width
+        # start + width * u with u in [0, 1] never falls below start
+        x = np.concatenate((start[:, None] + width[:, None] * (0.5 * (1.0 + _GK15_NODES)),
+                            limits[-1] + t / (1.0 - t)))
+        with np.errstate(over="ignore"):  # x * x beyond the float range: a density of 0
+            # the tail is 1 where the affordable power is not positive
+            excess = np.maximum(margin_rate * x * x - noise_power, 0.0)
+            pdf = channel._pdf(model, x)
+        pdf[len(width):] /= (1.0 - t) ** 2
+        panel = np.append(panel, np.full(len(t), len(limits) - 1))
+        half, ends = 0.5 * np.append(width, np.diff(_TAIL_EDGES)), np.append(limits, math.inf)
 
     def price(fit: GammaFit | ZeroInterference) -> np.ndarray:
         raw = certain
@@ -312,8 +325,7 @@ def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor
             if not scan:  # the integral above each limit
                 integrals = np.array([specfun.integrate(integrand, limit, math.inf, quad).value
                                       for limit in limits.tolist()])
-            else:  # the integral above the largest limit, then the panels below it
-                integrals = specfun.integrate(integrand, limits[-1], math.inf, quad).value
+            else:  # the integral over each bin, then above each limit
                 values = pdf * fit._tail(excess / fit.scale)
                 kronrod = half * (values @ _GK15_KRONROD)
                 error = np.bincount(panel, np.abs(kronrod - half * (values @ _GK15_GAUSS)))
@@ -321,8 +333,8 @@ def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor
                 tolerance = np.maximum(quad.absolute_tolerance,
                                        quad.relative_tolerance * np.abs(kronrod))
                 for i in np.flatnonzero(~(error <= tolerance)):
-                    kronrod[i] = specfun.integrate(integrand, limits[i], limits[i + 1], quad).value
-                integrals = np.append(np.cumsum(kronrod[::-1])[::-1], 0.0) + integrals
+                    kronrod[i] = specfun.integrate(integrand, ends[i], ends[i + 1], quad).value
+                integrals = np.cumsum(kronrod[::-1])[::-1]
             # each threshold's limit, and nothing above a silenced one
             raw = certain + np.append(integrals, 0.0)[index]
         # normalise by the transmit mass; a silenced link has no transmission errors
@@ -350,8 +362,8 @@ def p_error(
     the packet can afford to lose.  Below the noise floor x0
     (:func:`noise_floor`) the tail is pinned at 1, a certain loss
     F(x0) - F(beta) in the fading CDF F.  The fit does not depend on the
-    threshold, so the whole grid costs one adaptive quadrature plus one
-    vectorized panel rule (see :func:`_error_grid`).  The integral is
+    threshold, so the whole grid, its tail included, costs one vectorized
+    panel rule (see :func:`_error_grid`).  The integral is
     normalized by the transmit mass 1 - F(beta), so the result composes
     with the queue-drop probabilities.  An infinite threshold (a silenced
     link) has no transmissions and no errors.
@@ -359,7 +371,8 @@ def p_error(
     x0 = noise_floor(main, main_power, noise, gamma_th)
     betas = np.asarray(specfun._nonnegative_grid("main_beta", main_beta), dtype=float)
     flat = betas.ravel()
-    cdf = channel._cdf(main.fading, np.append(flat, x0))
+    with np.errstate(over="ignore"):  # a threshold squared beyond the float range: F is 1
+        cdf = channel._cdf(main.fading, np.append(flat, x0))
     price = _error_grid(main.fading, flat, cdf[:-1], cdf[-1], x0,
                         _margin_rate(main, main_power, gamma_th), noise.power, scan=True)
     return price(fit).reshape(betas.shape)[()]

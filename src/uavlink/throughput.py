@@ -137,7 +137,8 @@ def _check_probability(name: str, p) -> None:
 
     ``p`` is a float or an array; NaN lies outside.
     """
-    if not all(0.0 <= v <= 1.0 for v in np.asarray(p).ravel().tolist()):
+    p = np.asarray(p)
+    if not np.all((0.0 <= p) & (p <= 1.0)):  # NaN fails both
         raise DomainError(f"{name} must lie in [0, 1], got {p}")
 
 
@@ -342,11 +343,12 @@ def _laws(scenario: Scenario) -> Callable:
 
 
 def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
-                  scan: bool) -> tuple[list, Callable]:
+                  scan: bool) -> tuple[tuple, Callable]:
     """:func:`evaluate_view` at each of ``betas`` up to the law, which the returned function takes.
 
-    Returns each threshold's ``(beta, phi, stable)`` and a function of the law giving the
-    arrays ``p_delay, p_overflow, p_error, p_loss, throughput`` at the stable thresholds.
+    Returns the arrays ``(betas, phi, stable)`` of thresholds, transmit probabilities and
+    stable queues, and a function of the law giving the arrays ``p_delay, p_overflow,
+    p_error, p_loss, throughput`` at the stable thresholds.
     Only the view's source side is read.  The thresholds were checked where they entered;
     one fading-CDF evaluation feeds the queue terms and the error grid (laid out as points
     or, with ``scan``, as a scan: :func:`interference._error_grid`), which take the stable
@@ -358,8 +360,8 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
     cdf = ch._cdf(view.model, betas)
     mu = 1.0 - cdf**view.num_channels
     stable = qn.is_stable(mu, view.queue)
-    cases = list(zip(betas.tolist(), mu.tolist(), stable.tolist()))
-    if not all(ok for *_, ok in cases):  # keep the stable thresholds only
+    grid = betas, mu, stable
+    if not stable.all():  # keep the stable thresholds only
         betas, mu, cdf = betas[stable], mu[stable], cdf[stable]
     q = view.queue
     p_dly = qn._p_delay(mu, q)
@@ -376,16 +378,16 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
         p_loss = 1.0 - survive * (1.0 - errors)
         return p_dly, p_ov, errors, p_loss, q.arrival_rate * (1.0 - p_loss)
 
-    return cases, price
+    return grid, price
 
 
-def _breakdowns(view: SourceView, prepared: tuple[list, Callable], fit) -> list:
+def _breakdowns(view: SourceView, prepared: tuple[tuple, Callable], fit) -> list:
     """The breakdowns of a grid prepared on ``view``'s source side, priced against ``fit``."""
-    cases, price = prepared
+    grid, price = prepared
     rows = zip(*(a.tolist() for a in price(fit)))
     return [
         LossBreakdown(*next(rows)) if ok else _instability(view, beta, phi)
-        for beta, phi, ok in cases
+        for beta, phi, ok in zip(*(a.tolist() for a in grid))
     ]
 
 
@@ -464,17 +466,17 @@ def jacobi_best_response(
     sum with ``objective='sum'``), holding the others at the previous
     iterate; ties break toward the smaller threshold.  A node's own
     throughput is one price of its grid, prepared once per call as a scan
-    (:func:`_prepare_grid`) and holding its previous threshold too when that
-    lies off the grid (iteration 0 only), against the interference law of the
-    others' thresholds, summed from terms built once per interferer and
-    threshold, with -inf for an unstable queue.  Under ``'sum'`` each trial
-    adds, in scenario order, every other node's grid of one at its previous
-    threshold facing the trial.  Each distinct price is made once per call.
-    Stops when no threshold moves by more than ``tol`` (finite and > 0), or
-    when an iterate repeats an earlier one (the first iterate counts as
-    iterate -1), naming the cycle.  Best-response dynamics need not converge,
-    so a cycle or ``max_iters`` (at least 1) returns the last iterate with
-    ``converged=False`` rather than raising.
+    (:func:`_prepare_grid`) and holding its first threshold too when that
+    lies off the grid, so every iteration prices one layout, against the
+    interference law of the others' thresholds, summed from terms built once
+    per interferer and threshold, with -inf for an unstable queue.  Under
+    ``'sum'`` each trial adds, in scenario order, every other node's grid of
+    one at its previous threshold facing the trial.  Each distinct price is
+    made once per call.  Stops when no threshold moves by more than ``tol``
+    (finite and > 0), or when an iterate repeats an earlier one (the first
+    iterate counts as iterate -1), naming the cycle.  Best-response dynamics
+    need not converge, so a cycle or ``max_iters`` (at least 1) returns the
+    last iterate with ``converged=False`` rather than raising.
     """
     if objective not in ("own", "sum"):
         raise DomainError(f"objective must be 'own' or 'sum', got {objective!r}")
@@ -493,11 +495,13 @@ def jacobi_best_response(
     def priced(node_id: str, betas: tuple[float, ...], faced: tuple[float, ...]) -> tuple:
         """The node's throughput at each of ``betas`` facing the others' thresholds
         ``faced`` in scenario order; -inf where unstable."""
-        cases, price = prepared(node_id, betas)
-        throughputs = iter(price(law(others[node_id], faced))[-1].tolist())
-        return tuple(next(throughputs) if ok else -math.inf for *_, ok in cases)
+        (_, _, stable), price = prepared(node_id, betas)
+        throughputs = np.full(len(betas), -math.inf)
+        throughputs[stable] = price(law(others[node_id], faced))[-1]
+        return tuple(throughputs.tolist())
 
     betas = policy.betas
+    scored = {i: grid if betas[i] in grid else (*grid, betas[i]) for i, grid in grids.items()}
     seen = {tuple(betas.values()): -1}
     trace: list[dict] = []
     converged, cycle = False, None
@@ -505,8 +509,7 @@ def jacobi_best_response(
         new_betas, chosen_rate, previous_rate = {}, {}, {}
         for node_id in node_ids:
             grid, previous = grids[node_id], betas[node_id]
-            scored = grid if previous in grid else (*grid, previous)
-            values = priced(node_id, scored, tuple(map(betas.get, others[node_id])))
+            values = priced(node_id, scored[node_id], tuple(map(betas.get, others[node_id])))
             scores = values[:grid_size]
             if objective == "sum":  # each trial adds the others' rates facing it, in scenario order
                 scores = [
@@ -518,7 +521,7 @@ def jacobi_best_response(
             best_idx = int(np.argmax(scores))  # first max = smallest beta
             new_betas[node_id] = grid[best_idx]
             chosen_rate[node_id] = values[best_idx]
-            previous_rate[node_id] = values[scored.index(previous)]
+            previous_rate[node_id] = values[scored[node_id].index(previous)]
         delta = max(abs(new_betas[i] - betas[i]) for i in node_ids)
         betas = new_betas
         trace.append({"iteration": iteration, "betas": new_betas, "throughput": chosen_rate,

@@ -495,8 +495,10 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
                       objective="own") -> tp.JacobiResult:
     """``jacobi_best_response`` with every view rebuilt and every grid evaluated afresh.
 
-    Each iteration calls ``source_view`` for every node and scores its grid
-    and previous threshold as one scan through the public checked chain:
+    Each iteration calls ``source_view`` for every node and scores its grid,
+    its initial threshold and its previous threshold as one scan (the
+    previous is the initial or a grid point, so every iteration lays out the
+    same thresholds) through the public checked chain:
     the fading CDF, the queue's closed forms, ``p_error`` on the array of
     stable thresholds, the loss composed left to right and
     ``expected_throughput``.  Under the sum, each trial adds to the node's
@@ -543,8 +545,8 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
             view = tp.source_view(scenario, policy, node_id)
             grid = grids[node_id]
             previous = policy.get(node_id)
-            rates = own_rates(view, [*grid, previous])
-            values = rates[:-1]
+            rates = own_rates(view, [*grid, initial_betas[node_id], previous])
+            values = rates[:grid_size]
             if objective == "sum":
                 values = []
                 for k, beta in enumerate(grid):

@@ -311,6 +311,32 @@ class TestTruncatedPowerMoment:
         assert ch.truncated_power_moment(Rayleigh(2.0), math.inf, 2) == 0.0
         assert ch.truncated_power_moment(Rician(3.0), math.inf, 4) == 0.0
 
+    @pytest.mark.parametrize("beta", [1e6, 1e10, 1e20, 1e80, 1e160, 1e300], ids=str)
+    @pytest.mark.parametrize("model", [Rayleigh(2.0), Rician(0.0), Rician(3.0)], ids=repr)
+    def test_a_huge_threshold_silences_without_a_series(self, monkeypatch, model, beta):
+        # the tail lies below the double range, so no Poisson series is sized or summed
+        monkeypatch.setattr(ch, "_rician_truncated_moment", None)
+        for power in (2, 4):
+            assert ch.truncated_power_moment(model, beta, power) == 0.0
+
+    @pytest.mark.parametrize(
+        "model", [Rician(0.5), Rician(3.0), Rician(9.0), Rayleigh(0.05), Rayleigh(2.0),
+                  Rayleigh(100.0)], ids=repr)
+    def test_the_cutoff_changes_no_value(self, model):
+        # short of the cutoff, (beta - b)^2 / 2 or beta^2 / omega at 800, the series or the
+        # closed form already gives exactly 0
+        if isinstance(model, Rician):
+            short, edge = model.b + 39.0, model.b + 40.0
+        else:
+            short, edge = math.sqrt(760.0 * model.omega), math.sqrt(800.0 * model.omega)
+        for beta in (short, float(np.nextafter(edge, 0.0))):
+            for power in (2, 4):
+                assert ch.truncated_power_moment(model, beta, power) == 0.0
+
+    def test_a_threshold_far_below_the_line_of_sight_is_not_cut(self):
+        # beta - b is -50: the whole second moment b^2 + 2 lies above the threshold
+        assert ch.truncated_power_moment(Rician(50.0), 0.0, 2) == pytest.approx(2502.0, rel=1e-12)
+
     def test_power_validation(self):
         with pytest.raises(DomainError):
             ch.truncated_power_moment(Rayleigh(2.0), 1.0, 3)

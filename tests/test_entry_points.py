@@ -143,6 +143,22 @@ def test_an_integer_above_the_float_range_is_an_infinite_threshold():
     assert tp.evaluate(EXAMPLE, {"i1": 10**400}) == tp.evaluate(EXAMPLE, {"i1": math.inf})
 
 
+# i0 is a Rician interferer of the example and i2 a Rayleigh one
+@pytest.mark.parametrize("beta", [1e10, 1e20, 1e80, 1e160, 1e300], ids=str)
+@pytest.mark.parametrize("node", ["i0", "i2"])
+def test_a_huge_finite_threshold_evaluates_like_an_infinite_one(node, beta):
+    assert repr(tp.evaluate(EXAMPLE, {node: beta})) == repr(tp.evaluate(EXAMPLE, {node: math.inf}))
+
+
+@pytest.mark.parametrize("beta", [1e10, 1e300], ids=str)
+def test_a_huge_finite_interferer_threshold_sweeps_like_an_infinite_one(beta):
+    _, huge = ps.run_sweep(EXAMPLE, ps.SweepSpec("beta_m", (2.0, beta)))
+    _, silent = ps.run_sweep(EXAMPLE, ps.SweepSpec("beta_m", (2.0, math.inf)))
+    assert [row["beta_m"] for row in huge] == [2.0, beta]
+    for row, want in zip(huge, silent, strict=True):
+        assert repr({**row, "beta_m": None}) == repr({**want, "beta_m": None})
+
+
 # the entry points where a threshold is one value; the others take a grid of them
 ONE_THRESHOLD = [entry for entry in ENTRY_POINTS
                  if entry not in ("loss_derivative", "p_error", "fading_cdf", "transmit_prob")]

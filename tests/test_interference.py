@@ -1,13 +1,14 @@
 """Interference moments, the Gamma fit, and the SINR error probability."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -526,12 +527,13 @@ class TestPErrorPanels:
         monkeypatch.setattr(itf.specfun, "integrate", recording)
         return calls
 
-    def test_smooth_panels_need_one_adaptive_quadrature(self, monkeypatch):
+    def test_a_smooth_scan_needs_no_adaptive_quadrature(self, monkeypatch):
+        # the tail above 4 is priced as panels like the gaps below it
         calls = self.spy(monkeypatch)
         link = main_link(fading=Rician(3.0))
         betas = np.linspace(1.5, 4.0, 32)
         itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=law([rayleigh_link(beta=0.5)]))
-        assert calls == [(4.0, math.inf)]
+        assert calls == []
 
     def test_panel_over_tolerance_falls_back_to_adaptive(self, monkeypatch):
         # one panel spans the whole density bump: the 7-point Gauss rule misses it
@@ -541,7 +543,7 @@ class TestPErrorPanels:
         links = [rayleigh_link(beta=0.5, power=0.6)]
         betas = [1.0, 6.0]
         grid = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=law(links))
-        assert calls == [(6.0, math.inf), (1.0, 6.0)]
+        assert calls == [(1.0, 6.0)]
         for beta, value in zip(betas, grid):
             oracle = p_error_pointwise(
                 link, 1.0, beta, links, self.NOISE, 0.5, 15, quad=ORACLE_QUAD
@@ -551,19 +553,67 @@ class TestPErrorPanels:
     def test_floor_panel_is_graded_not_re_integrated(self, monkeypatch):
         # the panel from the noise floor sqrt(0.5) to 6 starts where the Gamma
         # tail (shape 0.97 < 1) has an unbounded slope; its graded sub-panels
-        # meet the tolerance share without an adaptive quadrature
+        # meet the tolerance share without an adaptive quadrature, and so does the tail
         calls = self.spy(monkeypatch)
         link = main_link(fading=Rayleigh(2.0))
         links = [rayleigh_link(beta=0.5, power=0.6)]
         assert itf.fit_interference(links, 15).shape < 1.0
         betas = [0.0, 6.0]
         grid = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=law(links))
-        assert calls == [(6.0, math.inf)]
+        assert calls == []
         for beta, value in zip(betas, grid):
             oracle = p_error_pointwise(
                 link, 1.0, beta, links, self.NOISE, 0.5, 15, quad=ORACLE_QUAD
             )
             assert abs(value - oracle) <= 1e-12
+
+    def test_tail_over_tolerance_falls_back_to_adaptive(self, monkeypatch):
+        # the density bump near 8, under interference strong enough to matter there, lies
+        # far above the largest limit 2: the tail's panels in t (x = 2 + t / (1 - t)) sample
+        # it too coarsely
+        calls = self.spy(monkeypatch)
+        link, fit = main_link(fading=Rician(8.0)), GammaFit(3.0, 40.0)
+        betas = [1.0, 2.0]
+        grid = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=fit)
+        assert calls == [(2.0, math.inf)]
+        for beta, value in zip(betas, grid):
+            oracle = p_error_pointwise(
+                link, 1.0, beta, None, self.NOISE, 0.5, 15, quad=ORACLE_QUAD, fit=fit
+            )
+            assert agrees_with_oracle(value, oracle)
+
+    def test_a_top_limit_near_the_float_range_warns_of_nothing(self):
+        # x * x overflows at the nodes above 1e199, where the density is 0
+        link = main_link(fading=Rician(3.0))
+        fit = law([rayleigh_link(beta=0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grid = itf.p_error(link, 1.0, [1e199, 1e200], self.NOISE, 0.5, fit=fit)
+        assert grid.tolist() == [0.0, 0.0]
+
+    @given(
+        fading=st.one_of(st.floats(0.2, 8.0).map(Rayleigh), st.floats(0.0, 8.0).map(Rician)),
+        top=st.floats(0.2, 8.0),
+        shape=st.one_of(st.floats(0.2, 0.95), st.floats(2.05, 8.0)),
+        scale=st.floats(0.3, 10.0),
+        gamma_th=st.floats(0.05, 1.0),
+        points=st.integers(2, 9),
+    )
+    # the largest limit 0.5 lies far below the bump at 8: the tail falls back
+    @example(fading=Rician(8.0), top=0.5, shape=0.5, scale=1.0, gamma_th=0.05, points=3)
+    @settings(max_examples=60, deadline=None)
+    def test_scans_agree_with_the_oracle(self, fading, top, shape, scale, gamma_th, points):
+        # the kernel's tolerance bounds the raw integral; the conditional value divides it
+        # by a transmit mass that falls to 1e-13 here, so the raw integral is compared
+        link, fit = main_link(fading=fading), GammaFit(shape, scale)
+        betas = np.linspace(0.0, top, points)
+        grid = kernel(link, 1.0, betas, self.NOISE, gamma_th, fit, conditional=False)
+        for beta, value in zip(betas.tolist(), grid.tolist()):
+            oracle = p_error_pointwise(
+                link, 1.0, beta, None, self.NOISE, gamma_th, 15, conditional=False,
+                quad=ORACLE_QUAD, fit=fit,
+            )
+            assert agrees_with_oracle(value, oracle), (beta, value, oracle)
 
     @pytest.mark.parametrize("fading", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
     def test_grid_of_one_is_one_adaptive_quadrature(self, monkeypatch, fading):

@@ -809,9 +809,9 @@ class TestJacobi:
         )
         nodes = len(scenario.nodes)
         assert result.iterations == 3
-        # one 24-point grid per node, and at iteration 0 one holding the off-grid start
+        # one grid per node for the whole call: its 24 points, holding the off-grid start too
         grid_calls = [size for size in cdf_sizes if size > 1]
-        assert sorted(grid_calls) == [24] * nodes + ([] if on_grid else [25] * nodes)
+        assert grid_calls == [24 if on_grid else 25] * nodes
         assert len(priced) == nodes * result.iterations
         assert all(np.size(p_err) <= 25 for _, p_err in priced)
 
@@ -971,8 +971,8 @@ class TestJacobi:
         starts += [entry["betas"] for entry in result.trace[:-1]]
         ones = [(view.node_id, betas) for view, betas in prepared if len(betas) == 1]
         assert sorted(ones) == sorted({(i, (betas[i],)) for betas in starts for i in betas})
-        # each node's grid holding its off-grid start, then its grid alone
-        assert len(prepared) - len(ones) == len(scenario.nodes) * 2
+        # each node's grid holding its off-grid start, for every iteration
+        assert len(prepared) - len(ones) == len(scenario.nodes)
 
 
 def test_a_repeated_price_is_made_once(monkeypatch):
@@ -991,12 +991,11 @@ def test_a_repeated_price_is_made_once(monkeypatch):
     monkeypatch.undo()
     want = jacobi_rebuilding(scenario)
     assert repr(got.trace) == repr(want.trace) and got.converged == want.converged
-    # a price is keyed by the node, its scored thresholds (the off-grid start joins its grid
-    # in the first sweep only) and the others' thresholds
+    # a price is keyed by the node (whose scored thresholds are the same in every sweep)
+    # and the others' thresholds
     starts = [tp._resolve_policy(scenario, None).betas]
     starts += [entry["betas"] for entry in got.trace[:-1]]
-    keys = {(k == 0, i, tuple(b for j, b in betas.items() if j != i))
-            for k, betas in enumerate(starts) for i in betas}
+    keys = {(i, tuple(b for j, b in betas.items() if j != i)) for betas in starts for i in betas}
     assert got.iterations == 5 and got.converged
     assert len(prices) == len(keys) == 23
 
