@@ -228,13 +228,15 @@ def _cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
     Rayleigh float takes ``math.expm1``, up to 1 ulp from ``np.expm1``, which is why
     ``SourceView._cdf_x0``, matching a grid's CDF bit for bit, takes a one-element array.
     """
-    scalar = isinstance(beta, float)
-    if isinstance(model, Rayleigh):
-        return -(math.expm1 if scalar else np.expm1)(-beta * beta / model.omega)
-    b = model.b
-    chndtr, maximum = (cs.chndtr, max) if scalar else (sp.chndtr, np.maximum)
     # Q1 is exactly 1 at beta = 0, where the chi-square CDF is 0; roundoff below 0 is clipped
-    return 1.0 - maximum(1.0 - chndtr(beta * beta, 2.0, b * b), 0.0)
+    if isinstance(beta, float):
+        if isinstance(model, Rayleigh):
+            return -math.expm1(-beta * beta / model.omega)
+        return 1.0 - max(1.0 - cs.chndtr(beta * beta, 2.0, model.b * model.b), 0.0)
+    with np.errstate(over="ignore"):  # a threshold squared beyond the float range: F is 1
+        if isinstance(model, Rayleigh):
+            return -np.expm1(-beta * beta / model.omega)
+        return 1.0 - np.maximum(1.0 - sp.chndtr(beta * beta, 2.0, model.b * model.b), 0.0)
 
 
 def transmit_prob(

@@ -371,8 +371,7 @@ def p_error(
     x0 = noise_floor(main, main_power, noise, gamma_th)
     betas = np.asarray(specfun._nonnegative_grid("main_beta", main_beta), dtype=float)
     flat = betas.ravel()
-    with np.errstate(over="ignore"):  # a threshold squared beyond the float range: F is 1
-        cdf = channel._cdf(main.fading, np.append(flat, x0))
+    cdf = channel._cdf(main.fading, np.append(flat, x0))
     price = _error_grid(main.fading, flat, cdf[:-1], cdf[-1], x0,
                         _margin_rate(main, main_power, gamma_th), noise.power, scan=True)
     return price(fit).reshape(betas.shape)[()]

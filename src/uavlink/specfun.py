@@ -1,4 +1,4 @@
-"""Special functions, adaptive quadrature and the rules every number is checked by.
+"""Special functions, adaptive quadrature, a root-finder and the rules every number is checked by.
 
 Thin wrappers around scipy's well-tested kernels.  Every function is pure
 and thread-safe; no table interpolation anywhere, so repeated calls are
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.integrate
 import scipy.special as sp
 
 from .errors import AccuracyError, DomainError
@@ -143,6 +142,36 @@ def gamma_tail(k: float) -> Callable:
     return tail
 
 
+def _brentq(f: Callable[[float], float], xpre: float, xcur: float) -> float:
+    """Brent's root of ``f`` between ``xpre`` and ``xcur``, where its sign changes (unchecked):
+    scipy's ``brentq.c`` step for step, at xtol 1e-12 and rtol 8.9e-16, in at most 100 steps."""
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep xcur the end where |f| is smaller
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (1e-12 + 8.9e-16 * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if not (abs(spre) > delta and abs(fcur) < abs(fpre)):
+            stry = math.nan  # bisect
+        elif xpre == xblk:  # interpolate
+            stry = -fcur * (xcur - xpre) / (fcur - fpre)
+        else:  # extrapolate; a denominator underflowed to 0 bisects, as C's infinite step does
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre) or math.nan)
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)  # else bisect
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise AccuracyError("Brent's method found no root in 100 steps", xcur, abs(xblk - xcur))
+
+
 def integrate(
     f: Callable[[float], float],
     lo: float,
@@ -156,6 +185,7 @@ def integrate(
     :class:`AccuracyError` (carrying the best estimate) when the requested
     tolerances cannot be met within the subdivision budget.
     """
+    import scipy.integrate  # at the first call, so a command that makes none never loads it
     if not (lo < hi):
         raise DomainError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
     value, abserr, *extra = scipy.integrate.quad(

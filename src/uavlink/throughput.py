@@ -16,7 +16,6 @@ from functools import cache, cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import channel as ch
 from . import interference as itf
@@ -164,8 +163,8 @@ def expected_throughput(arrival_rate: float, p_loss, approximate: bool = False):
 def beta_upper(model: FadingModel, q: QueueParams, num_channels: int) -> float:
     """Largest threshold keeping the queue stable: transmit prob equals load.
 
-    Closed form for Rayleigh; for Rician the (monotone) CDF is inverted by
-    bracketed root-finding to 1e-12.
+    Closed form for Rayleigh; for Rician the (monotone) CDF is inverted on [0, b + 10k]
+    by Brent's method to 1e-12, as ``scipy.optimize.brentq`` (:func:`specfun._brentq`).
     """
     load = q.arrival_rate * q.slot_duration  # in (0, 1), as QueueParams requires
     target_cdf = (1.0 - load) ** (1.0 / num_channels)
@@ -178,7 +177,7 @@ def beta_upper(model: FadingModel, q: QueueParams, num_channels: int) -> float:
     hi = model.b + 10.0
     while excess(hi) < 0.0:
         hi += 10.0
-    return float(scipy.optimize.brentq(excess, 0.0, hi, xtol=1e-12, rtol=8.9e-16))
+    return specfun._brentq(excess, 0.0, hi)
 
 
 # --------------------------------------------------------------------------

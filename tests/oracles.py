@@ -4,15 +4,16 @@ at and the bound a kernel keeps of it, the checked fading density, the
 error integrand in scipy's ufuncs, the Rician truncated moment summed
 one order at a time, the scaled Bessel I0, the reduced loss of the
 lower threshold bound, the inverse error function with the Gaussian-tail
-surrogate of the Rician stability bound, the slot-by-slot simulator
-loop and its per-block visit loop, a reader for results files, a
-scenario's own policy, the best-response loop that rebuilds and
-re-evaluates every node's view each iteration, and the sweep runner that
-evaluates each point on its own.
+surrogate of the Rician stability bound, that bound by scipy's
+``brentq``, the slot-by-slot simulator loop and its per-block visit loop,
+a reader for results files, a scenario's own policy, the best-response
+loop that rebuilds and re-evaluates every node's view each iteration,
+and the sweep runner that evaluates each point on its own.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
-``interference.p_error``, the quadrature's float integrand, the paired
-moment series of ``channel._rician_truncated_moment``,
+``throughput.beta_upper``'s root, ``interference.p_error``, the
+quadrature's float integrand, the paired moment series of
+``channel._rician_truncated_moment``,
 ``simulator.run``, ``simulator._Queue.walk``,
 ``throughput.jacobi_best_response`` and ``presets._sweep`` the hard way,
 so the package's closed forms, grid kernel, float kernels, paired moments,
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+import scipy.optimize
 import scipy.special as sp
 import scipy.stats
 
@@ -213,6 +215,20 @@ def beta_upper_erf(model: ch.Rician, q: QueueParams, num_channels: int) -> float
     return math.hypot(model.b, 1.0) - math.sqrt(2.0) * erfinv(
         1.0 - 2.0 * (1.0 - load) ** (1.0 / num_channels)
     )
+
+
+def brentq_bound(model: ch.Rician, q: QueueParams, num_channels: int) -> float:
+    """The Rician stability bound by ``scipy.optimize.brentq``, on the bracket and at the
+    tolerances of ``throughput.beta_upper``, whose Brent port returns the same float."""
+    target = (1.0 - q.arrival_rate * q.slot_duration) ** (1.0 / num_channels)
+
+    def excess(beta: float) -> float:
+        return ch._cdf(model, beta) - target
+
+    hi = model.b + 10.0
+    while excess(hi) < 0.0:
+        hi += 10.0
+    return scipy.optimize.brentq(excess, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def ufunc_error_integrand(model, fit, margin_rate: float, noise_power: float):

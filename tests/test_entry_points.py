@@ -1,11 +1,14 @@
 """Where values enter the package: every number is checked by the one rule of its
-kind (a threshold, a positive quantity or a count), and every public function has a
-caller outside the tests."""
+kind (a threshold, a positive quantity or a count), every public function has a
+caller outside the tests, and a command loads no scipy solver it does not call."""
 
 import ast
 import math
+import os
 import re
+import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from uavlink import presets as ps
 from uavlink import simulator as sim
 from uavlink import throughput as tp
 from uavlink.channel import EnvironmentParams, LinkChannel, Rayleigh, Rician
-from uavlink.errors import DomainError, ScenarioError
+from uavlink.errors import DomainError, ScenarioError, StabilityError
 from uavlink.interference import ZERO_INTERFERENCE, GammaFit, InterfererLink, NoiseModel
 from uavlink.queueing import QueueParams
 from uavlink.scenario_io import load_scenario_file, scenario_from_mapping
@@ -88,6 +91,20 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert not unused, f"called only by tests: {unused}"
 
 
+@pytest.mark.parametrize("statement", [
+    "import uavlink.cli",
+    "from uavlink.cli import main; main(['optimize', '--scenario', 'scenarios/example.yaml',"
+    " '--max-iters', '4'])",
+], ids=["import", "optimize"])
+def test_no_scipy_solver_is_loaded_by(statement):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    check = "import sys; assert not {'scipy.integrate', 'scipy.optimize'} & set(sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", f"{statement}\n{check}"], capture_output=True,
+                          text=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 VIEW = tp.source_view(scenario_from_mapping({
     "placement_seed": 3,
     "nodes": [
@@ -148,6 +165,14 @@ def test_an_integer_above_the_float_range_is_an_infinite_threshold():
 @pytest.mark.parametrize("node", ["i0", "i2"])
 def test_a_huge_finite_threshold_evaluates_like_an_infinite_one(node, beta):
     assert repr(tp.evaluate(EXAMPLE, {node: beta})) == repr(tp.evaluate(EXAMPLE, {node: math.inf}))
+
+
+@pytest.mark.parametrize("beta", [1e160, 1e300, math.inf], ids=str)
+def test_a_huge_source_threshold_is_unstable_without_a_warning(beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StabilityError, match="exceeds the stability bound"):
+            tp.evaluate(EXAMPLE, {"src": beta})
 
 
 @pytest.mark.parametrize("beta", [1e10, 1e300], ids=str)

@@ -1,4 +1,5 @@
-"""Special-function kernel against independent series/quadrature oracles."""
+"""Special-function kernel against independent series/quadrature oracles, and the Brent
+root-finder against scipy's."""
 
 import math
 
@@ -6,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.special as sp
 import scipy.special.cython_special as cs
 from hypothesis import given, settings
@@ -268,6 +270,48 @@ class TestErf:
             oracles.erfinv(float("nan"))
         with pytest.raises(DomainError):
             oracles.erfinv(1.0)
+
+
+class TestBrentq:
+    """``specfun._brentq`` takes the steps of scipy's ``brentq`` at the same tolerances."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(root=st.floats(-3.0, 3.0), below=st.floats(1e-3, 10.0), above=st.floats(1e-3, 10.0),
+           power=st.sampled_from([1, 3, 5]))
+    def test_on_odd_powers(self, root, below, above, power):
+        def f(x):
+            return (x - root) ** power
+
+        lo, hi = root - below, root + above
+        want, result = scipy.optimize.brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16,
+                                             full_output=True, disp=False)
+        if result.converged:
+            assert specfun._brentq(f, lo, hi) == want
+        else:
+            with pytest.raises(AccuracyError) as raised:
+                specfun._brentq(f, lo, hi)
+            assert raised.value.best_estimate == want
+
+    def test_a_step_whose_denominator_underflows_to_zero_bisects_as_scipy_does(self):
+        # f of order 1e-250 makes the extrapolation's product of three slopes underflow
+        def f(x):
+            return 1e-250 * (x - 0.7) ** 3
+
+        want = scipy.optimize.brentq(f, -3.0, 5.0, xtol=1e-12, rtol=8.9e-16)
+        assert specfun._brentq(f, -3.0, 5.0) == want
+
+    def test_a_root_not_found_in_its_steps_is_an_accuracy_error_with_scipys_iterate(self):
+        # an odd fifth power is so flat at its root that Brent's steps stall near it
+        def f(x):
+            return (x - 1.1625530532133803) ** 5
+
+        want, result = scipy.optimize.brentq(f, -8.803292731694611, 2.086451204492788,
+                                             xtol=1e-12, rtol=8.9e-16, full_output=True,
+                                             disp=False)
+        assert not result.converged
+        with pytest.raises(AccuracyError) as raised:
+            specfun._brentq(f, -8.803292731694611, 2.086451204492788)
+        assert raised.value.best_estimate == want
 
 
 class TestIntegrate:

@@ -15,6 +15,7 @@ from oracles import (
     ORACLE_QUAD,
     agrees_with_oracle,
     beta_upper_erf,
+    brentq_bound,
     jacobi_rebuilding,
     p_error_pointwise,
     recording,
@@ -23,6 +24,7 @@ from oracles import (
 )
 from uavlink import channel as ch
 from uavlink import interference as itf
+from uavlink import presets as ps
 from uavlink import queueing as qn
 from uavlink import simulator as sim
 from uavlink import throughput as tp
@@ -210,6 +212,37 @@ class TestBetaUpper:
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-5)
+
+
+def placed(name: str, placement: int):
+    """The example's scenario or a preset's at ``placement``."""
+    if name == "example":
+        return scenario_from_mapping({**yaml.safe_load(EXAMPLE.read_text()),
+                                      "placement_seed": placement})
+    return ps.preset_scenario(name, placement)
+
+
+class TestBetaUpperIsBrentq:
+    """The Rician bound is Brent's root scipy's ``brentq`` finds, to the last bit."""
+
+    @pytest.mark.parametrize("placement", range(8))
+    @pytest.mark.parametrize("name", ["example", "fig2", "fig3", "fig4", "fig5"])
+    def test_on_every_rician_node_of_the_example_and_the_presets(self, name, placement):
+        scenario = placed(name, placement)
+        rician = [(scenario.links[node.id].fading, node.queue) for node in scenario.nodes
+                  if isinstance(scenario.links[node.id].fading, Rician)]
+        assert rician
+        for model, q in rician:
+            want = brentq_bound(model, q, scenario.num_channels)
+            assert tp.beta_upper(model, q, scenario.num_channels) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=st.floats(0.0, 40.0),
+           load=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           num_channels=st.integers(1, 30))
+    def test_on_any_rician_load_and_channel_count(self, b, load, num_channels):
+        model, q = Rician(b), queue(arrival_rate=load, slot=1.0)
+        assert tp.beta_upper(model, q, num_channels) == brentq_bound(model, q, num_channels)
 
 
 def richardson_first(f, x, h):
