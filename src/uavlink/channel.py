@@ -223,15 +223,14 @@ def _cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:
     """:func:`fading_cdf` at a float or a float array of thresholds already checked.
 
     A Rician F is 1 - Q1(b, beta) in the first-order Marcum Q-function: a noncentral
-    chi-square survival (two degrees of freedom, noncentrality b^2) at beta^2.  A float
-    takes scipy's C kernel and ``max``: the ufunc's values without its dispatch.  A
-    Rayleigh float takes ``math.expm1``, up to 1 ulp from ``np.expm1``, which is why
-    ``SourceView._cdf_x0``, matching a grid's CDF bit for bit, takes a one-element array.
+    chi-square survival (two degrees of freedom, noncentrality b^2) at beta^2.  A Rician
+    float takes scipy's C kernel and ``max``, without the ufunc's dispatch, and a Rayleigh
+    float ``np.expm1``: either gives its one-element grid's value bit for bit.
     """
     # Q1 is exactly 1 at beta = 0, where the chi-square CDF is 0; roundoff below 0 is clipped
     if isinstance(beta, float):
         if isinstance(model, Rayleigh):
-            return -math.expm1(-beta * beta / model.omega)
+            return -float(np.expm1(-beta * beta / model.omega))
         return 1.0 - max(1.0 - cs.chndtr(beta * beta, 2.0, model.b * model.b), 0.0)
     with np.errstate(over="ignore"):  # a threshold squared beyond the float range: F is 1
         if isinstance(model, Rayleigh):

@@ -265,14 +265,15 @@ def _tail_integrand(model: FadingModel, fit: GammaFit, margin_rate: float, noise
     return integrand
 
 
-def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor: float,
-                x0: float, margin_rate: float, noise_power: float, *, scan: bool) -> Callable:
+def _error_grid(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_th: float,
+                flat: np.ndarray, cdf: np.ndarray, *, scan: bool) -> Callable:
     """:func:`p_error` at the flat thresholds ``flat``, as a function of the interference law.
 
-    The main link alone fixes the fading CDF ``cdf`` at ``flat`` and
-    ``cdf_floor`` at the noise floor ``x0`` (both from the caller, which
-    checked the thresholds), the certain loss below x0, the transmit mass,
-    and the quadrature layout, so they are computed once.  As *points*,
+    The main link alone fixes the noise floor x0 (:func:`noise_floor`, which
+    checks the power and the SINR threshold), the margin rate, the fading CDF
+    at x0, the certain loss below x0, the transmit mass and the quadrature
+    layout, so they are computed once.  The caller checked the thresholds
+    and gives their fading CDF ``cdf``.  As *points*,
     each distinct limit max(beta, x0) gets its own adaptive quadrature of
     :func:`_tail_integrand` up to infinity at the whole ``DEFAULT_QUAD``, so a
     grid of k points is its k grids of one, bit for bit.  As a ``scan``, each
@@ -287,6 +288,9 @@ def _error_grid(model: FadingModel, flat: np.ndarray, cdf: np.ndarray, cdf_floor
     :class:`AccuracyError` is raised rather than an inaccurate value
     returned.  The returned function takes the law.
     """
+    model, noise_power = main.fading, noise.power
+    x0 = noise_floor(main, main_power, noise, gamma_th)
+    margin_rate, cdf_floor = _margin_rate(main, main_power, gamma_th), channel._cdf(model, x0)
     lo = np.maximum(flat, x0)
     # a silenced threshold integrates nothing
     limits = np.array(sorted(set(lo.tolist()) - {math.inf}))
@@ -368,12 +372,10 @@ def p_error(
     with the queue-drop probabilities.  An infinite threshold (a silenced
     link) has no transmissions and no errors.
     """
-    x0 = noise_floor(main, main_power, noise, gamma_th)
     betas = np.asarray(specfun._nonnegative_grid("main_beta", main_beta), dtype=float)
     flat = betas.ravel()
-    cdf = channel._cdf(main.fading, np.append(flat, x0))
-    price = _error_grid(main.fading, flat, cdf[:-1], cdf[-1], x0,
-                        _margin_rate(main, main_power, gamma_th), noise.power, scan=True)
+    price = _error_grid(main, main_power, noise, gamma_th, flat,
+                        channel._cdf(main.fading, flat), scan=True)
     return price(fit).reshape(betas.shape)[()]
 
 

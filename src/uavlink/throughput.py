@@ -87,9 +87,8 @@ class BetaBounds:
 class SourceView:
     """Everything needed to evaluate one node's losses against fixed opponents.
 
-    The view's interference law, stability bound, noise floor with its
-    fading CDF and margin rate depend on nothing else, so each is computed
-    at its first use and kept.
+    The view's interference law and stability bound depend on nothing else,
+    so each is computed at its first use and kept.
     """
 
     node_id: str
@@ -114,21 +113,6 @@ class SourceView:
     def upper(self) -> float:
         """The largest threshold keeping this node's queue stable (:func:`beta_upper`)."""
         return beta_upper(self.model, self.queue, self.num_channels)
-
-    @cached_property
-    def _margin_rate(self) -> float:
-        """The affordable interference power per unit squared amplitude (unchecked)."""
-        return itf._margin_rate(self.link, self.power, self.sinr_threshold)
-
-    @cached_property
-    def _x0(self) -> float:
-        """The noise floor (:func:`interference.noise_floor`)."""
-        return itf.noise_floor(self.link, self.power, self.noise, self.sinr_threshold)
-
-    @cached_property
-    def _cdf_x0(self) -> float:
-        """The fading CDF at the noise floor, through the array CDF a grid takes."""
-        return ch._cdf(self.model, np.array([self._x0]))[0]
 
 
 def _check_probability(name: str, p) -> None:
@@ -218,7 +202,7 @@ def loss_derivative(
     pdf = ch._pdf(view.model, betas)
     dpdf = ch._pdf_slope(view.model, betas)
 
-    margin_rate = view._margin_rate
+    margin_rate = itf._margin_rate(view.link, view.power, view.sinr_threshold)
     excess = margin_rate * betas * betas - view.noise.power
     tail = itf.interference_ccdf(view.fit, excess)
     # d(tail)/d(beta) through the Gamma density, which is zero where the tail is pinned at 1
@@ -365,8 +349,8 @@ def _prepare_grid(view: SourceView, betas: Sequence[float] | np.ndarray, *,
     q = view.queue
     p_dly = qn._p_delay(mu, q)
     p_ov = qn._p_overflow(q.arrival_rate * q.slot_duration / mu, q)
-    p_err = itf._error_grid(view.model, betas, cdf, view._cdf_x0, view._x0, view._margin_rate,
-                            view.noise.power, scan=scan)
+    p_err = itf._error_grid(view.link, view.power, view.noise, view.sinr_threshold, betas, cdf,
+                            scan=scan)
     # the loss composes left to right: overflow, then deadline drop, then SINR error; the
     # queue terms do not depend on the law, so their product is taken once
     survive = (1.0 - p_ov) * (1.0 - p_dly)

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fading_pdf, rician_moment_per_order
@@ -204,6 +204,20 @@ class TestFadingDistributions:
     def test_cdf_tends_to_one(self):
         for model in MODELS:
             assert ch.fading_cdf(model, 40.0) == pytest.approx(1.0, abs=1e-9)
+
+    @given(
+        model=st.one_of(st.floats(0.05, 20.0).map(Rayleigh), st.floats(0.0, 30.0).map(Rician)),
+        beta=st.one_of(st.floats(0.0, 1e3), st.sampled_from([1e300, math.inf])),
+    )
+    # math.expm1 and np.expm1 differ by 1 ulp here
+    @example(model=Rayleigh(2.0), beta=1.5027946689483906)
+    @settings(max_examples=300, deadline=None)
+    def test_a_float_threshold_is_its_grid_of_one(self, model, beta):
+        for cdf in (ch._cdf, ch.fading_cdf):
+            value = cdf(model, beta)
+            assert isinstance(value, float)
+            bits = np.float64(value).view(np.int64)
+            assert bits == cdf(model, np.array([beta]))[0].view(np.int64), cdf
 
 
 class TestTransmitProb:

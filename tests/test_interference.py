@@ -16,6 +16,7 @@ from oracles import (
     agrees_with_oracle,
     fading_pdf,
     p_error_pointwise,
+    recording,
     ufunc_error_integrand,
 )
 from uavlink import channel as ch
@@ -627,16 +628,16 @@ class TestPErrorPanels:
         link = main_link(fading=Rician(2.0))
         links = [rayleigh_link(beta=0.4, power=0.7)]
         betas = np.array([0.0, 0.9, 1.7, math.inf])
-        x0 = itf.noise_floor(link, 1.0, self.NOISE, 0.5)
-        cdf = ch.fading_cdf(link.fading, np.append(betas, x0))
+        cdf = ch.fading_cdf(link.fading, betas)
         fit = itf.fit_interference(links, 15)
         expected = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=fit)
+        calls = []
         monkeypatch.setattr(itf.channel, "fading_cdf", None)
-        monkeypatch.setattr(itf.channel, "_cdf", None)
-        margin_rate = link.path_loss_amplitude**2 / 0.5
-        price = itf._error_grid(link.fading, betas, cdf[:-1], cdf[-1], x0, margin_rate,
-                                self.NOISE.power, scan=True)
+        monkeypatch.setattr(itf.channel, "_cdf", recording(calls, ch._cdf))
+        price = itf._error_grid(link, 1.0, self.NOISE, 0.5, betas, cdf, scan=True)
         assert price(fit).tolist() == expected.tolist()
+        # the kernel evaluates F at its own noise floor only
+        assert calls == [(link.fading, itf.noise_floor(link, 1.0, self.NOISE, 0.5))]
 
     def test_failed_fallback_raises_with_best_estimate(self, monkeypatch):
         # two subdivisions suffice for the vanishing tail above 8 but not for the panel below

@@ -588,7 +588,8 @@ class TestEvaluateGrid:
     @settings(max_examples=40, deadline=None)
     def test_points_are_their_grids_of_one(self, family, picks, repeats):
         view = _view(family)
-        x0, upper = view._x0, view.upper
+        x0 = itf.noise_floor(view.link, view.power, view.noise, view.sinr_threshold)
+        upper = view.upper
         at = {"floor": lambda f: f * x0, "bound": lambda f: x0 + f * (upper - x0),
               "beyond": lambda f: f * upper, "inf": lambda f: math.inf}
         betas = [at[kind](f) for kind, f in picks]
@@ -619,12 +620,12 @@ class TestEvaluateGrid:
     def test_one_fading_cdf_per_grid_and_per_derivative_scan(self, family, monkeypatch):
         view = _view(family)
         upper = view.upper
-        # the view's bound, fit and noise floor evaluate F themselves, so they come first
-        view.fit, view._cdf_x0
+        # the view's bound and fit evaluate F themselves, so they come first
+        view.fit
         grid = np.linspace(0.0, upper, 64)
         calls = self.spy(monkeypatch)
         _points(view, grid)
-        assert calls == [64]  # the view keeps F at its noise floor
+        assert calls == [64, 1]  # F at the thresholds, then the kernel's F at its noise floor
         calls.clear()
         tp.loss_derivative(view, grid[1:-1])
         assert calls == [62]
