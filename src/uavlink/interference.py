@@ -283,8 +283,12 @@ def _error_grid(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_t
     evaluated in one array pass, and a reversed cumulative sum of the bins
     gives every limit's integral.  The bins share the absolute tolerance
     equally; a scan of one limit is its point.  Both read ``DEFAULT_QUAD`` at
-    the call.  A bin whose Kronrod-Gauss difference exceeds its share is
-    integrated adaptively instead (the tail up to infinity), so an
+    the call.  A bin has not resolved the density when its Kronrod rule,
+    applied to the density alone, misses the bin's mass in closed form,
+    F(stop) - F(start), by more than its share: one panel over a gap much
+    wider than the density can see only where it underflows.  Such a bin's
+    start, and that of a bin whose Kronrod-Gauss difference exceeds its
+    share, takes the adaptive integral up to infinity instead, so an
     :class:`AccuracyError` is raised rather than an inaccurate value
     returned.  The returned function takes the law.
     """
@@ -321,6 +325,13 @@ def _error_grid(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_t
         pdf[len(width):] /= (1.0 - t) ** 2
         panel = np.append(panel, np.full(len(t), len(limits) - 1))
         half, ends = 0.5 * np.append(width, np.diff(_TAIL_EDGES)), np.append(limits, math.inf)
+        # each bin's density mass by F at its ends, max(F(beta), F(x0)) at a limit and 1 at
+        # infinity: a bin whose Kronrod rule misses it has not resolved the density
+        at = np.ones(len(ends))
+        at[index] = np.maximum(cdf, cdf_floor)
+        missed = np.abs(np.bincount(panel, half * (pdf @ _GK15_KRONROD)) - np.diff(at))
+        unresolved = ~(missed <= np.maximum(quad.absolute_tolerance,
+                                            quad.relative_tolerance * np.diff(at)))
 
     def price(fit: GammaFit | ZeroInterference) -> np.ndarray:
         raw = certain
@@ -336,9 +347,12 @@ def _error_grid(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_t
                 kronrod = np.bincount(panel, kronrod)
                 tolerance = np.maximum(quad.absolute_tolerance,
                                        quad.relative_tolerance * np.abs(kronrod))
-                for i in np.flatnonzero(~(error <= tolerance)):
-                    kronrod[i] = specfun.integrate(integrand, ends[i], ends[i + 1], quad).value
                 integrals = np.cumsum(kronrod[::-1])[::-1]
+                # from the top, each failed bin's start takes the adaptive integral above it (a
+                # finite range as wide as the bin could miss the density as its panel did)
+                for i in np.flatnonzero(unresolved | ~(error <= tolerance))[::-1].tolist():
+                    above = specfun.integrate(integrand, ends[i], math.inf, quad).value
+                    integrals[:i + 1] += above - integrals[i]
             # each threshold's limit, and nothing above a silenced one
             raw = certain + np.append(integrals, 0.0)[index]
         # normalise by the transmit mass; a silenced link has no transmission errors
@@ -367,7 +381,8 @@ def p_error(
     (:func:`noise_floor`) the tail is pinned at 1, a certain loss
     F(x0) - F(beta) in the fading CDF F.  The fit does not depend on the
     threshold, so the whole grid, its tail included, costs one vectorized
-    panel rule (see :func:`_error_grid`).  The integral is
+    panel rule (see :func:`_error_grid`, which derives x0 from these
+    arguments).  The integral is
     normalized by the transmit mass 1 - F(beta), so the result composes
     with the queue-drop probabilities.  An infinite threshold (a silenced
     link) has no transmissions and no errors.

@@ -538,13 +538,14 @@ class TestPErrorPanels:
 
     def test_panel_over_tolerance_falls_back_to_adaptive(self, monkeypatch):
         # one panel spans the whole density bump: the 7-point Gauss rule misses it
-        # (it starts above the noise floor sqrt(0.5), so it is not graded)
+        # (it starts above the noise floor sqrt(0.5), so it is not graded); its start
+        # takes the adaptive integral up to infinity
         calls = self.spy(monkeypatch)
         link = main_link(fading=Rayleigh(2.0))
         links = [rayleigh_link(beta=0.5, power=0.6)]
         betas = [1.0, 6.0]
         grid = itf.p_error(link, 1.0, betas, self.NOISE, 0.5, fit=law(links))
-        assert calls == [(1.0, 6.0)]
+        assert calls == [(1.0, math.inf)]
         for beta, value in zip(betas, grid):
             oracle = p_error_pointwise(
                 link, 1.0, beta, links, self.NOISE, 0.5, 15, quad=ORACLE_QUAD
@@ -617,6 +618,41 @@ class TestPErrorPanels:
             )
             assert agrees_with_oracle(value, oracle), (beta, value, oracle)
 
+    @pytest.mark.parametrize("second", [10.0, 1e2, 1e4, 1e6, 1e10, 1e100, 1e300])
+    @pytest.mark.parametrize("num_channels, want", [(15, 0.58215739), (1, 0.95123396)])
+    def test_a_wide_gap_keeps_the_density_mass(self, second, num_channels, want):
+        # every node of one panel over [1, second] lies where the density underflows, so
+        # Kronrod and Gauss agree on 0; the density's mass F(second) - F(1) tells the miss
+        link = main_link(fading=Rayleigh(2.0))
+        fit = law([rayleigh_link(beta=0.5, power=60.0)], num_channels)
+        alone = itf.p_error(link, 1.0, 1.0, self.NOISE, 0.5, fit=fit)
+        grid = itf.p_error(link, 1.0, [1.0, second], self.NOISE, 0.5, fit=fit)
+        assert round(alone, 8) == want
+        assert agrees_with_oracle(grid[0], alone) and grid[1] == 0.0
+
+    @given(
+        fading=st.one_of(st.floats(0.3, 4.0).map(Rayleigh), st.floats(0.0, 8.0).map(Rician)),
+        start=st.floats(0.0, 3.0),
+        gaps=st.lists(st.floats(-1.0, 6.0), min_size=1, max_size=3),
+        shape=st.one_of(st.floats(0.2, 0.95), st.floats(2.05, 8.0)),
+        scale=st.floats(0.3, 10.0),
+        gamma_th=st.floats(0.05, 1.0),
+    )
+    @example(fading=Rayleigh(2.0), start=0.7, gaps=[4.0], shape=0.9, scale=3.0, gamma_th=0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_wide_scans_agree_with_the_oracle(self, fading, start, gaps, shape, scale, gamma_th):
+        # gaps log-uniform from 0.1 to 1e6 times the density's scale, sqrt(omega) or 1
+        unit = math.sqrt(fading.omega) if isinstance(fading, Rayleigh) else 1.0
+        betas = unit * (start + np.cumsum(np.concatenate(([0.0], 10.0 ** np.array(gaps)))))
+        link, fit = main_link(fading=fading), GammaFit(shape, scale)
+        grid = kernel(link, 1.0, betas, self.NOISE, gamma_th, fit, conditional=False)
+        for beta, value in zip(betas.tolist(), grid.tolist()):
+            oracle = p_error_pointwise(
+                link, 1.0, beta, None, self.NOISE, gamma_th, 15, conditional=False,
+                quad=ORACLE_QUAD, fit=fit,
+            )
+            assert agrees_with_oracle(value, oracle), (beta, value, oracle)
+
     @pytest.mark.parametrize("fading", [Rayleigh(2.0), Rician(3.0)], ids=["rayleigh", "rician"])
     def test_grid_of_one_is_one_adaptive_quadrature(self, monkeypatch, fading):
         calls = self.spy(monkeypatch)
@@ -640,14 +676,15 @@ class TestPErrorPanels:
         assert calls == [(link.fading, itf.noise_floor(link, 1.0, self.NOISE, 0.5))]
 
     def test_failed_fallback_raises_with_best_estimate(self, monkeypatch):
-        # two subdivisions suffice for the vanishing tail above 8 but not for the panel below
+        # two subdivisions suffice for the vanishing tail above 8 but not for the integral
+        # above 1 that the failed panel below it takes
         link = main_link(fading=Rayleigh(2.0))
         links = [rayleigh_link(beta=0.5, power=0.6)]
         monkeypatch.setattr(itf, "DEFAULT_QUAD", QuadratureSpec(max_subdivisions=2))
         assert itf.p_error(link, 1.0, 8.0, self.NOISE, 0.5, fit=law(links)) == 0.0
         with pytest.raises(AccuracyError) as excinfo:
             itf.p_error(link, 1.0, [1.0, 8.0], self.NOISE, 0.5, fit=law(links))
-        assert "[1.0, 8.0]" in str(excinfo.value)
+        assert "[1.0, inf]" in str(excinfo.value)
         assert math.isfinite(excinfo.value.best_estimate)
         assert excinfo.value.best_estimate > 0.0
         assert excinfo.value.error_estimate > 0.0
