@@ -204,14 +204,15 @@ def _pdf(model: FadingModel, x: np.ndarray) -> np.ndarray:
     return x * np.exp(-0.5 * diff * diff) * sp.i0e(x * model.b)
 
 
-def _pdf_slope(model: FadingModel, x: float | np.ndarray):
-    """Derivative of :func:`_pdf` in x, elementwise and unchecked like it."""
+def _pdf_and_slope(model: FadingModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pdf` and its slope in x, unchecked like it, sharing one exponential and ``i0e``."""
     if isinstance(model, Rayleigh):
         om = model.omega
-        return (2.0 / om) * np.exp(-x * x / om) * (1.0 - 2.0 * x * x / om)
-    diff = x - model.b
-    xb = x * model.b
-    return np.exp(-0.5 * diff * diff) * ((1.0 - x * x) * sp.i0e(xb) + xb * sp.i1e(xb))
+        gauss = np.exp(-x * x / om)
+        return (2.0 * x / om) * gauss, (2.0 / om) * gauss * (1.0 - 2.0 * x * x / om)
+    diff, xb = x - model.b, x * model.b
+    gauss, i0 = np.exp(-0.5 * diff * diff), sp.i0e(xb)
+    return x * gauss * i0, gauss * ((1.0 - x * x) * i0 + xb * sp.i1e(xb))
 
 
 def fading_cdf(model: FadingModel, beta: float | np.ndarray) -> float | np.ndarray:

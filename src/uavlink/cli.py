@@ -129,7 +129,7 @@ def cmd_simulate(args) -> int:
     else:
         infeasible = _on_boundary(analytic)
     print(f"{'metric':<12}{'analytic':>16}{'empirical':>16}{'halfwidth':>14}{'gap':>14}")
-    rows = []
+    columns, rows = ["metric", "analytic", "empirical", "halfwidth", "gap"], []
     for name in ps.BREAKDOWN_COLUMNS:
         if not hasattr(result, name):
             continue  # the simulation estimates every component but the composed p_loss
@@ -144,17 +144,9 @@ def cmd_simulate(args) -> int:
         else:
             value = gap = math.nan
             print(f"{name:<12}{'n/a':>16}{estimate.value:>16.6g}{estimate.halfwidth:>14.3g}{'n/a':>14}")
-        rows.append(
-            {
-                "metric": name,
-                "analytic": value,
-                "empirical": estimate.value,
-                "halfwidth": estimate.halfwidth,
-                "gap": gap,
-            }
-        )
+        rows.append(dict(zip(columns, (name, value, estimate.value, estimate.halfwidth, gap))))
     if args.out:
-        write_results(rows, args.out, ["metric", "analytic", "empirical", "halfwidth", "gap"])
+        write_results(rows, args.out, columns)
     if infeasible is not None:
         print(f"infeasible: {infeasible}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -184,18 +176,10 @@ def cmd_optimize(args) -> int:
             f"throughput = {last['throughput'][node_id]:.6g}"
         )
     if args.out:
-        rows = []
-        for entry in result.trace:
-            for node_id, beta in entry["betas"].items():
-                rows.append(
-                    {
-                        "iteration": entry["iteration"],
-                        "node": node_id,
-                        "beta": beta,
-                        "throughput": entry["throughput"][node_id],
-                    }
-                )
-        write_results(rows, args.out, ["iteration", "node", "beta", "throughput"])
+        columns = ["iteration", "node", "beta", "throughput"]
+        rows = [dict(zip(columns, (entry["iteration"], node, beta, entry["throughput"][node])))
+                for entry in result.trace for node, beta in entry["betas"].items()]
+        write_results(rows, args.out, columns)
         print(f"wrote trace ({len(rows)} rows) to {args.out}")
     return EXIT_OK
 

@@ -221,8 +221,12 @@ _GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _GK15.T
 _FLOOR_GRADING = 0.5 ** np.arange(20.0, 0.0, -1.0)
 
 
-# The panels in t of the tail above a scan's largest limit a, x = a + t / (1 - t).
-_TAIL_EDGES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+# The tail above a scan's largest limit a as panels in t, x = a + t / (1 - t): their widths,
+# and at GK15's nodes mapped onto [0, 1] the offsets t / (1 - t) and the (1 - t)^2 = dt / dx.
+_TAIL_EDGES, _GK15_UNIT = np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 0.5 * (1.0 + _GK15_NODES)
+_TAIL_WIDTHS = np.diff(_TAIL_EDGES)
+_TAIL_T = _TAIL_EDGES[:-1, None] + _TAIL_WIDTHS[:, None] * _GK15_UNIT
+_TAIL_OFFSETS, _TAIL_DIVISORS = _TAIL_T / (1.0 - _TAIL_T), (1.0 - _TAIL_T) ** 2
 
 
 # Below shape 1, scipy's gammaincc is slow for x in roughly (0.1, 1.1): up to
@@ -311,20 +315,18 @@ def _error_grid(main: LinkChannel, main_power: float, noise: NoiseModel, gamma_t
             start = np.concatenate(([start[0]], cuts, start[1:]))
             stop = np.concatenate((cuts, stop))
             panel = np.concatenate((np.zeros(len(cuts), int), panel))
-        # the tail above the largest limit is the last bin: x = top + t / (1 - t) on panels
-        # in t, whose density carries the Jacobian dx / dt = 1 / (1 - t)^2
-        t = _TAIL_EDGES[:-1, None] + np.diff(_TAIL_EDGES)[:, None] * (0.5 * (1.0 + _GK15_NODES))
+        # the tail above the largest limit is the last bin, on the panels in t of _TAIL_T
         width = stop - start
         # start + width * u with u in [0, 1] never falls below start
-        x = np.concatenate((start[:, None] + width[:, None] * (0.5 * (1.0 + _GK15_NODES)),
-                            limits[-1] + t / (1.0 - t)))
+        x = np.concatenate((start[:, None] + width[:, None] * _GK15_UNIT,
+                            limits[-1] + _TAIL_OFFSETS))
         with np.errstate(over="ignore"):  # x * x beyond the float range: a density of 0
             # the tail is 1 where the affordable power is not positive
             excess = np.maximum(margin_rate * x * x - noise_power, 0.0)
             pdf = channel._pdf(model, x)
-        pdf[len(width):] /= (1.0 - t) ** 2
-        panel = np.append(panel, np.full(len(t), len(limits) - 1))
-        half, ends = 0.5 * np.append(width, np.diff(_TAIL_EDGES)), np.append(limits, math.inf)
+        pdf[len(width):] /= _TAIL_DIVISORS
+        panel = np.append(panel, np.full(len(_TAIL_WIDTHS), len(limits) - 1))
+        half, ends = 0.5 * np.append(width, _TAIL_WIDTHS), np.append(limits, math.inf)
         # each bin's density mass by F at its ends, max(F(beta), F(x0)) at a limit and 1 at
         # infinity: a bin whose Kronrod rule misses it has not resolved the density
         at = np.ones(len(ends))

@@ -210,7 +210,7 @@ class _Sampler:
         return float(self._generator(context).uniform(lo, hi))
 
     def choice(self, options: Sequence[float], context: str) -> float:
-        return float(self._generator(context).choice(np.asarray(options)))
+        return float(options[int(self._generator(context).integers(0, len(options)))])
 
 
 def _parse_position(

@@ -185,40 +185,48 @@ def loss_derivative(
     rule.  The deadline part differentiates the exponential waiting tail
     through the transmit probability.
     """
+    betas = _feasible(view, beta)
+    first, second = _loss_derivatives(view)(betas)
+    return (float(first), float(second)) if betas.ndim == 0 else (first, second)
+
+
+def _feasible(view: SourceView, beta: float | np.ndarray) -> np.ndarray:
+    """``beta`` as a float array once every element lies in (0, ``view.upper``)."""
     betas = np.asarray(specfun._nonnegative_grid("loss_derivative: beta", beta))
     if not betas.min(initial=1.0) > 0.0:
         raise DomainError(f"loss_derivative: beta must be > 0, got {beta}")
     upper, worst = view.upper, float(np.max(betas, initial=0.0))
     if worst >= upper:
-        raise StabilityError(
-            f"beta {worst:.6g} is at or beyond the stability bound {upper:.6g}",
-            margin=worst - upper,
-            node=view.node_id,
-        )
-    # thresholds in (0, upper) give rates in (0, 1] that keep the queue stable
-    n = view.num_channels
-    cdf = ch._cdf(view.model, betas)
-    p_dly = qn._p_delay(1.0 - cdf**n, view.queue)
-    pdf = ch._pdf(view.model, betas)
-    dpdf = ch._pdf_slope(view.model, betas)
+        raise StabilityError(f"beta {worst:.6g} is at or beyond the stability bound {upper:.6g}",
+                             margin=worst - upper, node=view.node_id)
+    return betas
 
+
+def _loss_derivatives(view: SourceView) -> Callable:
+    """:func:`loss_derivative` on ``view``'s fading, law, margin rate, noise and queue, read
+    once: a function of a float array of thresholds in (0, ``view.upper``), unchecked, giving
+    the arrays (first, second) from one ``_cdf`` and one :func:`channel._pdf_and_slope`."""
+    model, fit, q, n = view.model, view.fit, view.queue, view.num_channels
     margin_rate = itf._margin_rate(view.link, view.power, view.sinr_threshold)
-    excess = margin_rate * betas * betas - view.noise.power
-    tail = itf.interference_ccdf(view.fit, excess)
-    # d(tail)/d(beta) through the Gamma density, which is zero where the tail is pinned at 1
-    dtail = -itf.interference_pdf(view.fit, excess) * 2.0 * margin_rate * betas
+    noise_power, rate = view.noise.power, q.delay_threshold / q.slot_duration
 
-    d_err_1 = -pdf * tail
-    d_err_2 = -dpdf * tail - pdf * dtail
+    def derivatives(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # thresholds in (0, upper) give rates in (0, 1] that keep the queue stable
+        cdf = ch._cdf(model, betas)
+        p_dly = qn._p_delay(1.0 - cdf**n, q)
+        pdf, dpdf = ch._pdf_and_slope(model, betas)
+        excess = margin_rate * betas * betas - noise_power
+        tail = itf.interference_ccdf(fit, excess)
+        # d(tail)/d(beta) through the Gamma density, which is zero where the tail is pinned at 1
+        dtail = -itf.interference_pdf(fit, excess) * 2.0 * margin_rate * betas
+        d_err_1 = -pdf * tail
+        d_err_2 = -dpdf * tail - pdf * dtail
+        below = cdf ** (n - 1)
+        psi = rate * n * below * pdf
+        dpsi = rate * n * ((n - 1) * cdf ** max(n - 2, 0) * pdf * pdf + below * dpdf)
+        return d_err_1 + p_dly * psi, d_err_2 + p_dly * (psi * psi + dpsi)
 
-    rate = view.queue.delay_threshold / view.queue.slot_duration
-    psi = rate * n * cdf ** (n - 1) * pdf
-    dpsi = rate * n * ((n - 1) * cdf ** max(n - 2, 0) * pdf * pdf + cdf ** (n - 1) * dpdf)
-    first = d_err_1 + p_dly * psi
-    second = d_err_2 + p_dly * (psi * psi + dpsi)
-    if betas.ndim == 0:
-        return float(first), float(second)
-    return first, second
+    return derivatives
 
 
 # The curvature scan of beta_lower: its points over the feasible range, and the
@@ -230,16 +238,17 @@ LOWER_TOL = 1e-6
 def beta_lower(view: SourceView) -> float:
     """Smallest beta where the reduced-loss curvature turns positive.
 
-    Scans ``LOWER_GRID_SIZE`` points over the feasible range in one
-    array-valued :func:`loss_derivative` call, then rescans the cell of the
-    first sign change (at most 32 points a call) until it is no wider than
-    ``LOWER_TOL``, and returns its upper end.  Returns 0 when the curvature
-    is positive from the start; raises :class:`LowerBoundNotFoundError` with
-    the scan attached when it never turns positive.
+    Checks ``LOWER_GRID_SIZE`` points over the feasible range and scans them
+    in one call of the view's :func:`_loss_derivatives`, then rescans the cell
+    of the first sign change (at most 32 points a call, unchecked) until it is
+    no wider than ``LOWER_TOL``, and returns its upper end.  Returns 0 when the
+    curvature is positive from the start; raises :class:`LowerBoundNotFoundError`
+    with the scan attached when it never turns positive.
     """
     upper = view.upper
     grid = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), LOWER_GRID_SIZE)
-    _, curv = loss_derivative(view, grid)
+    derivatives = _loss_derivatives(view)
+    _, curv = derivatives(_feasible(view, grid))
     if curv[0] > 0.0:
         return 0.0
     positive = np.nonzero(curv > 0.0)[0]
@@ -251,7 +260,7 @@ def beta_lower(view: SourceView) -> float:
     lo, hi = grid[positive[0] - 1], grid[positive[0]]
     while hi - lo > LOWER_TOL:
         cell = np.linspace(lo, hi, min(34, math.ceil((hi - lo) / LOWER_TOL) + 1))
-        _, curv = loss_derivative(view, cell[1:-1])
+        _, curv = derivatives(cell[1:-1])
         first = int(np.argmax(np.append(curv, 1.0) > 0.0)) + 1  # hi when none is positive
         lo, hi = cell[first - 1], cell[first]
     return float(hi)

@@ -3,22 +3,24 @@ formulas, the per-point SINR error integral with the tolerances it runs
 at and the bound a kernel keeps of it, the checked fading density, the
 error integrand in scipy's ufuncs, the Rician truncated moment summed
 one order at a time, the scaled Bessel I0, the reduced loss of the
-lower threshold bound, the inverse error function with the Gaussian-tail
-surrogate of the Rician stability bound, that bound by scipy's
-``brentq``, the slot-by-slot simulator loop and its per-block visit loop,
-a reader for results files, a scenario's own policy, the best-response
-loop that rebuilds and re-evaluates every node's view each iteration,
-and the sweep runner that evaluates each point on its own.
+lower threshold bound, its derivatives and curvature scan with every
+call checked and derived afresh, the inverse error function with the
+Gaussian-tail surrogate of the Rician stability bound, that bound by
+scipy's ``brentq``, the slot-by-slot simulator loop and its per-block
+visit loop, a reader for results files, a scenario's own policy, the
+best-response loop that rebuilds and re-evaluates every node's view each
+iteration, and the sweep runner that evaluates each point on its own.
 
 These reproduce ``queueing.p_overflow``, the geometric service law,
-``throughput.beta_upper``'s root, ``interference.p_error``, the
-quadrature's float integrand, the paired moment series of
+``throughput.beta_upper``'s root, ``throughput.loss_derivative`` and
+``beta_lower``, ``interference.p_error``, the quadrature's float
+integrand, the paired moment series of
 ``channel._rician_truncated_moment``,
 ``simulator.run``, ``simulator._Queue.walk``,
 ``throughput.jacobi_best_response`` and ``presets._sweep`` the hard way,
-so the package's closed forms, grid kernel, float kernels, paired moments,
-per-node queue schedule, prepared best-response grids and grouped sweeps
-can be checked against them.
+so the package's closed forms, prepared derivatives, grid kernel, float
+kernels, paired moments, per-node queue schedule, prepared best-response
+grids and grouped sweeps can be checked against them.
 They live with the tests because the package itself never calls them.
 """
 
@@ -192,6 +194,75 @@ def reduced_loss(view, beta: float) -> float:
     the loss ``throughput.loss_derivative`` differentiates for the lower threshold bound."""
     breakdown = tp.evaluate_view(view, beta)
     return breakdown.p_delay + breakdown.p_error * (1.0 - ch.fading_cdf(view.model, beta))
+
+
+def loss_derivative_layered(view, beta):
+    """A frozen copy of ``throughput.loss_derivative`` as it stood before the prepared kernel.
+
+    Each call checks its thresholds, derives the view's margin rate, noise power and
+    queue rate, and takes the fading density and its slope apart (two exponentials, and
+    for Rician two ``i0e``) and ``cdf ** (n - 1)`` twice.
+    """
+    betas = np.asarray(specfun._nonnegative_grid("loss_derivative: beta", beta))
+    if not betas.min(initial=1.0) > 0.0:
+        raise DomainError(f"loss_derivative: beta must be > 0, got {beta}")
+    upper, worst = view.upper, float(np.max(betas, initial=0.0))
+    if worst >= upper:
+        raise StabilityError(
+            f"beta {worst:.6g} is at or beyond the stability bound {upper:.6g}",
+            margin=worst - upper,
+            node=view.node_id,
+        )
+    n = view.num_channels
+    cdf = ch._cdf(view.model, betas)
+    p_dly = qn._p_delay(1.0 - cdf**n, view.queue)
+    pdf = ch._pdf(view.model, betas)
+    dpdf = _fading_pdf_slope(view.model, betas)
+
+    margin_rate = itf._margin_rate(view.link, view.power, view.sinr_threshold)
+    excess = margin_rate * betas * betas - view.noise.power
+    tail = itf.interference_ccdf(view.fit, excess)
+    dtail = -itf.interference_pdf(view.fit, excess) * 2.0 * margin_rate * betas
+
+    d_err_1 = -pdf * tail
+    d_err_2 = -dpdf * tail - pdf * dtail
+
+    rate = view.queue.delay_threshold / view.queue.slot_duration
+    psi = rate * n * cdf ** (n - 1) * pdf
+    dpsi = rate * n * ((n - 1) * cdf ** max(n - 2, 0) * pdf * pdf + cdf ** (n - 1) * dpdf)
+    first = d_err_1 + p_dly * psi
+    second = d_err_2 + p_dly * (psi * psi + dpsi)
+    if betas.ndim == 0:
+        return float(first), float(second)
+    return first, second
+
+
+def _fading_pdf_slope(model: ch.FadingModel, x: np.ndarray) -> np.ndarray:
+    """Derivative of ``channel._pdf`` in x, with its own exponential and ``i0e``."""
+    if isinstance(model, ch.Rayleigh):
+        om = model.omega
+        return (2.0 / om) * np.exp(-x * x / om) * (1.0 - 2.0 * x * x / om)
+    diff = x - model.b
+    xb = x * model.b
+    return np.exp(-0.5 * diff * diff) * ((1.0 - x * x) * sp.i0e(xb) + xb * sp.i1e(xb))
+
+
+def beta_lower_layered(view) -> float:
+    """``throughput.beta_lower``'s scan with every array, the grid and each rescanned
+    cell, priced by a checked :func:`loss_derivative_layered` call."""
+    upper = view.upper
+    grid = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), tp.LOWER_GRID_SIZE)
+    _, curv = loss_derivative_layered(view, grid)
+    if curv[0] > 0.0:
+        return 0.0
+    positive = np.nonzero(curv > 0.0)[0]
+    lo, hi = grid[positive[0] - 1], grid[positive[0]]
+    while hi - lo > tp.LOWER_TOL:
+        cell = np.linspace(lo, hi, min(34, math.ceil((hi - lo) / tp.LOWER_TOL) + 1))
+        _, curv = loss_derivative_layered(view, cell[1:-1])
+        first = int(np.argmax(np.append(curv, 1.0) > 0.0)) + 1
+        lo, hi = cell[first - 1], cell[first]
+    return float(hi)
 
 
 def erfinv(y: float) -> float:

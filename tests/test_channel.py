@@ -184,6 +184,16 @@ class TestFadingDistributions:
         )
         assert mass == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("model", MODELS, ids=str)
+    def test_density_and_slope_share_the_density(self, model):
+        # the density is _pdf's to the bit, and the slope is its derivative
+        x = np.linspace(0.0, 12.0, 241)
+        pdf, slope = ch._pdf_and_slope(model, x)
+        assert pdf.tobytes() == ch._pdf(model, x).tobytes()
+        h = 1e-6
+        central = (ch._pdf(model, x[1:] + h) - ch._pdf(model, x[1:] - h)) / (2.0 * h)
+        assert slope[1:] == pytest.approx(central, rel=1e-6, abs=1e-9)
+
     def test_rayleigh_median(self):
         assert ch.fading_cdf(Rayleigh(2.0), math.sqrt(2.0 * math.log(2.0))) == pytest.approx(
             0.5, rel=1e-12

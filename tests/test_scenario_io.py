@@ -5,11 +5,13 @@ import math
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import read_results
 
+from uavlink import scenario_io
 from uavlink.channel import EnvironmentParams, FadingKind, Position, build_link
 from uavlink.errors import ScenarioError
 from uavlink.interference import NoiseModel
@@ -142,6 +144,17 @@ nodes:
     def test_different_seed_differs(self):
         other = self.DOC.replace("placement_seed: 12", "placement_seed: 13")
         assert load_scenario(self.DOC) != load_scenario(other)
+
+    @pytest.mark.parametrize("options", [(1.0,), (60.0, 80.0, 100.0),
+                                         scenario_io.ARRIVAL_RATE_CHOICES,
+                                         scenario_io.BUFFER_CHOICES], ids=len)
+    def test_choice_draws_what_generator_choice_drew(self, options):
+        # one bounded integer, as numpy's Generator.choice takes it: same values, same stream
+        for seed in range(200):
+            sampler, rng = scenario_io._Sampler(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                assert sampler.choice(options, "x") == float(rng.choice(np.asarray(options)))
+                assert sampler.uniform(0.0, 1.0, "x") == float(rng.uniform(0.0, 1.0))
 
     def test_sampled_without_seed_is_an_error(self):
         doc = self.DOC.replace("placement_seed: 12\n", "")

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from oracles import (
     ORACLE_QUAD,
     agrees_with_oracle,
+    beta_lower_layered,
     beta_upper_erf,
     brentq_bound,
     jacobi_rebuilding,
+    loss_derivative_layered,
     p_error_pointwise,
     recording,
     reduced_loss,
@@ -342,21 +344,27 @@ class TestLossDerivative:
 class TestBetaLower:
     def test_scans_with_one_bound_and_one_array_call(self, monkeypatch):
         view = tp.source_view(rician_scenario())  # not the shared view, whose bound is kept
-        bounds, scans = [], []
-        beta_upper, loss_derivative = tp.beta_upper, tp.loss_derivative
+        bounds, prepared, scans = [], [], []
+        beta_upper, loss_derivatives = tp.beta_upper, tp._loss_derivatives
 
         def counting_upper(*args):
             bounds.append(args)
             return beta_upper(*args)
 
-        def recording_derivative(view, beta, *args):
-            scans.append(np.size(beta))
-            return loss_derivative(view, beta, *args)
+        def recording_kernel(view):
+            prepared.append(view)
+            derivatives = loss_derivatives(view)
+
+            def recording(betas):
+                scans.append(np.size(betas))
+                return derivatives(betas)
+
+            return recording
 
         monkeypatch.setattr(tp, "beta_upper", counting_upper)
-        monkeypatch.setattr(tp, "loss_derivative", recording_derivative)
+        monkeypatch.setattr(tp, "_loss_derivatives", recording_kernel)
         lower = tp.beta_lower(view)
-        assert len(bounds) == 1
+        assert len(bounds) == 1 and prepared == [view]
         # the grid, then at most three array scans of the bracketing cell
         assert scans[0] == 512 and 2 <= len(scans) <= 4
         assert all(1 < n <= 32 for n in scans[1:])
@@ -364,13 +372,18 @@ class TestBetaLower:
 
     def test_missing_sign_change_carries_the_scan(self, monkeypatch):
         view = _view("rayleigh")
-        loss_derivative = tp.loss_derivative
+        loss_derivatives = tp._loss_derivatives
 
-        def concave(view, beta, *args):
-            first, second = loss_derivative(view, beta, *args)
-            return first, -np.abs(second) - 1.0
+        def concave(view):
+            derivatives = loss_derivatives(view)
 
-        monkeypatch.setattr(tp, "loss_derivative", concave)
+            def curvature(betas):
+                first, second = derivatives(betas)
+                return first, -np.abs(second) - 1.0
+
+            return curvature
+
+        monkeypatch.setattr(tp, "_loss_derivatives", concave)
         with pytest.raises(LowerBoundNotFoundError) as excinfo:
             tp.beta_lower(view)
         diagnostics = excinfo.value.diagnostics
@@ -417,6 +430,28 @@ class TestBetaLower:
         curv = np.array([tp.loss_derivative(view, float(b))[1] for b in dense])
         first_positive = dense[int(np.nonzero(curv > 0)[0][0])]
         assert refined == pytest.approx(first_positive, abs=1e-4)
+
+
+class TestPreparedDerivativesAreTheLayeredOnes:
+    """``loss_derivative`` and ``beta_bounds`` through the view's prepared kernel give, to
+    the last bit, what every call checking and deriving afresh gave
+    (``oracles.loss_derivative_layered`` and ``beta_lower_layered``)."""
+
+    @pytest.mark.parametrize("placement", range(8))
+    @pytest.mark.parametrize("name", ["example", "fig2", "fig3", "fig4", "fig5"])
+    def test_on_every_example_node_and_preset_source(self, name, placement):
+        scenario = placed(name, placement)
+        nodes = scenario.nodes if name == "example" else (scenario.source(),)
+        for node in nodes:
+            view = tp.source_view(scenario, node_id=node.id)
+            grid = np.linspace(view.upper * 1e-3, view.upper * (1.0 - 1e-9), 77)
+            got, want = tp.loss_derivative(view, grid), loss_derivative_layered(view, grid)
+            assert repr([a.tolist() for a in got]) == repr([a.tolist() for a in want])
+            for beta in grid[::19].tolist():
+                got, want = tp.loss_derivative(view, beta), loss_derivative_layered(view, beta)
+                assert repr(got) == repr(want), (node.id, beta)
+            want = tp.BetaBounds(lower=beta_lower_layered(view), upper=view.upper)
+            assert repr(tp.beta_bounds(view)) == repr(want), node.id
 
 
 class TestEvaluate:
