@@ -36,6 +36,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1 << 16
 _SPLIT = 1 << 13  # the part length of a block that overflows
+_SLICE = 1 << 16  # the most floats of fading drawn at once
 
 
 @dataclass(frozen=True)
@@ -138,17 +139,26 @@ def _draw_best(rng: np.random.Generator, model: ch.FadingModel, nb: int, f: int)
     ``np.abs(b + Z)``, the first of equal draws, and only that channel's
     amplitude is computed.  Where two draws differ but their amplitudes
     round equal, the larger draw wins; ``np.abs`` may order two Rician
-    channels a few ulp apart unlike ``np.hypot``.
+    channels a few ulp apart unlike ``np.hypot``.  The draws come in slices
+    of whole slots, of at most ``_SLICE`` floats or else one slot; numpy
+    fills an array element by element, so they read the stream as one call.
     """
-    if isinstance(model, ch.Rayleigh):
-        draws = rng.standard_exponential((nb, f))
-        channel = draws.argmax(axis=1)
-        return channel, np.sqrt(model.omega * draws[np.arange(nb), channel])
-    normals = rng.standard_normal((nb, f, 2))
-    normals[..., 0] += model.b
-    channel = np.abs(normals.view(complex)[..., 0]).argmax(axis=1)
-    best = normals[np.arange(nb), channel]
-    return channel, np.hypot(best[:, 0], best[:, 1])
+    rayleigh = isinstance(model, ch.Rayleigh)
+    rows = max(1, _SLICE // (f if rayleigh else 2 * f))
+    channel, value = np.empty(nb, dtype=np.min_scalar_type(f - 1)), np.empty(nb)
+    for s in range(0, nb, rows):
+        n = min(rows, nb - s)
+        if rayleigh:
+            draws = rng.standard_exponential((n, f))
+            best = draws.argmax(axis=1)
+            value[s : s + n] = np.sqrt(model.omega * draws[np.arange(n), best])
+        else:
+            normals = rng.standard_normal((n, f, 2))
+            normals[..., 0] += model.b
+            best = np.abs(normals.view(complex)[..., 0]).argmax(axis=1)
+            value[s : s + n] = np.hypot(*normals[np.arange(n), best].T)
+        channel[s : s + n] = best
+    return channel, value
 
 
 class _Queue:
@@ -421,14 +431,15 @@ def run(scenario: Scenario, policy=None, cfg: SimConfig = SimConfig(100_000)) ->
     node), which lives only while the call runs.  A node's draws and queue
     touch nothing of another node's, and the SINR step takes their results
     in node order, so the results are bit-identical for any CPU count.
-    A node draws a block's fading as one array of up to 2 x block x
-    ``num_channels`` floats (Rician); a channel count too large for a
-    numpy array raises ``DomainError`` before any thread starts.
+    A node draws a block's fading in slices of at most ``_SLICE`` floats,
+    or of one slot's 2 x ``num_channels`` (Rician) where that is more; a
+    channel count too large for a numpy array raises ``DomainError``
+    before any thread starts.
     """
     nodes, source_idx = _sim_nodes(scenario, policy)
-    f, nb = scenario.num_channels, min(_BLOCK, cfg.num_slots)
-    if 2 * nb * f * np.dtype(float).itemsize > np.iinfo(np.intp).max:  # numpy's array limit
-        raise DomainError(f"num_channels = {f:.6g} is too many to draw for {nb} slots at once")
+    f = scenario.num_channels
+    if 2 * f * np.dtype(float).itemsize > np.iinfo(np.intp).max:  # numpy's array limit
+        raise DomainError(f"num_channels = {f:.6g} is too many to draw for one slot")
     with futures.ThreadPoolExecutor(min(_usable_cpus(), len(nodes))) as pool:
         counts = tuple(
             _run_replication(scenario, nodes, source_idx, cfg, rep, pool)

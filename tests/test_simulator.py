@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -315,6 +316,14 @@ class TestSlotLoopOracle:
         scenario = make_scenario()
         assert sim.run(scenario, policy, cfg).counts == slot_loop_counts(scenario, policy, cfg)
 
+    @pytest.mark.parametrize("case", ["example_mixed_fading", "drops_across_the_block_boundary"])
+    def test_counts_bit_identical_with_slices_of_a_few_slots(self, monkeypatch, case):
+        """Slices of 3 (Rician) or 6 (Rayleigh) slots break inside blocks and part-walks."""
+        make_scenario, policy, cfg = SLOT_LOOP_CASES[case]
+        scenario = make_scenario()
+        monkeypatch.setattr(sim, "_SLICE", 6 * scenario.num_channels)
+        assert sim.run(scenario, policy, cfg).counts == slot_loop_counts(scenario, policy, cfg)
+
     def test_the_drop_case_drops_both_ways(self):
         make_scenario, policy, cfg = SLOT_LOOP_CASES["drops_across_the_block_boundary"]
         (counts,) = sim.run(make_scenario(), policy, cfg).counts
@@ -394,6 +403,30 @@ class TestDrawBest:
         assert stats.chisquare(np.bincount(channel, minlength=self.F)).pvalue > 1e-3
         cdf = lambda x: fading_cdf(model, x) ** self.F  # noqa: E731
         assert stats.kstest(value, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("slots", [1, 7, 333])  # 333 slots do not divide the block
+    @pytest.mark.parametrize("model", [Rayleigh(0.7), Rician(3.9)], ids=["rayleigh", "rician"])
+    def test_slices_read_the_stream_of_one_call(self, monkeypatch, model, slots):
+        nb, per_slot = 1000, self.F if isinstance(model, Rayleigh) else 2 * self.F
+        rngs = [np.random.default_rng(2029) for _ in range(2)]
+        monkeypatch.setattr(sim, "_SLICE", nb * per_slot)
+        whole = sim._draw_best(rngs[0], model, nb, self.F)
+        monkeypatch.setattr(sim, "_SLICE", slots * per_slot)
+        sliced = sim._draw_best(rngs[1], model, nb, self.F)
+        assert sliced[0].dtype == np.uint8
+        assert [a.tolist() for a in sliced] == [a.tolist() for a in whole]
+        assert rngs[1].random() == rngs[0].random()  # the draws that follow are the same
+
+    def test_a_block_of_64_rician_channels_is_drawn_in_a_few_megabytes(self):
+        """Drawn at once, the block's normals and magnitudes would take 100 MB."""
+        rng = np.random.default_rng(2030)
+        tracemalloc.start()
+        try:
+            sim._draw_best(rng, Rician(3.9), 1 << 16, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestArrivalOrder:
