@@ -15,7 +15,6 @@ from .channel import (
 )
 from .errors import (
     AccuracyError,
-    DegenerateInterferenceError,
     DomainError,
     LowerBoundNotFoundError,
     ScenarioError,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError",
     "BetaBounds",
-    "DegenerateInterferenceError",
     "DomainError",
     "EnvironmentParams",
     "FadingKind",

@@ -28,8 +28,14 @@ from .errors import DegenerateGeometryError, DomainError
 # Propagation constant used by the path-loss amplitude (m/s).
 SPEED_OF_LIGHT = 3.0e8
 
+# The largest Rician LoS parameter b (a K-factor of 5,000, 37 dB).  The truncated moment
+# series sums up to about 1.4 b^2 terms: 16,000 at b = 100, 1.4 million at b = 1,000.
+# From b = 1e6 scipy's noncentral chi-square CDF returns NaN.
+RICIAN_B_MAX = 100.0
+
 __all__ = [
     "SPEED_OF_LIGHT",
+    "RICIAN_B_MAX",
     "Position",
     "EnvironmentParams",
     "FadingKind",
@@ -91,6 +97,9 @@ class EnvironmentParams:
             specfun._positive(f"EnvironmentParams.{f.name}", getattr(self, f.name))
         if not self.k_pi2 >= self.k0:
             raise DomainError("EnvironmentParams: need k_pi2 >= k0 > 0")
+        if not math.sqrt(2.0 * self.k_pi2) <= RICIAN_B_MAX:  # the largest K of any link
+            raise DomainError(f"EnvironmentParams.k_pi2 must be <= {RICIAN_B_MAX**2 / 2:g}"
+                              f" (b = sqrt(2K) <= {RICIAN_B_MAX:g}), got {self.k_pi2}")
         if not self.alpha0 >= self.alpha_pi2 >= 2.0:
             raise DomainError("EnvironmentParams: need alpha0 >= alpha_pi2 >= 2")
 
@@ -112,13 +121,13 @@ class Rayleigh:
 
 @dataclass(frozen=True)
 class Rician:
-    """Rician fading amplitude with line-of-sight parameter b = sqrt(2K)."""
+    """Rician fading amplitude with line-of-sight parameter b = sqrt(2K) <= ``RICIAN_B_MAX``."""
 
     b: float
 
     def __post_init__(self):
-        if specfun._nonnegative("Rician.b", self.b) == math.inf:
-            raise DomainError(f"Rician.b must be finite and >= 0, got {self.b}")
+        if not specfun._nonnegative("Rician.b", self.b) <= RICIAN_B_MAX:
+            raise DomainError(f"Rician.b must be finite, >= 0 and <= {RICIAN_B_MAX:g}, got {self.b}")
 
 
 FadingModel = Rayleigh | Rician
@@ -187,7 +196,8 @@ def rician_b(theta: float, env: EnvironmentParams) -> float:
     theta=pi/2.
     """
     theta = _check_theta(theta)
-    k_factor = env.k0 * (env.k_pi2 / env.k0) ** (2.0 * theta / math.pi)
+    # at most k_pi2, which rounding can pass and RICIAN_B_MAX would then reject
+    k_factor = min(env.k0 * (env.k_pi2 / env.k0) ** (2.0 * theta / math.pi), env.k_pi2)
     return math.sqrt(2.0 * k_factor)
 
 

@@ -68,11 +68,9 @@ def cmd_evaluate(args) -> int:
     breakdown = tp.evaluate(scenario, _parse_beta_overrides(args.beta))
     row = {name: getattr(breakdown, name) for name in ps.BREAKDOWN_COLUMNS}
     if args.approx:
-        row["throughput"] = tp.expected_throughput(
-            scenario.source().queue.arrival_rate,
-            breakdown.p_overflow + breakdown.p_delay + breakdown.p_error,
-            approximate=True,
-        )
+        # the component sum drops the cross terms, so it can exceed 1: clamp the rate at 0
+        components = breakdown.p_overflow + breakdown.p_delay + breakdown.p_error
+        row["throughput"] = max(0.0, scenario.source().queue.arrival_rate * (1.0 - components))
     for name, value in row.items():
         print(f"{name:<10} = {value:.12g}")
     if args.out:

@@ -46,10 +46,6 @@ class NumericalConsistencyError(UavLinkError):
     """An internal numerical identity was violated beyond cancellation noise."""
 
 
-class DegenerateInterferenceError(UavLinkError):
-    """Interference moments vanish; the Gamma fit is undefined (0/0)."""
-
-
 class LowerBoundNotFoundError(UavLinkError):
     """The curvature sign change defining the lower threshold bound is absent.
 

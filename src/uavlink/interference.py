@@ -20,7 +20,7 @@ import scipy.special.cython_special as cs
 
 from . import channel, specfun
 from .channel import FadingModel, LinkChannel, Rician
-from .errors import DegenerateInterferenceError, NumericalConsistencyError
+from .errors import NumericalConsistencyError
 from .specfun import DEFAULT_QUAD
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "ZERO_INTERFERENCE",
     "NoiseModel",
     "interference_moments",
-    "fit_gamma",
     "fit_interference",
     "interference_pdf",
     "interference_ccdf",
@@ -72,11 +71,9 @@ class GammaFit:
         return specfun.gamma_tail(self.shape)
 
 
+@dataclass(frozen=True)
 class ZeroInterference:
     """Marker distribution for an identically-zero interference sum."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "ZeroInterference()"
 
 
 ZERO_INTERFERENCE = ZeroInterference()
@@ -142,16 +139,6 @@ def _summed(terms: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return mean, variance
 
 
-def fit_gamma(mean: float, variance: float) -> GammaFit:
-    """Moment-match a Gamma law: shape*scale = mean, shape*scale^2 = variance."""
-    if mean <= 0.0 or variance <= 0.0:
-        raise DegenerateInterferenceError(
-            f"cannot fit Gamma to mean={mean:.3e}, variance={variance:.3e}; "
-            "use the zero-interference path"
-        )
-    return GammaFit(shape=mean * mean / variance, scale=variance / mean)
-
-
 def fit_interference(
     links: Sequence[InterfererLink], num_channels: int
 ) -> GammaFit | ZeroInterference:
@@ -160,10 +147,11 @@ def fit_interference(
 
 
 def _fitted(mean: float, variance: float) -> GammaFit | ZeroInterference:
-    """:func:`fit_gamma`, or the zero distribution where either moment is not positive."""
+    """The Gamma law with shape*scale = mean and shape*scale^2 = variance, or the zero
+    distribution where either moment is not positive."""
     if mean <= 0.0 or variance <= 0.0:
         return ZERO_INTERFERENCE
-    return fit_gamma(mean, variance)
+    return GammaFit(shape=mean * mean / variance, scale=variance / mean)
 
 
 def interference_pdf(fit: GammaFit | ZeroInterference, x: float | np.ndarray):

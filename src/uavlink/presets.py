@@ -234,11 +234,7 @@ class Preset:
             "transmit_power": self.source_power,
             "fading": "rician",
             "beta": RICIAN_BETA,
-            "queue": {
-                "arrival_rate": self.arrival_rate,
-                "delay_threshold": 0.045,
-                "buffer_capacity_normalized": 100.0,
-            },
+            "queue": {"arrival_rate": self.arrival_rate},  # the default deadline and buffer
         }
         interferers = [
             {

@@ -32,7 +32,6 @@ __all__ = [
     "LossBreakdown",
     "BetaBounds",
     "SourceView",
-    "expected_throughput",
     "beta_upper",
     "beta_lower",
     "beta_bounds",
@@ -123,20 +122,6 @@ def _check_probability(name: str, p) -> None:
     p = np.asarray(p)
     if not np.all((0.0 <= p) & (p <= 1.0)):  # NaN fails both
         raise DomainError(f"{name} must lie in [0, 1], got {p}")
-
-
-def expected_throughput(arrival_rate: float, p_loss, approximate: bool = False):
-    """Delivered packet rate given the loss probability, elementwise.
-
-    In approximate mode ``p_loss`` is the plain sum of the three loss
-    components (which may exceed 1, dropping the cross terms), and the
-    result clamps at zero; the sum-form never exceeds the exact form.
-    """
-    specfun._positive("arrival_rate", arrival_rate)
-    if approximate:
-        return np.maximum(0.0, arrival_rate * (1.0 - p_loss))
-    _check_probability("p_loss", p_loss)
-    return arrival_rate * (1.0 - p_loss)
 
 
 # --------------------------------------------------------------------------

@@ -588,7 +588,7 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
     same thresholds) through the public checked chain:
     the fading CDF, the queue's closed forms, ``p_error`` on the array of
     stable thresholds, the loss composed left to right and
-    ``expected_throughput``.  Under the sum, each trial adds to the node's
+    the rate lambda (1 - p_loss).  Under the sum, each trial adds to the node's
     own scanned rate every other node's ``evaluate_view`` facing the trial,
     in scenario order.  The loop stops at the first iterate that repeats an
     earlier one, the initial policy included, found by a linear search.  The
@@ -613,7 +613,7 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
                             view.sinr_threshold, fit=view.fit)
         p_ov, p_dly = qn.p_overflow(mu, view.queue), qn.p_delay(mu, view.queue)
         p_loss = 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err)
-        rates = iter(tp.expected_throughput(view.queue.arrival_rate, p_loss).tolist())
+        rates = iter((view.queue.arrival_rate * (1.0 - p_loss)).tolist())
         return [next(rates) if ok else -math.inf for ok in stable.tolist()]
 
     def rate(trial, node_id):

@@ -218,7 +218,7 @@ def test_criterion_07_formula_self_consistency():
 
     # Gamma moment identities
     for mean, variance in [(1e-9, 2.5e-17), (0.3, 0.04), (7.0, 49.0), (1e4, 3e5)]:
-        fit = itf.fit_gamma(mean, variance)
+        fit = itf._fitted(mean, variance)
         assert abs(fit.shape * fit.scale - mean) <= 1e-12 * mean
         assert abs(fit.shape * fit.scale * fit.scale - variance) <= 1e-12 * variance
 

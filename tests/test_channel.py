@@ -13,6 +13,7 @@ from oracles import fading_pdf, rician_moment_per_order
 from uavlink import channel as ch
 from uavlink import specfun
 from uavlink.channel import (
+    RICIAN_B_MAX,
     SPEED_OF_LIGHT,
     EnvironmentParams,
     FadingKind,
@@ -150,6 +151,12 @@ class TestRicianB:
         thetas = np.linspace(0.0, math.pi / 2, 30)
         values = [ch.rician_b(t, ENV) for t in thetas]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
+
+    def test_vertical_link_at_the_largest_k_factor(self):
+        # k0 (k_pi2 / k0) rounds above k_pi2 here, and b = sqrt(2K) above RICIAN_B_MAX
+        env = EnvironmentParams(k0=32.9, k_pi2=RICIAN_B_MAX**2 / 2)
+        link = ch.build_link(Position(0, 0, 0), Position(0, 0, 50), env, FadingKind.RICIAN)
+        assert link.fading == Rician(RICIAN_B_MAX)
 
 
 MODELS = [
@@ -500,6 +507,23 @@ class TestValidation:
             EnvironmentParams(k0=20.0, k_pi2=15.0)
         with pytest.raises(DomainError):
             EnvironmentParams(alpha0=1.9)
+
+    def test_environment_k_factor_is_bounded_naming_the_field(self):
+        largest = RICIAN_B_MAX**2 / 2
+        EnvironmentParams(k0=largest, k_pi2=largest)
+        # k0 <= k_pi2, so a k0 beyond the bound fails one check or the other
+        for ks in ({"k0": 1e300, "k_pi2": 1e300}, {"k_pi2": 1e300},
+                   {"k_pi2": math.nextafter(largest, math.inf)}):
+            with pytest.raises(DomainError, match=r"^EnvironmentParams.k_pi2 must be <= 5000 "):
+                EnvironmentParams(**ks)
+
+    def test_rician_b_is_bounded(self):
+        b2 = RICIAN_B_MAX**2  # the largest b is priced: E[X^4] = b^4 + 8 b^2 + 8
+        assert ch.truncated_power_moment(Rician(RICIAN_B_MAX), 0.0, 4) == pytest.approx(
+            b2 * b2 + 8.0 * b2 + 8.0, rel=1e-11)
+        for b in (math.nextafter(RICIAN_B_MAX, math.inf), 1e6, 1e18):
+            with pytest.raises(DomainError, match=r"^Rician.b must be finite, >= 0 and <= 100, "):
+                Rician(b=b)
 
     def test_fading_invariants(self):
         with pytest.raises(DomainError):

@@ -33,6 +33,7 @@ nodes:
 """
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.yaml"
+LOUD = [f"i{k}=0.1" for k in range(4)]  # every interferer of the example at threshold 0.1
 
 
 @pytest.fixture
@@ -73,6 +74,14 @@ class TestEvaluate:
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
 
+    def test_k_factor_beyond_the_bound_is_named(self, tmp_path, capsys):
+        path = tmp_path / "large_k.yaml"
+        path.write_text("environment: {k_pi2: 1.0e+300}\n" + BASIC)
+        assert cli.main(["evaluate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: environment: EnvironmentParams.k_pi2 must be <= 5000 (b = sqrt(2K) <= 100),"
+            " got 1e+300"]
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = cli.main(["evaluate", "--scenario", str(tmp_path / "nope.yaml")])
         assert code == 1
@@ -112,12 +121,31 @@ class TestEvaluate:
             0.0, abs=1e-9
         )
 
-    def test_approx_never_exceeds_exact(self, scenario_path, capsys):
-        cli.main(["evaluate", "--scenario", scenario_path, "--exact"])
+    # the default policy, a low source threshold, loud interferers, and loud interferers
+    # with a source threshold near its bound, where the component sum exceeds 1
+    APPROX_POLICIES = [[], ["src=2.0"], [*LOUD, "src=0.5"], [*LOUD, "src=5.78"]]
+
+    @pytest.mark.parametrize("betas", APPROX_POLICIES)
+    def test_approx_never_exceeds_exact(self, betas, capsys):
+        overrides = [arg for beta in betas for arg in ("--beta", beta)]
+        cli.main(["evaluate", "--scenario", str(EXAMPLE), "--exact", *overrides])
         exact = float(capsys.readouterr().out.split("throughput =")[1].strip())
-        cli.main(["evaluate", "--scenario", scenario_path, "--approx"])
+        cli.main(["evaluate", "--scenario", str(EXAMPLE), "--approx", *overrides])
         approx = float(capsys.readouterr().out.split("throughput =")[1].strip())
         assert approx <= exact + 1e-9
+
+    @pytest.mark.parametrize("betas", APPROX_POLICIES)
+    def test_approx_is_the_clamped_component_sum(self, betas, capsys):
+        overrides = [arg for beta in betas for arg in ("--beta", beta)]
+        assert cli.main(["evaluate", "--scenario", str(EXAMPLE), "--approx", *overrides]) == 0
+        printed = {name.strip(): float(value)
+                   for name, value in (line.split(" = ") for line in
+                                       capsys.readouterr().out.splitlines())}
+        rate = load_scenario_file(EXAMPLE).source().queue.arrival_rate
+        components = printed["p_overflow"] + printed["p_delay"] + printed["p_error"]
+        # the printed parts carry 12 significant digits
+        assert printed["throughput"] == pytest.approx(max(0.0, rate * (1.0 - components)),
+                                                      rel=1e-11, abs=1e-9)
 
 
 class TestSweep:

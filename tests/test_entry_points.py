@@ -246,8 +246,6 @@ POSITIVE = {
                              "gamma_th", DomainError),
     "p_error gamma_th": (lambda x: itf.p_error(LINK, 1.0, 2.0, NoiseModel(), x,
                                                fit=ZERO_INTERFERENCE), "gamma_th", DomainError),
-    "expected_throughput": (lambda x: tp.expected_throughput(x, 0.1), "arrival_rate",
-                            DomainError),
     "jacobi_best_response tol": (lambda x: tp.jacobi_best_response(EXAMPLE, tol=x), "tol",
                                  DomainError),
     **{f"SweepSpec {name}": (lambda x, name=name: ps.SweepSpec(name, (x,)),

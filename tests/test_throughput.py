@@ -141,26 +141,6 @@ class TestComposeLoss:
         assert b.p_loss >= max(b.p_overflow, b.p_delay, b.p_error) - 1e-12
 
 
-class TestExpectedThroughput:
-    def test_extremes(self):
-        assert tp.expected_throughput(80.0, 0.0) == 80.0
-        assert tp.expected_throughput(80.0, 1.0) == 0.0
-
-    def test_exact_vs_approximate_values(self):
-        components = (0.1, 0.2, 0.3)
-        exact = tp.expected_throughput(80.0, 1.0 - 0.9 * 0.8 * 0.7)
-        approx = tp.expected_throughput(80.0, sum(components), approximate=True)
-        assert exact == pytest.approx(40.32, rel=1e-12)
-        assert approx == pytest.approx(32.0, rel=1e-12)
-
-    @given(p_ov=probabilities, p_dly=probabilities, p_err=probabilities)
-    @settings(max_examples=150, deadline=None)
-    def test_approximate_never_exceeds_exact(self, p_ov, p_dly, p_err):
-        exact = tp.expected_throughput(80.0, 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err))
-        approx = tp.expected_throughput(80.0, p_ov + p_dly + p_err, approximate=True)
-        assert approx <= exact + 1e-9
-
-
 class TestBetaUpper:
     def test_rayleigh_single_channel_collapse(self):
         # with one channel the bound is sqrt(-omega ln(load)): load e^-1 gives sqrt(2)
@@ -174,7 +154,8 @@ class TestBetaUpper:
         )
 
     @pytest.mark.parametrize(
-        "model", [Rayleigh(2.0), Rician(1.2), Rician(math.sqrt(30.0))], ids=str
+        "model", [Rayleigh(2.0), Rician(1.2), Rician(math.sqrt(30.0)), Rician(ch.RICIAN_B_MAX)],
+        ids=str,
     )
     def test_transmit_prob_equals_load_at_bound(self, model):
         q = queue()
@@ -570,16 +551,6 @@ class TestEvaluate:
             assert current >= previous - 1e-9
             previous = current
 
-    def test_approximate_mode_is_lower(self):
-        scenario = rician_scenario(beta=4.5)
-        result = tp.evaluate(scenario)
-        approx = tp.expected_throughput(
-            scenario.source().queue.arrival_rate,
-            result.p_overflow + result.p_delay + result.p_error,
-            approximate=True,
-        )
-        assert approx <= result.throughput + 1e-12
-
 
 class TestEvaluateGrid:
     @pytest.mark.parametrize("family", ["rayleigh", "rician"])
@@ -705,7 +676,7 @@ class TestChecksAtTheEntry:
         p_err = np.array([itf.p_error(view.link, view.power, beta, view.noise,
                                       view.sinr_threshold, fit=view.fit) for beta in stable])
         p_loss = 1.0 - (1.0 - p_ov) * (1.0 - p_dly) * (1.0 - p_err)
-        throughput = tp.expected_throughput(view.queue.arrival_rate, p_loss)
+        throughput = view.queue.arrival_rate * (1.0 - p_loss)
         chain = zip(*(np.atleast_1d(a).tolist() for a in (p_dly, p_ov, p_err, p_loss, throughput)))
         assert [dataclasses.astuple(row) for row in rows] == list(chain)
 
