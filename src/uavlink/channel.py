@@ -33,6 +33,10 @@ SPEED_OF_LIGHT = 3.0e8
 # From b = 1e6 scipy's noncentral chi-square CDF returns NaN.
 RICIAN_B_MAX = 100.0
 
+# The largest Rayleigh spread omega.  A truncated moment is 0 past beta^2 = 800 omega, where the
+# fourth one's beta^4 + 2 omega beta^2 + 2 omega^2 = 641,602 omega^2 is a float up to 1.67e151.
+_OMEGA_MAX = 1e151
+
 __all__ = [
     "SPEED_OF_LIGHT",
     "RICIAN_B_MAX",
@@ -97,6 +101,9 @@ class EnvironmentParams:
             specfun._positive(f"EnvironmentParams.{f.name}", getattr(self, f.name))
         if not self.k_pi2 >= self.k0:
             raise DomainError("EnvironmentParams: need k_pi2 >= k0 > 0")
+        if not self.omega <= _OMEGA_MAX:  # the spread of every Rayleigh link
+            raise DomainError(f"EnvironmentParams.omega must be <= {_OMEGA_MAX:g},"
+                              f" got {self.omega}")
         if not math.sqrt(2.0 * self.k_pi2) <= RICIAN_B_MAX:  # the largest K of any link
             raise DomainError(f"EnvironmentParams.k_pi2 must be <= {RICIAN_B_MAX**2 / 2:g}"
                               f" (b = sqrt(2K) <= {RICIAN_B_MAX:g}), got {self.k_pi2}")
@@ -111,12 +118,13 @@ class FadingKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Rayleigh:
-    """Rayleigh fading amplitude with spread factor omega = E[amplitude^2]."""
+    """Rayleigh fading amplitude with spread factor omega = E[amplitude^2] <= ``_OMEGA_MAX``."""
 
     omega: float
 
     def __post_init__(self):
-        specfun._positive("Rayleigh.omega", self.omega)
+        if not specfun._positive("Rayleigh.omega", self.omega) <= _OMEGA_MAX:
+            raise DomainError(f"Rayleigh.omega must be <= {_OMEGA_MAX:g}, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -179,14 +187,19 @@ def path_loss_exponent(theta: float, env: EnvironmentParams) -> float:
 
 
 def path_loss_amplitude(d: float, theta: float, env: EnvironmentParams) -> float:
-    """Square root of the single-slope path-loss gain at distance d >= d0."""
+    """Square root of the single-slope path-loss gain at distance d >= d0 (d^alpha a float)."""
     if d < env.d0:
         raise DomainError(
             f"path_loss_amplitude: distance {d} is below reference distance {env.d0}"
         )
     alpha = path_loss_exponent(theta, env)
     scale = SPEED_OF_LIGHT / (4.0 * math.pi * env.carrier_frequency)
-    return scale * math.sqrt(env.d0 ** (alpha - 2.0) / d**alpha)
+    try:
+        spread = d**alpha
+    except OverflowError:  # d0 <= d, so d0^(alpha - 2) is a float whenever d^alpha is
+        raise DomainError(f"path_loss_amplitude: distance {d} to the power {alpha:.6g}"
+                          " is beyond the float range") from None
+    return scale * math.sqrt(env.d0 ** (alpha - 2.0) / spread)
 
 
 def rician_b(theta: float, env: EnvironmentParams) -> float:
@@ -257,27 +270,24 @@ def transmit_prob(
     return 1.0 - fading_cdf(model, beta) ** num_channels
 
 
-def truncated_power_moment(model: FadingModel, beta: float, power: int) -> float:
-    """E[amplitude^power on the event amplitude >= beta] for power in {2, 4}.
+def truncated_power_moment(model: FadingModel, beta: float) -> tuple[float, float]:
+    """(E[X^2; X >= beta], E[X^4; X >= beta]) of the fading amplitude X, from one call.
 
     Rayleigh has closed forms, and so does Rician(0), which is Rayleigh(2);
     any other Rician sums a Poisson mixture of Gamma tails.  Past e^-800 in the tail's factor,
-    e^-(beta - b)^2/2 above b or e^-beta^2/omega, out of the double range, the moment is 0.
+    e^-(beta - b)^2/2 above b or e^-beta^2/omega, out of the double range, both moments are 0.
     """
     beta = specfun._nonnegative("truncated_power_moment: beta", beta)
-    if power not in (2, 4):
-        raise DomainError(f"truncated_power_moment: power must be 2 or 4, got {power}")
     if isinstance(model, Rician) and model.b > 0.0:
         if beta - model.b > 40.0:  # (beta - b)^2 / 2 > 800, inf too
-            return 0.0
-        return _rician_truncated_moment(model.b, beta)[power // 2 - 1]
+            return 0.0, 0.0
+        return _rician_truncated_moment(model.b, beta)
     om = model.omega if isinstance(model, Rayleigh) else 2.0
     u = beta * beta / om
     if u > 800.0:  # inf too
-        return 0.0
-    if power == 2:
-        return (beta * beta + om) * math.exp(-u)
-    return (beta**4 + 2.0 * om * beta * beta + 2.0 * om * om) * math.exp(-u)
+        return 0.0, 0.0
+    tail = math.exp(-u)
+    return (beta * beta + om) * tail, (beta**4 + 2.0 * om * beta * beta + 2.0 * om * om) * tail
 
 
 @lru_cache(maxsize=8192)

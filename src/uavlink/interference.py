@@ -20,8 +20,11 @@ import scipy.special.cython_special as cs
 
 from . import channel, specfun
 from .channel import FadingModel, LinkChannel, Rician
-from .errors import NumericalConsistencyError
+from .errors import DomainError, NumericalConsistencyError
 from .specfun import DEFAULT_QUAD
+
+# The largest transmit power: its square, in an interferer's second moment, stays a float.
+_POWER_MAX = 1e154
 
 __all__ = [
     "InterfererLink",
@@ -48,7 +51,10 @@ class InterfererLink:
     beta: float
 
     def __post_init__(self):
-        specfun._positive("InterfererLink.transmit_power", self.transmit_power)
+        power = specfun._positive("InterfererLink.transmit_power", self.transmit_power)
+        if not power <= _POWER_MAX:
+            raise DomainError(f"InterfererLink.transmit_power must be <= {_POWER_MAX:g},"
+                              f" got {power}")
         specfun._positive("InterfererLink.path_loss_amplitude", self.path_loss_amplitude)
         # stored as a float; inf silences the interferer
         object.__setattr__(self, "beta", specfun._nonnegative("InterfererLink.beta", self.beta))
@@ -110,7 +116,7 @@ def _link_terms(link: InterfererLink, num_channels: int) -> tuple[float, float]:
     Both are its truncated fading moments scaled by its transmit probability
     and the 1/num_channels chance of landing on the observed channel.
     """
-    t2, t4 = (channel.truncated_power_moment(link.fading, link.beta, p) for p in (2, 4))
+    t2, t4 = channel.truncated_power_moment(link.fading, link.beta)
     phi = 1.0 - channel._cdf(link.fading, link.beta) ** num_channels
     power, gain = link.transmit_power, link.path_loss_amplitude
     e = power * gain**2 * t2 * phi / num_channels

@@ -150,9 +150,9 @@ def _sweep(
     """Evaluate the source over the product of ``axes``, first axis outermost.
 
     Points that differ only in ``beta_n`` form a group, and every group takes
-    the ``beta_n`` values (checked by their axis, :class:`SweepSpec`), else the
-    source's own threshold.  A group is the scenario its other axes write
-    (:func:`_apply_point`).  Groups whose scenarios give the source the same
+    the values of the one ``beta_n`` axis (checked by it, :class:`SweepSpec`),
+    else the source's own threshold.  A group is the scenario its other axes
+    write (:func:`_apply_point`).  Groups whose scenarios give the source the same
     queue and SINR threshold share a source state: the one view of the source
     alone with that queue and threshold, and its thresholds prepared as points
     (:func:`throughput._prepare_grid`), which each group prices against the law
@@ -169,8 +169,8 @@ def _sweep(
             for axis in axes
         ]
     columns = [axis.column or axis.variable for axis in axes] + list(outputs)
-    own = [axis.values for axis in axes if axis.variable == "beta_n"] or [[scenario.source().beta]]
-    thresholds = [float(b[-1]) for b in itertools.product(*own)]  # the last beta_n axis sets it
+    own = next((a.values for a in axes if a.variable == "beta_n"), (scenario.source().beta,))
+    thresholds = [float(b) for b in own]
     alone = replace(tp.source_view(scenario), interferers=())
     law = tp._laws(scenario)
     states, groups, rows = {}, {}, []  # each source state's view and grid; each group's rows

@@ -116,7 +116,7 @@ def p_overflow(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
     if not is_stable(mu.min(initial=1.0), q):  # the slowest rate decides, as in p_delay
         worst = q.arrival_rate * q.slot_duration / mu.min()
         raise StabilityError(f"unstable queue: offered load {worst:.6g} >= 1", margin=worst - 1.0)
-    return _p_overflow(offered_load(mu, q), q)
+    return _p_overflow(q.arrival_rate * q.slot_duration / mu, q)
 
 
 def _p_overflow(rho: np.ndarray, q: QueueParams) -> np.ndarray:

@@ -24,7 +24,7 @@ import yaml
 from . import channel, specfun
 from .channel import EnvironmentParams, FadingKind, Position
 from .errors import DomainError, ScenarioError
-from .interference import NoiseModel
+from .interference import _POWER_MAX, NoiseModel
 from .queueing import QueueParams
 
 __all__ = [
@@ -74,7 +74,9 @@ class Node:
         if self.role not in ("source", "interferer"):
             raise ScenarioError(f"node {self.id!r}: role must be 'source' or 'interferer'")
         with _reported(f"node {self.id!r}"):
-            specfun._positive("transmit_power", self.transmit_power)
+            if not specfun._positive("transmit_power", self.transmit_power) <= _POWER_MAX:
+                raise DomainError(f"transmit_power must be <= {_POWER_MAX:g},"
+                                  f" got {self.transmit_power}")
             specfun._nonnegative("beta", self.beta)  # inf silences the node
 
 
@@ -127,9 +129,14 @@ class Scenario:
 
     @cached_property
     def links(self) -> dict[str, channel.LinkChannel]:
-        """Each node's :class:`channel.LinkChannel` to the destination, by id."""
-        return {n.id: channel.build_link(n.position, self.destination, self.environment,
-                                         n.fading_override) for n in self.nodes}
+        """Each node's :class:`channel.LinkChannel` to the destination, by id; a link that
+        cannot be built is a :class:`ScenarioError` naming its node."""
+        links = {}
+        for n in self.nodes:
+            with _reported(f"node {n.id!r}"):
+                links[n.id] = channel.build_link(n.position, self.destination, self.environment,
+                                                 n.fading_override)
+        return links
 
     @property
     def slot_duration(self) -> float:

@@ -390,16 +390,15 @@ def evaluate_view(view: SourceView, beta: float) -> LossBreakdown:
 
 
 def evaluate(
-    scenario: Scenario,
-    policy: PolicyVector | Mapping[str, float] | None = None,
-    node_id: str | None = None,
+    scenario: Scenario, policy: PolicyVector | Mapping[str, float] | None = None
 ) -> LossBreakdown:
-    """Evaluate the loss breakdown of the scenario's source (or ``node_id``).
+    """Evaluate the loss breakdown of the scenario's source.
 
-    ``policy`` overrides the scenario's thresholds for the nodes it names.
+    ``policy`` overrides the scenario's thresholds for the nodes it names.  Any other
+    node's breakdown is ``evaluate_view(source_view(scenario, policy, node_id), beta)``.
     """
     policy = _resolve_policy(scenario, policy)
-    view = source_view(scenario, policy, node_id)
+    view = source_view(scenario, policy)
     return evaluate_view(view, policy.get(view.node_id))
 
 
@@ -429,7 +428,6 @@ class JacobiResult:
 
 def jacobi_best_response(
     scenario: Scenario,
-    initial: PolicyVector | Mapping[str, float] | None = None,
     grid_size: int = 64,
     tol: float = 1e-3,
     max_iters: int = 50,
@@ -437,11 +435,11 @@ def jacobi_best_response(
 ) -> JacobiResult:
     """Simultaneous best-response iteration on every node's own threshold.
 
-    The first iterate is the scenario's thresholds with ``initial``'s on
-    top.  Each iteration, every node grid-searches ``grid_size`` thresholds
-    from 0 to its stability bound for its own throughput (or the network
-    sum with ``objective='sum'``), holding the others at the previous
-    iterate; ties break toward the smaller threshold.  A node's own
+    The first iterate is the scenario's thresholds.  Each iteration, every
+    node grid-searches ``grid_size`` thresholds from 0 to its stability
+    bound for its own throughput (or the network sum with
+    ``objective='sum'``), holding the others at the previous iterate; ties
+    break toward the smaller threshold.  A node's own
     throughput is one price of its grid, prepared once per call as a scan
     (:func:`_prepare_grid`) and holding its first threshold too when that
     lies off the grid, so every iteration prices one layout, against the
@@ -460,7 +458,7 @@ def jacobi_best_response(
     specfun._count("grid_size", grid_size, 2, np.iinfo(np.intp).max // 8)  # numpy's array limit
     specfun._count("max_iters", max_iters, 1)
     specfun._positive("tol", tol)  # no change is ever below a NaN or non-positive one
-    policy = _resolve_policy(scenario, initial)
+    policy = _resolve_policy(scenario, None)  # the scenario's thresholds, each a float
     node_ids = [node.id for node in scenario.nodes]
     views = {node_id: source_view(scenario, policy, node_id) for node_id in node_ids}
     grids = {i: tuple(np.linspace(0.0, v.upper, grid_size).tolist()) for i, v in views.items()}

@@ -578,7 +578,7 @@ def scenario_policy(scenario) -> PolicyVector:
     return PolicyVector({node.id: node.beta for node in scenario.nodes})
 
 
-def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=50,
+def jacobi_rebuilding(scenario, grid_size=64, tol=1e-3, max_iters=50,
                       objective="own") -> tp.JacobiResult:
     """``jacobi_best_response`` with every view rebuilt and every grid evaluated afresh.
 
@@ -594,7 +594,7 @@ def jacobi_rebuilding(scenario, initial=None, grid_size=64, tol=1e-3, max_iters=
     earlier one, the initial policy included, found by a linear search.  The
     package's loop must give the same trace and cycle, bit for bit.
     """
-    policy = tp._resolve_policy(scenario, initial)
+    policy = scenario_policy(scenario)
     initial_betas = policy.betas
     node_ids = [node.id for node in scenario.nodes]
     grids = {

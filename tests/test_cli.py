@@ -82,6 +82,26 @@ class TestEvaluate:
             "error: environment: EnvironmentParams.k_pi2 must be <= 5000 (b = sqrt(2K) <= 100),"
             " got 1e+300"]
 
+    @pytest.mark.parametrize("document, message", [
+        ("nodes:\n  - {id: src, role: source}\n"
+         "  - {id: i0, position: [5, 5, 0], transmit_power: 1.0e+200}\n",
+         "node 'i0': transmit_power must be <= 1e+154, got 1e+200"),
+        ("nodes:\n  - {id: src, role: source}\n  - {id: i0, position: [1.0e+200, 5, 0]}\n",
+         "node 'i0': path_loss_amplitude: distance 1e+200 to the power 3.35862 is beyond the"
+         " float range"),
+        ("environment: {omega: 1.0e+300}\nnodes:\n  - {id: src, role: source}\n"
+         "  - {id: i0, position: [5, 5, 0], fading: rayleigh, beta: 1.0e+100}\n",
+         "environment: EnvironmentParams.omega must be <= 1e+151, got 1e+300"),
+    ], ids=["transmit_power", "position", "omega"])
+    def test_a_power_beyond_the_float_range_is_named(self, document, message, tmp_path, capsys):
+        # each document once crashed every command with a bare OverflowError
+        path = tmp_path / "large.yaml"
+        path.write_text(document)
+        for command in (["evaluate"], ["simulate", "--slots", "100", "--warmup", "0"],
+                        ["optimize"], ["sweep", "--var", "beta_m", "--values", "1"]):
+            assert cli.main([*command, "--scenario", str(path)]) == 1, command
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"], command
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = cli.main(["evaluate", "--scenario", str(tmp_path / "nope.yaml")])
         assert code == 1

@@ -3,6 +3,7 @@ kind (a threshold, a positive quantity or a count), every public function has a
 caller outside the tests, and a command loads no scipy solver it does not call."""
 
 import ast
+import itertools
 import math
 import os
 import re
@@ -34,31 +35,26 @@ CALLERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
                   *(ROOT / "bench").glob("*.py")])
 
 
-def public_functions() -> set[tuple[str, str]]:
-    """``(module, name)`` of every function a package module defines and names in ``__all__``."""
-    found = set()
+def public_definitions() -> dict[tuple[str, str], ast.FunctionDef]:
+    """Each function a package module defines and names in ``__all__``, by ``(module, name)``."""
+    found = {}
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
             ):
-                found.update((path.stem, name) for name in ast.literal_eval(node.value)
-                             if name in defined)
+                found.update(((path.stem, name), defined[name])
+                             for name in ast.literal_eval(node.value) if name in defined)
     return found
 
 
-def referenced(path: Path) -> set[tuple[str, str]]:
-    """``(module, name)`` of every package function the file at ``path`` refers to.
-
-    A reference is a bare name in the function's own module, an import of it
-    from its module, or an attribute of a name bound to its module.
-    """
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    own = path.stem if path.parent == PACKAGE else None
+def imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """The package modules ``tree`` binds, by local name, and the ``(module, name)`` of each
+    name it imports from one of them, by local name."""
     modules: dict[str, str] = {}  # local name -> package module
-    found = set()
+    names: dict[str, tuple[str, str]] = {}  # local name -> (package module, name)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level:  # relative: inside the package
@@ -69,13 +65,26 @@ def referenced(path: Path) -> set[tuple[str, str]]:
                 continue
             for alias in node.names:
                 if module:  # from .channel import fading_cdf
-                    found.add((module, alias.name))
+                    names[alias.asname or alias.name] = (module, alias.name)
                 else:  # from uavlink import channel as ch
                     modules[alias.asname or alias.name] = alias.name
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("uavlink.") and alias.asname:
                     modules[alias.asname] = alias.name.removeprefix("uavlink.")
+    return modules, names
+
+
+def referenced(path: Path) -> set[tuple[str, str]]:
+    """``(module, name)`` of every package function the file at ``path`` refers to.
+
+    A reference is a bare name in the function's own module, an import of it
+    from its module, or an attribute of a name bound to its module.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = path.stem if path.parent == PACKAGE else None
+    modules, names = imports(tree)
+    found = set(names.values())
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in modules:
@@ -87,8 +96,52 @@ def referenced(path: Path) -> set[tuple[str, str]]:
 
 def test_every_public_function_has_a_caller_outside_the_tests():
     used = set().union(*map(referenced, CALLERS))
-    unused = sorted(f"{module}.{name}" for module, name in public_functions() - used)
+    unused = sorted(f"{module}.{name}" for module, name in public_definitions().keys() - used)
     assert not unused, f"called only by tests: {unused}"
+
+
+def parameters_set(path: Path, definitions: dict) -> set[tuple[str, str, str]]:
+    """``(module, function, parameter)`` of each parameter a call in the file at ``path`` passes
+    to one of the ``definitions``: by keyword, or by position up to the first unpacked argument.
+
+    The callee is a bare name in its own module, a name imported from its module, or an
+    attribute of a name bound to its module.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = path.stem if path.parent == PACKAGE else None
+    modules, names = imports(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func
+        if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+            target = (modules.get(callee.value.id), callee.attr)
+        elif isinstance(callee, ast.Name):
+            target = names.get(callee.id, (own, callee.id))
+        else:
+            continue
+        if target not in definitions:
+            continue
+        args = definitions[target].args
+        positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+        passed = itertools.takewhile(lambda arg: not isinstance(arg, ast.Starred), node.args)
+        found.update((*target, name) for name, _ in zip(positional, passed))
+        found.update((*target, kw.arg) for kw in node.keywords if kw.arg is not None)
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_outside_the_tests():
+    # a default that no caller outside the tests overrides is an option one value serves
+    definitions, defaulted = public_definitions(), set()
+    for (module, name), definition in definitions.items():
+        args = definition.args
+        positional = [*args.posonlyargs, *args.args]
+        defaults = positional[len(positional) - len(args.defaults):]
+        defaults += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        defaulted.update((module, name, a.arg) for a in defaults)
+    unset = defaulted - set().union(*(parameters_set(path, definitions) for path in CALLERS))
+    assert not unset, f"set only by tests: {sorted(f'{m}.{f}.{p}' for m, f, p in unset)}"
 
 
 @pytest.mark.parametrize("statement", [
@@ -120,9 +173,9 @@ LINK = LinkChannel(Rician(3.0), 1e-3)
 ENTRY_POINTS = {
     "PolicyVector": (lambda b: PolicyVector({"src": b}), "PolicyVector: beta for node 'src'"),
     "InterfererLink": (lambda b: InterfererLink(1.0, 1.0, Rayleigh(2.0), b), "InterfererLink.beta"),
-    "truncated_power_moment rayleigh": (lambda b: ch.truncated_power_moment(Rayleigh(2.0), b, 2),
+    "truncated_power_moment rayleigh": (lambda b: ch.truncated_power_moment(Rayleigh(2.0), b),
                                         "truncated_power_moment: beta"),
-    "truncated_power_moment rician": (lambda b: ch.truncated_power_moment(Rician(3.0), b, 4),
+    "truncated_power_moment rician": (lambda b: ch.truncated_power_moment(Rician(3.0), b),
                                       "truncated_power_moment: beta"),
     "SweepSpec beta_n first": (lambda b: ps.SweepSpec("beta_n", (b, 2.0)), "SweepSpec: beta_n"),
     "SweepSpec beta_n last": (lambda b: ps.SweepSpec("beta_n", (1.0, b)), "SweepSpec: beta_n"),
@@ -156,7 +209,7 @@ def test_an_integer_below_the_float_range_is_a_negative_threshold(entry):
 def test_an_integer_above_the_float_range_is_an_infinite_threshold():
     assert PolicyVector({"src": 10**400}).get("src") == math.inf
     assert InterfererLink(1.0, 1.0, Rayleigh(2.0), 10**400).beta == math.inf
-    assert ch.truncated_power_moment(Rician(3.0), 10**400, 4) == 0.0
+    assert ch.truncated_power_moment(Rician(3.0), 10**400) == (0.0, 0.0)
     assert tp.evaluate(EXAMPLE, {"i1": 10**400}) == tp.evaluate(EXAMPLE, {"i1": math.inf})
 
 

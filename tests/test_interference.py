@@ -82,8 +82,7 @@ class TestInterferenceMoments:
         terms_s = []
         for link in links:
             phi = ch.transmit_prob(link.fading, link.beta, f)
-            t2 = ch.truncated_power_moment(link.fading, link.beta, 2)
-            t4 = ch.truncated_power_moment(link.fading, link.beta, 4)
+            t2, t4 = ch.truncated_power_moment(link.fading, link.beta)
             terms_e.append(link.transmit_power * link.path_loss_amplitude**2 * t2 * phi / f)
             terms_s.append(
                 link.transmit_power**2 * link.path_loss_amplitude**4 * t4 * (phi / f) ** 2
@@ -236,6 +235,15 @@ def test_interferer_link_rejects_nan_naming_the_field(field, args):
     power, amplitude, beta = args
     with pytest.raises(DomainError, match=f"InterfererLink.{field}"):
         InterfererLink(power, amplitude, Rayleigh(2.0), beta)
+
+
+def test_interferer_transmit_power_is_bounded():
+    # the largest power's square is a float in the second moment; a larger one once raised a
+    # bare OverflowError there
+    mean, variance = itf.interference_moments([InterfererLink(1e154, 0.1, Rayleigh(2.0), 0.0)], 1)
+    assert math.isfinite(mean) and math.isfinite(variance)
+    with pytest.raises(DomainError, match=r"^InterfererLink.transmit_power must be <= 1e\+154, "):
+        InterfererLink(math.nextafter(1e154, math.inf), 0.1, Rayleigh(2.0), 0.0)
 
 
 class TestNoiseModel:

@@ -397,3 +397,20 @@ class TestGroupedSweepMatchesPointwise:
         axes = (ps.SweepSpec("beta_n", (1.0, 50.0)), ps.SweepSpec("interferer_count", (0, 1)))
         error = self.first_error(axes)
         assert isinstance(error, AccuracyError) and "[1.0, inf]" in str(error)
+
+    def test_a_tail_that_fails_only_in_its_group_lets_an_earlier_point_fail_first(self,
+                                                                                monkeypatch):
+        # the 2 ms group fails its tail above 5.2 at (5.0, 2 ms), its first point, and is
+        # priced point by point, so (5.0, 8 ms) raises its instability before (5.5, 2 ms)
+        # comes up; without that fallback, the group's failed tail is raised at once
+        integrate = itf.specfun.integrate
+
+        def failing(f, lo, hi, quad):
+            if lo > 5.2:
+                raise AccuracyError(f"quadrature did not converge on [{lo}, {hi}]", 0.0, 1.0)
+            return integrate(f, lo, hi, quad)
+
+        monkeypatch.setattr(itf.specfun, "integrate", failing)
+        axes = (ps.SweepSpec("beta_n", (5.0, 5.5)), ps.SweepSpec("t_slt", (0.002, 0.008)))
+        error = self.first_error(axes)
+        assert isinstance(error, StabilityError) and "beta 5 exceeds" in str(error)

@@ -124,6 +124,12 @@ def _view(family):
     return tp.source_view(scenario)
 
 
+def with_betas(scenario, betas):
+    """The scenario with each node's threshold read from the mapping ``betas``."""
+    return dataclasses.replace(scenario, nodes=tuple(
+        dataclasses.replace(node, beta=betas[node.id]) for node in scenario.nodes))
+
+
 def _points(view, betas):
     """``betas`` priced as a sweep prices them: prepared as points, then against the fit."""
     return tp._breakdowns(view, tp._prepare_grid(view, betas, scan=False), view.fit)
@@ -833,7 +839,8 @@ class TestJacobi:
             for node in scenario.nodes
         }
         assert not any(np.any(grid == 2.0) for grid in grids.values())
-        initial = {node_id: float(grid[10]) for node_id, grid in grids.items()}
+        if on_grid:  # the first iterate is the scenario's thresholds
+            scenario = with_betas(scenario, {i: float(grid[10]) for i, grid in grids.items()})
         cdf_sizes, priced = [], []
         cdf = tp.ch._cdf
 
@@ -844,9 +851,7 @@ class TestJacobi:
         monkeypatch.setattr(tp.ch, "_cdf", counting)
         # a price checks its error once
         monkeypatch.setattr(tp, "_check_probability", recording(priced, tp._check_probability))
-        result = tp.jacobi_best_response(
-            scenario, initial if on_grid else None, grid_size=24, tol=1e-12, max_iters=3
-        )
+        result = tp.jacobi_best_response(scenario, grid_size=24, tol=1e-12, max_iters=3)
         nodes = len(scenario.nodes)
         assert result.iterations == 3
         # one grid per node for the whole call: its 24 points, holding the off-grid start too
@@ -859,8 +864,8 @@ class TestJacobi:
         scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
         view = tp.source_view(scenario)
         upper = tp.beta_upper(view.model, view.queue, view.num_channels)
-        initial = PolicyVector({**scenario_policy(scenario).betas, "src": upper + 1.0})
-        result = tp.jacobi_best_response(scenario, initial=initial, grid_size=16, max_iters=1)
+        scenario = rician_scenario(num_interferers=2, beta=upper + 1.0, interferer_beta=2.0, seed=9)
+        result = tp.jacobi_best_response(scenario, grid_size=16, max_iters=1)
         first = result.trace[0]
         assert first["previous_throughput"]["src"] == -math.inf
         assert first["betas"]["src"] <= upper
@@ -1056,7 +1061,7 @@ class TestCycleExit:
     def test_a_repeat_of_the_initial_policy_is_a_cycle(self):
         # the first iterate counts as iterate -1
         start = tp.jacobi_best_response(self.EXAMPLE_SCENARIO).trace[2]["betas"]
-        result = tp.jacobi_best_response(self.EXAMPLE_SCENARIO, start)
+        result = tp.jacobi_best_response(with_betas(self.EXAMPLE_SCENARIO, start))
         assert result.cycle == (2, ("src", "i0"))
         assert result.iterations == 2 and result.trace[1]["betas"] == start
 
@@ -1143,12 +1148,14 @@ class TestJacobiMatchesRebuildingLoop:
         scenario = rician_scenario(num_interferers=3, beta=2.0, interferer_beta=2.5, seed=9)
         upper = tp.source_view(scenario).upper
         start = float(np.linspace(0.0, upper, 24)[9]) + offset * upper / 23
-        self.assert_same(scenario, initial={"src": start}, grid_size=24, tol=1e-6, max_iters=5)
+        scenario = rician_scenario(num_interferers=3, beta=start, interferer_beta=2.5, seed=9)
+        self.assert_same(scenario, grid_size=24, tol=1e-6, max_iters=5)
 
     def test_initial_threshold_beyond_the_bound(self):
         scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
-        initial = {"src": tp.source_view(scenario).upper + 1.0}
-        result = self.assert_same(scenario, initial=initial, grid_size=16, max_iters=3)
+        beyond = tp.source_view(scenario).upper + 1.0
+        scenario = rician_scenario(num_interferers=2, beta=beyond, interferer_beta=2.0, seed=9)
+        result = self.assert_same(scenario, grid_size=16, max_iters=3)
         assert result.trace[0]["previous_throughput"]["src"] == -math.inf
 
     def test_sum_objective(self):
@@ -1187,10 +1194,9 @@ class TestJacobiMatchesRebuildingLoop:
     def test_sum_objective_initial_threshold_beyond_the_bound(self):
         # every other node's trial faces src beyond its bound: the network rate is -inf
         scenario = rician_scenario(num_interferers=2, beta=2.0, interferer_beta=2.0, seed=9)
-        initial = {"src": tp.source_view(scenario).upper + 1.0}
-        result = self.assert_same(
-            scenario, initial=initial, grid_size=16, max_iters=3, objective="sum"
-        )
+        beyond = tp.source_view(scenario).upper + 1.0
+        scenario = rician_scenario(num_interferers=2, beta=beyond, interferer_beta=2.0, seed=9)
+        result = self.assert_same(scenario, grid_size=16, max_iters=3, objective="sum")
         assert result.trace[0]["previous_throughput"]["src"] == -math.inf
 
 
@@ -1221,26 +1227,14 @@ class TestPolicyResolution:
         assert tp.evaluate(scenario, PolicyVector({"i1": 3.0})) == tp.evaluate(scenario, full)
         assert tp.evaluate(scenario, {"i1": 3.0}) == tp.evaluate(scenario, full)
 
-    def test_partial_initial_policy_in_jacobi(self):
-        scenario = rician_scenario(beta=4.0)
-        full = PolicyVector({**scenario_policy(scenario).betas, "src": 3.0})
-
-        def run(initial):
-            return tp.jacobi_best_response(scenario, initial, grid_size=8, max_iters=2)
-
-        partial_run, full_run = run(PolicyVector({"src": 3.0})), run(full)
-        assert partial_run.policy == full_run.policy
-        assert partial_run.trace == full_run.trace
-
     @pytest.mark.parametrize(
         "entry",
         [
             tp.evaluate,
             tp.source_view,
-            lambda scenario, policy: tp.jacobi_best_response(scenario, policy, max_iters=1),
             lambda scenario, policy: sim.run(scenario, policy, sim.SimConfig(100)),
         ],
-        ids=["evaluate", "source_view", "jacobi_best_response", "simulator.run"],
+        ids=["evaluate", "source_view", "simulator.run"],
     )
     def test_unknown_id_is_named(self, entry):
         with pytest.raises(ScenarioError, match="'typo'"):
