@@ -17,6 +17,7 @@ from .errors import (
     AccuracyError,
     DomainError,
     LowerBoundNotFoundError,
+    NumericalConsistencyError,
     ScenarioError,
     StabilityError,
     UavLinkError,
@@ -49,6 +50,7 @@ __all__ = [
     "LowerBoundNotFoundError",
     "NoiseModel",
     "Node",
+    "NumericalConsistencyError",
     "PolicyVector",
     "Position",
     "QueueParams",

@@ -23,7 +23,7 @@ import scipy.special as sp
 import scipy.special.cython_special as cs
 
 from . import specfun
-from .errors import DegenerateGeometryError, DomainError
+from .errors import DomainError
 
 # Propagation constant used by the path-loss amplitude (m/s).
 SPEED_OF_LIGHT = 3.0e8
@@ -109,6 +109,14 @@ class EnvironmentParams:
                               f" (b = sqrt(2K) <= {RICIAN_B_MAX:g}), got {self.k_pi2}")
         if not self.alpha0 >= self.alpha_pi2 >= 2.0:
             raise DomainError("EnvironmentParams: need alpha0 >= alpha_pi2 >= 2")
+        # c / (4 pi f d0) bounds every path-loss amplitude, reached at d = d0; at most 1, its
+        # squares and fourth powers stay floats
+        if not self.carrier_frequency * self.d0 >= SPEED_OF_LIGHT / (4.0 * math.pi):
+            amplitude = SPEED_OF_LIGHT / (4.0 * math.pi) / self.carrier_frequency / self.d0
+            raise DomainError("EnvironmentParams: the free-space amplitude c / (4 pi"
+                              " carrier_frequency d0) at the reference distance must be <= 1,"
+                              f" got {amplitude:.6g} (carrier_frequency {self.carrier_frequency:g},"
+                              f" d0 {self.d0:g})")
 
 
 class FadingKind(enum.Enum):
@@ -161,7 +169,7 @@ def elevation_angle(a: Position, b: Position) -> float:
     dv = abs(a.z - b.z)
     dh = math.hypot(a.x - b.x, a.y - b.y)
     if dv == 0.0 and dh == 0.0:
-        raise DegenerateGeometryError("elevation_angle: positions coincide")
+        raise DomainError("elevation_angle: positions coincide")
     if dh == 0.0:
         return math.pi / 2
     return math.atan2(dv, dh)

@@ -53,13 +53,14 @@ def _load(path: str) -> Scenario:
     return scenario
 
 
-def _on_boundary(breakdown: tp.LossBreakdown) -> str | None:
-    """Why a threshold on the stability boundary is infeasible, or None off it.
+def _on_boundary(scenario: Scenario, breakdown: tp.LossBreakdown) -> str | None:
+    """Why the source's threshold on the stability boundary is infeasible, or None off it.
 
     There the deadline drop is certain; the bound itself still evaluates.
     """
     if breakdown.p_delay >= 1.0 - 1e-12:
-        return "the threshold sits on the stability boundary (deadline drop probability is 1)"
+        return (f"node {scenario.source().id!r}: the threshold sits on the stability boundary"
+                " (deadline drop probability is 1)")
     return None
 
 
@@ -75,7 +76,7 @@ def cmd_evaluate(args) -> int:
         print(f"{name:<10} = {value:.12g}")
     if args.out:
         write_results([row], args.out)
-    infeasible = _on_boundary(breakdown)
+    infeasible = _on_boundary(scenario, breakdown)
     if infeasible is not None:
         print(f"infeasible: {infeasible}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -125,7 +126,7 @@ def cmd_simulate(args) -> int:
     except StabilityError as exc:  # the empirical columns are still reported
         infeasible = exc
     else:
-        infeasible = _on_boundary(analytic)
+        infeasible = _on_boundary(scenario, analytic)
     print(f"{'metric':<12}{'analytic':>16}{'empirical':>16}{'halfwidth':>14}{'gap':>14}")
     columns, rows = ["metric", "analytic", "empirical", "halfwidth", "gap"], []
     for name in ps.BREAKDOWN_COLUMNS:
@@ -197,12 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--beta", action="append", default=[], metavar="NODE=VALUE",
         help="override a node's threshold (repeatable)",
     )
-    mode = p_eval.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="approx", action="store_false",
-                      help="exact composed throughput (default)")
-    mode.add_argument("--approx", dest="approx", action="store_true",
-                      help="component-sum throughput approximation")
-    p_eval.set_defaults(approx=False, func=cmd_evaluate)
+    p_eval.add_argument("--approx", action="store_true",
+                        help="component-sum throughput approximation")
+    p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="evaluate along a parameter axis or a preset")
     add_common(p_sweep, scenario_required=False)

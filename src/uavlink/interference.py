@@ -128,13 +128,17 @@ def _summed(terms: Iterable[tuple[float, float]]) -> tuple[float, float]:
 
     The variance is accumulated per term (the cross terms of the expanded
     square cancel against the squared mean exactly, so the per-term form is
-    the numerically stable equivalent).
+    the numerically stable equivalent).  Moments beyond the float range are a
+    :class:`DomainError`.
     """
     mean = variance = second_sum = 0.0
     for e, s in terms:
         mean += e
         variance += s - e * e
         second_sum += s
+    if not (math.isfinite(mean) and math.isfinite(variance)):  # inf - inf is NaN
+        raise DomainError(f"interference moments beyond the float range (mean {mean:.6g},"
+                          f" variance {variance:.6g}): interferer powers or spreads too large")
     if variance < 0.0:
         if variance < -1e-15 * max(second_sum, 1e-300):
             raise NumericalConsistencyError(

@@ -29,7 +29,7 @@ import numpy as np
 from . import specfun
 from . import throughput as tp
 from .errors import DomainError, ScenarioError, StabilityError, UavLinkError
-from .scenario_io import Scenario, scenario_from_mapping
+from .scenario_io import Scenario, _reported, scenario_from_mapping
 from .throughput import LossBreakdown
 
 __all__ = ["SweepSpec", "run_sweep", "PRESETS", "run_preset", "preset_scenario"]
@@ -96,11 +96,8 @@ def _with_slot_duration(scenario: Scenario, slot: float) -> Scenario:
     """The scenario with every node's queue on slot duration ``slot``."""
     nodes = []
     for node in scenario.nodes:
-        try:
-            queue = replace(node.queue, slot_duration=slot)
-        except DomainError as exc:
-            raise ScenarioError(f"node {node.id!r}: {exc}") from exc
-        nodes.append(replace(node, queue=queue))
+        with _reported(f"node {node.id!r}"):
+            nodes.append(replace(node, queue=replace(node.queue, slot_duration=slot)))
     return replace(scenario, nodes=tuple(nodes))
 
 

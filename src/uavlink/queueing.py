@@ -19,7 +19,7 @@ import numpy as np
 import scipy.special as sp
 
 from . import specfun
-from .errors import DegeneratePolicyError, DomainError, StabilityError
+from .errors import DomainError, StabilityError
 
 __all__ = [
     "QueueParams",
@@ -65,7 +65,7 @@ def _check_phi(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if not (0.0 < phi.min(initial=1.0) and phi.max(initial=1.0) <= 1.0):  # NaN fails
         if (phi == 0.0).any():
-            raise DegeneratePolicyError("transmit probability is 0: node never transmits")
+            raise DomainError("transmit probability is 0: node never transmits")
         bad = phi[~((0.0 < phi) & (phi <= 1.0))].flat[0]
         raise DomainError(f"transmit probability must lie in (0, 1], got {bad}")
     return phi
@@ -83,21 +83,22 @@ def is_stable(mu: float | np.ndarray, q: QueueParams) -> bool | np.ndarray:
     return q.arrival_rate - mu / q.slot_duration <= _BOUNDARY_TOL * q.arrival_rate
 
 
+def _unstable(mu: float, q: QueueParams) -> str:
+    """Why the per-slot service rate ``mu`` leaves the queue unstable."""
+    return (f"unstable queue: service rate {mu / q.slot_duration:.6g}/s is below "
+            f"arrival rate {q.arrival_rate:.6g}/s")
+
+
 def p_delay(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
     """Probability a packet's queueing delay exceeds the deadline, elementwise.
 
     Exactly 1 on the stability boundary (service rate equals arrival
-    rate); raises :class:`StabilityError` with the largest rate deficit
-    when any rate lies beyond it.
+    rate); raises :class:`StabilityError` naming the slowest rate when any
+    rate lies beyond it.
     """
     mu = _check_phi(mu)
     if not is_stable(mu.min(initial=1.0), q):  # the slowest rate decides
-        slowest = mu.min() / q.slot_duration
-        raise StabilityError(
-            f"unstable queue: service rate {slowest:.6g}/s is below "
-            f"arrival rate {q.arrival_rate:.6g}/s",
-            margin=q.arrival_rate - slowest,
-        )
+        raise StabilityError(_unstable(mu.min(), q))
     return _p_delay(mu, q)
 
 
@@ -114,8 +115,7 @@ def p_overflow(mu: float | np.ndarray, q: QueueParams) -> float | np.ndarray:
     """
     mu = _check_phi(mu)
     if not is_stable(mu.min(initial=1.0), q):  # the slowest rate decides, as in p_delay
-        worst = q.arrival_rate * q.slot_duration / mu.min()
-        raise StabilityError(f"unstable queue: offered load {worst:.6g} >= 1", margin=worst - 1.0)
+        raise StabilityError(_unstable(mu.min(), q))
     return _p_overflow(q.arrival_rate * q.slot_duration / mu, q)
 
 

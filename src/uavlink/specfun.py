@@ -169,7 +169,8 @@ def _brentq(f: Callable[[float], float], xpre: float, xcur: float) -> float:
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise AccuracyError("Brent's method found no root in 100 steps", xcur, abs(xblk - xcur))
+    raise AccuracyError(f"Brent's method found no root in 100 steps (last iterate {xcur:.17g},"
+                        f" bracket width {abs(xblk - xcur):.3e})")
 
 
 def integrate(
@@ -182,8 +183,9 @@ def integrate(
 
     Semi-infinite ranges are mapped by scipy's internal variable transform.
     Returns the value together with the achieved error estimate; raises
-    :class:`AccuracyError` (carrying the best estimate) when the requested
-    tolerances cannot be met within the subdivision budget.
+    :class:`AccuracyError`, whose message states the best estimate and its
+    error, when the requested tolerances cannot be met within the subdivision
+    budget.
     """
     import scipy.integrate  # at the first call, so a command that makes none never loads it
     if not (lo < hi):
@@ -198,16 +200,10 @@ def integrate(
         full_output=1,
     )
     if len(extra) > 1:  # quad appends an explanation string on failure
-        raise AccuracyError(
-            f"quadrature did not converge on [{lo}, {hi}]: {extra[1]}",
-            best_estimate=float(value),
-            error_estimate=float(abserr),
-        )
+        raise AccuracyError(f"quadrature did not converge on [{lo}, {hi}] (estimate {value!r},"
+                            f" error {abserr:.3e}): {extra[1]}")
     tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(value))
     if abserr > tol * 10.0:
-        raise AccuracyError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance on [{lo}, {hi}]",
-            best_estimate=float(value),
-            error_estimate=float(abserr),
-        )
+        raise AccuracyError(f"quadrature error exceeds 10 times the tolerance {tol:.3e} on"
+                            f" [{lo}, {hi}] (estimate {value!r}, error {abserr:.3e})")
     return IntegrationResult(float(value), float(abserr))

@@ -182,8 +182,8 @@ def _feasible(view: SourceView, beta: float | np.ndarray) -> np.ndarray:
         raise DomainError(f"loss_derivative: beta must be > 0, got {beta}")
     upper, worst = view.upper, float(np.max(betas, initial=0.0))
     if worst >= upper:
-        raise StabilityError(f"beta {worst:.6g} is at or beyond the stability bound {upper:.6g}",
-                             margin=worst - upper, node=view.node_id)
+        raise StabilityError(f"node {view.node_id!r}: beta {worst:.6g} is at or beyond the"
+                             f" stability bound {upper:.6g}")
     return betas
 
 
@@ -228,7 +228,7 @@ def beta_lower(view: SourceView) -> float:
     of the first sign change (at most 32 points a call, unchecked) until it is
     no wider than ``LOWER_TOL``, and returns its upper end.  Returns 0 when the
     curvature is positive from the start; raises :class:`LowerBoundNotFoundError`
-    with the scan attached when it never turns positive.
+    naming the node when it never turns positive.
     """
     upper = view.upper
     grid = np.linspace(upper * 1e-3, upper * (1.0 - 1e-9), LOWER_GRID_SIZE)
@@ -238,10 +238,8 @@ def beta_lower(view: SourceView) -> float:
         return 0.0
     positive = np.nonzero(curv > 0.0)[0]
     if positive.size == 0:
-        raise LowerBoundNotFoundError(
-            "reduced-loss curvature never turns positive on the feasible range",
-            diagnostics={"grid": grid.tolist(), "curvature": curv.tolist()},
-        )
+        raise LowerBoundNotFoundError(f"node {view.node_id!r}: reduced-loss curvature never"
+                                      f" turns positive on the feasible range (0, {upper:.6g})")
     lo, hi = grid[positive[0] - 1], grid[positive[0]]
     while hi - lo > LOWER_TOL:
         cell = np.linspace(lo, hi, min(34, math.ceil((hi - lo) / LOWER_TOL) + 1))
@@ -370,13 +368,8 @@ def _breakdowns(view: SourceView, prepared: tuple[tuple, Callable], fit) -> list
 
 def _instability(view: SourceView, beta: float, phi: float) -> StabilityError:
     """The error, naming the node, of ``beta`` whose transmit probability ``phi`` is unstable."""
-    rate, arrivals = phi / view.queue.slot_duration, view.queue.arrival_rate
-    return StabilityError(
-        f"node {view.node_id!r}: beta {beta:.6g} exceeds the stability bound (unstable "
-        f"queue: service rate {rate:.6g}/s is below arrival rate {arrivals:.6g}/s)",
-        margin=arrivals - rate,
-        node=view.node_id,
-    )
+    return StabilityError(f"node {view.node_id!r}: beta {beta:.6g} exceeds the stability bound"
+                          f" ({qn._unstable(phi, view.queue)})")
 
 
 def evaluate_view(view: SourceView, beta: float) -> LossBreakdown:

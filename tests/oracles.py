@@ -45,7 +45,7 @@ from uavlink import presets as ps
 from uavlink import queueing as qn
 from uavlink import simulator as sim
 from uavlink import specfun
-from uavlink.errors import DegeneratePolicyError, DomainError, StabilityError
+from uavlink.errors import DomainError, StabilityError
 from uavlink.queueing import QueueParams
 from uavlink.specfun import DEFAULT_QUAD, QuadratureSpec
 from uavlink import throughput as tp
@@ -55,7 +55,7 @@ from uavlink.throughput import PolicyVector
 def slots_to_transmit_pmf(phi: float, k: int) -> float:
     """Geometric probability that the first successful slot is slot ``k``."""
     if phi == 0.0:
-        raise DegeneratePolicyError("transmit probability is 0: node never transmits")
+        raise DomainError("transmit probability is 0: node never transmits")
     if k < 1:
         raise DomainError(f"slot count must be >= 1, got {k}")
     return (1.0 - phi) ** (k - 1) * phi
@@ -85,9 +85,7 @@ def state_distribution(mu: float, q: QueueParams, max_states: int = 100_000) -> 
     """
     rho = qn.offered_load(mu, q)
     if rho >= 1.0:
-        raise StabilityError(
-            f"unstable queue: offered load {rho:.6g} >= 1", margin=rho - 1.0
-        )
+        raise StabilityError(f"unstable queue: offered load {rho:.6g} >= 1")
     bn = q.buffer_capacity_normalized
     slack = 1.0 - rho
     p0 = slack / (slack - rho * math.expm1(-bn * slack))
@@ -209,9 +207,8 @@ def loss_derivative_layered(view, beta):
     upper, worst = view.upper, float(np.max(betas, initial=0.0))
     if worst >= upper:
         raise StabilityError(
-            f"beta {worst:.6g} is at or beyond the stability bound {upper:.6g}",
-            margin=worst - upper,
-            node=view.node_id,
+            f"node {view.node_id!r}: beta {worst:.6g} is at or beyond the stability bound"
+            f" {upper:.6g}"
         )
     n = view.num_channels
     cdf = ch._cdf(view.model, betas)

@@ -21,7 +21,7 @@ from uavlink.channel import (
     Rayleigh,
     Rician,
 )
-from uavlink.errors import DegenerateGeometryError, DomainError
+from uavlink.errors import DomainError
 
 ENV = EnvironmentParams()
 
@@ -43,7 +43,7 @@ class TestElevationAngle:
         assert ch.elevation_angle(a, b) == ch.elevation_angle(b, a)
 
     def test_coincident_positions_raise(self):
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(DomainError, match="^elevation_angle: positions coincide$"):
             ch.elevation_angle(Position(1, 2, 3), Position(1, 2, 3))
 
 
@@ -504,6 +504,16 @@ class TestValidation:
                    {"k_pi2": math.nextafter(largest, math.inf)}):
             with pytest.raises(DomainError, match=r"^EnvironmentParams.k_pi2 must be <= 5000 "):
                 EnvironmentParams(**ks)
+
+    def test_environment_free_space_amplitude_is_bounded_naming_both_fields(self):
+        # c / (4 pi f d0) bounds every path-loss amplitude; above 1 its fourth power could
+        # leave the float range
+        for f, d0 in ((1e-80, 20.0), (1e-160, 20.0), (1e-300, 1e-300), (1e6, 20.0)):
+            with pytest.raises(DomainError, match=r"^EnvironmentParams: the free-space amplitude"
+                                                  r" c / \(4 pi carrier_frequency d0\) .* must be"
+                                                  r" <= 1, got .* \(carrier_frequency .*, d0 .*\)$"):
+                EnvironmentParams(carrier_frequency=f, d0=d0)
+        assert ch.path_loss_amplitude(20.0, 0.3, EnvironmentParams(carrier_frequency=1.2e6)) < 1.0
 
     def test_rician_b_is_bounded(self):
         b2 = RICIAN_B_MAX**2  # the largest b is priced: E[X^4] = b^4 + 8 b^2 + 8

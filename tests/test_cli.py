@@ -92,9 +92,24 @@ class TestEvaluate:
         ("environment: {omega: 1.0e+300}\nnodes:\n  - {id: src, role: source}\n"
          "  - {id: i0, position: [5, 5, 0], fading: rayleigh, beta: 1.0e+100}\n",
          "environment: EnvironmentParams.omega must be <= 1e+151, got 1e+300"),
-    ], ids=["transmit_power", "position", "omega"])
+        ("environment: {carrier_frequency: 1.0e-80}\nnodes:\n  - {id: src, role: source}\n"
+         "  - {id: i0, position: [5, 5, 0]}\n",
+         "environment: EnvironmentParams: the free-space amplitude c / (4 pi carrier_frequency"
+         " d0) at the reference distance must be <= 1, got 1.19366e+86 (carrier_frequency"
+         " 1e-80, d0 20)"),
+        ("environment: {carrier_frequency: 1.0e-160}\nnodes:\n  - {id: src, role: source}\n",
+         "environment: EnvironmentParams: the free-space amplitude c / (4 pi carrier_frequency"
+         " d0) at the reference distance must be <= 1, got 1.19366e+166 (carrier_frequency"
+         " 1e-160, d0 20)"),
+        ("environment: {omega: 1.0e+150}\nnodes:\n  - {id: src, role: source}\n"
+         "  - {id: i0, position: [5, 5, 0], fading: rayleigh, transmit_power: 1.0e+150}\n",
+         "interference moments beyond the float range (mean 1.5896e+292, variance nan):"
+         " interferer powers or spreads too large"),
+    ], ids=["transmit_power", "position", "omega", "carrier_frequency-interferer",
+            "carrier_frequency-source", "moments"])
     def test_a_power_beyond_the_float_range_is_named(self, document, message, tmp_path, capsys):
-        # each document once crashed every command with a bare OverflowError
+        # each document once crashed every command with a bare OverflowError, or, the last,
+        # named an internal field (GammaFit.shape)
         path = tmp_path / "large.yaml"
         path.write_text(document)
         for command in (["evaluate"], ["simulate", "--slots", "100", "--warmup", "0"],
@@ -148,7 +163,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("betas", APPROX_POLICIES)
     def test_approx_never_exceeds_exact(self, betas, capsys):
         overrides = [arg for beta in betas for arg in ("--beta", beta)]
-        cli.main(["evaluate", "--scenario", str(EXAMPLE), "--exact", *overrides])
+        cli.main(["evaluate", "--scenario", str(EXAMPLE), *overrides])
         exact = float(capsys.readouterr().out.split("throughput =")[1].strip())
         cli.main(["evaluate", "--scenario", str(EXAMPLE), "--approx", *overrides])
         approx = float(capsys.readouterr().out.split("throughput =")[1].strip())
@@ -431,6 +446,25 @@ class TestMalformedInput:
         assert cli.main(["evaluate", "--scenario", str(path)]) in (0, 1, 2)
 
 
+class TestInfeasible:
+    @pytest.mark.parametrize("beta", ["5.784273037776566", "50"], ids=["on-bound", "beyond"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--beta", "src={beta}"],
+        ["simulate", "--slots", "2000", "--replications", "2", "--beta", "src={beta}"],
+        ["sweep", "--var", "beta_n", "--values", "1,{beta}"],
+    ], ids=["evaluate", "simulate", "sweep"])
+    def test_every_infeasible_line_names_its_node(self, command, beta, capsys):
+        # 5.784273037776566 is the example source's stability bound, where the deadline drop
+        # is certain; a sweep reports that point as a row and exits 0
+        code = cli.main([*(arg.format(beta=beta) for arg in command), "--scenario", str(EXAMPLE)])
+        err = capsys.readouterr().err.splitlines()
+        if command[0] == "sweep" and beta != "50":
+            assert (code, err) == (0, [])
+        else:
+            assert code == 2
+            assert len(err) == 1 and err[0].startswith("infeasible: node 'src': "), err
+
+
 class TestOptimize:
     def test_single_node_converges_quickly(self, tmp_path, capsys):
         path = tmp_path / "solo.yaml"
@@ -550,7 +584,7 @@ class TestHelp:
     @pytest.mark.parametrize(
         "command,flags",
         [
-            ("evaluate", ["--scenario", "--beta", "--exact", "--approx", "--out"]),
+            ("evaluate", ["--scenario", "--beta", "--approx", "--out"]),
             ("sweep", ["--scenario", "--preset", "--seed", "--var", "--values", "--out"]),
             ("simulate", ["--scenario", "--slots", "--replications", "--seed", "--warmup", "--beta"]),
             ("optimize", ["--scenario", "--grid", "--tol", "--max-iters", "--objective"]),

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uavlink
 from uavlink import channel as ch
+from uavlink import errors
 from uavlink import interference as itf
 from uavlink import presets as ps
 from uavlink import simulator as sim
@@ -98,6 +100,23 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     used = set().union(*map(referenced, CALLERS))
     unused = sorted(f"{module}.{name}" for module, name in public_definitions().keys() - used)
     assert not unused, f"called only by tests: {unused}"
+
+
+def test_every_error_class_is_raised_in_the_package_and_exported():
+    # a class counts as raised where it or a subclass of it is; a class no code raises, or
+    # that only ``uavlink.errors`` names, is one only tests know
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and isinstance(vars(errors).get(exc.id), type):
+                    raised.add(vars(errors)[exc.id])
+    defined = [value for value in vars(errors).values()
+               if isinstance(value, type) and value.__module__ == errors.__name__]
+    unraised = [c.__name__ for c in defined if not any(issubclass(r, c) for r in raised)]
+    unexported = [c.__name__ for c in defined if c.__name__ not in uavlink.__all__]
+    assert defined and (unraised, unexported) == ([], [])
 
 
 def parameters_set(path: Path, definitions: dict) -> set[tuple[str, str, str]]:

@@ -2,6 +2,7 @@
 root-finder against scipy's."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -290,7 +291,7 @@ class TestBrentq:
         else:
             with pytest.raises(AccuracyError) as raised:
                 specfun._brentq(f, lo, hi)
-            assert raised.value.best_estimate == want
+            assert f"(last iterate {want:.17g}, bracket width " in str(raised.value)
 
     def test_a_step_whose_denominator_underflows_to_zero_bisects_as_scipy_does(self):
         # f of order 1e-250 makes the extrapolation's product of three slopes underflow
@@ -311,7 +312,7 @@ class TestBrentq:
         assert not result.converged
         with pytest.raises(AccuracyError) as raised:
             specfun._brentq(f, -8.803292731694611, 2.086451204492788)
-        assert raised.value.best_estimate == want
+        assert f"(last iterate {want:.17g}, bracket width " in str(raised.value)
 
 
 class TestIntegrate:
@@ -342,11 +343,12 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             specfun.integrate(lambda x: x, 1.0, 1.0)
 
-    def test_nonconvergence_carries_best_estimate(self):
+    def test_nonconvergence_states_the_best_estimate(self):
         spec = QuadratureSpec(absolute_tolerance=1e-14, relative_tolerance=1e-14, max_subdivisions=2)
         with pytest.raises(AccuracyError) as excinfo:
             specfun.integrate(lambda x: math.sin(1.0 / (x + 1e-4)), 0.0, 1.0, spec)
-        assert math.isfinite(excinfo.value.best_estimate)
+        estimate, _ = re.search(r"\(estimate (\S+), error (\S+)\)", str(excinfo.value)).groups()
+        assert math.isfinite(float(estimate))
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
